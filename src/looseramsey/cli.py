@@ -304,7 +304,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp.set_defaults(func=_cmd_stress)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # includes FormatError and StructureError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,10 +12,15 @@ colors decide the branch: either some candidate is fully blue (the blue
 witness) or the red edge that blocks it extends the red structure to the
 red witness.
 
+The replacement-move search and the blue chaining read the coloring
+through link tables (per vertex pair, the bitset of third vertices that
+complete a triple of one colour), so they test whole reservoirs at once.
+The tables are built on first use, once per colour per top-level solve.
+
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
-when one is reached, a bounded complete search finishes the extraction and
-the event is recorded in the trace.
+when one is reached, a bounded complete search finishes the extraction,
+raises a RuntimeWarning and records the event in the trace.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from math import comb
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
 from .core import (
@@ -86,6 +92,82 @@ def ramsey_number(pair: PairKind) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Link tables: per vertex pair, the set of third vertices completing a
+# triple of one colour, as a bitset over vertex labels.
+
+Links = List[List[int]]
+
+
+def _link_table(n: int, bits: int) -> Links:
+    """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
+    `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0."""
+    T = [[0] * n for _ in range(n)]
+    for z in range(2, n):
+        # the triples with largest vertex z occupy ranks [C(z,3), C(z+1,3))
+        block = (bits >> comb(z, 3)) & ((1 << comb(z, 2)) - 1)
+        Tz, zbit = T[z], 1 << z
+        for y in range(1, z):
+            xs = (block >> comb(y, 2)) & ((1 << y) - 1)
+            if not xs:
+                continue
+            Ty, ybit = T[y], 1 << y
+            Tz[y] = xs
+            while xs:
+                low = xs & -xs
+                x = low.bit_length() - 1
+                xs ^= low
+                Tz[x] |= ybit
+                Ty[x] |= zbit
+    for x in range(n):
+        Tx = T[x]
+        for y in range(x + 1, n):
+            Tx[y] = T[y][x]
+    return T
+
+
+class _LinkTables:
+    """The link tables of one coloring, each colour built on first use.
+
+    One instance serves a whole top-level solve: the prefix restrictions
+    that the induction descends to are served by the same tables (callers
+    only read bits of vertices inside the prefix), and the view returned by
+    swap() serves the colour-swapped coloring, whose red table is the blue
+    table of this one.
+    """
+
+    __slots__ = ("_coloring", "_tables", "_swapped")
+
+    def __init__(self, coloring: Coloring) -> None:
+        self._coloring = coloring
+        self._tables: Dict[str, Links] = {}
+        self._swapped = False
+
+    def swap(self) -> "_LinkTables":
+        view = _LinkTables(self._coloring)
+        view._tables = self._tables
+        view._swapped = not self._swapped
+        return view
+
+    def table(self, color: str) -> Links:
+        if self._swapped:
+            color = opposite(color)
+        T = self._tables.get(color)
+        if T is None:
+            c = self._coloring
+            bits = c.red_bits if color == RED else c.red_bits ^ ((1 << c.n_triples) - 1)
+            T = self._tables[color] = _link_table(c.n_vertices, bits)
+        return T
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# ---------------------------------------------------------------------------
 # Red path growth: greedy seed, end extension, replacement moves.
 
 
@@ -141,19 +223,81 @@ def greedy_red_path(c: Coloring) -> LoosePath:
     return LoosePath(tuple(seq))
 
 
-def _find_move(red: _ColorTest, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[int, int]]]:
+def _fill(masks: List[int], core: int, free: int) -> bool:
+    """Whether the private slots, slot i restricted to masks[i], can hold
+    every vertex of `core` and distinct vertices of `free` in the rest."""
+    if core:
+        v = core & -core
+        for i, m in enumerate(masks):
+            if m & v and _fill(masks[:i] + masks[i + 1 :], core ^ v, free):
+                return True
+        return False
+    if len(masks) < 2:
+        return not masks or masks[0] & free != 0
+    a, b = masks[0] & free, masks[1] & free
+    both = a | b
+    return a != 0 and b != 0 and both & (both - 1) != 0
+
+
+def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int) -> bool:
+    """Whether a red loose path from lat to rat has as its inner vertices
+    exactly the vertices of `core` plus two vertices of wmask.
+
+    `core` holds one vertex (a two-edge path through link b) or three
+    (a three-edge path through links b and d); lat, rat and the core lie
+    outside wmask.  Each link choice leaves one private slot per edge, and
+    _fill matches the rest of the pool to those slots.
+    """
+    pool = core | wmask
+    two_edges = core & (core - 1) == 0
+    Tlat = T[lat]
+    for b in _bits(pool):
+        ma = Tlat[b] & pool
+        if not ma:
+            continue
+        rest = pool ^ (1 << b)
+        Tb = T[b]
+        if two_edges:
+            if _fill([ma, Tb[rat] & rest], core & rest, wmask & rest):
+                return True
+            continue
+        for d in _bits(rest):
+            md, me = Tb[d] & rest, T[d][rat] & rest
+            if md and me:
+                avail = rest ^ (1 << d)
+                if _fill([ma & avail, md & avail, me & avail], core & avail, wmask & avail):
+                    return True
+    return False
+
+
+def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[int, int]]]:
     """First length-increasing red replacement of one or two consecutive path
     edges using two reservoir vertices, preserving the path's end vertices.
 
     The replacement may re-attach at the middle vertex of a neighboring edge
     (demoting that edge's old link to a private vertex); the neighboring edge
     keeps its vertex set, so only the new edges need color checks.
+    T is the red link table; wset must avoid the path.  A window is scanned
+    pair by pair only after _bridges, which is exact, finds a move in it.
     Returns (new vertex sequence, (x, y) used) or None.
     """
     L = (len(p) - 1) // 2
     wl = sorted(wset)
     if len(wl) < 2 or L == 0:
         return None
+    wmask = 0
+    for w in wl:
+        wmask |= 1 << w
+
+    def red(x: int, y: int, z: int) -> int:
+        return T[x][y] >> z & 1
+
+    def window_fits(lats, rats, core: Tuple[int, ...]) -> bool:
+        cmask = 0
+        for v in core:
+            cmask |= 1 << v
+        return any(_bridges(T, lat, rat, cmask, wmask) for lat, _ in lats for rat, _ in rats)
+
     for j in range(L):
         lats = [(p[2 * j], p[: 2 * j + 1])]
         if j >= 1:
@@ -162,21 +306,24 @@ def _find_move(red: _ColorTest, p: List[int], wset) -> Optional[Tuple[List[int],
         if j <= L - 2:
             rats1.append((p[2 * j + 3], [p[2 * j + 3], p[2 * j + 2]] + p[2 * j + 4 :]))
         mid = p[2 * j + 1]
-        for xi in range(len(wl)):
-            for yi in range(xi + 1, len(wl)):
-                x, y = wl[xi], wl[yi]
-                pool3 = (mid, x, y)
-                for lat, left in lats:
-                    for rat, right in rats1:
-                        for i1, i2, i3 in permutations(pool3):
-                            if red(lat, i1, i2) and red(i2, i3, rat):
-                                return left + [i1, i2, i3] + right, (x, y)
+        if window_fits(lats, rats1, (mid,)):
+            for xi in range(len(wl)):
+                for yi in range(xi + 1, len(wl)):
+                    x, y = wl[xi], wl[yi]
+                    pool3 = (mid, x, y)
+                    for lat, left in lats:
+                        for rat, right in rats1:
+                            for i1, i2, i3 in permutations(pool3):
+                                if red(lat, i1, i2) and red(i2, i3, rat):
+                                    return left + [i1, i2, i3] + right, (x, y)
         if j > L - 2:
             continue
         rats2 = [(p[2 * j + 4], p[2 * j + 4 :])]
         if j <= L - 3:
             rats2.append((p[2 * j + 5], [p[2 * j + 5], p[2 * j + 4]] + p[2 * j + 6 :]))
         core = (p[2 * j + 1], p[2 * j + 2], p[2 * j + 3])
+        if not window_fits(lats, rats2, core):
+            continue
         for xi in range(len(wl)):
             for yi in range(xi + 1, len(wl)):
                 x, y = wl[xi], wl[yi]
@@ -196,11 +343,11 @@ def _find_move(red: _ColorTest, p: List[int], wset) -> Optional[Tuple[List[int],
     return None
 
 
-def _maximalize(red: _ColorTest, p: List[int], wset: Set[int]) -> Tuple[List[int], Set[int]]:
+def _maximalize(T: Links, p: List[int], wset: Set[int]) -> Tuple[List[int], Set[int]]:
     """Apply replacement moves until none exists.  Each move grows the path by
     one edge and consumes two reservoir vertices, so this terminates."""
     while True:
-        mv = _find_move(red, p, wset)
+        mv = _find_move(T, p, wset)
         if mv is None:
             return p, wset
         p, (x, y) = mv
@@ -234,79 +381,89 @@ def _window_p4(verts: List[int], j: int) -> Tuple[int, ...]:
 
 
 def _chain(
-    c: Coloring, verts: List[int], w0: Sequence[int], trace: Optional[List[str]]
+    blue: Links, verts: List[int], w0: Sequence[int], trace: Optional[List[str]]
 ) -> Tuple[Optional[List[int]], FrozenSet[int], int]:
     """Chain a blue path with end vertices in w0 across prefix windows of the
     red path, consuming 2 or 3 edges and 1-3 fresh reservoir vertices per
     window.  Prefers using all of w0; otherwise returns the best assembly.
 
+    blue is the blue link table; w0 must avoid verts.  Fresh vertices are
+    tried in ascending label order.
     Returns (sequence or None, reservoir vertices used, edges consumed).
     """
-    blue = _ColorTest(c, BLUE)
     L = (len(verts) - 1) // 2
-    w0s = sorted(w0)
-    total = len(w0s)
+    w0mask = 0
+    for w in w0:
+        w0mask |= 1 << w
+    total = w0mask.bit_count()
     budget = [_CHAIN_BUDGET]
-    best: List = [None, frozenset(), 0]
+    best: List = [None, 0, 0]
 
-    def rec(j: int, seq: List[int], used: FrozenSet[int]):
-        if len(used) > len(best[1]):
+    # Per window start j: the oriented inner triples of the 2-edge windows
+    # and the 3-edge window, with the reservoir vertices that may precede
+    # (heads), sit inside (mids) or follow (tails) them on a blue path.
+    twos = [
+        [
+            (i1, i2, i3, blue[i1][i2] & w0mask, blue[i2][i3] & w0mask)
+            for inner in _window_inners(verts, j)
+            for i1, i2, i3 in (inner, inner[::-1])
+        ]
+        for j in range(L - 1)
+    ]
+    threes = []
+    for j in range(L - 2):
+        g0, g1, g2, g3, g4, g5 = _window_p4(verts, j)
+        threes.append((
+            [g0, g1, g2], [g3, g4, g5],
+            blue[g0][g1] & w0mask, blue[g1][g2] & blue[g3][g4] & w0mask, blue[g4][g5] & w0mask,
+        ))
+
+    # used is the bitmask of reservoir vertices already in seq
+    def rec(j: int, seq: List[int], used: int):
+        if used.bit_count() > best[1].bit_count():
             best[0], best[1], best[2] = list(seq), used, j
-        if total - len(used) == 0:
+        if used == w0mask:
             return list(seq), used, j
         if budget[0] <= 0:
             return None
         budget[0] -= 1
-        fresh = [w for w in w0s if w not in used]
+        fresh = w0mask & ~used
         first = not seq
         if j <= L - 2:
-            for inner in _window_inners(verts, j):
-                for i1, i2, i3 in (inner, inner[::-1]):
-                    if first:
-                        for p in fresh:
-                            if not blue(p, i1, i2):
-                                continue
-                            for q in fresh:
-                                if q != p and blue(i2, i3, q):
-                                    res = rec(j + 2, [p, i1, i2, i3, q], used | {p, q})
-                                    if res:
-                                        return res
-                    else:
-                        p = seq[-1]
-                        if not blue(p, i1, i2):
-                            continue
-                        for q in fresh:
-                            if blue(i2, i3, q):
-                                res = rec(j + 2, seq + [i1, i2, i3, q], used | {q})
-                                if res:
-                                    return res
+            for i1, i2, i3, heads, tails in twos[j]:
+                tails &= fresh
+                if first:
+                    for p in _bits(heads & fresh):
+                        for q in _bits(tails & ~(1 << p)):
+                            res = rec(j + 2, [p, i1, i2, i3, q], used | 1 << p | 1 << q)
+                            if res:
+                                return res
+                elif heads >> seq[-1] & 1:
+                    for q in _bits(tails):
+                        res = rec(j + 2, seq + [i1, i2, i3, q], used | 1 << q)
+                        if res:
+                            return res
         if j <= L - 3:
-            g0, g1, g2, g3, g4, g5 = _window_p4(verts, j)
-            heads = fresh if first else [seq[-1]]
-            for p in heads:
-                if p in used and first:
-                    continue
-                if not blue(p, g0, g1):
-                    continue
-                for q in fresh:
-                    if q == p or not blue(g1, g2, q) or not blue(q, g3, g4):
-                        continue
-                    for s in fresh:
-                        if s in (p, q) or not blue(g4, g5, s):
-                            continue
-                        frag = [g0, g1, g2, q, g3, g4, g5, s]
-                        new_used = used | {q, s} | ({p} if first else frozenset())
-                        res = rec(j + 3, ([p] if first else seq) + frag, new_used)
+            front, back, heads, mids, tails = threes[j]
+            heads &= fresh if first else 1 << seq[-1]
+            for p in _bits(heads):
+                for q in _bits(mids & fresh & ~(1 << p)):
+                    for s in _bits(tails & fresh & ~(1 << p | 1 << q)):
+                        res = rec(
+                            j + 3,
+                            ([p] if first else seq) + front + [q] + back + [s],
+                            used | 1 << q | 1 << s | (1 << p if first else 0),
+                        )
                         if res:
                             return res
         return None
 
-    res = rec(0, [], frozenset())
+    res = rec(0, [], 0)
     if res is None:
         res = tuple(best)
-        _note(trace, f"chain: leftover {total - len(res[1])} reservoir vertices")
+        _note(trace, f"chain: leftover {total - res[1].bit_count()} reservoir vertices")
     seq, used, consumed = res
-    return (list(seq) if seq else None), frozenset(used), consumed
+    return (list(seq) if seq else None), frozenset(_bits(used)), consumed
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +491,19 @@ def _completion(
     why: str,
 ) -> Witness:
     """Bounded complete search, blue target first.  Reached only from branches
-    without closed-form candidates; always traced."""
+    without closed-form candidates; always traced and warned about."""
     _note(trace, f"completion search ({why})")
     bshape, blen = blue_target
+    rshape, rlen = red_target
+    warnings.warn(
+        f"no closed-form branch ({why}); finishing by complete search for a"
+        f" blue {bshape} of length {blen} or a red {rshape} of length {rlen}",
+        RuntimeWarning,
+        stacklevel=2,
+    )
     finder = find_mono_path if bshape == PATH else find_mono_cycle
     w = finder(c, BLUE, blen)
     if w is None:
-        rshape, rlen = red_target
         finder = find_mono_path if rshape == PATH else find_mono_cycle
         w = finder(c, RED, rlen)
     if w is None:
@@ -443,10 +606,11 @@ def _cycle_candidates(
 
 def _cycle_step(
     c: Coloring, cyc: List[int], n: int, m: int, want: str,
-    trace: Optional[List[str]],
+    links: _LinkTables, trace: Optional[List[str]],
 ) -> Witness:
     """Lift a red cycle of length n-1 to a red cycle of length n or produce
     the blue target (cycle of length m, or path of length m when n > m).
+    links serves c (or a coloring it is a prefix of).
     """
     red = _ColorTest(c, RED)
     k = len(cyc)
@@ -491,20 +655,14 @@ def _cycle_step(
     _note(trace, f"opened cycle: boundary edge through {z}, reservoir {W0}")
 
     # Any replacement move on the opened path closes to the longer red cycle.
-    mv = _find_move(red, P, W0)
+    mv = _find_move(links.table(RED), P, W0)
     if mv is not None:
         _note(trace, "replacement move closes the longer red cycle")
         return Witness(RED, CYCLE, validate_loose_cycle(mv[0] + [c1]))
 
-    qq0, used, consumed = _chain(c, P, W0, trace)
+    qq0, used, consumed = _chain(links.table(BLUE), P, W0, trace)
     x = len(W0) - len(used)
     if qq0 is None or x >= 2:
-        warnings.warn(
-            f"cycle step reached {x} leftover reservoir vertices (n={n}, m={m});"
-            " finishing by complete search",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return _completion(c, (want, m), (CYCLE, n), trace, f"chain leftover {x}")
     _note(trace, f"chained blue path: {consumed} edges consumed, leftover {x}")
 
@@ -556,10 +714,11 @@ def _path_candidates(
 
 
 def _path_step(
-    c: Coloring, p: List[int], n: int, m: int, trace: Optional[List[str]]
+    c: Coloring, p: List[int], n: int, m: int, links: _LinkTables,
+    trace: Optional[List[str]],
 ) -> Witness:
     """Lift a red path of length n-1 to a red path of length n or produce a
-    blue path of length m."""
+    blue path of length m.  links serves c (or a coloring it is a prefix of)."""
     red = _ColorTest(c, RED)
     p = list(p)
     # grow toward the red target before anything else
@@ -569,7 +728,7 @@ def _path_step(
             _note(trace, "red path extended to target length")
             return Witness(RED, PATH, validate_loose_path(p[: 2 * n + 1]))
         wbar = set(range(c.n_vertices)) - set(p)
-        mv = _find_move(red, p, wbar)
+        mv = _find_move(links.table(RED), p, wbar)
         if mv is None:
             break
         p = mv[0]
@@ -579,16 +738,9 @@ def _path_step(
     wbar = sorted(set(range(c.n_vertices)) - set(p))
     u = wbar[-1]
     W0 = wbar[:-1]
-    qq0, used, consumed = _chain(c, p[2:], W0, trace)
+    qq0, used, consumed = _chain(links.table(BLUE), p[2:], W0, trace)
     x = len(W0) - len(used)
     if qq0 is None or x >= 2 or (x == 1 and m % 2 == 0):
-        if qq0 is not None and x >= 2:
-            warnings.warn(
-                f"path step reached {x} leftover reservoir vertices (n={n}, m={m});"
-                " finishing by complete search",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return _completion(c, (PATH, m), (PATH, n), trace, f"path chain leftover {x}")
     _note(trace, f"chained blue path: {consumed} edges consumed, leftover {x}")
 
@@ -614,9 +766,10 @@ def _swapped(w: Witness) -> Witness:
     return Witness(opposite(w.color), w.shape, w.structure)
 
 
-def _fast_red(c: Coloring, target: Tuple[str, int]) -> Optional[Witness]:
+def _fast_red(c: Coloring, target: Tuple[str, int], links: _LinkTables) -> Optional[Witness]:
     """Cheap attempt at the red target: greedy path plus replacement moves.
-    Succeeds on most colorings without entering the induction."""
+    Succeeds on most colorings without entering the induction, and then
+    without building a link table."""
     shape, tlen = target
     gp = greedy_red_path(c)
     if not gp.vertices:
@@ -626,7 +779,7 @@ def _fast_red(c: Coloring, target: Tuple[str, int]) -> Optional[Witness]:
     need = tlen if shape == PATH else tlen - 1
     while (len(seq) - 1) // 2 < need:
         wset = set(range(c.n_vertices)) - set(seq)
-        mv = _find_move(red, seq, wset)
+        mv = _find_move(links.table(RED), seq, wset)
         if mv is None:
             break
         seq = mv[0]
@@ -660,9 +813,12 @@ def _oracle_solve(pair: PairKind, c: Coloring, trace: Optional[List[str]]) -> Wi
     raise ExtractionError(f"base case {pair} produced no witness; trace: {trace}")
 
 
-def _solve(pair: PairKind, c: Coloring, trace: Optional[List[str]]) -> Witness:
+def _solve(
+    pair: PairKind, c: Coloring, links: _LinkTables, trace: Optional[List[str]]
+) -> Witness:
+    """links serves the top-level coloring, of which c is a prefix."""
     kind, n, m = pair.kind, pair.n, pair.m
-    w = _fast_red(c, pair.red_target)
+    w = _fast_red(c, pair.red_target, links)
     if w is not None:
         _note(trace, f"{pair}: red target built greedily")
         return w
@@ -672,36 +828,36 @@ def _solve(pair: PairKind, c: Coloring, trace: Optional[List[str]]) -> Witness:
             return _oracle_solve(pair, c, trace)
         if n > m:
             sub = PairKind(PP, n - 1, m)
-            rw = _solve(sub, c.restrict(ramsey_number(sub)), trace)
+            rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
             if rw.color == BLUE:
                 return rw
-            return _path_step(c, list(rw.structure.vertices), n, m, trace)
+            return _path_step(c, list(rw.structure.vertices), n, m, links, trace)
         sub = PairKind(PP, n, n - 1)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), trace)
+        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
         if rw.color == RED:
             return rw
         _note(trace, f"{pair}: swapping colors around blue path of length {n - 1}")
-        return _swapped(_path_step(c.swap(), list(rw.structure.vertices), n, n, trace))
+        return _swapped(_path_step(c.swap(), list(rw.structure.vertices), n, n, links.swap(), trace))
 
     if kind == CC:
         if (n, m) in _BASES:
             return _oracle_solve(pair, c, trace)
         if n > m:
             sub = PairKind(CC, n - 1, m)
-            rw = _solve(sub, c.restrict(ramsey_number(sub)), trace)
+            rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
             if rw.color == BLUE:
                 return rw
-            return _cycle_step(c, list(rw.structure.vertices), n, m, CYCLE, trace)
+            return _cycle_step(c, list(rw.structure.vertices), n, m, CYCLE, links, trace)
         sub = PairKind(CC, n, n - 1)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), trace)
+        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
         if rw.color == RED:
             return rw
         _note(trace, f"{pair}: swapping colors around blue cycle of length {n - 1}")
-        return _swapped(_cycle_step(c.swap(), list(rw.structure.vertices), n, n, CYCLE, trace))
+        return _swapped(_cycle_step(c.swap(), list(rw.structure.vertices), n, n, CYCLE, links.swap(), trace))
 
     if kind == PNCM:
         sub = PairKind(CC, n, m)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), trace)
+        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
         if rw.color == BLUE:
             return rw
         return _convert_red_cycle(c, list(rw.structure.vertices), n, CYCLE, m, trace)
@@ -709,7 +865,7 @@ def _solve(pair: PairKind, c: Coloring, trace: Optional[List[str]]) -> Witness:
     # kind == PMCN
     if (n, m) == (4, 3):
         sub = PairKind(CC, 4, 4)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), trace)
+        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
         if rw.color == BLUE:
             return rw
         # a red cycle of length 4 contains a red path of length 3
@@ -718,11 +874,11 @@ def _solve(pair: PairKind, c: Coloring, trace: Optional[List[str]]) -> Witness:
         sub = PairKind(PNCM, m, m)
     else:
         sub = PairKind(PMCN, n - 1, m)
-    rw = _solve(sub, c.restrict(ramsey_number(sub)), trace)
+    rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
     if rw.color == RED:
         return rw
     _note(trace, f"{pair}: swapping colors around blue cycle of length {sub.n}")
-    return _swapped(_cycle_step(c.swap(), list(rw.structure.vertices), n, m, PATH, trace))
+    return _swapped(_cycle_step(c.swap(), list(rw.structure.vertices), n, m, PATH, links.swap(), trace))
 
 
 def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None) -> Witness:
@@ -735,7 +891,7 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             f"need at least {N} vertices for {pair}, coloring has {coloring.n_vertices}"
         )
     c = coloring.restrict(N)
-    w = _solve(pair, c, trace)
+    w = _solve(pair, c, _LinkTables(c), trace)
     res = verify_witness(c, w)
     if not res:
         raise ExtractionError(f"internal: witness fails verification: {res.reason}")
@@ -782,7 +938,7 @@ class ExtractionState:
 
 def maximalize_wrt(st: ExtractionState) -> ExtractionState:
     """Apply replacement moves until the red path is maximal w.r.t. W."""
-    red = _ColorTest(st.coloring, RED)
+    red = _LinkTables(st.coloring).table(RED)
     seq, wset = _maximalize(red, list(st.red_structure.vertices), set(st.W))
     return replace(
         st, red_structure=validate_loose_path(seq), W=frozenset(wset)
@@ -798,7 +954,6 @@ def find_configuration(st: ExtractionState, i: int):
     RedExtension if the path is not actually maximal.
     """
     c = st.coloring
-    red = _ColorTest(c, RED)
     blue = _ColorTest(c, BLUE)
     verts = list(st.red_structure.vertices)
     wl = sorted(st.W)
@@ -807,7 +962,7 @@ def find_configuration(st: ExtractionState, i: int):
     L = (len(verts) - 1) // 2
     if i < 0 or i > L - 2:
         raise ValueError(f"no two consecutive edges at index {i}")
-    mv = _find_move(red, verts, set(wl))
+    mv = _find_move(_LinkTables(c).table(RED), verts, set(wl))
     if mv is not None:
         raise RedExtension(mv[0])
 
@@ -859,7 +1014,7 @@ def chain_blue_path(st: ExtractionState) -> ExtractionState:
     """Run the chaining pass and record the assembly in the state."""
     verts = list(st.red_structure.vertices)
     L = (len(verts) - 1) // 2
-    qq, used, consumed = _chain(st.coloring, verts, sorted(st.W), None)
+    qq, used, consumed = _chain(_LinkTables(st.coloring).table(BLUE), verts, sorted(st.W), None)
     return replace(
         st,
         blue_assembly=validate_loose_path(qq) if qq else None,
@@ -873,10 +1028,12 @@ def cycle_step(
     st: ExtractionState, n: int, m: int, want: str = CYCLE,
     trace: Optional[List[str]] = None,
 ) -> Witness:
-    return _cycle_step(st.coloring, list(st.red_structure.vertices), n, m, want, trace)
+    c = st.coloring
+    return _cycle_step(c, list(st.red_structure.vertices), n, m, want, _LinkTables(c), trace)
 
 
 def path_step(
     st: ExtractionState, n: int, m: int, trace: Optional[List[str]] = None
 ) -> Witness:
-    return _path_step(st.coloring, list(st.red_structure.vertices), n, m, trace)
+    c = st.coloring
+    return _path_step(c, list(st.red_structure.vertices), n, m, _LinkTables(c), trace)

@@ -30,7 +30,13 @@ ENUMERATION_BUDGET_BITS = 24
 
 
 class _ColorTest:
-    """O(1) membership test for one color class of a coloring."""
+    """Membership test for one color class of a coloring.
+
+    Each call shifts the whole colex bitmap, so a lookup costs
+    O(C(N,3)/64) machine words, not O(1).  That is cheap for the oracle's
+    small N and for the extractor's greedy path; the extractor's move search
+    and chaining read link tables instead.
+    """
 
     __slots__ = ("bits", "c2", "c3")
 

@@ -131,3 +131,44 @@ class TestMain:
                      "--trials", "10", "--seed", "1", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["witnesses_verified"] == 10
+
+
+class TestUsageErrors:
+    """Malformed files and invalid parameters: one `error:` line on stderr,
+    exit 2, no traceback."""
+
+    @staticmethod
+    def _one_error_line(capsys, *needles):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        for needle in needles:
+            assert needle in lines[0]
+
+    @pytest.mark.parametrize(
+        "body,needle",
+        [
+            ("LRX1 7\n000000000", "unrecognized header"),
+            ("LRC1 7\n00000000g", "bad hex digit"),
+            ("LRC1 7\n00", "expected 9 hex digits"),
+        ],
+        ids=["bad-header", "bad-hex-digit", "wrong-digit-count"],
+    )
+    def test_malformed_file(self, tmp_path, capsys, body, needle):
+        f = tmp_path / "c.lrc"
+        f.write_text(body)
+        assert main(["verify", "--file", str(f),
+                     "--witness", "red path 0 1 2 3 4"]) == 2
+        self._one_error_line(capsys, needle)
+
+    def test_invalid_pair(self, capsys):
+        assert main(["ramsey", "--pair", "pmcn", "-n", "3", "-m", "4"]) == 2
+        self._one_error_line(capsys, "pmcn", "n > m")
+
+    def test_coloring_below_threshold(self, tmp_path, capsys):
+        f = tmp_path / "c.lrc"
+        f.write_text("LRC1 7\n000000000")
+        assert main(["extract", "--file", str(f), "--pair", "pp",
+                     "-n", "3", "-m", "3"]) == 2
+        self._one_error_line(capsys, "need at least 8 vertices")

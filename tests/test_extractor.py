@@ -244,6 +244,17 @@ class TestSteps:
         assert w.color == BLUE and (w.shape, w.length) == (PATH, 3)
         assert verify_witness(c, w)
 
+    def test_path_step_completion_warns(self):
+        # one reservoir vertex left over with m even has no closed-form
+        # candidates: the step finishes by complete search, never silently
+        c, verts = _path_only(11, 3)
+        st = ExtractionState(c, validate_loose_path(verts), frozenset(range(7, 11)))
+        trace = []
+        with pytest.warns(RuntimeWarning, match=r"path chain leftover 1"):
+            w = path_step(st, 4, 4, trace=trace)
+        assert "completion search (path chain leftover 1)" in trace
+        assert verify_witness(c, w) and (w.shape, w.length) == (PATH, 4)
+
     def test_cycle_step_on_blue_remainder(self):
         cyc = [0, 1, 2, 3, 4, 5, 6, 7]
         edges = [tuple(cyc[2 * i : 2 * i + 3]) for i in range(3)] + [(6, 7, 0)]

@@ -1,0 +1,286 @@
+"""Link tables and the two search kernels that read them.
+
+The references below are the pair-by-pair scans that `_find_move` and
+`_chain` ran before the link tables, testing one triple at a time through
+`oracle._ColorTest`; the kernels must return exactly what they return.
+"""
+
+import random
+from itertools import combinations, permutations
+from math import comb
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from looseramsey import extractor
+from looseramsey.constructions import PP, PairKind, SplitSpec, build_split_coloring
+from looseramsey.core import BLUE, RED, Coloring, TripleEdge, colex_rank, edge_color
+from looseramsey.extractor import (
+    _CHAIN_BUDGET,
+    _bridges,
+    _chain,
+    _find_move,
+    _LinkTables,
+    _window_inners,
+    _window_p4,
+    greedy_red_path,
+    solve,
+)
+from looseramsey.oracle import _ColorTest
+
+
+def _reference_find_move(red, p, wset):
+    L = (len(p) - 1) // 2
+    wl = sorted(wset)
+    if len(wl) < 2 or L == 0:
+        return None
+    for j in range(L):
+        lats = [(p[2 * j], p[: 2 * j + 1])]
+        if j >= 1:
+            lats.append((p[2 * j - 1], p[: 2 * j - 1] + [p[2 * j], p[2 * j - 1]]))
+        rats1 = [(p[2 * j + 2], p[2 * j + 2 :])]
+        if j <= L - 2:
+            rats1.append((p[2 * j + 3], [p[2 * j + 3], p[2 * j + 2]] + p[2 * j + 4 :]))
+        mid = p[2 * j + 1]
+        for xi in range(len(wl)):
+            for yi in range(xi + 1, len(wl)):
+                x, y = wl[xi], wl[yi]
+                for lat, left in lats:
+                    for rat, right in rats1:
+                        for i1, i2, i3 in permutations((mid, x, y)):
+                            if red(lat, i1, i2) and red(i2, i3, rat):
+                                return left + [i1, i2, i3] + right, (x, y)
+        if j > L - 2:
+            continue
+        rats2 = [(p[2 * j + 4], p[2 * j + 4 :])]
+        if j <= L - 3:
+            rats2.append((p[2 * j + 5], [p[2 * j + 5], p[2 * j + 4]] + p[2 * j + 6 :]))
+        core = (p[2 * j + 1], p[2 * j + 2], p[2 * j + 3])
+        for xi in range(len(wl)):
+            for yi in range(xi + 1, len(wl)):
+                x, y = wl[xi], wl[yi]
+                pool5 = core + (x, y)
+                for lat, left in lats:
+                    for rat, right in rats2:
+                        for a, b in permutations(pool5, 2):
+                            if not red(lat, a, b):
+                                continue
+                            rest = [v for v in pool5 if v != a and v != b]
+                            for d1, d2 in permutations(rest, 2):
+                                if not red(b, d1, d2):
+                                    continue
+                                (e,) = [v for v in rest if v != d1 and v != d2]
+                                if red(d2, e, rat):
+                                    return left + [a, b, d1, d2, e] + right, (x, y)
+    return None
+
+
+def _reference_chain(c, verts, w0, trace):
+    blue = _ColorTest(c, BLUE)
+    L = (len(verts) - 1) // 2
+    w0s = sorted(w0)
+    total = len(w0s)
+    budget = [_CHAIN_BUDGET]
+    best = [None, frozenset(), 0]
+
+    def rec(j, seq, used):
+        if len(used) > len(best[1]):
+            best[0], best[1], best[2] = list(seq), used, j
+        if total - len(used) == 0:
+            return list(seq), used, j
+        if budget[0] <= 0:
+            return None
+        budget[0] -= 1
+        fresh = [w for w in w0s if w not in used]
+        first = not seq
+        if j <= L - 2:
+            for inner in _window_inners(verts, j):
+                for i1, i2, i3 in (inner, inner[::-1]):
+                    if first:
+                        for p in fresh:
+                            if not blue(p, i1, i2):
+                                continue
+                            for q in fresh:
+                                if q != p and blue(i2, i3, q):
+                                    res = rec(j + 2, [p, i1, i2, i3, q], used | {p, q})
+                                    if res:
+                                        return res
+                    else:
+                        p = seq[-1]
+                        if not blue(p, i1, i2):
+                            continue
+                        for q in fresh:
+                            if blue(i2, i3, q):
+                                res = rec(j + 2, seq + [i1, i2, i3, q], used | {q})
+                                if res:
+                                    return res
+        if j <= L - 3:
+            g0, g1, g2, g3, g4, g5 = _window_p4(verts, j)
+            heads = fresh if first else [seq[-1]]
+            for p in heads:
+                if not blue(p, g0, g1):
+                    continue
+                for q in fresh:
+                    if q == p or not blue(g1, g2, q) or not blue(q, g3, g4):
+                        continue
+                    for s in fresh:
+                        if s in (p, q) or not blue(g4, g5, s):
+                            continue
+                        frag = [g0, g1, g2, q, g3, g4, g5, s]
+                        new_used = used | {q, s} | ({p} if first else frozenset())
+                        res = rec(j + 3, ([p] if first else seq) + frag, new_used)
+                        if res:
+                            return res
+        return None
+
+    res = rec(0, [], frozenset())
+    if res is None:
+        res = tuple(best)
+        trace.append(f"chain: leftover {total - len(res[1])} reservoir vertices")
+    seq, used, consumed = res
+    return (list(seq) if seq else None), frozenset(used), consumed
+
+
+def _instance(seed, min_edges=1):
+    """A seeded (coloring, path, reservoir): a random coloring of some red
+    density or a split coloring with a few flips, on up to 14 vertices; the
+    greedy red path or a random vertex sequence of at least min_edges
+    edges; and a random reservoir among the other vertices."""
+    rnd = random.Random(seed)
+    n = rnd.randint(2 * min_edges + 3, 14)
+    if rnd.random() < 0.5:
+        a = rnd.randint(3, n - 1)
+        c = build_split_coloring(SplitSpec(a, n - a))
+        bits = (c.swap() if rnd.random() < 0.5 else c).red_bits
+        for rank in rnd.sample(range(c.n_triples), rnd.randint(0, 3)):
+            bits ^= 1 << rank
+    else:
+        density = rnd.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+        bits = sum(1 << rank for rank in range(comb(n, 3)) if rnd.random() < density)
+    c = Coloring(n, bits)
+    p = list(greedy_red_path(c).vertices)
+    if len(p) < 2 * min_edges + 1 or rnd.random() < 0.5:
+        p = rnd.sample(range(n), 2 * rnd.randint(min_edges, (n - 3) // 2) + 1)
+    rest = [v for v in range(n) if v not in p]
+    return c, p, rnd.sample(rest, rnd.randint(0, len(rest)))
+
+
+class TestTables:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_edge_color(self, n, seed):
+        c = Coloring(n, random.Random(seed).getrandbits(comb(n, 3)))
+        links = _LinkTables(c)
+        for color in (RED, BLUE):
+            T = links.table(color)
+            for x in range(n):
+                assert T[x][x] == 0
+                for y in range(n):
+                    assert T[x][y] == T[y][x] and T[x][y] >> n == 0
+            for z in range(2, n):
+                for y in range(1, z):
+                    for x in range(y):
+                        has = edge_color(c, TripleEdge(x, y, z)) == color
+                        assert bool(T[x][y] >> z & 1) == has
+                        assert bool(T[x][z] >> y & 1) == has
+                        assert bool(T[y][z] >> x & 1) == has
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_prefix_is_served_by_the_parent_table(self, n, seed, data):
+        c = Coloring(n, random.Random(seed).getrandbits(comb(n, 3)))
+        k = data.draw(st.integers(3, n))
+        inside = (1 << k) - 1
+        for color in (RED, BLUE):
+            parent = _LinkTables(c).table(color)
+            own = _LinkTables(c.restrict(k)).table(color)
+            for x in range(k):
+                for y in range(k):
+                    assert parent[x][y] & inside == own[x][y]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
+    def test_red_of_swap_is_blue(self, n, seed):
+        c = Coloring(n, random.Random(seed).getrandbits(comb(n, 3)))
+        links = _LinkTables(c)
+        assert links.swap().table(RED) is links.table(BLUE)
+        assert links.swap().swap().table(RED) is links.table(RED)
+        assert links.table(BLUE) == _LinkTables(c.swap()).table(RED)
+
+    def test_solve_builds_each_colour_at_most_once(self, monkeypatch):
+        built = []
+        real = extractor._link_table
+
+        def counting(n, bits):
+            built.append(n)
+            return real(n, bits)
+
+        monkeypatch.setattr(extractor, "_link_table", counting)
+        # hard orientations: the induction descends through prefixes and
+        # runs steps on the swapped coloring
+        for a, b, swap in ((13, 2, False), (12, 3, True)):
+            c = build_split_coloring(SplitSpec(a, b))
+            built.clear()
+            solve(PairKind(PP, 6, 6), c.swap() if swap else c)
+            assert 1 <= len(built) <= 2
+
+    def test_greedy_solve_builds_no_table(self, monkeypatch):
+        monkeypatch.setattr(extractor, "_link_table", None)
+        c = Coloring.all_red(10)
+        assert solve(PairKind(PP, 4, 4), c).color == RED
+
+
+class TestKernels:
+    def test_bridges_is_exact(self):
+        """_bridges holds iff some pair x, y of the reservoir routes a red
+        loose path from lat to rat through exactly core + {x, y}."""
+        hits = 0
+        for seed in range(1500):
+            c, p, w = _instance(seed)
+            k = 3 if len(p) >= 5 and seed % 2 else 1
+            lat, rat, core = p[0], p[-1], p[1 : 1 + k]
+            red = _ColorTest(c, RED)
+
+            def routes(seq):
+                ends = [lat, *seq, rat]
+                return all(red(*ends[i : i + 3]) for i in range(0, len(ends) - 2, 2))
+
+            want = any(
+                routes(seq) for x, y in combinations(w, 2) for seq in permutations(core + [x, y])
+            )
+            cmask = sum(1 << v for v in core)
+            wmask = sum(1 << v for v in w)
+            assert _bridges(_LinkTables(c).table(RED), lat, rat, cmask, wmask) == want, seed
+            hits += want
+        assert 100 < hits < 1400
+
+    def test_find_move_matches_the_scan(self):
+        moves = 0
+        for seed in range(1500):
+            c, p, w = _instance(seed)
+            got = _find_move(_LinkTables(c).table(RED), list(p), set(w))
+            assert got == _reference_find_move(_ColorTest(c, RED), list(p), set(w)), seed
+            moves += got is not None
+        assert 100 < moves < 1400
+
+    def test_chain_matches_the_scan(self):
+        # three-edge windows need paths of three edges or more
+        for seed in range(3000):
+            c, p, w = _instance(seed, min_edges=3)
+            got_trace, want_trace = [], []
+            got = _chain(_LinkTables(c).table(BLUE), p, sorted(w), got_trace)
+            assert got == _reference_chain(c, p, sorted(w), want_trace), seed
+            assert got_trace == want_trace, seed
+
+    def test_chain_uses_each_reservoir_vertex_once(self):
+        # the blue triples {7,0,1} {1,4,8} {8,3,5} {5,2,7} would close the
+        # 3-edge window at 0 only by reusing its head 7 as its tail
+        blue = [(0, 1, 7), (1, 4, 8), (3, 5, 8), (2, 5, 7)]
+        c = Coloring.all_red(9)
+        for e in blue:
+            c = Coloring(9, c.red_bits ^ 1 << colex_rank(TripleEdge(*e)))
+        trace = []
+        got = _chain(_LinkTables(c).table(BLUE), list(range(7)), [7, 8], trace)
+        assert got == (None, frozenset(), 0)
+        assert trace == ["chain: leftover 2 reservoir vertices"]
+        assert got == _reference_chain(c, list(range(7)), [7, 8], [])
