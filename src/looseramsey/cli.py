@@ -306,7 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # includes FormatError and StructureError
+    except (OSError, ValueError) as exc:  # unreadable files; FormatError, StructureError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Tuple
 
 from .core import CYCLE, PATH, Coloring
 
@@ -26,6 +27,15 @@ PNCM = "pncm"
 PMCN = "pmcn"
 
 _KINDS = (PP, CC, PNCM, PMCN)
+
+# Per kind: the shape of the red, blue, short and long targets, each with
+# the pair parameter that gives its length.
+_TARGETS = {
+    PP: ((PATH, "n"), (PATH, "m"), (PATH, "m"), (PATH, "n")),
+    CC: ((CYCLE, "n"), (CYCLE, "m"), (CYCLE, "m"), (CYCLE, "n")),
+    PNCM: ((PATH, "n"), (CYCLE, "m"), (CYCLE, "m"), (PATH, "n")),
+    PMCN: ((PATH, "m"), (CYCLE, "n"), (PATH, "m"), (CYCLE, "n")),
+}
 
 
 @dataclass(frozen=True)
@@ -53,49 +63,29 @@ class PairKind:
         elif not self.n >= self.m:
             raise ValueError(f"need n >= m, got n={self.n}, m={self.m}")
 
+    def _target(self, slot: int) -> Tuple[str, int]:
+        shape, param = _TARGETS[self.kind][slot]
+        return shape, getattr(self, param)
+
     @property
-    def red_target(self):
+    def red_target(self) -> Tuple[str, int]:
         """(shape, length) the extractor seeks in red."""
-        if self.kind == PP:
-            return (PATH, self.n)
-        if self.kind == CC:
-            return (CYCLE, self.n)
-        if self.kind == PNCM:
-            return (PATH, self.n)
-        return (PATH, self.m)
+        return self._target(0)
 
     @property
-    def blue_target(self):
+    def blue_target(self) -> Tuple[str, int]:
         """(shape, length) the extractor seeks in blue."""
-        if self.kind == PP:
-            return (PATH, self.m)
-        if self.kind == CC:
-            return (CYCLE, self.m)
-        if self.kind == PNCM:
-            return (CYCLE, self.m)
-        return (CYCLE, self.n)
+        return self._target(1)
 
     @property
-    def short_target(self):
+    def short_target(self) -> Tuple[str, int]:
         """(shape, length) blocked in red by the split coloring."""
-        if self.kind == PP:
-            return (PATH, self.m)
-        if self.kind == CC:
-            return (CYCLE, self.m)
-        if self.kind == PNCM:
-            return (CYCLE, self.m)
-        return (PATH, self.m)
+        return self._target(2)
 
     @property
-    def long_target(self):
+    def long_target(self) -> Tuple[str, int]:
         """(shape, length) blocked in blue by the split coloring."""
-        if self.kind == PP:
-            return (PATH, self.n)
-        if self.kind == CC:
-            return (CYCLE, self.n)
-        if self.kind == PNCM:
-            return (PATH, self.n)
-        return (CYCLE, self.n)
+        return self._target(3)
 
     def __str__(self) -> str:
         return f"{self.kind}(n={self.n}, m={self.m})"

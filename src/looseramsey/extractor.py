@@ -26,7 +26,6 @@ raises a RuntimeWarning and records the event in the trace.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from itertools import permutations
 from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
@@ -39,7 +38,6 @@ from .core import (
     RED,
     Coloring,
     LoosePath,
-    Structure,
     StructureError,
     TripleEdge,
     Witness,
@@ -65,17 +63,6 @@ _CHAIN_BUDGET = 4000
 
 class ExtractionError(RuntimeError):
     """The engine failed to produce a witness; carries the trace if any."""
-
-
-class RedExtension(Exception):
-    """A maximality assumption was refuted: a longer red path exists.
-
-    Not an error; the handler adopts the carried path and re-enters the step.
-    """
-
-    def __init__(self, path_vertices: Sequence[int]) -> None:
-        self.path_vertices = tuple(path_vertices)
-        super().__init__(f"red path extends to length {(len(self.path_vertices) - 1) // 2}")
 
 
 def _note(trace: Optional[List[str]], msg: str) -> None:
@@ -171,41 +158,32 @@ def _bits(mask: int) -> Iterator[int]:
 # Red path growth: greedy seed, end extension, replacement moves.
 
 
+def _red_edge_at(red: _ColorTest, n: int, used: Set[int], end: int) -> Optional[Tuple[int, int]]:
+    """First (mid, new) outside used, lowest labels first, with {end, mid, new}
+    red; None when the path cannot grow at end."""
+    for mid in range(n):
+        if mid in used:
+            continue
+        for new in range(n):
+            if new != mid and new not in used and red(end, mid, new):
+                return mid, new
+    return None
+
+
 def _append_extend(red: _ColorTest, n: int, seq: List[int]) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
-    per edge, lowest labels first."""
-    grown = True
-    while grown:
-        grown = False
+    per edge, lowest labels first; the tail end is tried first."""
+    while True:
         used = set(seq)
-        end = seq[-1]
-        for mid in range(n):
-            if mid in used:
-                continue
-            for new in range(n):
-                if new == mid or new in used:
-                    continue
-                if red(end, mid, new):
-                    seq.extend((mid, new))
-                    grown = True
-                    break
-            if grown:
-                break
-        if grown:
+        step = _red_edge_at(red, n, used, seq[-1])
+        if step is not None:
+            seq.extend(step)
             continue
-        head = seq[0]
-        for mid in range(n):
-            if mid in used:
-                continue
-            for new in range(n):
-                if new == mid or new in used:
-                    continue
-                if red(head, mid, new):
-                    seq[:0] = [new, mid]
-                    grown = True
-                    break
-            if grown:
-                break
+        step = _red_edge_at(red, n, used, seq[0])
+        if step is None:
+            return
+        mid, new = step
+        seq[:0] = [new, mid]
 
 
 def greedy_red_path(c: Coloring) -> LoosePath:
@@ -341,17 +319,6 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
                                 if red(d2, e, rat):
                                     return left + [a, b, d1, d2, e] + right, (x, y)
     return None
-
-
-def _maximalize(T: Links, p: List[int], wset: Set[int]) -> Tuple[List[int], Set[int]]:
-    """Apply replacement moves until none exists.  Each move grows the path by
-    one edge and consumes two reservoir vertices, so this terminates."""
-    while True:
-        mv = _find_move(T, p, wset)
-        if mv is None:
-            return p, wset
-        p, (x, y) = mv
-        wset = wset - {x, y}
 
 
 # ---------------------------------------------------------------------------
@@ -902,138 +869,3 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             f"internal: witness {w.color} {target} matches neither target of {pair}"
         )
     return w
-
-
-# ---------------------------------------------------------------------------
-# Inspectable state machine pieces.
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A blue 2-path whose inner vertices sit on two consecutive red-path
-    edges and whose end vertices come from the reservoir."""
-
-    edge1: TripleEdge
-    edge2: TripleEdge
-    link: int
-    S: FrozenSet[int]
-    ends: Tuple[int, int]
-    quality: str
-    seq: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ExtractionState:
-    """Snapshot of one extraction: the coloring, the red structure, the
-    reservoir W, and the blue assembly bookkeeping."""
-
-    coloring: Coloring
-    red_structure: Structure
-    W: FrozenSet[int]
-    blue_assembly: Optional[LoosePath] = None
-    consumed_prefix: int = 0
-    r: int = 0
-    T: FrozenSet[int] = frozenset()
-
-
-def maximalize_wrt(st: ExtractionState) -> ExtractionState:
-    """Apply replacement moves until the red path is maximal w.r.t. W."""
-    red = _LinkTables(st.coloring).table(RED)
-    seq, wset = _maximalize(red, list(st.red_structure.vertices), set(st.W))
-    return replace(
-        st, red_structure=validate_loose_path(seq), W=frozenset(wset)
-    )
-
-
-def find_configuration(st: ExtractionState, i: int):
-    """The guaranteed blue configuration over the window at edge index i
-    (0-based) of a red path maximal w.r.t. W with |W| >= 3.
-
-    Returns a good Configuration, or a (bad, good) pair over disjoint inner
-    sets when no good one exists over the first two window edges.  Raises
-    RedExtension if the path is not actually maximal.
-    """
-    c = st.coloring
-    blue = _ColorTest(c, BLUE)
-    verts = list(st.red_structure.vertices)
-    wl = sorted(st.W)
-    if len(wl) < 3:
-        raise ValueError(f"reservoir of size {len(wl)} below minimum 3")
-    L = (len(verts) - 1) // 2
-    if i < 0 or i > L - 2:
-        raise ValueError(f"no two consecutive edges at index {i}")
-    mv = _find_move(_LinkTables(c).table(RED), verts, set(wl))
-    if mv is not None:
-        raise RedExtension(mv[0])
-
-    a0, a1, a2, b1 = verts[2 * i], verts[2 * i + 1], verts[2 * i + 2], verts[2 * i + 3]
-    b2 = verts[2 * i + 4]
-
-    def build(seq: Tuple[int, ...], quality: str) -> Configuration:
-        e1 = TripleEdge.of(seq[0], seq[1], seq[2])
-        e2 = TripleEdge.of(seq[2], seq[3], seq[4])
-        return Configuration(
-            edge1=e1,
-            edge2=e2,
-            link=seq[2],
-            S=frozenset(seq[1:4]),
-            ends=(seq[0], seq[4]),
-            quality=quality,
-            seq=seq,
-        )
-
-    for inner in _window_inners(verts, i):
-        for p in wl:
-            if not blue(p, inner[0], inner[1]):
-                continue
-            for q in wl:
-                if q != p and blue(inner[1], inner[2], q):
-                    return build((p, *inner, q), "good")
-    # no good configuration: the bad one plus the good one over the next window
-    if i > L - 3:
-        raise ExtractionError("no good configuration and no third window edge")
-    d1 = verts[2 * i + 5]
-    bad = good = None
-    for p in wl:
-        if bad is None and blue(p, a0, a1):
-            for q in wl:
-                if q != p and blue(a1, b2, q):
-                    bad = build((p, a0, a1, b2, q), "bad")
-                    break
-        if good is None and blue(p, b1, d1):
-            for q in wl:
-                if q != p and blue(d1, a2, q):
-                    good = build((p, b1, d1, a2, q), "good")
-                    break
-    if bad is None or good is None:
-        raise ExtractionError("window colors violate the forced-blue analysis")
-    return bad, good
-
-
-def chain_blue_path(st: ExtractionState) -> ExtractionState:
-    """Run the chaining pass and record the assembly in the state."""
-    verts = list(st.red_structure.vertices)
-    L = (len(verts) - 1) // 2
-    qq, used, consumed = _chain(_LinkTables(st.coloring).table(BLUE), verts, sorted(st.W), None)
-    return replace(
-        st,
-        blue_assembly=validate_loose_path(qq) if qq else None,
-        consumed_prefix=consumed,
-        r=L - consumed,
-        T=frozenset(st.W) - used,
-    )
-
-
-def cycle_step(
-    st: ExtractionState, n: int, m: int, want: str = CYCLE,
-    trace: Optional[List[str]] = None,
-) -> Witness:
-    c = st.coloring
-    return _cycle_step(c, list(st.red_structure.vertices), n, m, want, _LinkTables(c), trace)
-
-
-def path_step(
-    st: ExtractionState, n: int, m: int, trace: Optional[List[str]] = None
-) -> Witness:
-    c = st.coloring
-    return _path_step(c, list(st.red_structure.vertices), n, m, _LinkTables(c), trace)

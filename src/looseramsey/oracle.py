@@ -1,16 +1,20 @@
 """Brute-force ground truth for monochromatic loose structures.
 
-Search is a depth-first walk over vertex sequences, one loose edge at a
-time, memoizing failed (used-vertex-set, end-vertex) states so a negative
-answer is a complete proof of absence.  Exhaustive enumeration iterates
-every red bitmap of K3_N (only feasible for C(N,3) <= 24) with the work
-vectorized over bitmap chunks.
+One search kernel, _search, serves every structure search: a depth-first
+walk over vertex sequences, one loose edge at a time, over an edge
+predicate, memoizing failed (used-vertex-set, end-vertex) states so a
+negative answer is a complete proof of absence.  find_mono_path and
+find_mono_cycle run it over all vertices with a colour-class test;
+find_loose_path_from_edges and find_loose_cycle_from_edges run it over
+the vertices of an edge family with a membership test.  Exhaustive
+enumeration iterates every red bitmap of K3_N (only feasible for
+C(N,3) <= 24) with the work vectorized over bitmap chunks.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -59,29 +63,37 @@ class _ColorTest:
         return (self.bits >> (self.c3[z] + self.c2[y] + x)) & 1 == 1
 
 
-def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
-    """Complete search for a monochromatic loose path of the given length.
+def _search(
+    verts: Sequence[int], test: Callable[[int, int, int], bool], shape: str, length: int
+) -> Optional[List[int]]:
+    """First loose path or cycle of the given length on verts whose every edge
+    passes test, as a vertex sequence, or None when none exists.
 
-    Deterministic: vertices are tried in ascending label order, so the
-    returned witness is the first sequence under that order.
+    Vertices are tried in the order of verts.  A path fixes v1 < v2 (its
+    first two positions are interchangeable); a cycle runs from each start
+    vertex in turn and closes with the first unused z.  Failed (used, end)
+    states are memoized, so None is a complete proof of absence.  Whether a
+    cycle closes depends on its start, so the memo is cleared whenever the
+    start advances.
     """
-    if length < 1:
-        raise ValueError(f"path length {length} below minimum 1")
-    n = coloring.n_vertices
-    if 2 * length + 1 > n:
-        raise ValueError(f"P_{length} needs {2 * length + 1} vertices, coloring has {n}")
-    test = _ColorTest(coloring, color)
-    failed = set()
+    cycle = shape == CYCLE
+    failed: Set[Tuple[int, int]] = set()
 
     def extend(used: int, end: int, seq: List[int], remaining: int) -> bool:
         if remaining == 0:
-            return True
+            if not cycle:
+                return True
+            for z in verts:
+                if not used >> z & 1 and test(end, z, seq[0]):
+                    seq.append(z)
+                    return True
+            return False
         if (used, end) in failed:
             return False
-        for mid in range(n):
+        for mid in verts:
             if used >> mid & 1:
                 continue
-            for new_end in range(n):
+            for new_end in verts:
                 if new_end == mid or used >> new_end & 1:
                     continue
                 if test(end, mid, new_end):
@@ -94,16 +106,34 @@ def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witn
         failed.add((used, end))
         return False
 
-    # First two positions of a loose path are interchangeable; fix v1 < v2.
-    for v1 in range(n):
-        for v2 in range(v1 + 1, n):
-            for v3 in range(n):
+    for i, v1 in enumerate(verts):
+        if cycle:
+            failed.clear()
+        for v2 in verts if cycle else verts[i + 1 :]:
+            if v2 == v1:
+                continue
+            for v3 in verts:
                 if v3 == v1 or v3 == v2 or not test(v1, v2, v3):
                     continue
                 seq = [v1, v2, v3]
-                if extend(1 << v1 | 1 << v2 | 1 << v3, v3, seq, length - 1):
-                    return Witness(color, PATH, validate_loose_path(seq))
+                if extend(1 << v1 | 1 << v2 | 1 << v3, v3, seq, length - 1 - cycle):
+                    return seq
     return None
+
+
+def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
+    """Complete search for a monochromatic loose path of the given length.
+
+    Deterministic: vertices are tried in ascending label order, so the
+    returned witness is the first sequence under that order.
+    """
+    if length < 1:
+        raise ValueError(f"path length {length} below minimum 1")
+    n = coloring.n_vertices
+    if 2 * length + 1 > n:
+        raise ValueError(f"P_{length} needs {2 * length + 1} vertices, coloring has {n}")
+    seq = _search(range(n), _ColorTest(coloring, color), PATH, length)
+    return None if seq is None else Witness(color, PATH, validate_loose_path(seq))
 
 
 def find_mono_cycle(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
@@ -113,48 +143,8 @@ def find_mono_cycle(coloring: Coloring, color: str, length: int) -> Optional[Wit
     n = coloring.n_vertices
     if 2 * length > n:
         raise ValueError(f"C_{length} needs {2 * length} vertices, coloring has {n}")
-    test = _ColorTest(coloring, color)
-
-    for start in range(n):
-        failed = set()
-
-        def extend(used: int, end: int, seq: List[int], remaining: int) -> bool:
-            if remaining == 0:
-                for z in range(n):
-                    if not used >> z & 1 and test(end, z, start):
-                        seq.append(z)
-                        return True
-                return False
-            if (used, end) in failed:
-                return False
-            for mid in range(n):
-                if used >> mid & 1:
-                    continue
-                for new_end in range(n):
-                    if new_end == mid or used >> new_end & 1:
-                        continue
-                    if test(end, mid, new_end):
-                        seq.append(mid)
-                        seq.append(new_end)
-                        if extend(
-                            used | 1 << mid | 1 << new_end, new_end, seq, remaining - 1
-                        ):
-                            return True
-                        seq.pop()
-                        seq.pop()
-            failed.add((used, end))
-            return False
-
-        for v2 in range(n):
-            if v2 == start:
-                continue
-            for v3 in range(n):
-                if v3 == start or v3 == v2 or not test(start, v2, v3):
-                    continue
-                seq = [start, v2, v3]
-                if extend(1 << start | 1 << v2 | 1 << v3, v3, seq, length - 2):
-                    return Witness(color, CYCLE, validate_loose_cycle(seq))
-    return None
+    seq = _search(range(n), _ColorTest(coloring, color), CYCLE, length)
+    return None if seq is None else Witness(color, CYCLE, validate_loose_cycle(seq))
 
 
 def longest_mono_path(coloring: Coloring, color: str) -> Tuple[int, Optional[Witness]]:
@@ -176,6 +166,8 @@ def longest_mono_path(coloring: Coloring, color: str) -> Tuple[int, Optional[Wit
 
 def _structure_masks(n_vertices: int, shape: str, length: int) -> List[int]:
     """Edge-rank bitmasks of every copy of the target structure in K3_N."""
+    if shape not in (PATH, CYCLE):
+        raise ValueError(f"unknown target shape {shape!r}")
     masks: List[int] = []
     seen = set()
 
@@ -251,6 +243,22 @@ def exhaustive_avoidance_search(
     return None if mode == "find-one" else count
 
 
+def _family_search(
+    edges: Iterable[TripleEdge], shape: str, length: int
+) -> Optional[List[int]]:
+    """_search over the vertices of an edge family, testing membership."""
+    masks: Set[int] = set()
+    verts: Set[int] = set()
+    for a, b, c in edges:
+        masks.add(1 << a | 1 << b | 1 << c)
+        verts.update((a, b, c))
+
+    def member(x: int, y: int, z: int) -> bool:
+        return (1 << x | 1 << y | 1 << z) in masks
+
+    return _search(sorted(verts), member, shape, length)
+
+
 def find_loose_path_from_edges(
     edges: Iterable[TripleEdge], length: int
 ) -> Optional[List[int]]:
@@ -259,78 +267,15 @@ def find_loose_path_from_edges(
     Returns the vertex sequence, or None.  Used to assemble structures
     whose candidate edges are already known to be one color.
     """
-    pool = sorted(set(edges))
-    if length < 1 or not pool:
+    if length < 1:
         return None
-
-    def extend(used: frozenset, end: int, seq: List[int], remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        for e in pool:
-            if end not in e:
-                continue
-            rest = [v for v in e if v != end]
-            if rest[0] in used or rest[1] in used:
-                continue
-            for mid, new_end in (rest, rest[::-1]):
-                seq.append(mid)
-                seq.append(new_end)
-                if extend(used | {mid, new_end}, new_end, seq, remaining - 1):
-                    return True
-                seq.pop()
-                seq.pop()
-        return False
-
-    for first in pool:
-        for end_pos in range(3):
-            end = first[end_pos]
-            others = [v for i, v in enumerate(first) if i != end_pos]
-            seq = [others[0], others[1], end]
-            if extend(frozenset(first), end, seq, length - 1):
-                return seq
-    return None
+    return _family_search(edges, PATH, length)
 
 
 def find_loose_cycle_from_edges(
     edges: Iterable[TripleEdge], length: int
 ) -> Optional[List[int]]:
     """Loose cycle of the given length using only edges from the family."""
-    pool = sorted(set(edges))
-    if length < 3 or not pool:
+    if length < 3:
         return None
-
-    def extend(
-        used: frozenset, end: int, start: int, seq: List[int], remaining: int
-    ) -> bool:
-        if remaining == 0:
-            for e in pool:
-                if end in e and start in e:
-                    (z,) = [v for v in e if v != end and v != start]
-                    if z not in used:
-                        seq.append(z)
-                        return True
-            return False
-        for e in pool:
-            if end not in e:
-                continue
-            rest = [v for v in e if v != end]
-            if rest[0] in used or rest[1] in used:
-                continue
-            for mid, new_end in (rest, rest[::-1]):
-                seq.append(mid)
-                seq.append(new_end)
-                if extend(used | {mid, new_end}, new_end, start, seq, remaining - 1):
-                    return True
-                seq.pop()
-                seq.pop()
-        return False
-
-    for first in pool:
-        for start_pos in range(3):
-            start = first[start_pos]
-            others = [v for i, v in enumerate(first) if i != start_pos]
-            for mid, end in (others, others[::-1]):
-                seq = [start, mid, end]
-                if extend(frozenset(first), end, start, seq, length - 2):
-                    return seq
-    return None
+    return _family_search(edges, CYCLE, length)

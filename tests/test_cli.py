@@ -172,3 +172,29 @@ class TestUsageErrors:
         assert main(["extract", "--file", str(f), "--pair", "pp",
                      "-n", "3", "-m", "3"]) == 2
         self._one_error_line(capsys, "need at least 8 vertices")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "--pair", "pp", "-n", "3", "-m", "3"],
+            ["search", "--color", "red", "--shape", "path", "--length", "2"],
+            ["verify", "--witness", "red path 0 1 2 3 4"],
+        ],
+        ids=["extract", "search", "verify"],
+    )
+    def test_missing_file(self, tmp_path, capsys, argv):
+        missing = tmp_path / "absent.lrc"
+        assert main(argv + ["--file", str(missing)]) == 2
+        self._one_error_line(capsys, "No such file", str(missing))
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "c.lrc"
+        assert main(["construct", "--pair", "pp", "-n", "3", "-m", "3",
+                     "--out", str(out)]) == 2
+        self._one_error_line(capsys, "No such file", str(out))
+        assert not out.parent.exists()
+
+    def test_enumerate_unknown_shape(self, capsys):
+        assert main(["enumerate", "-N", "6", "--red-target", "foo", "3",
+                     "--blue-target", "cycle", "3"]) == 2
+        self._one_error_line(capsys, "unknown target shape 'foo'")

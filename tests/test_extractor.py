@@ -19,15 +19,12 @@ from looseramsey.core import (
     verify_witness,
 )
 from looseramsey.extractor import (
-    Configuration,
-    ExtractionState,
-    RedExtension,
-    chain_blue_path,
-    cycle_step,
-    find_configuration,
+    _chain,
+    _cycle_step,
+    _find_move,
+    _LinkTables,
+    _path_step,
     greedy_red_path,
-    maximalize_wrt,
-    path_step,
     ramsey_number,
     solve,
 )
@@ -43,6 +40,16 @@ def _path_only(n_vertices, path_len):
     verts = list(range(2 * path_len + 1))
     edges = [tuple(verts[2 * i : 2 * i + 3]) for i in range(path_len)]
     return Coloring.from_red_edges(n_vertices, edges), verts
+
+
+def _maximal(c, verts, wset):
+    """Apply replacement moves until none exists; each grows the path by one
+    edge and consumes two reservoir vertices."""
+    red = _LinkTables(c).table(RED)
+    while (mv := _find_move(red, verts, wset)) is not None:
+        verts, (x, y) = mv
+        wset = wset - {x, y}
+    return verts, wset
 
 
 class TestRamseyNumber:
@@ -99,88 +106,23 @@ class TestGreedyRedPath:
 
 
 class TestMaximalize:
+    """A red path is maximal w.r.t. the reservoir W when _find_move finds no
+    length-increasing replacement move."""
+
     def test_empty_reservoir_unchanged(self):
-        c = Coloring.all_red(7)
-        st = ExtractionState(c, validate_loose_path(range(7)), frozenset())
-        assert maximalize_wrt(st).red_structure.vertices == tuple(range(7))
+        red = _LinkTables(Coloring.all_red(7)).table(RED)
+        assert _find_move(red, list(range(7)), set()) is None
 
     def test_all_red_grows_by_one(self):
         c = Coloring.all_red(7)
-        st = ExtractionState(c, validate_loose_path(range(5)), frozenset({5, 6}))
-        out = maximalize_wrt(st)
-        assert out.red_structure.length == 3
-        assert out.W == frozenset()
+        verts, used = _find_move(_LinkTables(c).table(RED), list(range(5)), {5, 6})
+        assert used == (5, 6)
+        w = Witness(RED, PATH, validate_loose_path(verts))
+        assert w.length == 3 and verify_witness(c, w)
 
     def test_all_blue_outside_path_unchanged(self):
         c, verts = _path_only(9, 2)
-        st = ExtractionState(c, validate_loose_path(verts), frozenset({5, 6, 7, 8}))
-        out = maximalize_wrt(st)
-        assert out.red_structure.vertices == tuple(verts)
-        assert out.W == st.W
-
-
-class TestFindConfiguration:
-    def test_non_maximal_raises_red_extension(self):
-        c = Coloring.all_red(9)
-        st = ExtractionState(c, validate_loose_path(range(5)), frozenset({5, 6, 7, 8}))
-        with pytest.raises(RedExtension):
-            find_configuration(st, 0)
-
-    def test_parameter_errors(self):
-        c, verts = _path_only(9, 2)
-        st = ExtractionState(c, validate_loose_path(verts), frozenset({5, 6}))
-        with pytest.raises(ValueError):
-            find_configuration(st, 0)  # |W| < 3
-        st = ExtractionState(c, validate_loose_path(verts), frozenset({5, 6, 7, 8}))
-        with pytest.raises(ValueError):
-            find_configuration(st, 1)  # no edge pair starts there
-
-    def test_good_configuration_shape(self):
-        c, verts = _path_only(9, 2)
-        st = ExtractionState(c, validate_loose_path(verts), frozenset({5, 6, 7, 8}))
-        got = find_configuration(st, 0)
-        assert isinstance(got, Configuration) and got.quality == "good"
-        self._check_conf(c, st, got)
-
-    @staticmethod
-    def _check_conf(c, st, conf):
-        assert set(conf.edge1) & set(conf.edge2) == {conf.link}
-        assert len(conf.S) == 3 and not (conf.S & st.W)
-        assert set(conf.ends) <= st.W
-        for e in (conf.edge1, conf.edge2):
-            assert not c.is_red(e)
-
-    def test_fuzz_invariants(self):
-        """Whatever arm comes back, its published invariants hold; the
-        bad/good pair must have disjoint inner sets."""
-        checked = 0
-        for seed in range(400):
-            rnd = random.Random(seed)
-            bits = 0
-            for i in range(comb(13, 3)):
-                if rnd.random() < 0.05:
-                    bits |= 1 << i
-            c = Coloring(13, bits)
-            p = greedy_red_path(c)
-            if p.length < 3:
-                continue
-            wset = frozenset(range(13)) - set(p.vertices)
-            if len(wset) < 3:
-                continue
-            st = maximalize_wrt(ExtractionState(c, p, wset))
-            if st.red_structure.length < 3 or len(st.W) < 3:
-                continue
-            got = find_configuration(st, 0)
-            if isinstance(got, Configuration):
-                self._check_conf(c, st, got)
-            else:
-                bad, good = got
-                assert bad.quality == "bad" and good.quality == "good"
-                assert not (bad.S & good.S)
-                self._check_conf(c, st, bad)
-                self._check_conf(c, st, good)
-            checked += 1
-        assert checked > 20
+        assert _find_move(_LinkTables(c).table(RED), verts, {5, 6, 7, 8}) is None
 
 
 class TestChainBluePath:
@@ -189,17 +131,18 @@ class TestChainBluePath:
         # assembly has 2 edges, both red edges are consumed, and exactly
         # one reservoir vertex is left over
         c, verts = _path_only(8, 2)
-        st = ExtractionState(c, validate_loose_path(verts), frozenset({5, 6, 7}))
-        out = chain_blue_path(st)
-        assert out.blue_assembly is not None
-        assert out.blue_assembly.length == 2
-        assert len(out.T) == 1 and out.r == 0
-        for e in out.blue_assembly.edges:
+        seq, used, consumed = _chain(_LinkTables(c).table(BLUE), verts, [5, 6, 7], None)
+        assert seq is not None
+        q = validate_loose_path(seq)
+        assert q.length == 2 and consumed == 2
+        assert len({5, 6, 7} - used) == 1
+        for e in q.edges:
             assert not c.is_red(e)
 
     def test_length_accounting(self):
-        """Assembly length is twice (reservoir vertices used minus one) and
-        T is exactly the unused reservoir."""
+        """Assembly length is twice (reservoir vertices used minus one), the
+        used vertices are exactly the reservoir vertices on the assembly, and
+        at most the whole red path is consumed."""
         checked = 0
         for seed in range(300):
             # sparse red graphs keep the greedy path short enough that a
@@ -213,21 +156,21 @@ class TestChainBluePath:
             p = greedy_red_path(c)
             if p.length < 2:
                 continue
-            wset = frozenset(range(12)) - set(p.vertices)
+            wset = set(range(12)) - set(p.vertices)
             if len(wset) < 3:
                 continue
-            st = maximalize_wrt(ExtractionState(c, p, wset))
-            if len(st.W) < 3 or st.red_structure.length < 2:
+            verts, wset = _maximal(c, list(p.vertices), wset)
+            L = (len(verts) - 1) // 2
+            if len(wset) < 3 or L < 2:
                 continue
-            out = chain_blue_path(st)
-            if out.blue_assembly is None:
+            seq, used, consumed = _chain(_LinkTables(c).table(BLUE), verts, sorted(wset), None)
+            if seq is None:
                 continue
-            q = out.blue_assembly
-            wused = set(q.vertices) & st.W
+            q = validate_loose_path(seq)
+            wused = set(q.vertices) & wset
             assert q.length == 2 * (len(wused) - 1)
-            assert out.T <= st.W and not (out.T & set(q.vertices))
-            assert 0 <= out.consumed_prefix <= st.red_structure.length
-            assert out.r == st.red_structure.length - out.consumed_prefix
+            assert used == wused
+            assert 0 <= consumed <= L
             for e in q.edges:
                 assert not c.is_red(e)
             checked += 1
@@ -239,8 +182,7 @@ class TestSteps:
         # red graph is exactly a 3-path; on 10 vertices the step must find
         # the blue 3-path since no red 4-path exists
         c, verts = _path_only(10, 3)
-        st = ExtractionState(c, validate_loose_path(verts), frozenset(range(7, 10)))
-        w = path_step(st, 4, 3)
+        w = _path_step(c, verts, 4, 3, _LinkTables(c), None)
         assert w.color == BLUE and (w.shape, w.length) == (PATH, 3)
         assert verify_witness(c, w)
 
@@ -248,10 +190,9 @@ class TestSteps:
         # one reservoir vertex left over with m even has no closed-form
         # candidates: the step finishes by complete search, never silently
         c, verts = _path_only(11, 3)
-        st = ExtractionState(c, validate_loose_path(verts), frozenset(range(7, 11)))
         trace = []
         with pytest.warns(RuntimeWarning, match=r"path chain leftover 1"):
-            w = path_step(st, 4, 4, trace=trace)
+            w = _path_step(c, verts, 4, 4, _LinkTables(c), trace)
         assert "completion search (path chain leftover 1)" in trace
         assert verify_witness(c, w) and (w.shape, w.length) == (PATH, 4)
 
@@ -259,8 +200,8 @@ class TestSteps:
         cyc = [0, 1, 2, 3, 4, 5, 6, 7]
         edges = [tuple(cyc[2 * i : 2 * i + 3]) for i in range(3)] + [(6, 7, 0)]
         c = Coloring.from_red_edges(11, edges)
-        st = ExtractionState(c, validate_loose_cycle(cyc), frozenset(range(8, 11)))
-        w = cycle_step(st, 5, 4)
+        assert validate_loose_cycle(cyc).length == 4
+        w = _cycle_step(c, cyc, 5, 4, CYCLE, _LinkTables(c), None)
         assert w.color == BLUE and (w.shape, w.length) == (CYCLE, 4)
         assert verify_witness(c, w)
 

@@ -1,5 +1,6 @@
 """Brute-force ground truth: complete searches and tiny-N enumeration."""
 
+import itertools
 import random
 from math import comb
 
@@ -15,9 +16,12 @@ from looseramsey.core import (
     Coloring,
     TripleEdge,
     colex_rank,
+    validate_loose_cycle,
+    validate_loose_path,
     verify_witness,
 )
 from looseramsey.oracle import (
+    _structure_masks,
     exhaustive_avoidance_search,
     find_loose_cycle_from_edges,
     find_loose_path_from_edges,
@@ -100,6 +104,32 @@ class TestLongestMonoPath:
         assert longest_mono_path(c, RED)[0] == 2
 
 
+class TestAgainstEnumeratedCopies:
+    """The DFS answers agree with a scan over every copy of the structure
+    (the enumerator's edge masks) on sparse random colorings, present
+    and absent alike."""
+
+    @pytest.mark.parametrize(
+        "n,shape,length,density",
+        [(7, PATH, 3, 0.12), (8, PATH, 3, 0.08), (6, CYCLE, 3, 0.25),
+         (8, CYCLE, 3, 0.08), (8, CYCLE, 4, 0.12)],
+    )
+    def test_presence_matches_copy_scan(self, n, shape, length, density):
+        masks = _structure_masks(n, shape, length)
+        finder = find_mono_path if shape == PATH else find_mono_cycle
+        rnd = random.Random(n * 10 + length)
+        present = 0
+        for _ in range(120):
+            bits = 0
+            for rank in range(comb(n, 3)):
+                if rnd.random() < density:
+                    bits |= 1 << rank
+            expected = any(bits & m == m for m in masks)
+            assert (finder(Coloring(n, bits), RED, length) is not None) == expected
+            present += expected
+        assert 20 < present < 100
+
+
 class TestRelabelingSymmetry:
     def test_permuted_coloring_has_permuted_answers(self):
         rnd = random.Random(11)
@@ -156,3 +186,31 @@ class TestFamilySearch:
         seq = find_loose_cycle_from_edges(edges, 3)
         assert seq is not None and len(seq) == 6
         assert find_loose_cycle_from_edges(edges[:2], 3) is None
+
+    def test_family_search_matches_coloring_search(self):
+        """On a random family F the family search finds a structure exactly
+        when the coloring whose red edges are F has a red one, and uses only
+        edges of F."""
+        rnd = random.Random(17)
+        found = absent = 0
+        for _ in range(150):
+            n = rnd.randint(5, 9)
+            triples = [TripleEdge.of(*t) for t in itertools.combinations(range(n), 3)]
+            family = rnd.sample(triples, rnd.randint(0, len(triples) // 2))
+            c = Coloring.from_red_edges(n, family)
+            searches = [(find_loose_path_from_edges, find_mono_path, validate_loose_path,
+                         rnd.randint(1, (n - 1) // 2))]
+            if n >= 6:
+                searches.append((find_loose_cycle_from_edges, find_mono_cycle,
+                                 validate_loose_cycle, rnd.randint(3, n // 2)))
+            for from_edges, mono, validate, length in searches:
+                seq = from_edges(family, length)
+                assert (seq is None) == (mono(c, RED, length) is None)
+                if seq is None:
+                    absent += 1
+                else:
+                    found += 1
+                    structure = validate(seq)
+                    assert structure.length == length
+                    assert set(structure.edges) <= set(family)
+        assert found > 50 and absent > 50
