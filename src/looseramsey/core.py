@@ -15,8 +15,9 @@ Invariants
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 RED = "red"
 BLUE = "blue"
@@ -69,6 +70,15 @@ def colex_unrank(rank: int, n_vertices: int) -> TripleEdge:
     return TripleEdge(a, b, c)
 
 
+def bitmap_of_ranks(ranks: Iterable[int], n_triples: int) -> int:
+    """The bitmap with exactly the given ranks (each below n_triples) set,
+    built in one pass over a byte buffer."""
+    buf = bytearray((n_triples + 7) // 8)
+    for r in ranks:
+        buf[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buf, "little")
+
+
 def all_triples(n_vertices: int) -> Iterator[TripleEdge]:
     """All triples of [0, n_vertices) in colex (= rank) order."""
     for c in range(2, n_vertices):
@@ -104,14 +114,15 @@ class Coloring:
 
     @classmethod
     def from_red_edges(cls, n_vertices: int, edges) -> "Coloring":
-        bits = 0
-        for e in edges:
-            if not isinstance(e, TripleEdge):
-                e = TripleEdge.of(*e)
-            if e.c >= n_vertices:
-                raise ValueError(f"edge {e} outside [0, {n_vertices})")
-            bits |= 1 << colex_rank(e)
-        return cls(n_vertices, bits)
+        def ranks():
+            for e in edges:
+                if not isinstance(e, TripleEdge):
+                    e = TripleEdge.of(*e)
+                if e.c >= n_vertices:
+                    raise ValueError(f"edge {e} outside [0, {n_vertices})")
+                yield colex_rank(e)
+
+        return cls(n_vertices, bitmap_of_ranks(ranks(), comb(max(n_vertices, 0), 3)))
 
     def is_red(self, e: TripleEdge) -> bool:
         return (self.red_bits >> colex_rank(e)) & 1 == 1
@@ -131,11 +142,9 @@ class Coloring:
         return Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
 
     def red_edges(self) -> Iterator[TripleEdge]:
-        bits = self.red_bits
-        while bits:
-            low = bits & -bits
-            yield colex_unrank(low.bit_length() - 1, self.n_vertices)
-            bits ^= low
+        """The red triples in rank order."""
+        flags = format(self.red_bits, f"0{self.n_triples}b")[::-1]
+        return compress(all_triples(self.n_vertices), map("1".__eq__, flags))
 
 
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:

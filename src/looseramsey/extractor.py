@@ -48,7 +48,9 @@ from .core import (
     verify_witness,
 )
 from .oracle import (
-    _ColorTest,
+    Links,
+    _color_bits,
+    _link_table,
     find_loose_cycle_from_edges,
     find_loose_path_from_edges,
     find_mono_cycle,
@@ -79,37 +81,36 @@ def ramsey_number(pair: PairKind) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Link tables: per vertex pair, the set of third vertices completing a
-# triple of one colour, as a bitset over vertex labels.
+# Colour lookups: a per-triple test for the greedy path, and link tables
+# (per vertex pair, the bitset of third vertices completing a triple of one
+# colour) for the searches.
 
-Links = List[List[int]]
 
+class _ColorTest:
+    """Membership test for one color class of a coloring.
 
-def _link_table(n: int, bits: int) -> Links:
-    """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
-    `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0."""
-    T = [[0] * n for _ in range(n)]
-    for z in range(2, n):
-        # the triples with largest vertex z occupy ranks [C(z,3), C(z+1,3))
-        block = (bits >> comb(z, 3)) & ((1 << comb(z, 2)) - 1)
-        Tz, zbit = T[z], 1 << z
-        for y in range(1, z):
-            xs = (block >> comb(y, 2)) & ((1 << y) - 1)
-            if not xs:
-                continue
-            Ty, ybit = T[y], 1 << y
-            Tz[y] = xs
-            while xs:
-                low = xs & -xs
-                x = low.bit_length() - 1
-                xs ^= low
-                Tz[x] |= ybit
-                Ty[x] |= zbit
-    for x in range(n):
-        Tx = T[x]
-        for y in range(x + 1, n):
-            Tx[y] = T[y][x]
-    return T
+    Each call shifts the whole colex bitmap, so a lookup costs
+    O(C(N,3)/64) machine words, not O(1).  That is cheap for the greedy
+    path's few lookups; the move search, the chaining and the oracle read
+    link tables instead.
+    """
+
+    __slots__ = ("bits", "c2", "c3")
+
+    def __init__(self, coloring: Coloring, color: str) -> None:
+        self.bits = _color_bits(coloring, color)
+        n = coloring.n_vertices
+        self.c2 = [comb(i, 2) for i in range(n + 1)]
+        self.c3 = [comb(i, 3) for i in range(n + 1)]
+
+    def __call__(self, x: int, y: int, z: int) -> bool:
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+        if x > y:
+            x, y = y, x
+        return (self.bits >> (self.c3[z] + self.c2[y] + x)) & 1 == 1
 
 
 class _LinkTables:
@@ -141,8 +142,7 @@ class _LinkTables:
         T = self._tables.get(color)
         if T is None:
             c = self._coloring
-            bits = c.red_bits if color == RED else c.red_bits ^ ((1 << c.n_triples) - 1)
-            T = self._tables[color] = _link_table(c.n_vertices, bits)
+            T = self._tables[color] = _link_table(c.n_vertices, _color_bits(c, color))
         return T
 
 

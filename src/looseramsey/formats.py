@@ -13,25 +13,24 @@ from __future__ import annotations
 from math import comb
 from typing import TextIO
 
-from .core import Coloring, TripleEdge, colex_rank
+from .core import Coloring, TripleEdge, bitmap_of_ranks, colex_rank
 
 
 class FormatError(ValueError):
     """Malformed coloring file."""
 
 
+# LRC1 digit j holds ranks 4j..4j+3, rank 4j in its top bit: the bitmap's
+# hex digits, lowest first, each bit-reversed (_NIBBLE_REVERSE).
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_NIBBLE_REVERSE = str.maketrans(_HEX_DIGITS, "084c2a6e195d3b7f5d3b7f")
+_DROP_HEX = str.maketrans("", "", _HEX_DIGITS)
+
+
 def encode_lrc1(coloring: Coloring) -> str:
     n_digits = (coloring.n_triples + 3) // 4
-    digits = []
-    bits = coloring.red_bits
-    for j in range(n_digits):
-        value = 0
-        for k in range(4):
-            rank = 4 * j + k
-            if rank < coloring.n_triples and (bits >> rank) & 1:
-                value |= 1 << (3 - k)
-        digits.append(format(value, "x"))
-    return f"LRC1 {coloring.n_vertices}\n{''.join(digits)}\n"
+    digits = format(coloring.red_bits, f"0{n_digits}x")[::-1]
+    return f"LRC1 {coloring.n_vertices}\n{digits.translate(_NIBBLE_REVERSE)}\n"
 
 
 def encode_lre1(coloring: Coloring) -> str:
@@ -63,33 +62,28 @@ def decode(text: str) -> Coloring:
             raise FormatError(
                 f"expected {expected} hex digits for N={n}, got {len(hex_str)}"
             )
-        bits = 0
-        for j, ch in enumerate(hex_str):
-            try:
-                value = int(ch, 16)
-            except ValueError as exc:
-                raise FormatError(f"bad hex digit {ch!r}") from exc
-            for k in range(4):
-                if value & (1 << (3 - k)):
-                    rank = 4 * j + k
-                    if rank >= n_triples:
-                        raise FormatError("padding bits must be zero")
-                    bits |= 1 << rank
+        bad = hex_str.translate(_DROP_HEX)
+        if bad:
+            raise FormatError(f"bad hex digit {bad[0]!r}")
+        bits = int(hex_str.translate(_NIBBLE_REVERSE)[::-1], 16)
+        if bits >> n_triples:
+            raise FormatError("padding bits must be zero")
         return Coloring(n, bits)
 
-    bits = 0
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"expected three vertex labels, got {ln!r}")
-        try:
-            e = TripleEdge.of(*(int(p) for p in parts))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        if e.c >= n:
-            raise FormatError(f"edge {ln!r} outside [0, {n})")
-        bits |= 1 << colex_rank(e)
-    return Coloring(n, bits)
+    def ranks():
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 3:
+                raise FormatError(f"expected three vertex labels, got {ln!r}")
+            try:
+                e = TripleEdge.of(*(int(p) for p in parts))
+            except ValueError as exc:
+                raise FormatError(str(exc)) from exc
+            if e.c >= n:
+                raise FormatError(f"edge {ln!r} outside [0, {n})")
+            yield colex_rank(e)
+
+    return Coloring(n, bitmap_of_ranks(ranks(), n_triples))
 
 
 def write_coloring(coloring: Coloring, fh: TextIO, explicit: bool = False) -> None:

@@ -1,20 +1,22 @@
 """Brute-force ground truth for monochromatic loose structures.
 
 One search kernel, _search, serves every structure search: a depth-first
-walk over vertex sequences, one loose edge at a time, over an edge
-predicate, memoizing failed (used-vertex-set, end-vertex) states so a
-negative answer is a complete proof of absence.  find_mono_path and
-find_mono_cycle run it over all vertices with a colour-class test;
-find_loose_path_from_edges and find_loose_cycle_from_edges run it over
-the vertices of an edge family with a membership test.  Exhaustive
-enumeration iterates every red bitmap of K3_N (only feasible for
-C(N,3) <= 24) with the work vectorized over bitmap chunks.
+walk over vertex sequences, one loose edge at a time, on link-table rows
+(per vertex pair, the bitset of third vertices completing an edge), with
+failed (used-vertex-set, end-vertex) states memoized, so a negative answer
+is a complete proof of absence.  find_mono_path and find_mono_cycle run it
+over all vertices on the table of one colour class;
+find_loose_path_from_edges and find_loose_cycle_from_edges over the
+vertices of an edge family on the family's table.  Exhaustive enumeration
+iterates every red bitmap of K3_N (only feasible for C(N,3) <= 24) with
+the work vectorized over bitmap chunks.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import comb
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,92 +35,96 @@ from .core import (
 ENUMERATION_BUDGET_BITS = 24
 
 
-class _ColorTest:
-    """Membership test for one color class of a coloring.
-
-    Each call shifts the whole colex bitmap, so a lookup costs
-    O(C(N,3)/64) machine words, not O(1).  That is cheap for the oracle's
-    small N and for the extractor's greedy path; the extractor's move search
-    and chaining read link tables instead.
-    """
-
-    __slots__ = ("bits", "c2", "c3")
-
-    def __init__(self, coloring: Coloring, color: str) -> None:
-        bits = coloring.red_bits
-        if color != RED:
-            bits ^= (1 << coloring.n_triples) - 1
-        self.bits = bits
-        n = coloring.n_vertices
-        self.c2 = [comb(i, 2) for i in range(n + 1)]
-        self.c3 = [comb(i, 3) for i in range(n + 1)]
-
-    def __call__(self, x: int, y: int, z: int) -> bool:
-        if x > y:
-            x, y = y, x
-        if y > z:
-            y, z = z, y
-        if x > y:
-            x, y = y, x
-        return (self.bits >> (self.c3[z] + self.c2[y] + x)) & 1 == 1
+Links = List[List[int]]
 
 
-def _search(
-    verts: Sequence[int], test: Callable[[int, int, int], bool], shape: str, length: int
-) -> Optional[List[int]]:
+def _link_table(n: int, bits: int) -> Links:
+    """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
+    `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0."""
+    T = [[0] * n for _ in range(n)]
+    for z in range(2, n):
+        # the triples with largest vertex z occupy ranks [C(z,3), C(z+1,3))
+        block = (bits >> comb(z, 3)) & ((1 << comb(z, 2)) - 1)
+        Tz, zbit = T[z], 1 << z
+        for y in range(1, z):
+            xs = (block >> comb(y, 2)) & ((1 << y) - 1)
+            if not xs:
+                continue
+            Ty, ybit = T[y], 1 << y
+            Tz[y] = xs
+            while xs:
+                low = xs & -xs
+                x = low.bit_length() - 1
+                xs ^= low
+                Tz[x] |= ybit
+                Ty[x] |= zbit
+    for x in range(n):
+        Tx = T[x]
+        for y in range(x + 1, n):
+            Tx[y] = T[y][x]
+    return T
+
+
+def _search(verts: Sequence[int], T: Links, shape: str, length: int) -> Optional[List[int]]:
     """First loose path or cycle of the given length on verts whose every edge
-    passes test, as a vertex sequence, or None when none exists.
+    is in the link table T, as a vertex sequence, or None when none exists.
 
-    Vertices are tried in the order of verts.  A path fixes v1 < v2 (its
-    first two positions are interchangeable); a cycle runs from each start
-    vertex in turn and closes with the first unused z.  Failed (used, end)
-    states are memoized, so None is a complete proof of absence.  Whether a
-    cycle closes depends on its start, so the memo is cleared whenever the
-    start advances.
+    Vertices are tried in ascending order (verts is ascending, and the
+    candidates for a pair are the set bits of its link row, lowest first).
+    A path fixes v1 < v2 (its first two positions are interchangeable); a
+    cycle runs from each start vertex in turn and closes with the lowest
+    unused z.  Failed (used, end) states are memoized, so None is a complete
+    proof of absence.  Whether a cycle closes depends on its start, so the
+    memo is cleared whenever the start advances.
     """
     cycle = shape == CYCLE
     failed: Set[Tuple[int, int]] = set()
 
-    def extend(used: int, end: int, seq: List[int], remaining: int) -> bool:
+    def extend(used: int, end: int, remaining: int) -> Optional[List[int]]:
+        """The rest of the sequence after end, or None.  A cycle closes at v1,
+        the start vertex of the loop below."""
         if remaining == 0:
             if not cycle:
-                return True
-            for z in verts:
-                if not used >> z & 1 and test(end, z, seq[0]):
-                    seq.append(z)
-                    return True
-            return False
+                return []
+            close = T[end][v1] & ~used
+            return [(close & -close).bit_length() - 1] if close else None
         if (used, end) in failed:
-            return False
+            return None
+        row = T[end]
         for mid in verts:
             if used >> mid & 1:
                 continue
-            for new_end in verts:
-                if new_end == mid or used >> new_end & 1:
-                    continue
-                if test(end, mid, new_end):
-                    seq.append(mid)
-                    seq.append(new_end)
-                    if extend(used | 1 << mid | 1 << new_end, new_end, seq, remaining - 1):
-                        return True
-                    seq.pop()
-                    seq.pop()
+            new_ends = row[mid] & ~used
+            while new_ends:
+                low = new_ends & -new_ends
+                new_ends ^= low
+                new_end = low.bit_length() - 1
+                rest = extend(used | 1 << mid | low, new_end, remaining - 1)
+                if rest is not None:
+                    return [mid, new_end] + rest
         failed.add((used, end))
-        return False
+        return None
 
     for i, v1 in enumerate(verts):
         if cycle:
             failed.clear()
+        row = T[v1]
         for v2 in verts if cycle else verts[i + 1 :]:
-            if v2 == v1:
-                continue
-            for v3 in verts:
-                if v3 == v1 or v3 == v2 or not test(v1, v2, v3):
-                    continue
-                seq = [v1, v2, v3]
-                if extend(1 << v1 | 1 << v2 | 1 << v3, v3, seq, length - 1 - cycle):
-                    return seq
+            v3s = row[v2]
+            while v3s:
+                low = v3s & -v3s
+                v3s ^= low
+                v3 = low.bit_length() - 1
+                rest = extend(1 << v1 | 1 << v2 | low, v3, length - 1 - cycle)
+                if rest is not None:
+                    return [v1, v2, v3] + rest
     return None
+
+
+def _color_bits(coloring: Coloring, color: str) -> int:
+    """The colex bitmap of one colour class of a coloring."""
+    bits = coloring.red_bits
+    return bits if color == RED else bits ^ ((1 << coloring.n_triples) - 1)
 
 
 def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
@@ -132,7 +138,7 @@ def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witn
     n = coloring.n_vertices
     if 2 * length + 1 > n:
         raise ValueError(f"P_{length} needs {2 * length + 1} vertices, coloring has {n}")
-    seq = _search(range(n), _ColorTest(coloring, color), PATH, length)
+    seq = _search(range(n), _link_table(n, _color_bits(coloring, color)), PATH, length)
     return None if seq is None else Witness(color, PATH, validate_loose_path(seq))
 
 
@@ -143,7 +149,7 @@ def find_mono_cycle(coloring: Coloring, color: str, length: int) -> Optional[Wit
     n = coloring.n_vertices
     if 2 * length > n:
         raise ValueError(f"C_{length} needs {2 * length} vertices, coloring has {n}")
-    seq = _search(range(n), _ColorTest(coloring, color), CYCLE, length)
+    seq = _search(range(n), _link_table(n, _color_bits(coloring, color)), CYCLE, length)
     return None if seq is None else Witness(color, CYCLE, validate_loose_cycle(seq))
 
 
@@ -165,34 +171,23 @@ def longest_mono_path(coloring: Coloring, color: str) -> Tuple[int, Optional[Wit
 
 
 def _structure_masks(n_vertices: int, shape: str, length: int) -> List[int]:
-    """Edge-rank bitmasks of every copy of the target structure in K3_N."""
+    """Edge-rank bitmasks of every copy of the target structure in K3_N,
+    each once, in the order of the first vertex sequence that spans it."""
     if shape not in (PATH, CYCLE):
         raise ValueError(f"unknown target shape {shape!r}")
-    masks: List[int] = []
-    seen = set()
-
-    def record(seq: Sequence[int]) -> None:
-        if shape == PATH:
-            edges = validate_loose_path(seq).edges
-        else:
-            edges = validate_loose_cycle(seq).edges
-        ranks = frozenset(colex_rank(e) for e in edges)
-        if ranks not in seen:
-            seen.add(ranks)
-            mask = 0
-            for r in ranks:
-                mask |= 1 << r
-            masks.append(mask)
-
-    n_verts_needed = 2 * length + 1 if shape == PATH else 2 * length
-    if n_verts_needed > n_vertices:
-        return masks
-
-    import itertools
-
-    for combo in itertools.permutations(range(n_vertices), n_verts_needed):
-        record(combo)
-    return masks
+    shortest = 1 if shape == PATH else 3
+    if length < shortest:
+        raise ValueError(
+            f"{shape} target length {length} out of range: a {shape} needs length >= {shortest}"
+        )
+    validate = validate_loose_path if shape == PATH else validate_loose_cycle
+    n_needed = 2 * length + 1 if shape == PATH else 2 * length
+    # a structure's edges are distinct triples, so the sum of their bits is their union
+    masks = dict.fromkeys(
+        sum(1 << colex_rank(e) for e in validate(seq).edges)
+        for seq in permutations(range(n_vertices), n_needed)
+    )
+    return list(masks)
 
 
 def exhaustive_avoidance_search(
@@ -246,17 +241,16 @@ def exhaustive_avoidance_search(
 def _family_search(
     edges: Iterable[TripleEdge], shape: str, length: int
 ) -> Optional[List[int]]:
-    """_search over the vertices of an edge family, testing membership."""
-    masks: Set[int] = set()
-    verts: Set[int] = set()
+    """_search over the vertices of an edge family, on its link table."""
+    edges = list(edges)
+    verts = sorted({v for e in edges for v in e})
+    n = verts[-1] + 1 if verts else 0
+    T: Links = [[0] * n for _ in range(n)]
     for a, b, c in edges:
-        masks.add(1 << a | 1 << b | 1 << c)
-        verts.update((a, b, c))
-
-    def member(x: int, y: int, z: int) -> bool:
-        return (1 << x | 1 << y | 1 << z) in masks
-
-    return _search(sorted(verts), member, shape, length)
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            T[x][y] |= 1 << z
+            T[y][x] |= 1 << z
+    return _search(verts, T, shape, length)
 
 
 def find_loose_path_from_edges(

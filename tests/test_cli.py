@@ -198,3 +198,17 @@ class TestUsageErrors:
         assert main(["enumerate", "-N", "6", "--red-target", "foo", "3",
                      "--blue-target", "cycle", "3"]) == 2
         self._one_error_line(capsys, "unknown target shape 'foo'")
+
+    @pytest.mark.parametrize(
+        "target,needle",
+        [
+            (["path", "-1"], "path target length -1 out of range: a path needs length >= 1"),
+            (["path", "0"], "path target length 0 out of range: a path needs length >= 1"),
+            (["cycle", "2"], "cycle target length 2 out of range: a cycle needs length >= 3"),
+        ],
+        ids=["path-negative", "path-zero", "cycle-two"],
+    )
+    def test_enumerate_target_length_out_of_range(self, capsys, target, needle):
+        assert main(["enumerate", "-N", "5", "--red-target", *target,
+                     "--blue-target", "path", "2", "--mode", "count"]) == 2
+        self._one_error_line(capsys, needle)

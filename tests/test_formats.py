@@ -1,11 +1,12 @@
 """Coloring file formats: round trips and malformed input."""
 
 import io
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from looseramsey.core import Coloring
+from looseramsey.core import Coloring, TripleEdge, colex_rank, colex_unrank
 from looseramsey.formats import (
     FormatError,
     decode,
@@ -78,3 +79,166 @@ def test_stream_round_trip():
 def test_malformed(text):
     with pytest.raises(FormatError):
         decode(text)
+
+
+# The quadratic codecs that the linear ones replaced, kept verbatim (bar the
+# names and `cls`) as references: the new code must emit the same bytes,
+# decode to the same Coloring and raise the same FormatError messages.
+
+
+def _reference_encode_lrc1(coloring: Coloring) -> str:
+    n_digits = (coloring.n_triples + 3) // 4
+    digits = []
+    bits = coloring.red_bits
+    for j in range(n_digits):
+        value = 0
+        for k in range(4):
+            rank = 4 * j + k
+            if rank < coloring.n_triples and (bits >> rank) & 1:
+                value |= 1 << (3 - k)
+        digits.append(format(value, "x"))
+    return f"LRC1 {coloring.n_vertices}\n{''.join(digits)}\n"
+
+
+def _reference_decode(text: str) -> Coloring:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty coloring file")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] not in ("LRC1", "LRE1"):
+        raise FormatError(f"unrecognized header {lines[0]!r}")
+    try:
+        n = int(header[1])
+    except ValueError as exc:
+        raise FormatError(f"bad vertex count {header[1]!r}") from exc
+    if n < 3:
+        raise FormatError(f"vertex count {n} below 3")
+    n_triples = comb(n, 3)
+
+    if header[0] == "LRC1":
+        hex_str = "".join(lines[1:])
+        expected = (n_triples + 3) // 4
+        if len(hex_str) != expected:
+            raise FormatError(
+                f"expected {expected} hex digits for N={n}, got {len(hex_str)}"
+            )
+        bits = 0
+        for j, ch in enumerate(hex_str):
+            try:
+                value = int(ch, 16)
+            except ValueError as exc:
+                raise FormatError(f"bad hex digit {ch!r}") from exc
+            for k in range(4):
+                if value & (1 << (3 - k)):
+                    rank = 4 * j + k
+                    if rank >= n_triples:
+                        raise FormatError("padding bits must be zero")
+                    bits |= 1 << rank
+        return Coloring(n, bits)
+
+    bits = 0
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise FormatError(f"expected three vertex labels, got {ln!r}")
+        try:
+            e = TripleEdge.of(*(int(p) for p in parts))
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        if e.c >= n:
+            raise FormatError(f"edge {ln!r} outside [0, {n})")
+        bits |= 1 << colex_rank(e)
+    return Coloring(n, bits)
+
+
+def _reference_red_edges(self):
+    bits = self.red_bits
+    while bits:
+        low = bits & -bits
+        yield colex_unrank(low.bit_length() - 1, self.n_vertices)
+        bits ^= low
+
+
+def _reference_from_red_edges(n_vertices: int, edges) -> "Coloring":
+    bits = 0
+    for e in edges:
+        if not isinstance(e, TripleEdge):
+            e = TripleEdge.of(*e)
+        if e.c >= n_vertices:
+            raise ValueError(f"edge {e} outside [0, {n_vertices})")
+        bits |= 1 << colex_rank(e)
+    return Coloring(n_vertices, bits)
+
+
+def _error(fn, *args):
+    """The type and message fn raises, or None when it returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestCodecParity:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 20), rnd=st.randoms(use_true_random=False))
+    def test_same_bytes_and_colorings(self, n, rnd):
+        c = Coloring(n, rnd.getrandbits(comb(n, 3)))
+        lrc1 = encode_lrc1(c)
+        assert lrc1 == _reference_encode_lrc1(c)
+        assert list(c.red_edges()) == list(_reference_red_edges(c))
+        lre1 = encode_lre1(c)
+        for text in (lrc1, lrc1.upper(), lre1):
+            assert decode(text) == _reference_decode(text) == c
+        edges = list(c.red_edges())
+        rnd.shuffle(edges)
+        raw = [tuple(rnd.sample(e, 3)) for e in edges]
+        assert Coloring.from_red_edges(n, raw) == _reference_from_red_edges(n, raw) == c
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 20), rnd=st.randoms(use_true_random=False))
+    def test_same_errors(self, n, rnd):
+        """A bad hex digit at the start, in the middle or at the end, a
+        wrong digit count, set padding bits, and bad LRE1 lines raise the
+        reference's FormatError with its message."""
+        n_triples = comb(n, 3)
+        digits = encode_lrc1(Coloring(n, rnd.getrandbits(n_triples))).split()[1]
+        bad = rnd.choice("gxz-+_ .")
+        texts = [
+            f"LRC1 {n}\n{bad}{digits[1:]}",
+            f"LRC1 {n}\n{digits[:len(digits) // 2]}{bad}{digits[len(digits) // 2 + 1:]}",
+            f"LRC1 {n}\n{digits[:-1]}{bad}",
+            f"LRC1 {n}\n{digits}0",
+            f"LRC1 {n}\n{digits[:-1]}",
+            f"LRE1 {n}\n0 1",
+            f"LRE1 {n}\n0 1 1",
+            f"LRE1 {n}\n0 1 {n}",
+            f"LRE1 {n}\n0 1 two",
+        ]
+        if n_triples % 4:
+            # the last digit's low bits are padding; set the lowest one
+            last = int(digits[-1], 16) | 1
+            texts.append(f"LRC1 {n}\n{digits[:-1]}{last:x}")
+        for text in texts:
+            expected = _error(_reference_decode, text)
+            assert expected is not None and expected[0] is FormatError, text
+            assert _error(decode, text) == expected, text
+
+    def test_from_red_edges_errors(self):
+        for n, edges in ((5, [(0, 1, 5)]), (5, [(0, 1, 1)]), (5, [(-1, 2, 3)]),
+                         (2, [(0, 1, 2)]), (2, []), (-1, [])):
+            expected = _error(_reference_from_red_edges, n, edges)
+            assert expected is not None
+            assert _error(Coloring.from_red_edges, n, edges) == expected
+
+    def test_upper_case_hex_accepted(self):
+        c = Coloring(9, 0xFEDCBA9876543210ABCDE)
+        assert decode(encode_lrc1(c).upper()) == c
+
+    def test_non_ascii_digits_rejected(self):
+        """int(ch, 16) per digit also took other Unicode decimal digits
+        (here ARABIC-INDIC DIGIT ZERO); LRC1 digits are ASCII hex only."""
+        text = "LRC1 5\n٠٠٠"
+        assert _reference_decode(text) == Coloring(5, 0)
+        with pytest.raises(FormatError, match="bad hex digit"):
+            decode(text)

@@ -2,7 +2,7 @@
 
 The references below are the pair-by-pair scans that `_find_move` and
 `_chain` ran before the link tables, testing one triple at a time through
-`oracle._ColorTest`; the kernels must return exactly what they return.
+`extractor._ColorTest`; the kernels must return exactly what they return.
 """
 
 import random
@@ -17,6 +17,7 @@ from looseramsey.constructions import PP, PairKind, SplitSpec, build_split_color
 from looseramsey.core import BLUE, RED, Coloring, TripleEdge, colex_rank, edge_color
 from looseramsey.extractor import (
     _CHAIN_BUDGET,
+    _ColorTest,
     _bridges,
     _chain,
     _find_move,
@@ -26,7 +27,6 @@ from looseramsey.extractor import (
     greedy_red_path,
     solve,
 )
-from looseramsey.oracle import _ColorTest
 
 
 def _reference_find_move(red, p, wset):

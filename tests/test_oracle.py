@@ -20,6 +20,7 @@ from looseramsey.core import (
     validate_loose_path,
     verify_witness,
 )
+from looseramsey.extractor import _ColorTest
 from looseramsey.oracle import (
     _structure_masks,
     exhaustive_avoidance_search,
@@ -214,3 +215,111 @@ class TestFamilySearch:
                     assert structure.length == length
                     assert set(structure.edges) <= set(family)
         assert found > 50 and absent > 50
+
+
+def _reference_search(verts, test, shape, length):
+    """The DFS before link tables, kept verbatim: candidates one triple at a
+    time through an edge predicate."""
+    cycle = shape == CYCLE
+    failed = set()
+
+    def extend(used, end, seq, remaining):
+        if remaining == 0:
+            if not cycle:
+                return True
+            for z in verts:
+                if not used >> z & 1 and test(end, z, seq[0]):
+                    seq.append(z)
+                    return True
+            return False
+        if (used, end) in failed:
+            return False
+        for mid in verts:
+            if used >> mid & 1:
+                continue
+            for new_end in verts:
+                if new_end == mid or used >> new_end & 1:
+                    continue
+                if test(end, mid, new_end):
+                    seq.append(mid)
+                    seq.append(new_end)
+                    if extend(used | 1 << mid | 1 << new_end, new_end, seq, remaining - 1):
+                        return True
+                    seq.pop()
+                    seq.pop()
+        failed.add((used, end))
+        return False
+
+    for i, v1 in enumerate(verts):
+        if cycle:
+            failed.clear()
+        for v2 in verts if cycle else verts[i + 1 :]:
+            if v2 == v1:
+                continue
+            for v3 in verts:
+                if v3 == v1 or v3 == v2 or not test(v1, v2, v3):
+                    continue
+                seq = [v1, v2, v3]
+                if extend(1 << v1 | 1 << v2 | 1 << v3, v3, seq, length - 1 - cycle):
+                    return seq
+    return None
+
+
+def _reference_family_search(edges, shape, length):
+    masks = set()
+    verts = set()
+    for a, b, c in edges:
+        masks.add(1 << a | 1 << b | 1 << c)
+        verts.update((a, b, c))
+
+    def member(x, y, z):
+        return (1 << x | 1 << y | 1 << z) in masks
+
+    return _reference_search(sorted(verts), member, shape, length)
+
+
+class TestAgainstReferenceSearch:
+    """The link-row kernel returns the very sequence the predicate-driven
+    DFS returned, not only the same presence."""
+
+    def test_mono_searches(self):
+        rnd = random.Random(29)
+        colorings = [build_split_coloring(SplitSpec(a, b))
+                     for a in range(3, 8) for b in range(0, 4) if a + b <= 10]
+        for _ in range(60):
+            n = rnd.randint(3, 10)
+            density = rnd.choice((0.05, 0.15, 0.35, 0.5))
+            colorings.append(Coloring(n, sum(
+                1 << r for r in range(comb(n, 3)) if rnd.random() < density)))
+        found = absent = 0
+        for c in colorings:
+            n = c.n_vertices
+            for color in (RED, BLUE):
+                searches = [(find_mono_path, PATH, L) for L in range(1, (n - 1) // 2 + 1)]
+                searches += [(find_mono_cycle, CYCLE, L) for L in range(3, n // 2 + 1)]
+                for finder, shape, length in searches:
+                    w = finder(c, color, length)
+                    ref = _reference_search(range(n), _ColorTest(c, color), shape, length)
+                    got = None if w is None else list(w.structure.vertices)
+                    assert got == ref, (c, color, shape, length)
+                    found += ref is not None
+                    absent += ref is None
+        assert found > 300 and absent > 50
+
+    def test_family_searches(self):
+        rnd = random.Random(31)
+        found = absent = 0
+        for _ in range(150):
+            n = rnd.randint(3, 11)
+            triples = [TripleEdge.of(*t) for t in itertools.combinations(range(n), 3)]
+            family = rnd.sample(triples, rnd.randint(0, len(triples) // 2))
+            for from_edges, shape, lengths in (
+                (find_loose_path_from_edges, PATH, range(1, (n - 1) // 2 + 1)),
+                (find_loose_cycle_from_edges, CYCLE, range(3, n // 2 + 1)),
+            ):
+                for length in lengths:
+                    ref = _reference_family_search(family, shape, length)
+                    assert from_edges(family, length) == ref, (n, family, shape, length)
+                    found += ref is not None
+                    absent += ref is None
+        assert found > 300 and absent > 80
