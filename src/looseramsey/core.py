@@ -15,7 +15,6 @@ Invariants
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -143,8 +142,17 @@ class Coloring:
 
     def red_edges(self) -> Iterator[TripleEdge]:
         """The red triples in rank order."""
+        # flags[r] is bit r; the triples (., y, z) hold the y ranks from base
         flags = format(self.red_bits, f"0{self.n_triples}b")[::-1]
-        return compress(all_triples(self.n_vertices), map("1".__eq__, flags))
+        base = 0
+        for z in range(2, self.n_vertices):
+            for y in range(1, z):
+                end = base + y
+                x = flags.find("1", base, end)
+                while x >= 0:
+                    yield TripleEdge(x - base, y, z)
+                    x = flags.find("1", x + 1, end)
+                base = end
 
 
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:

@@ -16,6 +16,11 @@ The replacement-move search and the blue chaining read the coloring
 through link tables (per vertex pair, the bitset of third vertices that
 complete a triple of one colour), so they test whole reservoirs at once.
 The tables are built on first use, once per colour per top-level solve.
+The move search rules a window of the red path in or out in time linear
+in the reservoir before scanning it pair by pair.  The chaining remembers
+the states it has seen fail and charges each revisit the node budget its
+first search used, so it returns exactly what the search without the memo
+returns under the same budget.
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -201,50 +206,53 @@ def greedy_red_path(c: Coloring) -> LoosePath:
     return LoosePath(tuple(seq))
 
 
-def _fill(masks: List[int], core: int, free: int) -> bool:
-    """Whether the private slots, slot i restricted to masks[i], can hold
-    every vertex of `core` and distinct vertices of `free` in the rest."""
-    if core:
-        v = core & -core
-        for i, m in enumerate(masks):
-            if m & v and _fill(masks[:i] + masks[i + 1 :], core ^ v, free):
-                return True
-        return False
-    if len(masks) < 2:
-        return not masks or masks[0] & free != 0
-    a, b = masks[0] & free, masks[1] & free
+def _two(a: int, b: int) -> bool:
+    """Whether the masks a and b hold one vertex each, the two distinct."""
     both = a | b
     return a != 0 and b != 0 and both & (both - 1) != 0
+
+
+def _linked(T: Links, links: int, end: int, slot: int) -> bool:
+    """Whether some w in `links` has a vertex of `slot` completing the
+    triple {w, end, .}."""
+    return any(T[w][end] & slot for w in _bits(links))
 
 
 def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int) -> bool:
     """Whether a red loose path from lat to rat has as its inner vertices
     exactly the vertices of `core` plus two vertices of wmask.
 
-    `core` holds one vertex (a two-edge path through link b) or three
-    (a three-edge path through links b and d); lat, rat and the core lie
-    outside wmask.  Each link choice leaves one private slot per edge, and
-    _fill matches the rest of the pool to those slots.
+    `core` holds one vertex (a two-edge path through one link vertex) or
+    three (a three-edge path lat a b d1 d2 e rat through the links b and
+    d2, with private slots a, d1, e); lat, rat and the core lie outside
+    wmask.  The test splits on which links lie in the core; each case is a
+    few mask tests, at most one pass over wmask.
     """
-    pool = core | wmask
-    two_edges = core & (core - 1) == 0
-    Tlat = T[lat]
-    for b in _bits(pool):
-        ma = Tlat[b] & pool
-        if not ma:
-            continue
-        rest = pool ^ (1 << b)
-        Tb = T[b]
-        if two_edges:
-            if _fill([ma, Tb[rat] & rest], core & rest, wmask & rest):
-                return True
-            continue
-        for d in _bits(rest):
-            md, me = Tb[d] & rest, T[d][rat] & rest
-            if md and me:
-                avail = rest ^ (1 << d)
-                if _fill([ma & avail, md & avail, me & avail], core & avail, wmask & avail):
-                    return True
+    W, Tlat, Trat = wmask, T[lat], T[rat]
+    if core & (core - 1) == 0:
+        mid = core.bit_length() - 1
+        left, right = Tlat[mid] & W, Trat[mid] & W
+        # link mid with reservoir ends, or a reservoir link w with mid
+        # on the lat side (w in left) or on the rat side (w in right)
+        return _two(left, right) or _linked(T, left, rat, W) or _linked(T, right, lat, W)
+    for x, y, z in permutations(_bits(core)):
+        ax, xr, xy, xz = Tlat[x], Trat[x], T[x][y], T[x][z]
+        ay, yr, zr = Tlat[y], Trat[y], Trat[z]
+        if (
+            # links b = x, d2 = y: z in one private slot, W in the others
+            ax >> z & 1 and _two(xy & W, yr & W)
+            or xy >> z & 1 and _two(ax & W, yr & W)
+            or yr >> z & 1 and _two(ax & W, xy & W)
+            # link b = x, d2 in W: y, z fill two slots in order, W the third
+            or _two(xy & zr & W, ax & W)
+            or ax >> y & 1 and (_linked(T, zr & W, x, W) or _linked(T, xz & W, rat, W))
+            # link d2 = x, b in W: likewise
+            or _two(ay & xz & W, xr & W)
+            or xr >> z & 1 and (_linked(T, xy & W, lat, W) or _linked(T, ay & W, x, W))
+            # links b, d2 in W: x, y, z fill slots a, d1, e
+            or _linked(T, ax & W, y, zr & W)
+        ):
+            return True
     return False
 
 
@@ -355,7 +363,9 @@ def _chain(
     window.  Prefers using all of w0; otherwise returns the best assembly.
 
     blue is the blue link table; w0 must avoid verts.  Fresh vertices are
-    tried in ascending label order.
+    tried in ascending label order.  The search visits at most
+    _CHAIN_BUDGET nodes, a revisited failed state counting as often as its
+    first search did.
     Returns (sequence or None, reservoir vertices used, edges consumed).
     """
     L = (len(verts) - 1) // 2
@@ -363,8 +373,14 @@ def _chain(
     for w in w0:
         w0mask |= 1 << w
     total = w0mask.bit_count()
-    budget = [_CHAIN_BUDGET]
+    budget = _CHAIN_BUDGET
     best: List = [None, 0, 0]
+    # Failed non-root states (j, last vertex, used), each with the budget its
+    # first search charged, memo hits included.  The outcome of a state
+    # depends on nothing else, and a revisit charges the same amount, so the
+    # budget runs out at the node where an unmemoized search would; a
+    # revisit reaches only used sets already compared against best.
+    failed: Dict[Tuple[int, int, int], int] = {}
 
     # Per window start j: the oriented inner triples of the 2-edge windows
     # and the 3-edge window, with the reservoir vertices that may precede
@@ -387,13 +403,20 @@ def _chain(
 
     # used is the bitmask of reservoir vertices already in seq
     def rec(j: int, seq: List[int], used: int):
+        nonlocal budget
         if used.bit_count() > best[1].bit_count():
             best[0], best[1], best[2] = list(seq), used, j
         if used == w0mask:
             return list(seq), used, j
-        if budget[0] <= 0:
+        if budget <= 0:
             return None
-        budget[0] -= 1
+        key = (j, seq[-1], used) if seq else None
+        cost = failed.get(key)
+        if cost is not None:
+            budget = max(0, budget - cost)
+            return None
+        start = budget
+        budget -= 1
         fresh = w0mask & ~used
         first = not seq
         if j <= L - 2:
@@ -423,6 +446,8 @@ def _chain(
                         )
                         if res:
                             return res
+        if key is not None and budget > 0:
+            failed[key] = start - budget
         return None
 
     res = rec(0, [], 0)
@@ -700,6 +725,7 @@ def _path_step(
             break
         p = mv[0]
         if (len(p) - 1) // 2 >= n:
+            _note(trace, "red path extended to target length")
             return Witness(RED, PATH, validate_loose_path(p[: 2 * n + 1]))
 
     wbar = sorted(set(range(c.n_vertices)) - set(p))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 from typing import TextIO
 
-from .core import Coloring, TripleEdge, bitmap_of_ranks, colex_rank
+from .core import Coloring, TripleEdge, bitmap_of_ranks
 
 
 class FormatError(ValueError):
@@ -71,17 +71,31 @@ def decode(text: str) -> Coloring:
         return Coloring(n, bits)
 
     def ranks():
+        # built on first use, after bitmap_of_ranks has allocated its C(n,3)
+        # bits, so a header N too large for that fails before this O(n) work
+        c2 = [y * (y - 1) // 2 for y in range(n)]
+        c3 = [z * (z - 1) * (z - 2) // 6 for z in range(n)]
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 3:
                 raise FormatError(f"expected three vertex labels, got {ln!r}")
             try:
-                e = TripleEdge.of(*(int(p) for p in parts))
+                x, y, z = map(int, parts)
             except ValueError as exc:
                 raise FormatError(str(exc)) from exc
-            if e.c >= n:
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+            if x > y:
+                x, y = y, x
+            if x < 0 or x == y or y == z or z >= n:
+                try:
+                    TripleEdge.of(*map(int, parts))
+                except ValueError as exc:
+                    raise FormatError(str(exc)) from exc
                 raise FormatError(f"edge {ln!r} outside [0, {n})")
-            yield colex_rank(e)
+            yield c3[z] + c2[y] + x
 
     return Coloring(n, bitmap_of_ranks(ranks(), n_triples))
 

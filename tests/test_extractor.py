@@ -196,6 +196,16 @@ class TestSteps:
         assert "completion search (path chain leftover 1)" in trace
         assert verify_witness(c, w) and (w.shape, w.length) == (PATH, 4)
 
+    def test_path_step_move_reaching_target_is_traced(self):
+        # no red edge extends the path 0..4 at an end, but replacing {0,1,2}
+        # by {0,1,5} {5,6,2} reaches length 3: the step must say so
+        c = Coloring.from_red_edges(7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (2, 5, 6)])
+        trace = []
+        w = _path_step(c, [0, 1, 2, 3, 4], 3, 3, _LinkTables(c), trace)
+        assert (w.color, w.shape, w.length) == (RED, PATH, 3)
+        assert verify_witness(c, w)
+        assert trace == ["red path extended to target length"]
+
     def test_cycle_step_on_blue_remainder(self):
         cyc = [0, 1, 2, 3, 4, 5, 6, 7]
         edges = [tuple(cyc[2 * i : 2 * i + 3]) for i in range(3)] + [(6, 7, 0)]

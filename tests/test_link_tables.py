@@ -2,7 +2,9 @@
 
 The references below are the pair-by-pair scans that `_find_move` and
 `_chain` ran before the link tables, testing one triple at a time through
-`extractor._ColorTest`; the kernels must return exactly what they return.
+`extractor._ColorTest`, and the first mask test of a window (`_bridges`
+with its slot matcher `_fill`); the kernels must return exactly what they
+return.
 """
 
 import random
@@ -13,11 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looseramsey import extractor
-from looseramsey.constructions import PP, PairKind, SplitSpec, build_split_coloring
-from looseramsey.core import BLUE, RED, Coloring, TripleEdge, colex_rank, edge_color
+from looseramsey.constructions import (
+    CC,
+    PP,
+    PairKind,
+    SplitSpec,
+    build_split_coloring,
+    lower_bound_params,
+)
+from looseramsey.core import (
+    BLUE,
+    RED,
+    Coloring,
+    TripleEdge,
+    all_triples,
+    colex_rank,
+    edge_color,
+)
 from looseramsey.extractor import (
-    _CHAIN_BUDGET,
     _ColorTest,
+    _bits,
     _bridges,
     _chain,
     _find_move,
@@ -25,6 +42,7 @@ from looseramsey.extractor import (
     _window_inners,
     _window_p4,
     greedy_red_path,
+    ramsey_number,
     solve,
 )
 
@@ -75,12 +93,53 @@ def _reference_find_move(red, p, wset):
     return None
 
 
-def _reference_chain(c, verts, w0, trace):
+def _reference_fill(masks, core, free):
+    if core:
+        v = core & -core
+        for i, m in enumerate(masks):
+            if m & v and _reference_fill(masks[:i] + masks[i + 1 :], core ^ v, free):
+                return True
+        return False
+    if len(masks) < 2:
+        return not masks or masks[0] & free != 0
+    a, b = masks[0] & free, masks[1] & free
+    both = a | b
+    return a != 0 and b != 0 and both & (both - 1) != 0
+
+
+def _reference_bridges(T, lat, rat, core, wmask):
+    pool = core | wmask
+    two_edges = core & (core - 1) == 0
+    Tlat = T[lat]
+    for b in _bits(pool):
+        ma = Tlat[b] & pool
+        if not ma:
+            continue
+        rest = pool ^ (1 << b)
+        Tb = T[b]
+        if two_edges:
+            if _reference_fill([ma, Tb[rat] & rest], core & rest, wmask & rest):
+                return True
+            continue
+        for d in _bits(rest):
+            md, me = Tb[d] & rest, T[d][rat] & rest
+            if md and me:
+                avail = rest ^ (1 << d)
+                if _reference_fill(
+                    [ma & avail, md & avail, me & avail], core & avail, wmask & avail
+                ):
+                    return True
+    return False
+
+
+def _reference_chain(c, verts, w0, trace, stats=None):
+    """The chain search before link tables; stats, if given, receives the
+    budget left at the end."""
     blue = _ColorTest(c, BLUE)
     L = (len(verts) - 1) // 2
     w0s = sorted(w0)
     total = len(w0s)
-    budget = [_CHAIN_BUDGET]
+    budget = [extractor._CHAIN_BUDGET]
     best = [None, frozenset(), 0]
 
     def rec(j, seq, used):
@@ -134,6 +193,8 @@ def _reference_chain(c, verts, w0, trace):
         return None
 
     res = rec(0, [], frozenset())
+    if stats is not None:
+        stats["budget"] = budget[0]
     if res is None:
         res = tuple(best)
         trace.append(f"chain: leftover {total - len(res[1])} reservoir vertices")
@@ -163,6 +224,59 @@ def _instance(seed, min_edges=1):
         p = rnd.sample(range(n), 2 * rnd.randint(min_edges, (n - 3) // 2) + 1)
     rest = [v for v in range(n) if v not in p]
     return c, p, rnd.sample(rest, rnd.randint(0, len(rest)))
+
+
+def _late_chain_instance(seed):
+    """A seeded (coloring, path, reservoir) for the chain search: a path of
+    4-7 edges, a reservoir of 3-7 vertices of which one or two lie in few
+    blue triples, other triples blue at density 0.3, 0.5 or 0.7.  The search
+    meets failed states again and again, and a full chain, when there is
+    one, comes late, so the budget decides the result."""
+    rnd = random.Random(seed)
+    edges, size = rnd.randint(4, 7), rnd.randint(3, 7)
+    n = 2 * edges + 1 + size
+    verts = rnd.sample(range(n), n)
+    p, w = verts[: 2 * edges + 1], verts[2 * edges + 1 :]
+    hard = set(rnd.sample(w, rnd.randint(1, 2)))
+    density = rnd.choice([0.3, 0.5, 0.7])
+    red = 0
+    for r, e in enumerate(all_triples(n)):
+        if rnd.random() >= (0.05 if hard.intersection(e) else density):
+            red |= 1 << r
+    return Coloring(n, red), p, sorted(w)
+
+
+def _hard_chain_calls():
+    """(coloring, verts, w0) of each _chain call made while solving split+1
+    pp(10,10) b+1 swapped and cc(10,10) a+1 plain, whose chains end with a
+    leftover; the coloring is the one whose blue table the call read."""
+    calls = []
+    real = extractor._chain
+
+    def record(blue, verts, w0, trace):
+        calls.append((blue, list(verts), list(w0)))
+        return real(blue, verts, w0, trace)
+
+    extractor._chain = record
+    try:
+        tops = []
+        for kind, side, swap in ((PP, "b", True), (CC, "a", False)):
+            pair = PairKind(kind, 10, 10)
+            spec = lower_bound_params(pair)
+            plus = SplitSpec(spec.a + (side == "a"), spec.b + (side == "b"))
+            c = build_split_coloring(plus)
+            c = c.swap() if swap else c
+            start = len(calls)
+            solve(pair, c)
+            tops += [c.restrict(ramsey_number(pair))] * (len(calls) - start)
+    finally:
+        extractor._chain = real
+    cases = []
+    for top, (blue, verts, w0) in zip(tops, calls):
+        c = top if _LinkTables(top).table(BLUE) == blue else top.swap()
+        assert _LinkTables(c).table(BLUE) == blue
+        cases.append((c, verts, w0))
+    return cases
 
 
 class TestTables:
@@ -231,6 +345,33 @@ class TestTables:
 
 
 class TestKernels:
+    def test_bridges_matches_the_slot_matcher(self):
+        """The case split on where the links lie agrees with the search over
+        link choices and slot matchings, on random link tables of red
+        density 0.2, 0.5 and 0.8 with one- and three-vertex cores.  Triples
+        through lat or rat are red with probability density / |W|: at one
+        uniform density nearly every window passes, this keeps both
+        outcomes common at every |W|."""
+        fails = 0
+        for seed in range(1200):
+            rnd = random.Random(seed)
+            density, k = (0.2, 0.5, 0.8)[seed % 3], (1, 3)[seed // 3 % 2]
+            nw = rnd.randint(2, 18)
+            n = rnd.randint(2 + k + nw, 24)
+            verts = rnd.sample(range(n), 2 + k + nw)
+            lat, rat = verts[:2]
+            bits = 0
+            for r, e in enumerate(all_triples(n)):
+                if rnd.random() < (density / nw if lat in e or rat in e else density):
+                    bits |= 1 << r
+            T = _LinkTables(Coloring(n, bits)).table(RED)
+            cmask = sum(1 << v for v in verts[2 : 2 + k])
+            wmask = sum(1 << v for v in verts[2 + k :])
+            want = _reference_bridges(T, lat, rat, cmask, wmask)
+            assert _bridges(T, lat, rat, cmask, wmask) == want, seed
+            fails += not want
+        assert fails >= 1200 // 3
+
     def test_bridges_is_exact(self):
         """_bridges holds iff some pair x, y of the reservoir routes a red
         loose path from lat to rat through exactly core + {x, y}."""
@@ -271,6 +412,24 @@ class TestKernels:
             got = _chain(_LinkTables(c).table(BLUE), p, sorted(w), got_trace)
             assert got == _reference_chain(c, p, sorted(w), want_trace), seed
             assert got_trace == want_trace, seed
+
+    def test_chain_matches_the_scan_under_any_budget(self, monkeypatch):
+        """The memoized search runs out of budget at the node where the scan
+        does, so the best-assembly fallback, its trace note and every
+        returned tuple agree for budgets from 1 node to the default."""
+        cases = [_instance(seed, min_edges=3) for seed in range(300)]
+        cases = [(c, p, sorted(w)) for c, p, w in cases]
+        cases += [_late_chain_instance(seed) for seed in range(300)] + _hard_chain_calls()
+        for budget in (1, 2, 5, 17, 100, 4000):
+            monkeypatch.setattr(extractor, "_CHAIN_BUDGET", budget)
+            exhausted = 0
+            for i, (c, p, w) in enumerate(cases):
+                got_trace, want_trace, stats = [], [], {}
+                got = _chain(_LinkTables(c).table(BLUE), p, w, got_trace)
+                assert got == _reference_chain(c, p, w, want_trace, stats), (budget, i)
+                assert got_trace == want_trace, (budget, i)
+                exhausted += stats["budget"] == 0
+            assert exhausted > 0, budget
 
     def test_chain_uses_each_reservoir_vertex_once(self):
         # the blue triples {7,0,1} {1,4,8} {8,3,5} {5,2,7} would close the
