@@ -230,8 +230,8 @@ def _late_chain_instance(seed):
     """A seeded (coloring, path, reservoir) for the chain search: a path of
     4-7 edges, a reservoir of 3-7 vertices of which one or two lie in few
     blue triples, other triples blue at density 0.3, 0.5 or 0.7.  The search
-    meets failed states again and again, and a full chain, when there is
-    one, comes late, so the budget decides the result."""
+    often revisits failed states, and a full chain, when there is one, often
+    comes late, so the point where the budget runs out decides the result."""
     rnd = random.Random(seed)
     edges, size = rnd.randint(4, 7), rnd.randint(3, 7)
     n = 2 * edges + 1 + size
@@ -246,7 +246,7 @@ def _late_chain_instance(seed):
     return Coloring(n, red), p, sorted(w)
 
 
-def _hard_chain_calls():
+def _hard_chain_calls(monkeypatch):
     """(coloring, verts, w0) of each _chain call made while solving split+1
     pp(10,10) b+1 swapped and cc(10,10) a+1 plain, whose chains end with a
     leftover; the coloring is the one whose blue table the call read."""
@@ -257,9 +257,9 @@ def _hard_chain_calls():
         calls.append((blue, list(verts), list(w0)))
         return real(blue, verts, w0, trace)
 
-    extractor._chain = record
-    try:
-        tops = []
+    tops = []
+    with monkeypatch.context() as patch:
+        patch.setattr(extractor, "_chain", record)
         for kind, side, swap in ((PP, "b", True), (CC, "a", False)):
             pair = PairKind(kind, 10, 10)
             spec = lower_bound_params(pair)
@@ -269,8 +269,6 @@ def _hard_chain_calls():
             start = len(calls)
             solve(pair, c)
             tops += [c.restrict(ramsey_number(pair))] * (len(calls) - start)
-    finally:
-        extractor._chain = real
     cases = []
     for top, (blue, verts, w0) in zip(tops, calls):
         c = top if _LinkTables(top).table(BLUE) == blue else top.swap()
@@ -419,7 +417,8 @@ class TestKernels:
         returned tuple agree for budgets from 1 node to the default."""
         cases = [_instance(seed, min_edges=3) for seed in range(300)]
         cases = [(c, p, sorted(w)) for c, p, w in cases]
-        cases += [_late_chain_instance(seed) for seed in range(300)] + _hard_chain_calls()
+        cases += [_late_chain_instance(seed) for seed in range(300)]
+        cases += _hard_chain_calls(monkeypatch)
         for budget in (1, 2, 5, 17, 100, 4000):
             monkeypatch.setattr(extractor, "_CHAIN_BUDGET", budget)
             exhausted = 0
