@@ -11,6 +11,7 @@ Regenerate the data (only when a witness change is intended, and list it in
 CHANGES.md) with ``PYTHONPATH=src python tests/test_witness_corpus.py``.
 """
 
+import hashlib
 import json
 import random
 import warnings
@@ -80,6 +81,29 @@ def test_witness_is_pinned(label, pair, c):
     w = _solve_quietly(pair, c)
     assert verify_witness(c, w)
     assert _witness_line(w) == EXPECTED[label]
+
+
+# split+1 pp(40, 40) on N = 100 vertices: the corpus stops at N = 20, so
+# only these reach colex ranks past the first few bytes of the bitmap.
+# sha1 of the witness line, generated before the byte-view colour lookups.
+LARGE = {
+    "pp40.a.plain": "2d5957d0263a75fe41f3672cea456150a9d3f101",
+    "pp40.b.swapped": "6bd4de350e51a5be736fbc13c737947f59d83144",
+}
+
+
+def _large_cases():
+    pair = PairKind(PP, 40, 40)
+    spec = lower_bound_params(pair)
+    yield "pp40.a.plain", pair, build_split_coloring(SplitSpec(spec.a + 1, spec.b))
+    yield "pp40.b.swapped", pair, build_split_coloring(SplitSpec(spec.a, spec.b + 1)).swap()
+
+
+@pytest.mark.parametrize("label,pair,c", list(_large_cases()), ids=list(LARGE))
+def test_large_witness_is_pinned(label, pair, c):
+    w = solve(pair, c)
+    assert verify_witness(c, w)
+    assert hashlib.sha1(_witness_line(w).encode()).hexdigest() == LARGE[label]
 
 
 if __name__ == "__main__":
