@@ -1,7 +1,8 @@
 """Colored complete 3-uniform hypergraphs and their loose substructures.
 
 A coloring of K3_N stores one bit per triple, indexed in colexicographic
-order, so color lookup is a single bit test.  Loose paths and cycles are
+order.  Every per-triple color lookup reads one byte of a cached byte view
+of that bitmap, so it costs the same at any N.  Loose paths and cycles are
 kept as ordered vertex sequences; the edge decomposition is derived, which
 makes the sequence itself the certificate a verifier can check.
 
@@ -15,8 +16,9 @@ Invariants
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 RED = "red"
 BLUE = "blue"
@@ -69,6 +71,15 @@ def colex_unrank(rank: int, n_vertices: int) -> TripleEdge:
     return TripleEdge(a, b, c)
 
 
+@lru_cache(maxsize=128)
+def comb_tables(n_vertices: int) -> Tuple[List[int], List[int]]:
+    """C(y, 2) and C(z, 3) for every label below n_vertices, so that the rank
+    of {x < y < z} is c3[z] + c2[y] + x."""
+    c2 = [y * (y - 1) // 2 for y in range(n_vertices)]
+    c3 = [z * (z - 1) * (z - 2) // 6 for z in range(n_vertices)]
+    return c2, c3
+
+
 def bitmap_of_ranks(ranks: Iterable[int], n_triples: int) -> int:
     """The bitmap with exactly the given ranks (each below n_triples) set,
     built in one pass over a byte buffer."""
@@ -84,6 +95,9 @@ def all_triples(n_vertices: int) -> Iterator[TripleEdge]:
         for b in range(1, c):
             for a in range(b):
                 yield TripleEdge(a, b, c)
+
+
+EdgeTest = Callable[[int, int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -123,8 +137,37 @@ class Coloring:
 
         return cls(n_vertices, bitmap_of_ranks(ranks(), comb(max(n_vertices, 0), 3)))
 
+    @cached_property
+    def _view(self) -> bytes:
+        # Rank r is bit r & 7 of byte r >> 3.  Sized by the highest red rank,
+        # not by C(N,3): ranks past the end read blue, and a sparse coloring
+        # of a huge N costs only the bytes up to its last red triple.
+        bits = self.red_bits
+        return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+
     def is_red(self, e: TripleEdge) -> bool:
-        return (self.red_bits >> colex_rank(e)) & 1 == 1
+        r = colex_rank(e)
+        view = self._view
+        return r >> 3 < len(view) and view[r >> 3] >> (r & 7) & 1 == 1
+
+    def test(self, color: str) -> EdgeTest:
+        """Membership test f(x, y, z) for one color class, over three distinct
+        vertices below N in any order; reads the same byte view as is_red."""
+        view = self._view
+        n_bits = 8 * len(view)
+        c2, c3 = comb_tables(self.n_vertices)
+
+        def red(x: int, y: int, z: int) -> bool:
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+            if x > y:
+                x, y = y, x
+            r = c3[z] + c2[y] + x
+            return r < n_bits and view[r >> 3] >> (r & 7) & 1 == 1
+
+        return red if color == RED else lambda x, y, z: not red(x, y, z)
 
     def swap(self) -> "Coloring":
         """The coloring with red and blue exchanged."""
@@ -134,10 +177,13 @@ class Coloring:
         """Induced coloring on the first n_prefix vertices.
 
         Triples inside a label prefix occupy a rank prefix in colex order,
-        so restriction is a bitmap truncation.
+        so restriction is a bitmap truncation.  The full prefix is the
+        coloring itself, which is immutable.
         """
         if not 3 <= n_prefix <= self.n_vertices:
             raise ValueError(f"prefix size {n_prefix} out of range")
+        if n_prefix == self.n_vertices:
+            return self
         return Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
 
     def red_edges(self) -> Iterator[TripleEdge]:
@@ -161,11 +207,12 @@ def edge_color(coloring: Coloring, e: TripleEdge) -> str:
     return RED if coloring.is_red(e) else BLUE
 
 
-def _derive_path_edges(vertices: Tuple[int, ...]) -> Tuple[TripleEdge, ...]:
-    return tuple(
-        TripleEdge.of(vertices[i], vertices[i + 1], vertices[i + 2])
-        for i in range(0, len(vertices) - 2, 2)
-    )
+def _edge_triples(vertices: Tuple[int, ...], closed: bool) -> Iterator[Tuple[int, int, int]]:
+    """The vertices of each edge of a loose path (closed: cycle), in sequence
+    order; edge i is v_{2i}, v_{2i+1}, v_{2i+2}, wrapping for a cycle."""
+    ring = vertices + vertices[:1] if closed else vertices
+    for i in range(0, len(ring) - 2, 2):
+        yield ring[i], ring[i + 1], ring[i + 2]
 
 
 @dataclass(frozen=True)
@@ -181,7 +228,7 @@ class LoosePath:
 
     @property
     def edges(self) -> Tuple[TripleEdge, ...]:
-        return _derive_path_edges(self.vertices)
+        return tuple(TripleEdge.of(*t) for t in _edge_triples(self.vertices, False))
 
     @property
     def first_vertex(self) -> int:
@@ -204,11 +251,7 @@ class LooseCycle:
 
     @property
     def edges(self) -> Tuple[TripleEdge, ...]:
-        v = self.vertices
-        k = len(v)
-        return tuple(
-            TripleEdge.of(v[i], v[(i + 1) % k], v[(i + 2) % k]) for i in range(0, k, 2)
-        )
+        return tuple(TripleEdge.of(*t) for t in _edge_triples(self.vertices, True))
 
 
 Structure = Union[LoosePath, LooseCycle]
@@ -284,11 +327,13 @@ def verify_witness(coloring: Coloring, witness: Witness) -> VerifyResult:
         return VerifyResult(False, str(exc))
     if max(structure.vertices) >= coloring.n_vertices:
         return VerifyResult(False, "vertex label outside the coloring")
-    for e in structure.edges:
-        if edge_color(coloring, e) != witness.color:
+    claimed = coloring.test(witness.color)
+    for t in _edge_triples(structure.vertices, witness.shape == CYCLE):
+        if not claimed(*t):
+            e = TripleEdge.of(*t)
             return VerifyResult(
                 False,
-                f"edge {{{e.a},{e.b},{e.c}}} is {edge_color(coloring, e)},"
+                f"edge {{{e.a},{e.b},{e.c}}} is {opposite(witness.color)},"
                 f" witness claims {witness.color}",
             )
     return VerifyResult(True)

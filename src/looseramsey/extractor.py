@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import permutations
-from math import comb
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
     PATH,
     RED,
     Coloring,
+    EdgeTest,
     LoosePath,
     StructureError,
     TripleEdge,
@@ -86,36 +86,9 @@ def ramsey_number(pair: PairKind) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Colour lookups: a per-triple test for the greedy path, and link tables
-# (per vertex pair, the bitset of third vertices completing a triple of one
-# colour) for the searches.
-
-
-class _ColorTest:
-    """Membership test for one color class of a coloring.
-
-    Each call shifts the whole colex bitmap, so a lookup costs
-    O(C(N,3)/64) machine words, not O(1).  That is cheap for the greedy
-    path's few lookups; the move search, the chaining and the oracle read
-    link tables instead.
-    """
-
-    __slots__ = ("bits", "c2", "c3")
-
-    def __init__(self, coloring: Coloring, color: str) -> None:
-        self.bits = _color_bits(coloring, color)
-        n = coloring.n_vertices
-        self.c2 = [comb(i, 2) for i in range(n + 1)]
-        self.c3 = [comb(i, 3) for i in range(n + 1)]
-
-    def __call__(self, x: int, y: int, z: int) -> bool:
-        if x > y:
-            x, y = y, x
-        if y > z:
-            y, z = z, y
-        if x > y:
-            x, y = y, x
-        return (self.bits >> (self.c3[z] + self.c2[y] + x)) & 1 == 1
+# Link tables: per vertex pair, the bitset of third vertices completing a
+# triple of one colour.  The greedy path, the openers and the candidate
+# checks look triples up one at a time through Coloring.test instead.
 
 
 class _LinkTables:
@@ -163,28 +136,27 @@ def _bits(mask: int) -> Iterator[int]:
 # Red path growth: greedy seed, end extension, replacement moves.
 
 
-def _red_edge_at(red: _ColorTest, n: int, used: Set[int], end: int) -> Optional[Tuple[int, int]]:
-    """First (mid, new) outside used, lowest labels first, with {end, mid, new}
-    red; None when the path cannot grow at end."""
-    for mid in range(n):
-        if mid in used:
-            continue
-        for new in range(n):
-            if new != mid and new not in used and red(end, mid, new):
+def _red_edge_at(red: EdgeTest, free: List[int], end: int) -> Optional[Tuple[int, int]]:
+    """First (mid, new) from the ascending list free, lowest labels first,
+    with {end, mid, new} red; None when the path cannot grow at end."""
+    for mid in free:
+        for new in free:
+            if new != mid and red(end, mid, new):
                 return mid, new
     return None
 
 
-def _append_extend(red: _ColorTest, n: int, seq: List[int]) -> None:
+def _append_extend(red: EdgeTest, n: int, seq: List[int]) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
     per edge, lowest labels first; the tail end is tried first."""
     while True:
         used = set(seq)
-        step = _red_edge_at(red, n, used, seq[-1])
+        free = [v for v in range(n) if v not in used]
+        step = _red_edge_at(red, free, seq[-1])
         if step is not None:
             seq.extend(step)
             continue
-        step = _red_edge_at(red, n, used, seq[0])
+        step = _red_edge_at(red, free, seq[0])
         if step is None:
             return
         mid, new = step
@@ -199,7 +171,7 @@ def greedy_red_path(c: Coloring) -> LoosePath:
     """
     if c.red_bits == 0:
         return LoosePath(())
-    red = _ColorTest(c, RED)
+    red = c.test(RED)
     first = colex_unrank((c.red_bits & -c.red_bits).bit_length() - 1, c.n_vertices)
     seq = [first.a, first.b, first.c]
     _append_extend(red, c.n_vertices, seq)
@@ -512,7 +484,7 @@ def _open_cycle(c: Coloring, cyc: List[int], color: str):
     edge has the opposite color, returns that bipartite edge family instead.
     Returns ("path", seq) or ("family", edges).
     """
-    test = _ColorTest(c, color)
+    test = c.test(color)
     k = len(cyc)
     outside = sorted(set(range(c.n_vertices)) - set(cyc))
     family: List[TripleEdge] = []
@@ -604,7 +576,7 @@ def _cycle_step(
     the blue target (cycle of length m, or path of length m when n > m).
     links serves c (or a coloring it is a prefix of).
     """
-    red = _ColorTest(c, RED)
+    red = c.test(RED)
     k = len(cyc)
     outside = sorted(set(range(c.n_vertices)) - set(cyc))
 
@@ -711,7 +683,7 @@ def _path_step(
 ) -> Witness:
     """Lift a red path of length n-1 to a red path of length n or produce a
     blue path of length m.  links serves c (or a coloring it is a prefix of)."""
-    red = _ColorTest(c, RED)
+    red = c.test(RED)
     p = list(p)
     # grow toward the red target before anything else
     while True:
@@ -767,7 +739,7 @@ def _fast_red(c: Coloring, target: Tuple[str, int], links: _LinkTables) -> Optio
     gp = greedy_red_path(c)
     if not gp.vertices:
         return None
-    red = _ColorTest(c, RED)
+    red = c.test(RED)
     seq = list(gp.vertices)
     need = tlen if shape == PATH else tlen - 1
     while (len(seq) - 1) // 2 < need:

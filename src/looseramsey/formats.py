@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 from typing import TextIO
 
-from .core import Coloring, TripleEdge, bitmap_of_ranks
+from .core import Coloring, TripleEdge, bitmap_of_ranks, comb_tables
 
 
 class FormatError(ValueError):
@@ -70,34 +70,35 @@ def decode(text: str) -> Coloring:
             raise FormatError("padding bits must be zero")
         return Coloring(n, bits)
 
-    def ranks():
-        # built on first use, after bitmap_of_ranks has allocated its C(n,3)
-        # bits, so a header N too large for that fails before this O(n) work
-        c2 = [y * (y - 1) // 2 for y in range(n)]
-        c3 = [z * (z - 1) * (z - 2) // 6 for z in range(n)]
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise FormatError(f"expected three vertex labels, got {ln!r}")
+    triples = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise FormatError(f"expected three vertex labels, got {ln!r}")
+        try:
+            x, y, z = map(int, parts)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+        if x > y:
+            x, y = y, x
+        if x < 0 or x == y or y == z or z >= n:
             try:
-                x, y, z = map(int, parts)
+                TripleEdge.of(*map(int, parts))
             except ValueError as exc:
                 raise FormatError(str(exc)) from exc
-            if x > y:
-                x, y = y, x
-            if y > z:
-                y, z = z, y
-            if x > y:
-                x, y = y, x
-            if x < 0 or x == y or y == z or z >= n:
-                try:
-                    TripleEdge.of(*map(int, parts))
-                except ValueError as exc:
-                    raise FormatError(str(exc)) from exc
-                raise FormatError(f"edge {ln!r} outside [0, {n})")
-            yield c3[z] + c2[y] + x
-
-    return Coloring(n, bitmap_of_ranks(ranks(), n_triples))
+            raise FormatError(f"edge {ln!r} outside [0, {n})")
+        triples.append((z, y, x))
+    if not triples:
+        return Coloring(n, 0)
+    # The rank tables are sized by the largest label and the bitmap by the
+    # largest rank, not by n, so a sparse file with a huge n stays small.
+    c2, c3 = comb_tables(max(triples)[0] + 1)
+    ranks = [c3[z] + c2[y] + x for z, y, x in triples]
+    return Coloring(n, bitmap_of_ranks(ranks, max(ranks) + 1))
 
 
 def write_coloring(coloring: Coloring, fh: TextIO, explicit: bool = False) -> None:

@@ -100,6 +100,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert any(line.startswith("#") for line in out.splitlines())
 
+    def test_verify_on_sparse_lre1_with_huge_n(self, tmp_path, capsys):
+        f = tmp_path / "c.lre"
+        f.write_text("LRE1 100000\n0 1 2\n")
+        assert main(["verify", "--file", str(f), "--witness", "red path 0 1 2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "ok\n"
+        assert "Traceback" not in captured.err
+
     def test_verify_rejects_bad_witness(self, tmp_path, capsys):
         f = tmp_path / "c.lrc"
         f.write_text("LRC1 7\n000000000")

@@ -1,9 +1,10 @@
 """Colored hypergraph primitives: colex indexing, structures, verification."""
 
+import random
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from looseramsey.core import (
     BLUE,
@@ -24,6 +25,7 @@ from looseramsey.core import (
     validate_loose_path,
     verify_witness,
 )
+from looseramsey.oracle import _color_bits
 
 
 class TestTripleEdge:
@@ -109,6 +111,95 @@ class TestColoring:
     def test_opposite(self):
         assert opposite(RED) == BLUE
         assert opposite(BLUE) == RED
+
+
+# The shift-based lookups that the byte view replaced, kept verbatim.
+
+
+def _reference_is_red(self, e: TripleEdge) -> bool:
+    return (self.red_bits >> colex_rank(e)) & 1 == 1
+
+
+class _ReferenceColorTest:
+    """Membership test for one color class of a coloring.
+
+    Each call shifts the whole colex bitmap, so a lookup costs
+    O(C(N,3)/64) machine words, not O(1).  That is cheap for the greedy
+    path's few lookups; the move search, the chaining and the oracle read
+    link tables instead.
+    """
+
+    __slots__ = ("bits", "c2", "c3")
+
+    def __init__(self, coloring: Coloring, color: str) -> None:
+        self.bits = _color_bits(coloring, color)
+        n = coloring.n_vertices
+        self.c2 = [comb(i, 2) for i in range(n + 1)]
+        self.c3 = [comb(i, 3) for i in range(n + 1)]
+
+    def __call__(self, x: int, y: int, z: int) -> bool:
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+        if x > y:
+            x, y = y, x
+        return (self.bits >> (self.c3[z] + self.c2[y] + x)) & 1 == 1
+
+
+def _assert_lookups_match(c, rnd, sample=400):
+    """Coloring.test and is_red against the references, both colours, on
+    (a sample of) every triple with its vertices in random order."""
+    triples = list(all_triples(c.n_vertices))
+    if len(triples) > sample:
+        triples = rnd.sample(triples, sample)
+    for color in (RED, BLUE):
+        new, ref = c.test(color), _ReferenceColorTest(c, color)
+        for e in triples:
+            x, y, z = rnd.sample(e, 3)
+            assert new(x, y, z) is ref(x, y, z), (c, color, e)
+    for e in triples:
+        assert c.is_red(e) is _reference_is_red(c, e), (c, e)
+        assert edge_color(c, e) == (RED if _reference_is_red(c, e) else BLUE)
+
+
+class TestLookupParity:
+    # the seed drives a local Random: the lookups draw more bytes than a
+    # hypothesis-driven Random may consume
+    @given(st.integers(3, 40), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_sparse_swapped_and_restricted(self, n, seed):
+        rnd = random.Random(seed)
+        t = comb(n, 3)
+        bits = rnd.getrandbits(t)
+        if rnd.random() < 0.5:
+            bits &= rnd.getrandbits(t) & rnd.getrandbits(t)
+        c = Coloring(n, bits)
+        # sparse: every rank from a random cut upward is blue, so the view
+        # ends before the last triple and its top bytes are gone
+        sparse = Coloring(n, bits & ((1 << rnd.randint(0, t)) - 1))
+        for variant in (c, sparse, c.swap(), sparse.swap(), c.restrict(rnd.randint(3, n))):
+            _assert_lookups_match(variant, rnd)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 40])
+    def test_all_blue_view_is_empty(self, n):
+        c = Coloring.all_blue(n)
+        assert c._view == b""
+        red, blue = c.test(RED), c.test(BLUE)
+        for e in all_triples(n):
+            assert red(*e) is False and blue(*e) is True and c.is_red(e) is False
+
+    @pytest.mark.parametrize("rank", [0, 7, 8, 15, 16, comb(12, 3) - 1])
+    def test_single_red_triple_at_a_byte_edge(self, rank):
+        c = Coloring(12, 1 << rank)
+        assert len(c._view) == rank // 8 + 1
+        _assert_lookups_match(c, random.Random(rank), sample=comb(12, 3))
+
+    @given(st.integers(3, 40), st.randoms(use_true_random=False))
+    def test_full_restriction_is_the_coloring(self, n, rnd):
+        c = Coloring(n, rnd.getrandbits(comb(n, 3)))
+        assert c.restrict(n) is c
+        assert c.restrict(n) == Coloring(n, c.red_bits)
 
 
 class TestStructures:

@@ -1,12 +1,23 @@
 """Coloring file formats: round trips and malformed input."""
 
 import io
+import tracemalloc
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looseramsey.core import Coloring, TripleEdge, colex_rank, colex_unrank
+from looseramsey.core import (
+    RED,
+    PATH,
+    Coloring,
+    TripleEdge,
+    Witness,
+    colex_rank,
+    colex_unrank,
+    validate_loose_path,
+    verify_witness,
+)
 from looseramsey.formats import (
     FormatError,
     decode,
@@ -49,6 +60,21 @@ def test_round_trip_random(n, rnd):
     c = Coloring(n, rnd.getrandbits(Coloring.all_red(n).n_triples))
     assert decode(encode_lrc1(c)) == c
     assert decode(encode_lre1(c)) == c
+
+
+@pytest.mark.parametrize("n", [1200, 100_000])
+def test_sparse_lre1_is_sized_by_its_edges(n):
+    """A sparse LRE1 file costs memory for its edges, not for C(N,3) bits:
+    at N = 100000 that would be about 21 TB."""
+    tracemalloc.start()
+    try:
+        c = decode(f"LRE1 {n}\n0 1 2\n")
+        ok = verify_witness(c, Witness(RED, PATH, validate_loose_path([0, 1, 2])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == Coloring(n, 1) and ok
+    assert peak < 1 << 20
 
 
 def test_stream_round_trip():

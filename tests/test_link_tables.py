@@ -2,9 +2,8 @@
 
 The references below are the pair-by-pair scans that `_find_move` and
 `_chain` ran before the link tables, testing one triple at a time through
-`extractor._ColorTest`, and the first mask test of a window (`_bridges`
-with its slot matcher `_fill`); the kernels must return exactly what they
-return.
+`Coloring.test`, and the first mask test of a window (`_bridges` with its
+slot matcher `_fill`); the kernels must return exactly what they return.
 """
 
 import random
@@ -33,7 +32,6 @@ from looseramsey.core import (
     edge_color,
 )
 from looseramsey.extractor import (
-    _ColorTest,
     _bits,
     _bridges,
     _chain,
@@ -135,7 +133,7 @@ def _reference_bridges(T, lat, rat, core, wmask):
 def _reference_chain(c, verts, w0, trace, stats=None):
     """The chain search before link tables; stats, if given, receives the
     budget left at the end."""
-    blue = _ColorTest(c, BLUE)
+    blue = c.test(BLUE)
     L = (len(verts) - 1) // 2
     w0s = sorted(w0)
     total = len(w0s)
@@ -378,7 +376,7 @@ class TestKernels:
             c, p, w = _instance(seed)
             k = 3 if len(p) >= 5 and seed % 2 else 1
             lat, rat, core = p[0], p[-1], p[1 : 1 + k]
-            red = _ColorTest(c, RED)
+            red = c.test(RED)
 
             def routes(seq):
                 ends = [lat, *seq, rat]
@@ -398,7 +396,7 @@ class TestKernels:
         for seed in range(1500):
             c, p, w = _instance(seed)
             got = _find_move(_LinkTables(c).table(RED), list(p), set(w))
-            assert got == _reference_find_move(_ColorTest(c, RED), list(p), set(w)), seed
+            assert got == _reference_find_move(c.test(RED), list(p), set(w)), seed
             moves += got is not None
         assert 100 < moves < 1400
 

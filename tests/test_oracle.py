@@ -20,7 +20,6 @@ from looseramsey.core import (
     validate_loose_path,
     verify_witness,
 )
-from looseramsey.extractor import _ColorTest
 from looseramsey.oracle import (
     _structure_masks,
     exhaustive_avoidance_search,
@@ -299,7 +298,7 @@ class TestAgainstReferenceSearch:
                 searches += [(find_mono_cycle, CYCLE, L) for L in range(3, n // 2 + 1)]
                 for finder, shape, length in searches:
                     w = finder(c, color, length)
-                    ref = _reference_search(range(n), _ColorTest(c, color), shape, length)
+                    ref = _reference_search(range(n), c.test(color), shape, length)
                     got = None if w is None else list(w.structure.vertices)
                     assert got == ref, (c, color, shape, length)
                     found += ref is not None
