@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 RED = "red"
 BLUE = "blue"
@@ -72,11 +72,11 @@ def colex_unrank(rank: int, n_vertices: int) -> TripleEdge:
 
 
 @lru_cache(maxsize=128)
-def comb_tables(n_vertices: int) -> Tuple[List[int], List[int]]:
+def comb_tables(n_vertices: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """C(y, 2) and C(z, 3) for every label below n_vertices, so that the rank
     of {x < y < z} is c3[z] + c2[y] + x."""
-    c2 = [y * (y - 1) // 2 for y in range(n_vertices)]
-    c3 = [z * (z - 1) * (z - 2) // 6 for z in range(n_vertices)]
+    c2 = tuple(y * (y - 1) // 2 for y in range(n_vertices))
+    c3 = tuple(z * (z - 1) * (z - 2) // 6 for z in range(n_vertices))
     return c2, c3
 
 
@@ -146,15 +146,17 @@ class Coloring:
         return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
 
     def is_red(self, e: TripleEdge) -> bool:
-        r = colex_rank(e)
-        view = self._view
-        return r >> 3 < len(view) and view[r >> 3] >> (r & 7) & 1 == 1
+        a, b, c = e
+        r = comb(c, 3) + comb(b, 2) + a  # colex_rank(e)
+        try:
+            return self._view[r >> 3] >> (r & 7) & 1 == 1
+        except IndexError:  # past the highest red rank
+            return False
 
     def test(self, color: str) -> EdgeTest:
         """Membership test f(x, y, z) for one color class, over three distinct
         vertices below N in any order; reads the same byte view as is_red."""
         view = self._view
-        n_bits = 8 * len(view)
         c2, c3 = comb_tables(self.n_vertices)
 
         def red(x: int, y: int, z: int) -> bool:
@@ -165,7 +167,10 @@ class Coloring:
             if x > y:
                 x, y = y, x
             r = c3[z] + c2[y] + x
-            return r < n_bits and view[r >> 3] >> (r & 7) & 1 == 1
+            try:
+                return view[r >> 3] >> (r & 7) & 1 == 1
+            except IndexError:  # past the highest red rank
+                return False
 
         return red if color == RED else lambda x, y, z: not red(x, y, z)
 
