@@ -157,7 +157,11 @@ class Coloring:
         """Membership test f(x, y, z) for one color class, over three distinct
         vertices below N in any order; reads the same byte view as is_red."""
         view = self._view
-        c2, c3 = comb_tables(self.n_vertices)
+        # A triple with a vertex >= k has rank >= C(k, 3) > 8 * len(view), so
+        # it is blue: the tables stop at k, not N, and reading past them
+        # raises the same IndexError as reading past the view.
+        k = min(self.n_vertices, int((48 * len(view)) ** (1 / 3)) + 4)
+        c2, c3 = comb_tables(k)
 
         def red(x: int, y: int, z: int) -> bool:
             if x > y:
@@ -166,10 +170,10 @@ class Coloring:
                 y, z = z, y
             if x > y:
                 x, y = y, x
-            r = c3[z] + c2[y] + x
             try:
+                r = c3[z] + c2[y] + x
                 return view[r >> 3] >> (r & 7) & 1 == 1
-            except IndexError:  # past the highest red rank
+            except IndexError:  # past the tables or the view
                 return False
 
         return red if color == RED else lambda x, y, z: not red(x, y, z)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 from typing import TextIO
 
-from .core import Coloring, TripleEdge, bitmap_of_ranks, comb_tables
+from .core import Coloring, TripleEdge, bitmap_of_ranks
 
 
 class FormatError(ValueError):
@@ -70,7 +70,9 @@ def decode(text: str) -> Coloring:
             raise FormatError("padding bits must be zero")
         return Coloring(n, bits)
 
-    triples = []
+    # Nothing here is sized by n: the bitmap is sized by the largest rank, so
+    # a sparse file with a huge n stays small.
+    ranks = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -91,14 +93,8 @@ def decode(text: str) -> Coloring:
             except ValueError as exc:
                 raise FormatError(str(exc)) from exc
             raise FormatError(f"edge {ln!r} outside [0, {n})")
-        triples.append((z, y, x))
-    if not triples:
-        return Coloring(n, 0)
-    # The rank tables are sized by the largest label and the bitmap by the
-    # largest rank, not by n, so a sparse file with a huge n stays small.
-    c2, c3 = comb_tables(max(triples)[0] + 1)
-    ranks = [c3[z] + c2[y] + x for z, y, x in triples]
-    return Coloring(n, bitmap_of_ranks(ranks, max(ranks) + 1))
+        ranks.append(comb(z, 3) + comb(y, 2) + x)
+    return Coloring(n, bitmap_of_ranks(ranks, max(ranks, default=-1) + 1))
 
 
 def write_coloring(coloring: Coloring, fh: TextIO, explicit: bool = False) -> None:
