@@ -72,11 +72,11 @@ def colex_unrank(rank: int, n_vertices: int) -> TripleEdge:
 
 
 @lru_cache(maxsize=128)
-def comb_tables(n_vertices: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """C(y, 2) and C(z, 3) for every label below n_vertices, so that the rank
-    of {x < y < z} is c3[z] + c2[y] + x."""
-    c2 = tuple(y * (y - 1) // 2 for y in range(n_vertices))
-    c3 = tuple(z * (z - 1) * (z - 2) // 6 for z in range(n_vertices))
+def _comb_tables(size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """C(y, 2) and C(z, 3) for every label below size, so that the rank of
+    {x < y < z} is c3[z] + c2[y] + x."""
+    c2 = tuple(y * (y - 1) // 2 for y in range(size))
+    c3 = tuple(z * (z - 1) * (z - 2) // 6 for z in range(size))
     return c2, c3
 
 
@@ -161,7 +161,7 @@ class Coloring:
         # it is blue: the tables stop at k, not N, and reading past them
         # raises the same IndexError as reading past the view.
         k = min(self.n_vertices, int((48 * len(view)) ** (1 / 3)) + 4)
-        c2, c3 = comb_tables(k)
+        c2, c3 = _comb_tables(k)
 
         def red(x: int, y: int, z: int) -> bool:
             if x > y:

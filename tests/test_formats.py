@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from looseramsey.core import (
-    RED,
     PATH,
+    RED,
     Coloring,
     TripleEdge,
     Witness,
+    _comb_tables,
     colex_rank,
     colex_unrank,
-    comb_tables,
     validate_loose_path,
     verify_witness,
 )
@@ -67,7 +67,7 @@ def test_round_trip_random(n, rnd):
 def test_sparse_lre1_is_sized_by_its_edges(n):
     """A sparse LRE1 file costs memory for its edges, not for C(N,3) bits:
     at N = 100000 that would be about 21 TB."""
-    comb_tables.cache_clear()  # count the rank tables, even if cached earlier
+    _comb_tables.cache_clear()  # count the rank tables, even if cached earlier
     tracemalloc.start()
     try:
         c = decode(f"LRE1 {n}\n0 1 2\n")
