@@ -5,10 +5,13 @@ A (``a+1``) or in B (``b+1``), in its plain or swapped orientation, with 0, 1
 or 8 triples flipped.  The flips are drawn by ``random.Random`` seeded with
 the case label, so every process draws the same ones.  The expected
 witnesses live in ``witness_corpus.json`` next to this file; a change to the
-search that alters any of them fails here.
+search that alters any of them fails here.  ``trace_pins.json`` holds, per
+case, the sha1 of the trace notes joined by newlines, so a change that keeps
+a witness but alters a note (``perfbench/spans.py`` counts steps by note
+prefix) fails here too.
 
-Regenerate the data (only when a witness change is intended, and list it in
-CHANGES.md) with ``PYTHONPATH=src python tests/test_witness_corpus.py``.
+Regenerate both files (only when a witness or note change is intended, and
+list it in CHANGES.md) with ``PYTHONPATH=src python tests/test_witness_corpus.py``.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ from looseramsey.core import Coloring, verify_witness
 from looseramsey.extractor import solve
 
 CORPUS = Path(__file__).with_name("witness_corpus.json")
+TRACES = Path(__file__).with_name("trace_pins.json")
 SIZES = (5, 6, 7, 8)
 FLIPS = (0, 1, 8)
 
@@ -61,11 +65,17 @@ def _witness_line(w) -> str:
     return f"{w.color} {w.shape} " + " ".join(str(v) for v in w.structure.vertices)
 
 
-def _solve_quietly(pair, c):
+def _solve_quietly(pair, c, trace=None):
     # flipped cases may finish by completion, which warns
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return solve(pair, c)
+        return solve(pair, c, trace)
+
+
+def _trace_sha1(pair, c) -> str:
+    trace = []
+    _solve_quietly(pair, c, trace)
+    return hashlib.sha1("\n".join(trace).encode()).hexdigest()
 
 
 EXPECTED = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
@@ -106,7 +116,23 @@ def test_large_witness_is_pinned(label, pair, c):
     assert hashlib.sha1(_witness_line(w).encode()).hexdigest() == LARGE[label]
 
 
+TRACE_CASES = CASES + list(_large_cases())
+EXPECTED_TRACES = json.loads(TRACES.read_text()) if TRACES.exists() else {}
+
+
+def test_trace_pins_cover_every_case():
+    assert sorted(EXPECTED_TRACES) == sorted(label for label, _, _ in TRACE_CASES)
+
+
+@pytest.mark.parametrize("label,pair,c", TRACE_CASES, ids=[case[0] for case in TRACE_CASES])
+def test_trace_is_pinned(label, pair, c):
+    assert _trace_sha1(pair, c) == EXPECTED_TRACES[label]
+
+
 if __name__ == "__main__":
     data = {label: _witness_line(_solve_quietly(pair, c)) for label, pair, c in CASES}
     CORPUS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} witnesses to {CORPUS}")
+    traces = {label: _trace_sha1(pair, c) for label, pair, c in TRACE_CASES}
+    TRACES.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(traces)} trace digests to {TRACES}")
