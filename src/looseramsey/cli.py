@@ -35,8 +35,7 @@ from .core import (
     RED,
     Coloring,
     Witness,
-    validate_loose_cycle,
-    validate_loose_path,
+    validate_structure,
     verify_witness,
 )
 from .extractor import ramsey_number, solve
@@ -176,12 +175,7 @@ def _parse_witness(text: str) -> Witness:
     color, shape = parts[0], parts[1]
     if color not in (RED, BLUE):
         raise ValueError(f"unknown color {color!r}")
-    verts = [int(p) for p in parts[2:]]
-    if shape == PATH:
-        return Witness(color, PATH, validate_loose_path(verts))
-    if shape == CYCLE:
-        return Witness(color, CYCLE, validate_loose_cycle(verts))
-    raise ValueError(f"unknown shape {shape!r}")
+    return Witness(color, shape, validate_structure(shape, [int(p) for p in parts[2:]]))
 
 
 def _cmd_construct(args) -> int:

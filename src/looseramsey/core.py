@@ -299,6 +299,15 @@ def validate_loose_cycle(vertices) -> LooseCycle:
     return LooseCycle(v)
 
 
+def validate_structure(shape: str, vertices) -> Structure:
+    """Check vertices as a loose path or a loose cycle, as shape names."""
+    if shape == PATH:
+        return validate_loose_path(vertices)
+    if shape == CYCLE:
+        return validate_loose_cycle(vertices)
+    raise StructureError(f"unknown shape {shape!r}")
+
+
 @dataclass(frozen=True)
 class Witness:
     """A monochromatic loose structure claimed to exist in a coloring."""
@@ -326,12 +335,7 @@ def verify_witness(coloring: Coloring, witness: Witness) -> VerifyResult:
     if witness.color not in (RED, BLUE):
         return VerifyResult(False, f"unknown color {witness.color!r}")
     try:
-        if witness.shape == PATH:
-            structure = validate_loose_path(witness.structure.vertices)
-        elif witness.shape == CYCLE:
-            structure = validate_loose_cycle(witness.structure.vertices)
-        else:
-            return VerifyResult(False, f"unknown shape {witness.shape!r}")
+        structure = validate_structure(witness.shape, witness.structure.vertices)
     except StructureError as exc:
         return VerifyResult(False, str(exc))
     if max(structure.vertices) >= coloring.n_vertices:

@@ -50,6 +50,7 @@ from .core import (
     opposite,
     validate_loose_cycle,
     validate_loose_path,
+    validate_structure,
     verify_witness,
 )
 from .oracle import (
@@ -301,6 +302,20 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
     return None
 
 
+def _grow(c: Coloring, links: _LinkTables, seq: List[int], need: int) -> List[int]:
+    """Grow the red path seq, maximal under end extension, by replacement
+    moves until it has need edges or no move applies, extending the ends
+    again after every move.  links serves c (or a coloring it is a prefix of)."""
+    red = c.test(RED)
+    while (len(seq) - 1) // 2 < need:
+        mv = _find_move(links.table(RED), seq, set(range(c.n_vertices)) - set(seq))
+        if mv is None:
+            break
+        seq = mv[0]
+        _append_extend(red, c.n_vertices, seq)
+    return seq
+
+
 # ---------------------------------------------------------------------------
 # Blue chaining through windows of the red path.
 
@@ -437,14 +452,26 @@ def _chain(
 def _check(c: Coloring, color: str, shape: str, seq: Sequence[int]) -> Optional[Witness]:
     """Wrap seq as a witness iff it validates and is entirely of the color."""
     try:
-        if shape == PATH:
-            structure = validate_loose_path(seq)
-        else:
-            structure = validate_loose_cycle(seq)
+        w = Witness(color, shape, validate_structure(shape, seq))
     except StructureError:
         return None
-    w = Witness(color, shape, structure)
     return w if verify_witness(c, w) else None
+
+
+def _find(c: Coloring, color: str, target: Tuple[str, int]) -> Optional[Witness]:
+    """Complete search for a structure of the colour, shape and length."""
+    shape, length = target
+    return (find_mono_path if shape == PATH else find_mono_cycle)(c, color, length)
+
+
+def _from_family(
+    family: List[TripleEdge], color: str, shape: str, length: int
+) -> Optional[Witness]:
+    """A structure of the shape and length inside the edge family, all of
+    whose edges have the colour; None if the family holds none."""
+    find = find_loose_path_from_edges if shape == PATH else find_loose_cycle_from_edges
+    seq = find(family, length)
+    return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
 
 
 def _completion(
@@ -465,11 +492,7 @@ def _completion(
         RuntimeWarning,
         stacklevel=2,
     )
-    finder = find_mono_path if bshape == PATH else find_mono_cycle
-    w = finder(c, BLUE, blen)
-    if w is None:
-        finder = find_mono_path if rshape == PATH else find_mono_cycle
-        w = finder(c, RED, rlen)
+    w = _find(c, BLUE, blue_target) or _find(c, RED, red_target)
     if w is None:
         raise ExtractionError(
             f"no witness found below threshold invariants; trace: {trace}"
@@ -478,11 +501,13 @@ def _completion(
 
 
 def _open_cycle(c: Coloring, cyc: List[int], color: str):
-    """Open a monochromatic cycle into a same-color path one edge longer.
+    """Open a monochromatic cycle at its first boundary edge {c1, c2, z} of
+    the same colour, {c0, c1, c2} a cycle edge and z outside the cycle; per
+    cycle edge {u, v, w}, {v, w, z} is tried before {u, v, z}.
 
-    Tries every cycle edge against every outside vertex; if every boundary
-    edge has the opposite color, returns that bipartite edge family instead.
-    Returns ("path", seq) or ("family", edges).
+    Returns (path, None), the path z, c1, c2, ..., c0 of the cycle's length,
+    or (None, family) when every boundary edge, listed in family, has the
+    opposite colour.
     """
     test = c.test(color)
     k = len(cyc)
@@ -491,13 +516,13 @@ def _open_cycle(c: Coloring, cyc: List[int], color: str):
     for j in range(0, k, 2):
         u, v, w = cyc[j], cyc[j + 1], cyc[(j + 2) % k]
         for z in outside:
-            if test(u, v, z):
-                return "path", cyc[j + 2 :] + cyc[: j + 1] + [v, z]
             if test(v, w, z):
-                return "path", [z, v] + cyc[j + 2 :] + cyc[: j + 1]
+                return [z, v] + cyc[j + 2 :] + cyc[: j + 1], None
+            if test(u, v, z):
+                return [z, v] + (cyc[j + 2 :] + cyc[: j + 1])[::-1], None
             family.append(TripleEdge.of(u, v, z))
             family.append(TripleEdge.of(v, w, z))
-    return "family", family
+    return None, family
 
 
 def _convert_red_cycle(
@@ -506,21 +531,14 @@ def _convert_red_cycle(
 ) -> Witness:
     """A red cycle of length n yields either a red path of length n or the
     blue target assembled from the all-blue cycle boundary."""
-    kind, payload = _open_cycle(c, cyc, RED)
-    if kind == "path":
+    path, family = _open_cycle(c, cyc, RED)
+    if path is not None:
         _note(trace, "opened red cycle into red path")
-        return Witness(RED, PATH, validate_loose_path(payload))
+        return Witness(RED, PATH, validate_loose_path(path))
     _note(trace, "cycle boundary entirely blue; assembling blue target")
-    if blue_shape == CYCLE:
-        seq = find_loose_cycle_from_edges(payload, blue_m)
-    else:
-        seq = find_loose_path_from_edges(payload, blue_m)
-    if seq is not None:
-        structure = (
-            validate_loose_cycle(seq) if blue_shape == CYCLE else validate_loose_path(seq)
-        )
-        return Witness(BLUE, blue_shape, structure)
-    return _completion(c, (blue_shape, blue_m), (PATH, n), trace, "cycle conversion")
+    return _from_family(family, BLUE, blue_shape, blue_m) or _completion(
+        c, (blue_shape, blue_m), (PATH, n), trace, "cycle conversion"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +546,7 @@ def _convert_red_cycle(
 
 
 def _cycle_candidates(
-    P: List[int], c0: int, c1: int, c2: int, z: int,
-    qq: List[int], x: int, m: int, u: Optional[int],
+    P: List[int], c1: int, z: int, qq: List[int], x: int, m: int, u: Optional[int],
 ) -> List[Tuple[str, str, List[int]]]:
     """Closing candidates for the cycle step, one chain orientation.
 
@@ -538,7 +555,7 @@ def _cycle_candidates(
     candidate is fully monochromatic in each branch of the case analysis;
     invalid or miscolored candidates are discarded by the caller's check.
     """
-    x1, y1 = qq[0], qq[-1]
+    c0, x1, y1 = P[-1], qq[0], qq[-1]
     cands: List[Tuple[str, str, List[int]]] = []
     if x == 0 and m % 2 == 0:
         cands.append((BLUE, CYCLE, qq + [c1, c0, z]))
@@ -576,46 +593,14 @@ def _cycle_step(
     the blue target (cycle of length m, or path of length m when n > m).
     links serves c (or a coloring it is a prefix of).
     """
-    red = c.test(RED)
-    k = len(cyc)
-    outside = sorted(set(range(c.n_vertices)) - set(cyc))
-
-    opener = None
-    for idx in range(0, k, 2):
-        va, vb, vc = cyc[idx], cyc[idx + 1], cyc[(idx + 2) % k]
-        for z in outside:
-            if red(vb, vc, z):
-                opener = (cyc[idx:] + cyc[:idx], z)
-                break
-            if red(va, vb, z):
-                # reverse the cycle so the red boundary edge sits at the front
-                opener = ([cyc[(idx + 2 - t) % k] for t in range(k)], z)
-                break
-        if opener:
-            break
-
-    if opener is None:
-        # every boundary edge between the cycle and the outside is blue
+    path, family = _open_cycle(c, cyc, RED)
+    if path is None:
         _note(trace, "cycle boundary entirely blue; assembling blue target directly")
-        family = []
-        for j in range(0, k, 2):
-            for z in outside:
-                family.append(TripleEdge.of(cyc[j], cyc[j + 1], z))
-                family.append(TripleEdge.of(cyc[j + 1], cyc[(j + 2) % k], z))
-        if want == CYCLE:
-            seq = find_loose_cycle_from_edges(family, m)
-            if seq is not None:
-                return Witness(BLUE, CYCLE, validate_loose_cycle(seq))
-        else:
-            seq = find_loose_path_from_edges(family, m)
-            if seq is not None:
-                return Witness(BLUE, PATH, validate_loose_path(seq))
-        return _completion(c, (want, m), (CYCLE, n), trace, "blue boundary assembly")
-
-    cyc2, z = opener
-    c0, c1, c2 = cyc2[0], cyc2[1], cyc2[2]
-    P = list(cyc2[2:]) + [cyc2[0]]
-    W0 = [v for v in outside if v != z]
+        return _from_family(family, BLUE, want, m) or _completion(
+            c, (want, m), (CYCLE, n), trace, "blue boundary assembly"
+        )
+    z, c1, P = path[0], path[1], path[2:]
+    W0 = sorted(set(range(c.n_vertices)) - set(path))
     _note(trace, f"opened cycle: boundary edge through {z}, reservoir {W0}")
 
     # Any replacement move on the opened path closes to the longer red cycle.
@@ -632,7 +617,7 @@ def _cycle_step(
 
     u = sorted(set(W0) - used)[0] if x == 1 else None
     for qq in (qq0, qq0[::-1]):
-        for color, shape, seq in _cycle_candidates(P, c0, c1, c2, z, qq, x, m, u):
+        for color, shape, seq in _cycle_candidates(P, c1, z, qq, x, m, u):
             w = _check(c, color, shape, seq)
             if w is None:
                 continue
@@ -643,14 +628,14 @@ def _cycle_step(
                 _note(trace, "closing candidate blue: blue cycle")
                 return w
             # blue cycle found but a blue path is wanted: open it
-            kind, payload = _open_cycle(c, list(seq), BLUE)
-            if kind == "path":
+            bpath, family = _open_cycle(c, list(seq), BLUE)
+            if bpath is not None:
                 _note(trace, "opened blue cycle into blue path")
-                return Witness(BLUE, PATH, validate_loose_path(payload))
-            rseq = find_loose_cycle_from_edges(payload, n)
-            if rseq is not None:
+                return Witness(BLUE, PATH, validate_loose_path(bpath))
+            rw = _from_family(family, RED, CYCLE, n)
+            if rw is not None:
                 _note(trace, "blue cycle boundary entirely red: red cycle")
-                return Witness(RED, CYCLE, validate_loose_cycle(rseq))
+                return rw
             return _completion(c, (PATH, m), (CYCLE, n), trace, "blue cycle opening")
     return _completion(c, (want, m), (CYCLE, n), trace, "no closing candidate matched")
 
@@ -683,22 +668,13 @@ def _path_step(
 ) -> Witness:
     """Lift a red path of length n-1 to a red path of length n or produce a
     blue path of length m.  links serves c (or a coloring it is a prefix of)."""
-    red = c.test(RED)
     p = list(p)
     # grow toward the red target before anything else
-    while True:
-        _append_extend(red, c.n_vertices, p)
-        if (len(p) - 1) // 2 >= n:
-            _note(trace, "red path extended to target length")
-            return Witness(RED, PATH, validate_loose_path(p[: 2 * n + 1]))
-        wbar = set(range(c.n_vertices)) - set(p)
-        mv = _find_move(links.table(RED), p, wbar)
-        if mv is None:
-            break
-        p = mv[0]
-        if (len(p) - 1) // 2 >= n:
-            _note(trace, "red path extended to target length")
-            return Witness(RED, PATH, validate_loose_path(p[: 2 * n + 1]))
+    _append_extend(c.test(RED), c.n_vertices, p)
+    p = _grow(c, links, p, n)
+    if (len(p) - 1) // 2 >= n:
+        _note(trace, "red path extended to target length")
+        return Witness(RED, PATH, validate_loose_path(p[: 2 * n + 1]))
 
     wbar = sorted(set(range(c.n_vertices)) - set(p))
     u = wbar[-1]
@@ -739,24 +715,14 @@ def _fast_red(c: Coloring, target: Tuple[str, int], links: _LinkTables) -> Optio
     gp = greedy_red_path(c)
     if not gp.vertices:
         return None
-    red = c.test(RED)
-    seq = list(gp.vertices)
     need = tlen if shape == PATH else tlen - 1
-    while (len(seq) - 1) // 2 < need:
-        wset = set(range(c.n_vertices)) - set(seq)
-        mv = _find_move(links.table(RED), seq, wset)
-        if mv is None:
-            break
-        seq = mv[0]
-        _append_extend(red, c.n_vertices, seq)
-    L = (len(seq) - 1) // 2
+    seq = _grow(c, links, list(gp.vertices), need)
+    if (len(seq) - 1) // 2 < need:
+        return None
     if shape == PATH:
-        if L >= tlen:
-            return Witness(RED, PATH, validate_loose_path(seq[: 2 * tlen + 1]))
-        return None
-    if L < tlen - 1:
-        return None
+        return Witness(RED, PATH, validate_loose_path(seq[: 2 * tlen + 1]))
     # close a sub-path of length tlen-1 with one fresh vertex
+    red = c.test(RED)
     span = 2 * tlen - 1
     for off in range(0, len(seq) - span + 1, 2):
         sub = seq[off : off + span]
@@ -770,11 +736,9 @@ def _fast_red(c: Coloring, target: Tuple[str, int], links: _LinkTables) -> Optio
 def _oracle_solve(pair: PairKind, c: Coloring, trace: Optional[List[str]]) -> Witness:
     """Complete search for the base cases; red target first."""
     _note(trace, f"base case {pair}: complete search")
-    for color, (shape, length) in ((RED, pair.red_target), (BLUE, pair.blue_target)):
-        finder = find_mono_path if shape == PATH else find_mono_cycle
-        w = finder(c, color, length)
-        if w is not None:
-            return w
+    w = _find(c, RED, pair.red_target) or _find(c, BLUE, pair.blue_target)
+    if w is not None:
+        return w
     raise ExtractionError(f"base case {pair} produced no witness; trace: {trace}")
 
 
@@ -788,62 +752,37 @@ def _solve(
         _note(trace, f"{pair}: red target built greedily")
         return w
 
-    if kind == PP:
-        if (n, m) in _BASES:
-            return _oracle_solve(pair, c, trace)
-        if n > m:
-            sub = PairKind(PP, n - 1, m)
-            rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-            if rw.color == BLUE:
-                return rw
-            return _path_step(c, list(rw.structure.vertices), n, m, links, trace)
-        sub = PairKind(PP, n, n - 1)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-        if rw.color == RED:
-            return rw
-        _note(trace, f"{pair}: swapping colors around blue path of length {n - 1}")
-        return _swapped(_path_step(c.swap(), list(rw.structure.vertices), n, n, links.swap(), trace))
+    if kind in (PP, CC) and (n, m) in _BASES:
+        return _oracle_solve(pair, c, trace)
 
-    if kind == CC:
-        if (n, m) in _BASES:
-            return _oracle_solve(pair, c, trace)
-        if n > m:
-            sub = PairKind(CC, n - 1, m)
-            rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-            if rw.color == BLUE:
-                return rw
-            return _cycle_step(c, list(rw.structure.vertices), n, m, CYCLE, links, trace)
-        sub = PairKind(CC, n, n - 1)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-        if rw.color == RED:
-            return rw
-        _note(trace, f"{pair}: swapping colors around blue cycle of length {n - 1}")
-        return _swapped(_cycle_step(c.swap(), list(rw.structure.vertices), n, n, CYCLE, links.swap(), trace))
-
+    # Lift the sub pair's witness by one step: its red structure, or its blue
+    # one with the colours swapped; its other colour is already a witness.
     if kind == PNCM:
-        sub = PairKind(CC, n, m)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-        if rw.color == BLUE:
-            return rw
-        return _convert_red_cycle(c, list(rw.structure.vertices), n, CYCLE, m, trace)
-
-    # kind == PMCN
-    if (n, m) == (4, 3):
-        sub = PairKind(CC, 4, 4)
-        rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-        if rw.color == BLUE:
-            return rw
-        # a red cycle of length 4 contains a red path of length 3
-        return Witness(RED, PATH, validate_loose_path(rw.structure.vertices[:7]))
-    if n == m + 1:
-        sub = PairKind(PNCM, m, m)
+        swap, sub = False, PairKind(CC, n, m)
+    elif (kind, n, m) == (PMCN, 4, 3):
+        swap, sub = False, PairKind(CC, 4, 4)
+    elif kind == PMCN:
+        swap, sub = True, PairKind(PNCM, m, m) if n == m + 1 else PairKind(PMCN, n - 1, m)
     else:
-        sub = PairKind(PMCN, n - 1, m)
+        swap = n == m
+        sub = PairKind(kind, n, n - 1) if swap else PairKind(kind, n - 1, m)
     rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-    if rw.color == RED:
+    if rw.color == (RED if swap else BLUE):
         return rw
-    _note(trace, f"{pair}: swapping colors around blue cycle of length {sub.n}")
-    return _swapped(_cycle_step(c.swap(), list(rw.structure.vertices), n, m, PATH, links.swap(), trace))
+    if swap:
+        _note(trace, f"{pair}: swapping colors around blue {rw.shape} of length {rw.length}")
+        c, links = c.swap(), links.swap()
+    verts = list(rw.structure.vertices)
+    if kind == PNCM:
+        w = _convert_red_cycle(c, verts, n, CYCLE, m, trace)
+    elif (kind, n, m) == (PMCN, 4, 3):
+        # a red cycle of length 4 contains a red path of length 3
+        w = Witness(RED, PATH, validate_loose_path(verts[:7]))
+    elif kind == PP:
+        w = _path_step(c, verts, n, m, links, trace)
+    else:
+        w = _cycle_step(c, verts, n, m, CYCLE if kind == CC else PATH, links, trace)
+    return _swapped(w) if swap else w
 
 
 def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None) -> Witness:

@@ -14,6 +14,7 @@ from looseramsey.core import (
     Coloring,
     TripleEdge,
     Witness,
+    colex_rank,
     validate_loose_cycle,
     validate_loose_path,
     verify_witness,
@@ -23,6 +24,7 @@ from looseramsey.extractor import (
     _cycle_step,
     _find_move,
     _LinkTables,
+    _open_cycle,
     _path_step,
     greedy_red_path,
     ramsey_number,
@@ -51,6 +53,113 @@ def _maximal(c, verts, wset):
         wset = wset - {x, y}
     return verts, wset
 
+
+def _reference_step_opener(c, cyc):
+    """The boundary scan that `_cycle_step` ran before `_open_cycle` served
+    it, verbatim: ((z, c1, P), None) or (None, all-blue family)."""
+    red = c.test(RED)
+    k = len(cyc)
+    outside = sorted(set(range(c.n_vertices)) - set(cyc))
+
+    opener = None
+    for idx in range(0, k, 2):
+        va, vb, vc = cyc[idx], cyc[idx + 1], cyc[(idx + 2) % k]
+        for z in outside:
+            if red(vb, vc, z):
+                opener = (cyc[idx:] + cyc[:idx], z)
+                break
+            if red(va, vb, z):
+                # reverse the cycle so the red boundary edge sits at the front
+                opener = ([cyc[(idx + 2 - t) % k] for t in range(k)], z)
+                break
+        if opener:
+            break
+
+    if opener is None:
+        family = []
+        for j in range(0, k, 2):
+            for z in outside:
+                family.append(TripleEdge.of(cyc[j], cyc[j + 1], z))
+                family.append(TripleEdge.of(cyc[j + 1], cyc[(j + 2) % k], z))
+        return None, family
+
+    cyc2, z = opener
+    c0, c1, c2 = cyc2[0], cyc2[1], cyc2[2]
+    P = list(cyc2[2:]) + [cyc2[0]]
+    return (z, c1, P), None
+
+
+def _reference_open_cycle(c, cyc, color):
+    """`_open_cycle` before it tested {v, w, z} first and started every
+    path at z, verbatim."""
+    test = c.test(color)
+    k = len(cyc)
+    outside = sorted(set(range(c.n_vertices)) - set(cyc))
+    family = []
+    for j in range(0, k, 2):
+        u, v, w = cyc[j], cyc[j + 1], cyc[(j + 2) % k]
+        for z in outside:
+            if test(u, v, z):
+                return "path", cyc[j + 2 :] + cyc[: j + 1] + [v, z]
+            if test(v, w, z):
+                return "path", [z, v] + cyc[j + 2 :] + cyc[: j + 1]
+            family.append(TripleEdge.of(u, v, z))
+            family.append(TripleEdge.of(v, w, z))
+    return "family", family
+
+
+def _opener_instance(seed):
+    """(coloring, cycle, colour): a random coloring of K3_N, N 7-14, and a
+    random cycle of the colour whose boundary edges before the cycle edge
+    at a random j (or all of them) have the opposite colour, so the first
+    boundary edge of the colour sits at j = 0, at the wrap j = k - 2, in
+    between, or nowhere."""
+    rnd = random.Random(seed)
+    n = rnd.randint(7, 14)
+    k = 2 * rnd.randint(3, n // 2)
+    cyc = rnd.sample(range(n), k)
+    color = rnd.choice((RED, BLUE))
+    first = rnd.choice([0, k - 2, None] + list(range(0, k, 2)))
+    bits = rnd.getrandbits(comb(n, 3))
+    for j in range(0, k, 2):
+        bit = 1 << colex_rank(TripleEdge.of(cyc[j], cyc[j + 1], cyc[(j + 2) % k]))
+        bits = bits | bit if color == RED else bits & ~bit
+    outside = [z for z in range(n) if z not in cyc]
+    for j in range(0, k if first is None else first, 2):
+        for z in outside:
+            for e in (TripleEdge.of(cyc[j], cyc[j + 1], z), TripleEdge.of(cyc[j + 1], cyc[(j + 2) % k], z)):
+                bit = 1 << colex_rank(e)
+                bits = bits & ~bit if color == RED else bits | bit
+    return Coloring(n, bits), cyc, color
+
+
+class TestOpenCycle:
+    """`_open_cycle` is the one boundary scan: the cycle step's opener, the
+    red-cycle conversion and the blue-cycle opening all call it."""
+
+    def test_matches_the_step_opener_and_families(self):
+        found = wrapped = 0
+        for seed in range(1500):
+            c, cyc, color = _opener_instance(seed)
+            k = len(cyc)
+            path, family = _open_cycle(c, cyc, color)
+            # the old step opener reads red; the blue case is red after a swap
+            ref, ref_family = _reference_step_opener(c if color == RED else c.swap(), cyc)
+            old_kind, old_payload = _reference_open_cycle(c, cyc, color)
+            if path is None:
+                assert ref is None and old_kind == "family"
+                assert set(family) == set(ref_family) == set(old_payload)
+                assert len(family) == len(set(family)) == k * (c.n_vertices - k)
+                assert all(c.is_red(e) == (color == BLUE) for e in family)
+                continue
+            assert family is None and old_kind == "path"
+            assert (path[0], path[1], path[2:]) == ref
+            w = Witness(color, PATH, validate_loose_path(path))
+            assert w.length == k // 2 and verify_witness(c, w)
+            assert set(path) == set(cyc) | {path[0]}
+            found += 1
+            wrapped += path[1] == cyc[k - 1]
+        assert found > 500 and wrapped > 20
 
 class TestRamseyNumber:
     @pytest.mark.parametrize(
