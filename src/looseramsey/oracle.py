@@ -153,23 +153,6 @@ def find_mono_cycle(coloring: Coloring, color: str, length: int) -> Optional[Wit
     return None if seq is None else Witness(color, CYCLE, validate_loose_cycle(seq))
 
 
-def longest_mono_path(coloring: Coloring, color: str) -> Tuple[int, Optional[Witness]]:
-    """Largest l admitting a monochromatic loose path, with a witness.
-
-    A prefix of a loose path is a loose path, so the first failing length
-    settles the maximum.
-    """
-    best: Optional[Witness] = None
-    length = 0
-    while 2 * (length + 1) + 1 <= coloring.n_vertices:
-        found = find_mono_path(coloring, color, length + 1)
-        if found is None:
-            break
-        best = found
-        length += 1
-    return length, best
-
-
 def _structure_masks(n_vertices: int, shape: str, length: int) -> List[int]:
     """Edge-rank bitmasks of every copy of the target structure in K3_N,
     each once, in the order of the first vertex sequence that spans it."""

@@ -16,7 +16,8 @@ from looseramsey.constructions import (
 )
 from looseramsey.core import BLUE, CYCLE, PATH, RED, Coloring, TripleEdge, edge_color
 from looseramsey.extractor import ramsey_number
-from looseramsey.oracle import find_mono_cycle, find_mono_path, longest_mono_path
+from looseramsey.oracle import find_mono_cycle, find_mono_path
+from test_oracle import longest_mono_path
 
 
 class TestPairKind:

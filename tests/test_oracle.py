@@ -27,12 +27,29 @@ from looseramsey.oracle import (
     find_loose_path_from_edges,
     find_mono_cycle,
     find_mono_path,
-    longest_mono_path,
 )
 
 
 def _random_coloring(n, rnd):
     return Coloring(n, rnd.getrandbits(comb(n, 3)))
+
+
+def longest_mono_path(coloring, color):
+    """Largest l admitting a monochromatic loose path, with a witness
+    (length 0 and None if there is none).
+
+    A prefix of a loose path is a loose path, so the first failing length
+    settles the maximum.
+    """
+    best = None
+    length = 0
+    while 2 * (length + 1) + 1 <= coloring.n_vertices:
+        found = find_mono_path(coloring, color, length + 1)
+        if found is None:
+            break
+        best = found
+        length += 1
+    return length, best
 
 
 class TestFindMonoPath:
