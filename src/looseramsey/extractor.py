@@ -150,18 +150,17 @@ def _red_edge_at(red: EdgeTest, free: List[int], end: int) -> Optional[Tuple[int
 def _append_extend(red: EdgeTest, n: int, seq: List[int]) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
     per edge, lowest labels first; the tail end is tried first."""
+    free = sorted(set(range(n)) - set(seq))
     while True:
-        used = set(seq)
-        free = [v for v in range(n) if v not in used]
         step = _red_edge_at(red, free, seq[-1])
         if step is not None:
             seq.extend(step)
-            continue
-        step = _red_edge_at(red, free, seq[0])
-        if step is None:
+        elif (step := _red_edge_at(red, free, seq[0])) is not None:
+            seq[:0] = step[::-1]
+        else:
             return
-        mid, new = step
-        seq[:0] = [new, mid]
+        for v in step:
+            free.remove(v)
 
 
 def greedy_red_path(c: Coloring) -> LoosePath:
