@@ -303,6 +303,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError) as exc:  # unreadable files; FormatError, StructureError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:  # a coloring too large to hold
+        reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: input too large to hold in memory ({reason})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -202,6 +202,14 @@ class TestUsageErrors:
         self._one_error_line(capsys, "No such file", str(out))
         assert not out.parent.exists()
 
+    def test_coloring_too_large_to_hold(self, tmp_path, capsys):
+        # the bitmap for rank C(10^8, 3) - 1 cannot even be sized, so this
+        # fails before allocating anything
+        f = tmp_path / "c.lre"
+        f.write_text("LRE1 100000000\n5 99999999 7\n")
+        assert main(["verify", "--file", str(f), "--witness", "red path 0 1 2"]) == 2
+        self._one_error_line(capsys, "too large", "OverflowError")
+
     def test_enumerate_unknown_shape(self, capsys):
         assert main(["enumerate", "-N", "6", "--red-target", "foo", "3",
                      "--blue-target", "cycle", "3"]) == 2
