@@ -304,8 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, MemoryError) as exc:  # a coloring too large to hold
-        reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-        print(f"error: input too large to hold in memory ({reason})", file=sys.stderr)
+        print(f"error: input too large to hold in memory ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 
