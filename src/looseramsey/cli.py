@@ -121,11 +121,17 @@ def stress(pair: PairKind, trials: int, seed: int) -> StressReport:
     merge order-independently across workers."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    raw = os.environ.get("LOOSERAMSEY_WORKERS", "1")
+    try:
+        workers = min(int(raw), trials) if raw.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"LOOSERAMSEY_WORKERS must be a positive integer, got {raw!r}")
     N = ramsey_number(pair)
     report = StressReport(pair=pair, N=N, trials=trials, seed=seed)
     start = time.perf_counter()
     jobs = [(pair.kind, pair.n, pair.m, seed, off) for off in range(trials)]
-    workers = int(os.environ.get("LOOSERAMSEY_WORKERS", "1"))
     if workers > 1:
         from multiprocessing import Pool
 

@@ -15,12 +15,12 @@ red witness.
 The replacement-move search and the blue chaining read the coloring
 through link tables (per vertex pair, the bitset of third vertices that
 complete a triple of one colour), so they test whole reservoirs at once.
-The tables are built on first use, once per colour per top-level solve.
-The move search rules a window of the red path in or out in time linear
-in the reservoir before scanning it pair by pair.  The chaining remembers
-the states it has seen fail and charges each revisit the node budget its
-first search used, so it returns exactly what the search without the memo
-returns under the same budget.
+The red table is built once per top-level solve; the blue one is its
+complement.  The move search rules a window of the red path in or out with
+a few mask tests against per-vertex reach masks before scanning it pair by
+pair.  The chaining remembers the states it has seen fail and charges each
+revisit the node budget its first search used, so it returns exactly what
+the search without the memo returns under the same budget.
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -31,7 +31,7 @@ raises a RuntimeWarning and records the event in the trace.
 from __future__ import annotations
 
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
@@ -55,7 +55,6 @@ from .core import (
 )
 from .oracle import (
     Links,
-    _color_bits,
     _link_table,
     find_loose_cycle_from_edges,
     find_loose_path_from_edges,
@@ -93,7 +92,8 @@ def ramsey_number(pair: PairKind) -> int:
 
 
 class _LinkTables:
-    """The link tables of one coloring, each colour built on first use.
+    """The link tables of one coloring, built on first use: red from the
+    bitmap, blue as its complement row by row.
 
     One instance serves a whole top-level solve: the prefix restrictions
     that the induction descends to are served by the same tables (callers
@@ -118,11 +118,17 @@ class _LinkTables:
     def table(self, color: str) -> Links:
         if self._swapped:
             color = opposite(color)
-        T = self._tables.get(color)
-        if T is None:
-            c = self._coloring
-            T = self._tables[color] = _link_table(c.n_vertices, _color_bits(c, color))
-        return T
+        tables, n = self._tables, self._coloring.n_vertices
+        if RED not in tables:
+            tables[RED] = _link_table(n, self._coloring.red_bits)
+        if color == BLUE and BLUE not in tables:
+            # T[x][y]: every third vertex outside {x, y} that red lacks
+            full = (1 << n) - 1
+            tables[BLUE] = [
+                [full ^ (1 << x | 1 << y | r) if x != y else 0 for y, r in enumerate(row)]
+                for x, row in enumerate(tables[RED])
+            ]
+        return tables[color]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -186,19 +192,35 @@ def _two(a: int, b: int) -> bool:
 
 def _linked(T: Links, links: int, end: int, slot: int) -> bool:
     """Whether some w in `links` has a vertex of `slot` completing the
-    triple {w, end, .}."""
-    return any(T[w][end] & slot for w in _bits(links))
+    triple {w, end, .}; walks the smaller mask, as T is symmetric."""
+    small, big = (links, slot) if links.bit_count() <= slot.bit_count() else (slot, links)
+    return any(T[end][w] & big for w in _bits(small))
 
 
-def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int) -> bool:
+class _Reach(dict):
+    """reach[v], filled on first use: the OR of T[v][s] over s in wmask, so
+    the w with {w, v, s} in T for some s in wmask other than w."""
+
+    def __init__(self, T: Links, wmask: int) -> None:
+        self.T, self.wmask = T, wmask
+
+    def __missing__(self, v: int) -> int:
+        Tv, r = self.T[v], 0
+        for s in _bits(self.wmask):
+            r |= Tv[s]
+        self[v] = r
+        return r
+
+
+def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach) -> bool:
     """Whether a red loose path from lat to rat has as its inner vertices
     exactly the vertices of `core` plus two vertices of wmask.
 
     `core` holds one vertex (a two-edge path through one link vertex) or
     three (a three-edge path lat a b d1 d2 e rat through the links b and
     d2, with private slots a, d1, e); lat, rat and the core lie outside
-    wmask.  The test splits on which links lie in the core; each case is a
-    few mask tests, at most one pass over wmask.
+    wmask; reach is _Reach(T, wmask).  The test splits on which links lie
+    in the core; each case is a few mask tests or one _linked pass.
     """
     W, Tlat, Trat = wmask, T[lat], T[rat]
     if core & (core - 1) == 0:
@@ -206,7 +228,7 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int) -> bool:
         left, right = Tlat[mid] & W, Trat[mid] & W
         # link mid with reservoir ends, or a reservoir link w with mid
         # on the lat side (w in left) or on the rat side (w in right)
-        return _two(left, right) or _linked(T, left, rat, W) or _linked(T, right, lat, W)
+        return _two(left, right) or left & reach[rat] != 0 or right & reach[lat] != 0
     for x, y, z in permutations(_bits(core)):
         ax, xr, xy, xz = Tlat[x], Trat[x], T[x][y], T[x][z]
         ay, yr, zr = Tlat[y], Trat[y], Trat[z]
@@ -217,10 +239,10 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int) -> bool:
             or yr >> z & 1 and _two(ax & W, xy & W)
             # link b = x, d2 in W: y, z fill two slots in order, W the third
             or _two(xy & zr & W, ax & W)
-            or ax >> y & 1 and (_linked(T, zr & W, x, W) or _linked(T, xz & W, rat, W))
+            or ax >> y & 1 and (zr & W & reach[x] or xz & W & reach[rat])
             # link d2 = x, b in W: likewise
             or _two(ay & xz & W, xr & W)
-            or xr >> z & 1 and (_linked(T, xy & W, lat, W) or _linked(T, ay & W, x, W))
+            or xr >> z & 1 and (xy & W & reach[lat] or ay & W & reach[x])
             # links b, d2 in W: x, y, z fill slots a, d1, e
             or _linked(T, ax & W, y, zr & W)
         ):
@@ -243,18 +265,15 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
     wl = sorted(wset)
     if len(wl) < 2 or L == 0:
         return None
-    wmask = 0
-    for w in wl:
-        wmask |= 1 << w
+    wmask = sum(1 << w for w in wl)
+    reach = _Reach(T, wmask)
 
     def red(x: int, y: int, z: int) -> int:
         return T[x][y] >> z & 1
 
     def window_fits(lats, rats, core: Tuple[int, ...]) -> bool:
-        cmask = 0
-        for v in core:
-            cmask |= 1 << v
-        return any(_bridges(T, lat, rat, cmask, wmask) for lat, _ in lats for rat, _ in rats)
+        cmask = sum(1 << v for v in core)
+        return any(_bridges(T, lat, rat, cmask, wmask, reach) for lat, _ in lats for rat, _ in rats)
 
     for j in range(L):
         lats = [(p[2 * j], p[: 2 * j + 1])]
@@ -265,15 +284,12 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
             rats1.append((p[2 * j + 3], [p[2 * j + 3], p[2 * j + 2]] + p[2 * j + 4 :]))
         mid = p[2 * j + 1]
         if window_fits(lats, rats1, (mid,)):
-            for xi in range(len(wl)):
-                for yi in range(xi + 1, len(wl)):
-                    x, y = wl[xi], wl[yi]
-                    pool3 = (mid, x, y)
-                    for lat, left in lats:
-                        for rat, right in rats1:
-                            for i1, i2, i3 in permutations(pool3):
-                                if red(lat, i1, i2) and red(i2, i3, rat):
-                                    return left + [i1, i2, i3] + right, (x, y)
+            for x, y in combinations(wl, 2):
+                for lat, left in lats:
+                    for rat, right in rats1:
+                        for i1, i2, i3 in permutations((mid, x, y)):
+                            if red(lat, i1, i2) and red(i2, i3, rat):
+                                return left + [i1, i2, i3] + right, (x, y)
         if j > L - 2:
             continue
         rats2 = [(p[2 * j + 4], p[2 * j + 4 :])]
@@ -282,22 +298,20 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
         core = (p[2 * j + 1], p[2 * j + 2], p[2 * j + 3])
         if not window_fits(lats, rats2, core):
             continue
-        for xi in range(len(wl)):
-            for yi in range(xi + 1, len(wl)):
-                x, y = wl[xi], wl[yi]
-                pool5 = core + (x, y)
-                for lat, left in lats:
-                    for rat, right in rats2:
-                        for a, b in permutations(pool5, 2):
-                            if not red(lat, a, b):
+        for x, y in combinations(wl, 2):
+            pool5 = core + (x, y)
+            for lat, left in lats:
+                for rat, right in rats2:
+                    for a, b in permutations(pool5, 2):
+                        if not red(lat, a, b):
+                            continue
+                        rest = [v for v in pool5 if v != a and v != b]
+                        for d1, d2 in permutations(rest, 2):
+                            if not red(b, d1, d2):
                                 continue
-                            rest = [v for v in pool5 if v != a and v != b]
-                            for d1, d2 in permutations(rest, 2):
-                                if not red(b, d1, d2):
-                                    continue
-                                (e,) = [v for v in rest if v != d1 and v != d2]
-                                if red(d2, e, rat):
-                                    return left + [a, b, d1, d2, e] + right, (x, y)
+                            (e,) = [v for v in rest if v != d1 and v != d2]
+                            if red(d2, e, rat):
+                                return left + [a, b, d1, d2, e] + right, (x, y)
     return None
 
 

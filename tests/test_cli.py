@@ -228,3 +228,58 @@ class TestUsageErrors:
         assert main(["enumerate", "-N", "5", "--red-target", *target,
                      "--blue-target", "path", "2", "--mode", "count"]) == 2
         self._one_error_line(capsys, needle)
+
+
+class _FakePool:
+    """Stands in for multiprocessing.Pool: records the worker count and maps
+    in this process, so no worker process starts."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        _FakePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return list(map(fn, jobs))
+
+
+class TestWorkers:
+    """LOOSERAMSEY_WORKERS: a positive integer, never more workers than
+    trials; anything else is one `error:` line naming it, exit 2."""
+
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        import multiprocessing
+
+        _FakePool.sizes = []
+        monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", "-3", "0", "", "2.5", " 2", "+2", "1e3", pytest.param("9" * 5000, id="5000-nines")],
+    )
+    def test_rejects_anything_but_a_positive_integer(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("LOOSERAMSEY_WORKERS", value)
+        assert main(["stress", "--pair", "pp", "-n", "3", "-m", "3", "--trials", "4"]) == 2
+        TestUsageErrors._one_error_line(capsys, "LOOSERAMSEY_WORKERS", repr(value))
+        assert _FakePool.sizes == []
+
+    @pytest.mark.parametrize(
+        "value,trials,sizes", [("1000000", 3, [3]), ("2", 5, [2]), ("8", 1, []), ("1", 4, [])]
+    )
+    def test_never_more_workers_than_trials(self, monkeypatch, value, trials, sizes):
+        monkeypatch.setenv("LOOSERAMSEY_WORKERS", value)
+        rep = stress(PairKind(PP, 3, 3), trials=trials, seed=0)
+        assert rep.ok and rep.witnesses_verified == trials
+        assert _FakePool.sizes == sizes
+
+    def test_unset_runs_serially(self, monkeypatch):
+        monkeypatch.delenv("LOOSERAMSEY_WORKERS", raising=False)
+        assert stress(PairKind(PP, 3, 3), trials=3, seed=0).ok
+        assert _FakePool.sizes == []

@@ -1,6 +1,7 @@
 """Witness extraction: greedy growth, maximality, chaining, the full solver."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from looseramsey.core import (
 )
 from looseramsey.extractor import (
     _chain,
+    _convert_red_cycle,
     _cycle_step,
     _find_move,
     _LinkTables,
@@ -323,6 +325,53 @@ class TestSteps:
         w = _cycle_step(c, cyc, 5, 4, CYCLE, _LinkTables(c), None)
         assert w.color == BLUE and (w.shape, w.length) == (CYCLE, 4)
         assert verify_witness(c, w)
+
+
+class TestConvertRedCycle:
+    """Both exits of `_convert_red_cycle`, which no split+1 or uniform solve
+    reaches through the opening exit: a red cycle of length 3 becomes a red
+    path of length 3, or the all-blue boundary gives the blue path."""
+
+    def _check(self, c, w, color, length):
+        assert (w.color, w.shape, w.length) == (color, PATH, length)
+        assert validate_loose_path(w.structure.vertices) == w.structure
+        assert verify_witness(c, w)
+
+    def test_opens_the_red_cycle_of_random_colorings(self):
+        found = 0
+        for seed in range(200):
+            c = _rand(random.Random(seed).randint(8, 12), seed)
+            cyc = find_mono_cycle(c, RED, 3)
+            if cyc is None:
+                continue
+            trace = []
+            w = _convert_red_cycle(c, list(cyc.structure.vertices), 3, PATH, 2, trace)
+            assert trace == ["opened red cycle into red path"], seed
+            self._check(c, w, RED, 3)
+            found += 1
+        assert found >= 190
+
+    def test_all_blue_boundary_assembles_the_blue_path(self):
+        # red: a loose 3-cycle plus random triples that are no boundary edge
+        # (a consecutive cycle pair with an outside vertex)
+        for seed in range(100):
+            rnd = random.Random(seed)
+            n = rnd.randint(8, 12)
+            cyc = rnd.sample(range(n), 6)
+            pairs = {frozenset((cyc[i], cyc[(i + 1) % 6])) for i in range(6)}
+            red = [(cyc[i], cyc[i + 1], cyc[(i + 2) % 6]) for i in (0, 2, 4)]
+            for e in combinations(range(n), 3):
+                outside = not set(e) <= set(cyc)
+                if outside and any(frozenset(q) in pairs for q in combinations(e, 2)):
+                    continue
+                if rnd.random() < 0.3:
+                    red.append(e)
+            c = Coloring.from_red_edges(n, red)
+            m = 2 + seed % 2
+            trace = []
+            w = _convert_red_cycle(c, cyc, 3, PATH, m, trace)
+            assert trace == ["cycle boundary entirely blue; assembling blue target"], seed
+            self._check(c, w, BLUE, m)
 
 
 class TestSolve:

@@ -30,19 +30,23 @@ from looseramsey.core import (
     all_triples,
     colex_rank,
     edge_color,
+    opposite,
 )
 from looseramsey.extractor import (
     _bits,
     _bridges,
     _chain,
     _find_move,
+    _linked,
     _LinkTables,
+    _Reach,
     _window_inners,
     _window_p4,
     greedy_red_path,
     ramsey_number,
     solve,
 )
+from looseramsey.oracle import _color_bits, _link_table
 
 
 def _reference_find_move(red, p, wset):
@@ -318,21 +322,53 @@ class TestTables:
         assert links.table(BLUE) == _LinkTables(c.swap()).table(RED)
 
     def test_solve_builds_each_colour_at_most_once(self, monkeypatch):
-        built = []
-        real = extractor._link_table
+        """One table build per solve: the blue table is the red one's
+        complement.  The second solve reads both colours."""
+        built, asked = [], set()
+        real_build, real_table = extractor._link_table, _LinkTables.table
 
         def counting(n, bits):
             built.append(n)
-            return real(n, bits)
+            return real_build(n, bits)
+
+        def recording(self, color):
+            asked.add(opposite(color) if self._swapped else color)
+            return real_table(self, color)
 
         monkeypatch.setattr(extractor, "_link_table", counting)
+        monkeypatch.setattr(_LinkTables, "table", recording)
         # hard orientations: the induction descends through prefixes and
         # runs steps on the swapped coloring
         for a, b, swap in ((13, 2, False), (12, 3, True)):
             c = build_split_coloring(SplitSpec(a, b))
             built.clear()
+            asked.clear()
             solve(PairKind(PP, 6, 6), c.swap() if swap else c)
-            assert 1 <= len(built) <= 2
+            assert len(built) == 1
+        assert asked == {RED, BLUE}
+
+    def test_blue_is_the_complement_of_red(self):
+        """Either colour asked for first, through swap() views and on
+        prefixes, the tables equal those built from each colour's bitmap."""
+        for n in range(3, 13):
+            rnd = random.Random(n)
+            colorings = [Coloring.all_red(n), Coloring.all_blue(n)]
+            colorings += [Coloring(n, rnd.getrandbits(comb(n, 3))) for _ in range(4)]
+            for c in colorings:
+                want = {color: _link_table(n, _color_bits(c, color)) for color in (RED, BLUE)}
+                for first in (RED, BLUE):
+                    links = _LinkTables(c)
+                    for color in (first, opposite(first)):
+                        assert links.table(color) == want[color], (n, first, color)
+                    view = _LinkTables(c).swap()
+                    for color in (first, opposite(first)):
+                        assert view.table(color) == want[opposite(color)], (n, first, color)
+                k = rnd.randint(3, n)
+                inside = (1 << k) - 1
+                for color in (RED, BLUE):
+                    own = _link_table(k, _color_bits(c.restrict(k), color))
+                    T = _LinkTables(c).table(color)
+                    assert [[T[x][y] & inside for y in range(k)] for x in range(k)] == own
 
     def test_greedy_solve_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(extractor, "_link_table", None)
@@ -341,6 +377,48 @@ class TestTables:
 
 
 class TestKernels:
+    def test_reach_is_the_or_of_reservoir_rows(self):
+        for seed in range(300):
+            c, p, w = _instance(seed)
+            n, wmask = c.n_vertices, sum(1 << v for v in w)
+            color = (RED, BLUE)[seed % 2]
+            T, has = _LinkTables(c).table(color), c.test(color)
+            reach = _Reach(T, wmask)
+            for v in random.Random(seed).sample(range(n), n):  # any fill order
+                want = 0
+                for s in w:
+                    want |= T[v][s]
+                assert reach[v] == want, (seed, v)
+                # the vertices u with {u, v, s} of the colour for some s in w
+                assert want == sum(
+                    1 << u for u in range(n)
+                    if any(len({u, v, s}) == 3 and has(u, v, s) for s in w)
+                ), (seed, v)
+            assert sorted(reach) == list(range(n))
+
+    def test_linked_matches_a_triple_scan(self):
+        """_linked walks the smaller mask; both sides get to be the smaller
+        one, with both outcomes, and the masks may overlap."""
+        smaller = {True: 0, False: 0}
+        outcomes = set()
+        for seed in range(600):
+            rnd = random.Random(seed)
+            n = rnd.randint(4, 16)
+            color = (RED, BLUE)[seed % 2]
+            c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < 0.15))
+            T, has = _LinkTables(c).table(color), c.test(color)
+            end = rnd.randrange(n)
+            links = sum(1 << v for v in rnd.sample(range(n), rnd.randint(0, n)) if v != end)
+            slot = sum(1 << v for v in rnd.sample(range(n), rnd.randint(0, n)) if v != end)
+            want = any(
+                w != s and has(w, end, s) for w in _bits(links) for s in _bits(slot)
+            )
+            assert _linked(T, links, end, slot) == want, seed
+            if links.bit_count() != slot.bit_count():
+                smaller[links.bit_count() < slot.bit_count()] += 1
+            outcomes.add(want)
+        assert min(smaller.values()) > 100 and outcomes == {True, False}
+
     def test_bridges_matches_the_slot_matcher(self):
         """The case split on where the links lie agrees with the search over
         link choices and slot matchings, on random link tables of red
@@ -364,7 +442,7 @@ class TestKernels:
             cmask = sum(1 << v for v in verts[2 : 2 + k])
             wmask = sum(1 << v for v in verts[2 + k :])
             want = _reference_bridges(T, lat, rat, cmask, wmask)
-            assert _bridges(T, lat, rat, cmask, wmask) == want, seed
+            assert _bridges(T, lat, rat, cmask, wmask, _Reach(T, wmask)) == want, seed
             fails += not want
         assert fails >= 1200 // 3
 
@@ -387,7 +465,8 @@ class TestKernels:
             )
             cmask = sum(1 << v for v in core)
             wmask = sum(1 << v for v in w)
-            assert _bridges(_LinkTables(c).table(RED), lat, rat, cmask, wmask) == want, seed
+            T = _LinkTables(c).table(RED)
+            assert _bridges(T, lat, rat, cmask, wmask, _Reach(T, wmask)) == want, seed
             hits += want
         assert 100 < hits < 1400
 
