@@ -1,7 +1,6 @@
 """Scaling record of split+1 extraction: solve time against n.
 
-    python3 scripts/bench_scaling.py [--src DIR=LABEL ...] [--ns 10,20,40,60,80]
-        [--repeats 5] [--out BENCH_scaling.json]
+    python3 scripts/bench_scaling.py [--src DIR=LABEL ...]
 
 For every kind (pp, cc, pncm, pmcn) on its diagonal pair (m = n, or
 m = n - 1 for pmcn), each n, each side (the extremal split with one extra
@@ -13,12 +12,13 @@ orientations are `a+1` plain and `b+1` swapped.
 Each `--src` names a package source directory (a checkout's `src/`) and a
 label; the default is this checkout's `src/`.  Every repeat runs each
 source's whole sweep in a fresh interpreter, alternating which source goes
-first, and a case's time is the median over the repeats, given with its
-quartiles.  The growth
-exponent is the least-squares slope of log time against log n over the
-sizes from 40 to 80.  Times are in ms.  With two sources, `speedup` is the first source's
-median time over the second's.  Each source also gets the sha1 of all its
-witness lines, which agree when both return the same witnesses.
+first, and a case's time is the median over the 7 repeats, given with its
+quartiles.  The growth exponent is the least-squares slope of log time
+against log n over the sizes from 40 to 80.  Times are in ms.  With two
+sources, `speedup` is the first source's median time over the second's.
+Each source also gets the sha1 of all its witness lines, which agree when
+both return the same witnesses.  The record is written to
+BENCH_scaling.json at the root of the checkout.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+NS = (10, 20, 40, 60, 80)
+REPEATS = 7
 CASES = [
     (kind, side, orient)
     for kind in ("pp", "cc", "pncm", "pmcn") for side in "ab" for orient in ("plain", "swapped")
@@ -48,7 +51,7 @@ NOTES = (
 )
 
 
-def sweep(ns) -> dict:
+def sweep() -> dict:
     """Time every case once with the looseramsey on sys.path."""
     from looseramsey.constructions import PairKind, SplitSpec, build_split_coloring, lower_bound_params
     from looseramsey.extractor import solve
@@ -57,7 +60,7 @@ def sweep(ns) -> dict:
     times, lines = {}, []
     for kind, side, orient in CASES:
         row = times.setdefault(f"{kind} {side}+1 {orient}", {})
-        for n in ns:
+        for n in NS:
             pair = PairKind(kind, n, n - 1 if kind == "pmcn" else n)
             spec = lower_bound_params(pair)
             c = build_split_coloring(SplitSpec(spec.a + (side == "a"), spec.b + (side == "b")))
@@ -71,8 +74,6 @@ def sweep(ns) -> dict:
 
 def quartiles(xs):
     """(first quartile, median, third quartile) of the samples xs."""
-    if len(xs) == 1:
-        return xs[0], xs[0], xs[0]
     return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
 
 
@@ -87,37 +88,32 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", metavar="DIR=LABEL",
                     help="package source directory and its label (repeatable)")
-    ap.add_argument("--ns", default="10,20,40,60,80")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--out", help="write the JSON record here (default: stdout)")
     ap.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    ns = [int(v) for v in args.ns.split(",")]
     if args.worker:
         sys.path.insert(0, args.worker)
-        print(json.dumps(sweep(ns)))
+        print(json.dumps(sweep()))
         return
-    default = f"{Path(__file__).resolve().parent.parent / 'src'}=this checkout"
-    sources = [s.split("=", 1) for s in args.src or [default]]
-    if args.repeats < 1 or any(len(s) != 2 for s in sources):
-        ap.error("need --repeats >= 1 and every --src as DIR=LABEL")
+    sources = [s.split("=", 1) for s in args.src or [f"{ROOT / 'src'}=this checkout"]]
+    if any(len(s) != 2 for s in sources):
+        ap.error("every --src must be DIR=LABEL")
     samples = {label: [] for _, label in sources}
     digests = {label: set() for _, label in sources}
-    for r in range(args.repeats):
+    for r in range(REPEATS):
         for src, label in sources[:: 1 if r % 2 == 0 else -1]:
-            cmd = [sys.executable, __file__, "--worker", src, "--ns", args.ns]
+            cmd = [sys.executable, __file__, "--worker", src]
             out = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
             samples[label].append(out["times"])
             digests[label].add(out["witness_sha1"])
-            print(f"repeat {r + 1}/{args.repeats}: {label} done", file=sys.stderr)
+            print(f"repeat {r + 1}/{REPEATS}: {label} done", file=sys.stderr)
     runs, meds = {}, {}
     for _, label in sources:
         quart = {
-            case: {str(n): quartiles([s[case][str(n)] for s in samples[label]]) for n in ns}
+            case: {str(n): quartiles([s[case][str(n)] for s in samples[label]]) for n in NS}
             for case in samples[label][0]
         }
         med = {case: {k: q[1] for k, q in row.items()} for case, row in quart.items()}
-        fit = [n for n in ns if 40 <= n <= 80]
+        fit = [n for n in NS if 40 <= n <= 80]
         runs[label] = {
             "median_ms": {case: {k: round(v * 1e3, 3) for k, v in row.items()} for case, row in med.items()},
             "quartiles_ms": {
@@ -126,14 +122,14 @@ def main() -> None:
             },
             "exponent_40_80": {
                 case: round(slope([(n, row[str(n)]) for n in fit]), 2) for case, row in med.items()
-            } if len(fit) >= 2 else {},
+            },
             "witness_sha1": sorted(digests[label]),
         }
         meds[label] = med
     record = {
         "sources": [label for _, label in sources],
-        "ns": ns,
-        "repeats": args.repeats,
+        "ns": list(NS),
+        "repeats": REPEATS,
         "notes": NOTES,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
@@ -145,11 +141,7 @@ def main() -> None:
         record["speedup"] = {
             case: {k: round(a[case][k] / b[case][k], 2) for k in a[case]} for case in a
         }
-    text = json.dumps(record, indent=1)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    (ROOT / "BENCH_scaling.json").write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ red witness.
 The replacement-move search and the blue chaining read the coloring
 through link tables (per vertex pair, the bitset of third vertices that
 complete a triple of one colour), so they test whole reservoirs at once.
-The red table is built once per top-level solve; the blue one is its
-complement.  The move search rules a window of the red path in or out with
+One table is built per top-level solve, for the colour asked for first;
+the other is its complement.  The move search rules a window of the red path in or out with
 a few mask tests against per-vertex reach masks before scanning it pair by
 pair.  The chaining remembers the states it has seen fail and charges each
 revisit the node budget its first search used, so it returns exactly what
@@ -92,8 +92,8 @@ def ramsey_number(pair: PairKind) -> int:
 
 
 class _LinkTables:
-    """The link tables of one coloring, built on first use: red from the
-    bitmap, blue as its complement row by row.
+    """The link tables of one coloring, built on first use: the colour asked
+    for first from its own bitmap, the other as its complement row by row.
 
     One instance serves a whole top-level solve: the prefix restrictions
     that the induction descends to are served by the same tables (callers
@@ -118,15 +118,15 @@ class _LinkTables:
     def table(self, color: str) -> Links:
         if self._swapped:
             color = opposite(color)
-        tables, n = self._tables, self._coloring.n_vertices
-        if RED not in tables:
-            tables[RED] = _link_table(n, self._coloring.red_bits)
-        if color == BLUE and BLUE not in tables:
-            # T[x][y]: every third vertex outside {x, y} that red lacks
-            full = (1 << n) - 1
-            tables[BLUE] = [
-                [full ^ (1 << x | 1 << y | r) if x != y else 0 for y, r in enumerate(row)]
-                for x, row in enumerate(tables[RED])
+        tables, c = self._tables, self._coloring
+        if not tables:
+            tables[color] = _link_table(c.n_vertices, (c if color == RED else c.swap()).red_bits)
+        if color not in tables:
+            # T[x][y]: every third vertex outside {x, y} that the other colour lacks
+            full = (1 << c.n_vertices) - 1
+            tables[color] = [
+                [full ^ (1 << x | 1 << y | t) if x != y else 0 for y, t in enumerate(row)]
+                for x, row in enumerate(tables[opposite(color)])
             ]
         return tables[color]
 

@@ -370,6 +370,19 @@ class TestTables:
                     T = _LinkTables(c).table(color)
                     assert [[T[x][y] & inside for y in range(k)] for x in range(k)] == own
 
+    def test_first_colour_is_built_from_its_own_bitmap(self, monkeypatch):
+        """Only the colour asked for first walks triples, and only its own."""
+        built, real = [], extractor._link_table
+        monkeypatch.setattr(extractor, "_link_table", lambda n, bits: built.append(bits) or real(n, bits))
+        c = Coloring(9, random.Random(1).getrandbits(comb(9, 3)))
+        for swapped in (False, True):
+            for first in (RED, BLUE):
+                built.clear()
+                links = _LinkTables(c).swap() if swapped else _LinkTables(c)
+                links.table(first)
+                links.table(opposite(first))
+                assert built == [_color_bits(c, opposite(first) if swapped else first)]
+
     def test_greedy_solve_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(extractor, "_link_table", None)
         c = Coloring.all_red(10)
