@@ -16,6 +16,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import List, Optional, Tuple
 
@@ -254,7 +255,9 @@ def _cmd_stress(args) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once: every parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="loose-ramsey",
         description="Certified Ramsey witnesses for 3-uniform loose paths and cycles.",
@@ -302,8 +305,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.set_defaults(func=_cmd_stress)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # unreadable files; FormatError, StructureError

@@ -3,13 +3,17 @@
 One search kernel, _search, serves every structure search: a depth-first
 walk over vertex sequences, one loose edge at a time, on link-table rows
 (per vertex pair, the bitset of third vertices completing an edge), with
-failed (used-vertex-set, end-vertex) states memoized, so a negative answer
-is a complete proof of absence.  find_mono_path and find_mono_cycle run it
-over all vertices on the table of one colour class;
-find_loose_path_from_edges and find_loose_cycle_from_edges over the
-vertices of an edge family on the family's table.  Exhaustive enumeration
-iterates every red bitmap of K3_N (only feasible for C(N,3) <= 24) with
-the work vectorized over bitmap chunks.
+failed states memoized, so a negative answer is a complete proof of
+absence.  Twin vertices, whose exchange maps the table onto itself (every
+vertex of A, or of B, in a split coloring), are interchangeable, so each
+branch tries only the lowest unused vertex of a twin class: proofs of
+absence on split colorings stay polynomial, and the first sequence found
+stays the same.  find_mono_path and find_mono_cycle run it over all
+vertices on the table of one colour class; find_loose_path_from_edges and
+find_loose_cycle_from_edges over the vertices of an edge family on the
+family's table.  Exhaustive enumeration iterates every red bitmap of K3_N
+(only feasible for C(N,3) <= 24) with the work vectorized over bitmap
+chunks.
 """
 
 from __future__ import annotations
@@ -65,19 +69,51 @@ def _link_table(n: int, bits: int) -> Links:
     return T
 
 
+def _twins(verts: Sequence[int], T: Links) -> Tuple[List[int], List[int]]:
+    """Twin classes of the link table T over verts: u and v are twins when
+    swapping them maps T onto itself, i.e. every x outside {u, v} has the
+    same row towards u and v outside bits u and v.  Returns, per vertex,
+    its class (the lowest member) and the mask of its lower twins."""
+    cls, lower = [0] * len(T), [0] * len(T)
+    members = {}
+    for v in verts:
+        Tv, rep = T[v], v
+        for r in members:
+            Tr, outside = T[r], ~(1 << r | 1 << v)
+            for x in verts:
+                if (Tr[x] ^ Tv[x]) & outside and x != r and x != v:
+                    break
+            else:
+                rep = r
+                break
+        cls[v], lower[v] = rep, members.get(rep, 0)
+        members[rep] = lower[v] | 1 << v
+    return cls, lower
+
+
 def _search(verts: Sequence[int], T: Links, shape: str, length: int) -> Optional[List[int]]:
     """First loose path or cycle of the given length on verts whose every edge
     is in the link table T, as a vertex sequence, or None when none exists.
 
     Vertices are tried in ascending order (verts is ascending, and the
-    candidates for a pair are the set bits of its link row, lowest first).
-    A path fixes v1 < v2 (its first two positions are interchangeable); a
-    cycle runs from each start vertex in turn and closes with the lowest
-    unused z.  Failed (used, end) states are memoized, so None is a complete
-    proof of absence.  Whether a cycle closes depends on its start, so the
-    memo is cleared whenever the start advances.
+    candidates for a pair are the set bits of its link row, lowest first),
+    so the result is the lexicographically first sequence.  A path fixes
+    v1 < v2 (its first two positions are interchangeable); a cycle runs
+    from each start vertex in turn and closes with the lowest unused z.
+
+    Twins (see _twins) are interchangeable: at every branch a candidate is
+    skipped while a lower twin of it is still unused.  Swapping the two
+    fixes everything placed so far and maps each sequence of the skipped
+    subtree onto a lexicographically earlier one, which is a witness exactly
+    when the skipped one is (for a path's v2 whose twin is below v1, after
+    exchanging the path's first two positions).  So the first witness is
+    never skipped, and None is still a complete proof of absence.  Two ends
+    in one class give equivalent states, so failed states are memoized by
+    (used, class of end).  Whether a cycle closes depends on its start, so
+    the memo is cleared whenever the start advances.
     """
     cycle = shape == CYCLE
+    cls, lower = _twins(verts, T)
     failed: Set[Tuple[int, int]] = set()
 
     def extend(used: int, end: int, remaining: int) -> Optional[List[int]]:
@@ -88,33 +124,44 @@ def _search(verts: Sequence[int], T: Links, shape: str, length: int) -> Optional
                 return []
             close = T[end][v1] & ~used
             return [(close & -close).bit_length() - 1] if close else None
-        if (used, end) in failed:
+        key = (used, cls[end])
+        if key in failed:
             return None
-        row = T[end]
+        row, unused = T[end], ~used
         for mid in verts:
-            if used >> mid & 1:
+            if used >> mid & 1 or lower[mid] & unused:
                 continue
-            new_ends = row[mid] & ~used
+            free = unused ^ 1 << mid
+            new_ends = row[mid] & free
             while new_ends:
                 low = new_ends & -new_ends
                 new_ends ^= low
                 new_end = low.bit_length() - 1
+                if lower[new_end] & free:
+                    continue
                 rest = extend(used | 1 << mid | low, new_end, remaining - 1)
                 if rest is not None:
                     return [mid, new_end] + rest
-        failed.add((used, end))
+        failed.add(key)
         return None
 
     for i, v1 in enumerate(verts):
+        if lower[v1]:
+            continue
         if cycle:
             failed.clear()
         row = T[v1]
         for v2 in verts if cycle else verts[i + 1 :]:
+            if lower[v2] & ~(1 << v1):
+                continue
+            free = ~(1 << v1 | 1 << v2)
             v3s = row[v2]
             while v3s:
                 low = v3s & -v3s
                 v3s ^= low
                 v3 = low.bit_length() - 1
+                if lower[v3] & free:
+                    continue
                 rest = extend(1 << v1 | 1 << v2 | low, v3, length - 1 - cycle)
                 if rest is not None:
                     return [v1, v2, v3] + rest

@@ -90,6 +90,16 @@ class TestLowerBoundCertification:
 
     @pytest.mark.parametrize("pair", list(_all_pairs()), ids=str)
     def test_split_avoids_both_targets(self, pair):
+        self._certify(pair)
+
+    @pytest.mark.parametrize("pair", [p for p in _all_pairs(hi=12) if p.n >= 7], ids=str)
+    def test_larger_split_avoids_both_targets(self, pair):
+        """n = 7-12 (N up to 29): proofs of absence that the twin pruning
+        keeps polynomial on split colorings."""
+        self._certify(pair)
+
+    @staticmethod
+    def _certify(pair):
         c = build_split_coloring(lower_bound_params(pair))
         assert c.n_vertices == ramsey_number(pair) - 1
         canonical = c if pair.red_target == pair.short_target else c.swap()

@@ -140,6 +140,26 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert data["witnesses_verified"] == 10
 
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        """The argument tree is built once; each call still gets its own
+        options, exit code and output."""
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey", "--pair", "pp", "-n", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "-m" in captured.err and captured.out == ""
+        assert main(["ramsey", "--pair", "pp", "-n", "3", "-m", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "8"
+        f = tmp_path / "c.lrc"
+        f.write_text("LRC1 7\n" + "f" * 8 + "e")  # all 35 triples red
+        assert main(["search", "--file", str(f), "--color", "blue",
+                     "--shape", "path", "--length", "2"]) == 1
+        assert capsys.readouterr().out.strip() == "none"
+        assert main(["construct", "--pair", "cc", "-n", "3", "-m", "3", "--explicit"]) == 0
+        assert capsys.readouterr().out.startswith("LRE1 ")
+        assert main(["construct", "--pair", "cc", "-n", "3", "-m", "3"]) == 0
+        assert capsys.readouterr().out.startswith("LRC1 ")
+
 
 class TestUsageErrors:
     """Malformed files and invalid parameters: one `error:` line on stderr,

@@ -21,7 +21,9 @@ from looseramsey.core import (
     verify_witness,
 )
 from looseramsey.oracle import (
+    _link_table,
     _structure_masks,
+    _twins,
     exhaustive_avoidance_search,
     find_loose_cycle_from_edges,
     find_loose_path_from_edges,
@@ -32,6 +34,22 @@ from looseramsey.oracle import (
 
 def _random_coloring(n, rnd):
     return Coloring(n, rnd.getrandbits(comb(n, 3)))
+
+
+def _relabeled(c, perm):
+    """The coloring with vertex v renamed perm[v]."""
+    return Coloring.from_red_edges(
+        c.n_vertices, (TripleEdge.of(perm[e.a], perm[e.b], perm[e.c]) for e in c.red_edges())
+    )
+
+
+def _flipped(c, k, rnd):
+    """The coloring with k random triples changed in colour (a triple drawn
+    twice flips back)."""
+    bits = c.red_bits
+    for _ in range(k):
+        bits ^= 1 << rnd.randrange(c.n_triples)
+    return Coloring(c.n_vertices, bits)
 
 
 def longest_mono_path(coloring, color):
@@ -154,15 +172,98 @@ class TestRelabelingSymmetry:
             c = _random_coloring(8, rnd)
             perm = list(range(8))
             rnd.shuffle(perm)
-            pc = Coloring.from_red_edges(
-                8,
-                (TripleEdge.of(perm[e.a], perm[e.b], perm[e.c]) for e in c.red_edges()),
-            )
+            pc = _relabeled(c, perm)
             for color in (RED, BLUE):
                 for length in (2, 3):
                     assert (find_mono_path(c, color, length) is None) == (
                         find_mono_path(pc, color, length) is None
                     )
+
+
+def _swap_preserves(verts, member, u, v):
+    """Whether exchanging u and v maps every triple over verts to a triple
+    with the same membership."""
+    swap = {u: v, v: u}
+    return all(
+        member(*t) == member(*(swap.get(x, x) for x in t))
+        for t in itertools.combinations(verts, 3)
+    )
+
+
+class TestTwinClasses:
+    """_twins against a brute-force check of every transposition."""
+
+    @staticmethod
+    def _check(verts, T, member):
+        cls, lower = _twins(verts, T)
+        for v in verts:
+            below = [u for u in verts if u < v and _swap_preserves(verts, member, u, v)]
+            assert lower[v] == sum(1 << u for u in below), (verts, v)
+            assert cls[v] == (below[0] if below else v), (verts, v)
+        return lower
+
+    def _check_coloring(self, c):
+        n = c.n_vertices
+        return self._check(range(n), _link_table(n, c.red_bits), c.test(RED))
+
+    def test_split_colorings(self):
+        for a in range(3, 10):
+            for b in range(0, 5):
+                lower = self._check_coloring(build_split_coloring(SplitSpec(a, b)))
+                # the classes are exactly A = [0, a) and B = [a, a + b)
+                assert lower == [(1 << v) - 1 if v < a else (1 << v) - (1 << a)
+                                 for v in range(a + b)]
+
+    def test_relabeled_split_colorings(self):
+        """Classes whose members interleave with other labels: the lower-twin
+        mask holds every member below v, not only the class's lowest."""
+        rnd = random.Random(41)
+        several = interleaved = 0
+        for _ in range(40):
+            a, b = rnd.randint(3, 8), rnd.randint(1, 4)
+            perm = list(range(a + b))
+            rnd.shuffle(perm)
+            lower = self._check_coloring(_relabeled(build_split_coloring(SplitSpec(a, b)), perm))
+            for v, mask in enumerate(lower):
+                lowest = (mask & -mask).bit_length() - 1
+                several += mask & (mask - 1) != 0
+                interleaved += mask != 0 and mask != (1 << v) - (1 << lowest)
+        assert several > 100 and interleaved > 100
+
+    def test_flipped_split_colorings(self):
+        rnd = random.Random(43)
+        for k in (1, 2, 4):
+            for _ in range(15):
+                a, b = rnd.randint(3, 8), rnd.randint(0, 4)
+                self._check_coloring(_flipped(build_split_coloring(SplitSpec(a, b)), k, rnd))
+
+    def test_random_colorings(self):
+        rnd = random.Random(47)
+        for _ in range(40):
+            n = rnd.randint(3, 10)
+            density = rnd.choice((0.0, 0.02, 0.1, 0.5, 0.9, 1.0))
+            self._check_coloring(
+                Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
+            )
+
+    def test_family_tables(self):
+        """Family tables span only the family's vertices, whose labels may
+        leave gaps; the empty family has no vertices at all."""
+        rnd = random.Random(53)
+        families = [[]]
+        for _ in range(40):
+            n = rnd.randint(3, 9)
+            stride = rnd.choice((1, 2, 3))
+            triples = [TripleEdge.of(*(stride * x for x in t))
+                       for t in itertools.combinations(range(n), 3)]
+            families.append(rnd.sample(triples, rnd.randint(1, len(triples))))
+        for family in families:
+            verts = sorted({v for e in family for v in e})
+            n = verts[-1] + 1 if verts else 0
+            bits = sum(1 << colex_rank(e) for e in family)
+            masks = {1 << e.a | 1 << e.b | 1 << e.c for e in family}
+            self._check(verts, _link_table(n, bits),
+                        lambda x, y, z: (1 << x | 1 << y | 1 << z) in masks)
 
 
 class TestEnumeration:
@@ -300,8 +401,14 @@ class TestAgainstReferenceSearch:
 
     def test_mono_searches(self):
         rnd = random.Random(29)
-        colorings = [build_split_coloring(SplitSpec(a, b))
-                     for a in range(3, 8) for b in range(0, 4) if a + b <= 10]
+        splits = [build_split_coloring(SplitSpec(a, b))
+                  for a in range(3, 8) for b in range(0, 4) if a + b <= 10]
+        colorings = list(splits)
+        for split in splits:
+            perm = list(range(split.n_vertices))
+            rnd.shuffle(perm)
+            colorings.append(_relabeled(split, perm))
+            colorings.append(_flipped(split, rnd.choice((1, 2, 4)), rnd))
         for _ in range(60):
             n = rnd.randint(3, 10)
             density = rnd.choice((0.05, 0.15, 0.35, 0.5))
