@@ -1,0 +1,257 @@
+"""Before/after records of split+1 solve time against n and of the oracle.
+
+    python3 scripts/bench_record.py scaling|oracle
+
+Writes BENCH_<record>.json at the root of the checkout.  Two sources are
+timed: the package at commit PARENT (set it to the commit a change is
+measured against), extracted with `git archive`, and this checkout's
+`src/`.  Every repeat runs each source's whole sweep in a fresh interpreter,
+alternating which source goes first; a case's time is the median over the
+repeats, with its quartiles, in ms by `time.perf_counter`, every input
+built outside the timed span.  Each source gets the sha1 of all its
+outputs, which agree when both return the same results.
+
+- `scaling`: one `solve` per kind (pp, cc, pncm, pmcn) on its diagonal pair
+  (m = n, or m = n - 1 for pmcn), n in SCALING_NS, side (the extremal split
+  with one extra vertex in A or in B: `a+1`, `b+1`) and orientation (the
+  split coloring or its colour swap: plain, swapped); the hard ones are
+  `a+1` plain and `b+1` swapped.  `exponent_40_80` is the least-squares
+  slope of log time against log n from n = 40 to 80, and `speedup` the
+  parent's median time over this checkout's.
+- `oracle`: `absence` is, per kind on its diagonal pair at n in ORACLE_NS,
+  the two proofs of absence (no red and no blue target) on the extremal
+  split coloring on R - 1 vertices, oriented so red is the short target.
+  `flip2` solves the split+1 coloring of each FLIP_CASES entry with FLIPS
+  distinct random triples flipped, drawn by `random.Random(seed)` per seed
+  in SEEDS, keeping the least of SOLVES runs on fresh copies.  `completions`
+  counts solves that end in the oracle completion; `speedup_sum_of_medians`
+  is the parent's sum of medians over this checkout's, per group of cases.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PARENT = "0ed5d22"
+KINDS = ("pp", "cc", "pncm", "pmcn")
+SCALING_NS = (10, 20, 40, 60, 80)
+CASES = [(kind, side, orient) for kind in KINDS for side in "ab" for orient in ("plain", "swapped")]
+ORACLE_NS = (5, 6, 7, 8)
+FLIP_CASES = (("pmcn", 16, 4, "a", "plain"), ("pp", 20, 4, "b", "swapped"),
+              ("pp", 11, 11, "b", "swapped"))
+FLIPS = 2
+SEEDS = range(12)
+SOLVES = 5
+NOTES = (
+    "One shared 2-core x86-64 container, time.perf_counter. The host cannot pin "
+    "CPUs, fix the clock frequency or drop caches, and other tenants load it: its speed drifts "
+    "by up to 1.7x over minutes. Sources alternate in fresh interpreters and each time is a "
+    "median over repeats, so drift hits both sides alike."
+)
+
+
+def _split1(pair, side: str, orient: str):
+    """The extremal split coloring of pair with one extra vertex in A or B,
+    plain or colour-swapped."""
+    from looseramsey.constructions import SplitSpec, build_split_coloring, lower_bound_params
+
+    spec = lower_bound_params(pair)
+    c = build_split_coloring(SplitSpec(spec.a + (side == "a"), spec.b + (side == "b")))
+    return c.swap() if orient == "swapped" else c
+
+
+def _line(w) -> str:
+    return f"{w.color} {w.shape} " + " ".join(map(str, w.structure.vertices))
+
+
+def sweep_scaling() -> dict:
+    """Time every scaling case once with the looseramsey on sys.path."""
+    from looseramsey.constructions import PairKind
+    from looseramsey.extractor import solve
+
+    solve(PairKind("pp", 3, 3), _split1(PairKind("pp", 3, 3), "a", "plain"))  # warm imports
+    times, lines = {}, []
+    for kind, side, orient in CASES:
+        row = times.setdefault(f"{kind} {side}+1 {orient}", {})
+        for n in SCALING_NS:
+            pair = PairKind(kind, n, n - 1 if kind == "pmcn" else n)
+            c = _split1(pair, side, orient)
+            start = time.perf_counter()
+            w = solve(pair, c)
+            row[str(n)] = time.perf_counter() - start
+            lines.append(_line(w))
+    return {"times": times, "sha1": hashlib.sha1("\n".join(lines).encode()).hexdigest()}
+
+
+def sweep_oracle() -> dict:
+    """Time every oracle case once with the looseramsey on sys.path."""
+    from looseramsey.constructions import PairKind, build_split_coloring, lower_bound_params
+    from looseramsey.core import BLUE, PATH, RED, Coloring
+    from looseramsey.extractor import solve
+    from looseramsey.oracle import find_mono_cycle, find_mono_path
+
+    times, lines, completions = {}, [], {}
+    for kind in KINDS:
+        for n in ORACLE_NS:
+            pair = PairKind(kind, n, n - 1 if kind == "pmcn" else n)
+            c = build_split_coloring(lower_bound_params(pair))
+            c = c if pair.red_target == pair.short_target else c.swap()
+            for color, (shape, length) in ((RED, pair.red_target), (BLUE, pair.blue_target)):
+                find = find_mono_path if shape == PATH else find_mono_cycle
+                start = time.perf_counter()
+                w = find(c, color, length)
+                times[f"absence n={n} {kind} {color} {shape} {length}"] = time.perf_counter() - start
+                lines.append("none" if w is None else f"found {w.structure.vertices}")
+    for kind, n, m, side, orient in FLIP_CASES:
+        pair = PairKind(kind, n, m)
+        base = _split1(pair, side, orient)
+        case = f"flip2 {kind}({n},{m}) {side}+1 {orient}"
+        completions[case] = 0
+        for seed in SEEDS:
+            bits = base.red_bits
+            for r in random.Random(seed).sample(range(base.n_triples), FLIPS):
+                bits ^= 1 << r
+            best = math.inf
+            for _ in range(SOLVES):
+                c, trace = Coloring(base.n_vertices, bits), []
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    start = time.perf_counter()
+                    w = solve(pair, c, trace=trace)
+                    best = min(best, time.perf_counter() - start)
+            times[f"{case} seed {seed}"] = best
+            completions[case] += any(note.startswith("completion") for note in trace)
+            lines.append(_line(w))
+    sha1 = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    return {"times": times, "completions": completions, "sha1": sha1}
+
+
+def _quartiles(samples: list) -> dict:
+    """Per case, nested as in the samples: (first quartile, median, third
+    quartile) over the samples."""
+    return {
+        k: _quartiles([s[k] for s in samples]) if isinstance(v, dict)
+        else tuple(statistics.quantiles([s[k] for s in samples], n=4, method="inclusive"))
+        for k, v in samples[0].items()
+    }
+
+
+def _leaves(f, tree: dict) -> dict:
+    return {k: _leaves(f, v) if isinstance(v, dict) else f(v) for k, v in tree.items()}
+
+
+def _slope(points) -> float:
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(t) for _, t in points]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def _groups(quart: dict) -> dict:
+    """Sum of the median times per group: `absence n=N`, or one flip2 case."""
+    totals = {}
+    for case, q in quart.items():
+        group = " ".join(case.split()[:2]) if case.startswith("absence") else case.split(" seed")[0]
+        totals[group] = totals.get(group, 0) + q[1]
+    return totals
+
+
+def _scaling_keys(quart: dict, outs: dict):
+    """The scaling record's parameters, keys per source and speedup."""
+    fit = [n for n in SCALING_NS if 40 <= n <= 80]
+    runs = {label: {
+        "exponent_40_80": {case: round(_slope([(n, row[str(n)][1]) for n in fit]), 2)
+                           for case, row in q.items()},
+        "witness_sha1": sorted({o["sha1"] for o in outs[label]}),
+    } for label, q in quart.items()}
+    before, after = quart.values()
+    speedup = {case: {k: round(q[1] / after[case][k][1], 2) for k, q in row.items()}
+               for case, row in before.items()}
+    return {"ns": list(SCALING_NS)}, runs, {"speedup": speedup}
+
+
+def _oracle_keys(quart: dict, outs: dict):
+    """The oracle record's parameters, keys per source and speedup."""
+    params = {"ns": list(ORACLE_NS), "flip_cases": [list(c) for c in FLIP_CASES], "flips": FLIPS,
+              "seeds": len(SEEDS), "solves": SOLVES}
+    sums = {label: _groups(q) for label, q in quart.items()}
+    runs = {label: {
+        "sum_of_medians_ms": {g: round(t * 1e3, 1) for g, t in sums[label].items()},
+        "completions": outs[label][-1]["completions"],
+        "sha1": sorted({o["sha1"] for o in outs[label]}),
+    } for label in quart}
+    before, after = sums.values()
+    speedup = {g: round(before[g] / after[g], 1) for g in before}
+    return params, runs, {"speedup_sum_of_medians": speedup}
+
+
+# the sweep, its record's own keys, its repeats and its note
+RECORDS = {
+    "scaling": (sweep_scaling, _scaling_keys, 7,
+                "Cases under 1 ms are noise-bound and their exponents mean little."),
+    "oracle": (sweep_oracle, _oracle_keys, 3,
+               "An unpruned oracle's proofs at n = 8 take minutes, hence only 3 repeats."),
+}
+
+
+def parent_src(tmp: str) -> str:
+    """Extract PARENT's src/ into tmp and return its path."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", PARENT, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(tmp)
+    return os.path.join(tmp, "src")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("record", choices=RECORDS)
+    ap.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    sweep, own_keys, repeats, note = RECORDS[args.record]
+    if args.worker:
+        sys.path.insert(0, args.worker)
+        print(json.dumps(sweep()))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        sources = [(parent_src(tmp), f"parent {PARENT}"), (str(ROOT / "src"), "this checkout")]
+        outs = {label: [] for _, label in sources}
+        for r in range(repeats):
+            for src, label in sources[:: 1 if r % 2 == 0 else -1]:
+                cmd = [sys.executable, __file__, args.record, "--worker", src]
+                out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+                outs[label].append(json.loads(out))
+                print(f"repeat {r + 1}/{repeats}: {label} done", file=sys.stderr)
+    quart = {label: _quartiles([o["times"] for o in out]) for label, out in outs.items()}
+    params, runs, speedup = own_keys(quart, outs)
+    for label, qs in quart.items():
+        runs[label] = {
+            "median_ms": _leaves(lambda q: round(q[1] * 1e3, 3), qs),
+            "quartiles_ms": _leaves(lambda q: [round(q[0] * 1e3, 3), round(q[2] * 1e3, 3)], qs),
+            **runs[label],
+        }
+    host = {"python": platform.python_version(), "machine": platform.machine(),
+            "nproc": os.cpu_count()}
+    record = {"sources": list(outs), **params, "repeats": repeats, "notes": f"{NOTES} {note}",
+              "host": host, "runs": runs, **speedup}
+    (ROOT / f"BENCH_{args.record}.json").write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -156,6 +156,8 @@ class Coloring:
     def test(self, color: str) -> EdgeTest:
         """Membership test f(x, y, z) for one color class, over three distinct
         vertices below N in any order; reads the same byte view as is_red."""
+        if color not in (RED, BLUE):
+            raise ValueError(f"unknown color {color!r}")
         view = self._view
         # A triple with a vertex >= k has rank >= C(k, 3) > 8 * len(view), so
         # it is blue: the tables stop at k, not N, and reading past them
@@ -238,14 +240,6 @@ class LoosePath:
     @property
     def edges(self) -> Tuple[TripleEdge, ...]:
         return tuple(TripleEdge.of(*t) for t in _edge_triples(self.vertices, False))
-
-    @property
-    def first_vertex(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def last_vertex(self) -> int:
-        return self.vertices[-1]
 
 
 @dataclass(frozen=True)

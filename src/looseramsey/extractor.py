@@ -250,6 +250,21 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach)
     return False
 
 
+def _route(T: Links, end: int, pool: List[int], rat: int) -> Optional[List[int]]:
+    """The first ordering of pool, in permutations(pool) order, that makes
+    end, pool..., rat a red loose path (T the red link table); None if none
+    does.  Each first edge {end, a, b} comes from permutations(pool, 2), so
+    the recursion from b keeps that order."""
+    if len(pool) == 1:
+        return pool if T[end][pool[0]] >> rat & 1 else None
+    for a, b in permutations(pool, 2):
+        if T[end][a] >> b & 1:
+            rest = _route(T, b, [v for v in pool if v != a and v != b], rat)
+            if rest is not None:
+                return [a, b] + rest
+    return None
+
+
 def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[int, int]]]:
     """First length-increasing red replacement of one or two consecutive path
     edges using two reservoir vertices, preserving the path's end vertices.
@@ -268,50 +283,27 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
     wmask = sum(1 << w for w in wl)
     reach = _Reach(T, wmask)
 
-    def red(x: int, y: int, z: int) -> int:
-        return T[x][y] >> z & 1
-
-    def window_fits(lats, rats, core: Tuple[int, ...]) -> bool:
-        cmask = sum(1 << v for v in core)
-        return any(_bridges(T, lat, rat, cmask, wmask, reach) for lat, _ in lats for rat, _ in rats)
-
     for j in range(L):
         lats = [(p[2 * j], p[: 2 * j + 1])]
         if j >= 1:
             lats.append((p[2 * j - 1], p[: 2 * j - 1] + [p[2 * j], p[2 * j - 1]]))
-        rats1 = [(p[2 * j + 2], p[2 * j + 2 :])]
-        if j <= L - 2:
-            rats1.append((p[2 * j + 3], [p[2 * j + 3], p[2 * j + 2]] + p[2 * j + 4 :]))
-        mid = p[2 * j + 1]
-        if window_fits(lats, rats1, (mid,)):
+        # the 2-edge window ends at p[2j+2], the 3-edge one at p[2j+4]
+        for r in range(2 * j + 2, min(2 * j + 4, 2 * L) + 1, 2):
+            rats = [(p[r], p[r:])]
+            if r < 2 * L:
+                rats.append((p[r + 1], [p[r + 1], p[r]] + p[r + 2 :]))
+            core = p[2 * j + 1 : r]
+            cmask = sum(1 << v for v in core)
+            if not any(
+                _bridges(T, lat, rat, cmask, wmask, reach) for lat, _ in lats for rat, _ in rats
+            ):
+                continue
             for x, y in combinations(wl, 2):
                 for lat, left in lats:
-                    for rat, right in rats1:
-                        for i1, i2, i3 in permutations((mid, x, y)):
-                            if red(lat, i1, i2) and red(i2, i3, rat):
-                                return left + [i1, i2, i3] + right, (x, y)
-        if j > L - 2:
-            continue
-        rats2 = [(p[2 * j + 4], p[2 * j + 4 :])]
-        if j <= L - 3:
-            rats2.append((p[2 * j + 5], [p[2 * j + 5], p[2 * j + 4]] + p[2 * j + 6 :]))
-        core = (p[2 * j + 1], p[2 * j + 2], p[2 * j + 3])
-        if not window_fits(lats, rats2, core):
-            continue
-        for x, y in combinations(wl, 2):
-            pool5 = core + (x, y)
-            for lat, left in lats:
-                for rat, right in rats2:
-                    for a, b in permutations(pool5, 2):
-                        if not red(lat, a, b):
-                            continue
-                        rest = [v for v in pool5 if v != a and v != b]
-                        for d1, d2 in permutations(rest, 2):
-                            if not red(b, d1, d2):
-                                continue
-                            (e,) = [v for v in rest if v != d1 and v != d2]
-                            if red(d2, e, rat):
-                                return left + [a, b, d1, d2, e] + right, (x, y)
+                    for rat, right in rats:
+                        inner = _route(T, lat, core + [x, y], rat)
+                        if inner is not None:
+                            return left + inner + right, (x, y)
     return None
 
 
@@ -401,7 +393,7 @@ def _chain(
             blue[g0][g1] & w0mask, blue[g1][g2] & blue[g3][g4] & w0mask, blue[g4][g5] & w0mask,
         ))
 
-    # used is the bitmask of reservoir vertices already in seq
+    # used is the bitmask of reservoir vertices in seq; seq ends in one after the first window
     def rec(j: int, seq: List[int], used: int):
         nonlocal budget
         if used.bit_count() > best[1].bit_count():
@@ -421,16 +413,11 @@ def _chain(
         first = not seq
         if j <= L - 2:
             for i1, i2, i3, heads, tails in twos[j]:
-                tails &= fresh
-                if first:
-                    for p in _bits(heads & fresh):
-                        for q in _bits(tails & ~(1 << p)):
-                            res = rec(j + 2, [p, i1, i2, i3, q], used | 1 << p | 1 << q)
-                            if res:
-                                return res
-                elif heads >> seq[-1] & 1:
-                    for q in _bits(tails):
-                        res = rec(j + 2, seq + [i1, i2, i3, q], used | 1 << q)
+                for p in _bits(heads & (fresh if first else 1 << seq[-1])):
+                    for q in _bits(tails & fresh & ~(1 << p)):
+                        res = rec(
+                            j + 2, ([p] if first else seq) + [i1, i2, i3, q], used | 1 << p | 1 << q
+                        )
                         if res:
                             return res
         if j <= L - 3:
@@ -442,7 +429,7 @@ def _chain(
                         res = rec(
                             j + 3,
                             ([p] if first else seq) + front + [q] + back + [s],
-                            used | 1 << q | 1 << s | (1 << p if first else 0),
+                            used | 1 << p | 1 << q | 1 << s,
                         )
                         if res:
                             return res
@@ -538,19 +525,23 @@ def _open_cycle(c: Coloring, cyc: List[int], color: str):
     return None, family
 
 
-def _convert_red_cycle(
-    c: Coloring, cyc: List[int], n: int, blue_shape: str, blue_m: int,
+def _convert_cycle(
+    c: Coloring, cyc: List[int], color: str, other: Tuple[str, int],
     trace: Optional[List[str]],
 ) -> Witness:
-    """A red cycle of length n yields either a red path of length n or the
-    blue target assembled from the all-blue cycle boundary."""
-    path, family = _open_cycle(c, cyc, RED)
+    """A cycle of the colour yields either a path of the colour and the
+    cycle's length or the other colour's target (shape, length), assembled
+    from the cycle boundary when all of it has the other colour."""
+    path, family = _open_cycle(c, cyc, color)
     if path is not None:
-        _note(trace, "opened red cycle into red path")
-        return Witness(RED, PATH, validate_loose_path(path))
-    _note(trace, "cycle boundary entirely blue; assembling blue target")
-    return _from_family(family, BLUE, blue_shape, blue_m) or _completion(
-        c, (blue_shape, blue_m), (PATH, n), trace, "cycle conversion"
+        _note(trace, f"opened {color} cycle into {color} path")
+        return Witness(color, PATH, validate_loose_path(path))
+    oc = opposite(color)
+    _note(trace, f"cycle boundary entirely {oc}; assembling {oc} target")
+    own = (PATH, len(cyc) // 2)
+    blue, red = (other, own) if color == RED else (own, other)
+    return _from_family(family, oc, *other) or _completion(
+        c, blue, red, trace, "cycle conversion"
     )
 
 
@@ -641,15 +632,7 @@ def _cycle_step(
                 _note(trace, "closing candidate blue: blue cycle")
                 return w
             # blue cycle found but a blue path is wanted: open it
-            bpath, family = _open_cycle(c, list(seq), BLUE)
-            if bpath is not None:
-                _note(trace, "opened blue cycle into blue path")
-                return Witness(BLUE, PATH, validate_loose_path(bpath))
-            rw = _from_family(family, RED, CYCLE, n)
-            if rw is not None:
-                _note(trace, "blue cycle boundary entirely red: red cycle")
-                return rw
-            return _completion(c, (PATH, m), (CYCLE, n), trace, "blue cycle opening")
+            return _convert_cycle(c, list(seq), BLUE, (CYCLE, n), trace)
     return _completion(c, (want, m), (CYCLE, n), trace, "no closing candidate matched")
 
 
@@ -706,7 +689,7 @@ def _path_step(
                 continue
             if color == RED and shape == CYCLE:
                 _note(trace, "closing candidate red cycle; converting")
-                return _convert_red_cycle(c, list(seq), n, PATH, m, trace)
+                return _convert_cycle(c, list(seq), RED, (PATH, m), trace)
             _note(trace, f"closing candidate accepted: {color} {shape}")
             return w
     return _completion(c, (PATH, m), (PATH, n), trace, "no closing candidate matched")
@@ -787,7 +770,7 @@ def _solve(
         c, links = c.swap(), links.swap()
     verts = list(rw.structure.vertices)
     if kind == PNCM:
-        w = _convert_red_cycle(c, verts, n, CYCLE, m, trace)
+        w = _convert_cycle(c, verts, RED, (CYCLE, m), trace)
     elif (kind, n, m) == (PMCN, 4, 3):
         # a red cycle of length 4 contains a red path of length 3
         w = Witness(RED, PATH, validate_loose_path(verts[:7]))

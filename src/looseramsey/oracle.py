@@ -25,6 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .core import (
+    BLUE,
     CYCLE,
     PATH,
     RED,
@@ -170,6 +171,8 @@ def _search(verts: Sequence[int], T: Links, shape: str, length: int) -> Optional
 
 def _color_bits(coloring: Coloring, color: str) -> int:
     """The colex bitmap of one colour class of a coloring."""
+    if color not in (RED, BLUE):
+        raise ValueError(f"unknown color {color!r}")
     bits = coloring.red_bits
     return bits if color == RED else bits ^ ((1 << coloring.n_triples) - 1)
 

@@ -112,6 +112,11 @@ class TestColoring:
         assert opposite(RED) == BLUE
         assert opposite(BLUE) == RED
 
+    def test_unknown_color_has_no_tester(self):
+        # any name but red and blue used to read as blue
+        with pytest.raises(ValueError, match="unknown color 'Red'"):
+            Coloring.all_red(5).test("Red")
+
 
 # The shift-based lookups that the byte view replaced, kept verbatim.
 
@@ -207,7 +212,7 @@ class TestStructures:
         p = validate_loose_path([4, 0, 2, 5, 1])
         assert p.length == 2
         assert p.edges == (TripleEdge(0, 2, 4), TripleEdge(1, 2, 5))
-        assert p.first_vertex == 4 and p.last_vertex == 1
+        assert p.vertices[0] == 4 and p.vertices[-1] == 1
 
     def test_empty_path_length(self):
         assert LoosePath(()).length == 0

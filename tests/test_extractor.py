@@ -18,11 +18,12 @@ from looseramsey.core import (
     colex_rank,
     validate_loose_cycle,
     validate_loose_path,
+    validate_structure,
     verify_witness,
 )
 from looseramsey.extractor import (
     _chain,
-    _convert_red_cycle,
+    _convert_cycle,
     _cycle_step,
     _find_move,
     _LinkTables,
@@ -212,8 +213,8 @@ class TestGreedyRedPath:
             for a in free:
                 for b in free:
                     if a < b:
-                        assert not c.is_red(TripleEdge.of(p.last_vertex, a, b))
-                        assert not c.is_red(TripleEdge.of(p.first_vertex, a, b))
+                        assert not c.is_red(TripleEdge.of(p.vertices[-1], a, b))
+                        assert not c.is_red(TripleEdge.of(p.vertices[0], a, b))
 
 
 class TestMaximalize:
@@ -327,10 +328,29 @@ class TestSteps:
         assert verify_witness(c, w)
 
 
+def _cycle_with_blue_boundary(seed):
+    """A coloring on 8-12 vertices whose red triples are a loose 3-cycle, the
+    returned cyc, plus random triples that are no boundary edge of it (a
+    consecutive cycle pair with an outside vertex)."""
+    rnd = random.Random(seed)
+    n = rnd.randint(8, 12)
+    cyc = rnd.sample(range(n), 6)
+    pairs = {frozenset((cyc[i], cyc[(i + 1) % 6])) for i in range(6)}
+    red = [(cyc[i], cyc[i + 1], cyc[(i + 2) % 6]) for i in (0, 2, 4)]
+    for e in combinations(range(n), 3):
+        outside = not set(e) <= set(cyc)
+        if outside and any(frozenset(q) in pairs for q in combinations(e, 2)):
+            continue
+        if rnd.random() < 0.3:
+            red.append(e)
+    return Coloring.from_red_edges(n, red), cyc
+
+
 class TestConvertRedCycle:
-    """Both exits of `_convert_red_cycle`, which no split+1 or uniform solve
-    reaches through the opening exit: a red cycle of length 3 becomes a red
-    path of length 3, or the all-blue boundary gives the blue path."""
+    """Both exits of `_convert_cycle` on a red cycle, which no split+1 or
+    uniform solve reaches through the opening exit: a red cycle of length 3
+    becomes a red path of length 3, or the all-blue boundary gives the blue
+    path."""
 
     def _check(self, c, w, color, length):
         assert (w.color, w.shape, w.length) == (color, PATH, length)
@@ -345,7 +365,7 @@ class TestConvertRedCycle:
             if cyc is None:
                 continue
             trace = []
-            w = _convert_red_cycle(c, list(cyc.structure.vertices), 3, PATH, 2, trace)
+            w = _convert_cycle(c, list(cyc.structure.vertices), RED, (PATH, 2), trace)
             assert trace == ["opened red cycle into red path"], seed
             self._check(c, w, RED, 3)
             found += 1
@@ -355,23 +375,49 @@ class TestConvertRedCycle:
         # red: a loose 3-cycle plus random triples that are no boundary edge
         # (a consecutive cycle pair with an outside vertex)
         for seed in range(100):
-            rnd = random.Random(seed)
-            n = rnd.randint(8, 12)
-            cyc = rnd.sample(range(n), 6)
-            pairs = {frozenset((cyc[i], cyc[(i + 1) % 6])) for i in range(6)}
-            red = [(cyc[i], cyc[i + 1], cyc[(i + 2) % 6]) for i in (0, 2, 4)]
-            for e in combinations(range(n), 3):
-                outside = not set(e) <= set(cyc)
-                if outside and any(frozenset(q) in pairs for q in combinations(e, 2)):
-                    continue
-                if rnd.random() < 0.3:
-                    red.append(e)
-            c = Coloring.from_red_edges(n, red)
+            c, cyc = _cycle_with_blue_boundary(seed)
             m = 2 + seed % 2
             trace = []
-            w = _convert_red_cycle(c, cyc, 3, PATH, m, trace)
+            w = _convert_cycle(c, cyc, RED, (PATH, m), trace)
             assert trace == ["cycle boundary entirely blue; assembling blue target"], seed
             self._check(c, w, BLUE, m)
+
+
+class TestConvertBlueCycle:
+    """Both exits of `_convert_cycle` on a blue cycle, as `_cycle_step` calls
+    it when a blue candidate cycle closes but a blue path is wanted (no
+    split+1 or uniform solve reaches that call): a blue cycle of length 3
+    becomes a blue path of length 3, or the all-red boundary gives the red
+    target.  The trace shows that no completion ran."""
+
+    def _check(self, c, w, color, target):
+        assert (w.color, w.shape, w.length) == (color, *target)
+        assert validate_structure(w.shape, w.structure.vertices) == w.structure
+        assert verify_witness(c, w)
+
+    def test_opens_the_blue_cycle_of_random_colorings(self):
+        found = 0
+        for seed in range(200):
+            c = _rand(random.Random(seed).randint(8, 12), seed)
+            cyc = find_mono_cycle(c, BLUE, 3)
+            if cyc is None:
+                continue
+            trace = []
+            w = _convert_cycle(c, list(cyc.structure.vertices), BLUE, (CYCLE, 4), trace)
+            assert trace == ["opened blue cycle into blue path"], seed
+            self._check(c, w, BLUE, (PATH, 3))
+            found += 1
+        assert found >= 190
+
+    def test_all_red_boundary_assembles_the_red_target(self):
+        # the colour swap of the red run's colorings: every boundary edge red
+        for seed in range(120):
+            c, cyc = _cycle_with_blue_boundary(seed)
+            target = ((PATH, 2), (PATH, 3), (CYCLE, 3))[seed % 3]
+            trace = []
+            w = _convert_cycle(c.swap(), cyc, BLUE, target, trace)
+            assert trace == ["cycle boundary entirely red; assembling red target"], seed
+            self._check(c.swap(), w, RED, target)
 
 
 class TestSolve:

@@ -40,6 +40,7 @@ from looseramsey.extractor import (
     _linked,
     _LinkTables,
     _Reach,
+    _route,
     _window_inners,
     _window_p4,
     greedy_red_path,
@@ -482,6 +483,27 @@ class TestKernels:
             assert _bridges(T, lat, rat, cmask, wmask, _Reach(T, wmask)) == want, seed
             hits += want
         assert 100 < hits < 1400
+
+    def test_route_matches_a_permutation_scan(self):
+        """_route returns the first ordering of its pool, in permutations
+        order, that makes end, pool..., rat a red loose path, on random
+        tables of red density 0.2, 0.5 and 0.8 with pools of 3 and 5; in
+        _find_move it only runs on windows that _bridges accepts."""
+        seen = {3: set(), 5: set()}
+        for seed in range(1200):
+            rnd = random.Random(seed)
+            density, k = (0.2, 0.5, 0.8)[seed % 3], (3, 5)[seed // 3 % 2]
+            n = rnd.randint(k + 2, 14)
+            c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
+            end, rat, *pool = rnd.sample(range(n), k + 2)
+            red = c.test(RED)
+            want = next((
+                list(seq) for seq in permutations(pool)
+                if all(red(*[end, *seq, rat][i : i + 3]) for i in range(0, k + 1, 2))
+            ), None)
+            assert _route(_LinkTables(c).table(RED), end, pool, rat) == want, seed
+            seen[k].add("none" if want is None else "first" if want == pool else "later")
+        assert seen == {3: {"none", "first", "later"}, 5: {"none", "first", "later"}}
 
     def test_find_move_matches_the_scan(self):
         moves = 0

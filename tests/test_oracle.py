@@ -86,6 +86,8 @@ class TestFindMonoPath:
             find_mono_path(c, RED, 0)
         with pytest.raises(ValueError):
             find_mono_path(c, RED, 4)  # needs 9 vertices
+        with pytest.raises(ValueError, match="unknown color 'Red'"):
+            find_mono_path(c, "Red", 2)
 
     def test_deterministic(self):
         rnd = random.Random(5)
@@ -124,6 +126,8 @@ class TestFindMonoCycle:
             find_mono_cycle(c, RED, 2)
         with pytest.raises(ValueError):
             find_mono_cycle(c, RED, 4)
+        with pytest.raises(ValueError, match="unknown color 'green'"):
+            find_mono_cycle(c, "green", 3)
 
 
 class TestLongestMonoPath:
