@@ -9,7 +9,8 @@ measured against), extracted with `git archive`, and this checkout's
 alternating which source goes first; a case's time is the median over the
 repeats, with its quartiles, in ms by `time.perf_counter`, every input
 built outside the timed span.  Each source gets the sha1 of all its
-outputs, which agree when both return the same results.
+outputs, which agree when both return the same results, and `src_lines`,
+the line count of its `looseramsey/*.py` as `wc -l` gives it.
 
 - `scaling`: one `solve` per kind (pp, cc, pncm, pmcn) on its diagonal pair
   (m = n, or m = n - 1 for pmcn), n in SCALING_NS, side (the extremal split
@@ -219,6 +220,11 @@ def parent_src(tmp: str) -> str:
     return os.path.join(tmp, "src")
 
 
+def src_lines(src: str) -> int:
+    """Lines of the package modules under src."""
+    return sum(p.read_text().count("\n") for p in Path(src).glob("looseramsey/*.py"))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("record", choices=RECORDS)
@@ -232,6 +238,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         sources = [(parent_src(tmp), f"parent {PARENT}"), (str(ROOT / "src"), "this checkout")]
         outs = {label: [] for _, label in sources}
+        lines = {label: src_lines(src) for src, label in sources}
         for r in range(repeats):
             for src, label in sources[:: 1 if r % 2 == 0 else -1]:
                 cmd = [sys.executable, __file__, args.record, "--worker", src]
@@ -245,6 +252,7 @@ def main() -> None:
             "median_ms": _leaves(lambda q: round(q[1] * 1e3, 3), qs),
             "quartiles_ms": _leaves(lambda q: [round(q[0] * 1e3, 3), round(q[2] * 1e3, 3)], qs),
             **runs[label],
+            "src_lines": lines[label],
         }
     host = {"python": platform.python_version(), "machine": platform.machine(),
             "nproc": os.cpu_count()}

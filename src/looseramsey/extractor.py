@@ -1,9 +1,11 @@
 """Constructive extraction of monochromatic witnesses at the Ramsey threshold.
 
 Given a 2-coloring of K3_N with N at or above the threshold of a pair, the
-engine produces a verified red or blue witness.  The algorithm is inductive:
-solve the pair with the long side shortened by one on a vertex prefix of the
-recursive threshold size, then lift the resulting red structure by one edge.
+engine produces a verified red or blue witness.  It runs the paper's
+induction as two loops: the descent tries a greedy build of the red target
+on each level's threshold prefix, shortening one side of the pair by one per
+failed level, down to a greedy success or a base case (complete search); the
+ascent lifts that witness by one edge per level that needs it.
 The lift works by maximalizing the red structure against the reservoir W
 (the vertices outside it) with length-increasing replacement moves, chaining
 a blue path through W across 2- and 3-edge windows of the red path, and
@@ -410,29 +412,27 @@ def _chain(
         start = budget
         budget -= 1
         fresh = w0mask & ~used
-        first = not seq
+        # (start vertex, sequence through it, fresh vertices after it): any
+        # fresh vertex for the first window, the end of seq for a later one
+        starts = [(seq[-1], seq, fresh)] if seq else [(p, [p], fresh ^ 1 << p) for p in _bits(fresh)]
         if j <= L - 2:
             for i1, i2, i3, heads, tails in twos[j]:
-                for p in _bits(heads & (fresh if first else 1 << seq[-1])):
-                    for q in _bits(tails & fresh & ~(1 << p)):
-                        res = rec(
-                            j + 2, ([p] if first else seq) + [i1, i2, i3, q], used | 1 << p | 1 << q
-                        )
-                        if res:
-                            return res
+                for p, head, rest in starts:
+                    if heads >> p & 1:
+                        for q in _bits(tails & rest):
+                            res = rec(j + 2, head + [i1, i2, i3, q], used | 1 << p | 1 << q)
+                            if res:
+                                return res
         if j <= L - 3:
             front, back, heads, mids, tails = threes[j]
-            heads &= fresh if first else 1 << seq[-1]
-            for p in _bits(heads):
-                for q in _bits(mids & fresh & ~(1 << p)):
-                    for s in _bits(tails & fresh & ~(1 << p | 1 << q)):
-                        res = rec(
-                            j + 3,
-                            ([p] if first else seq) + front + [q] + back + [s],
-                            used | 1 << p | 1 << q | 1 << s,
-                        )
-                        if res:
-                            return res
+            for p, head, rest in starts:
+                if heads >> p & 1:
+                    for q in _bits(mids & rest):
+                        for s in _bits(tails & rest & ~(1 << q)):
+                            seq3 = head + front + [q] + back + [s]
+                            res = rec(j + 3, seq3, used | 1 << p | 1 << q | 1 << s)
+                            if res:
+                                return res
         if key is not None and budget > 0:
             failed[key] = start - budget
         return None
@@ -699,10 +699,6 @@ def _path_step(
 # Top-level induction.
 
 
-def _swapped(w: Witness) -> Witness:
-    return Witness(opposite(w.color), w.shape, w.structure)
-
-
 def _fast_red(c: Coloring, target: Tuple[str, int], links: _LinkTables) -> Optional[Witness]:
     """Cheap attempt at the red target: greedy path plus replacement moves.
     Succeeds on most colorings without entering the induction, and then
@@ -729,58 +725,6 @@ def _fast_red(c: Coloring, target: Tuple[str, int], links: _LinkTables) -> Optio
     return None
 
 
-def _oracle_solve(pair: PairKind, c: Coloring, trace: Optional[List[str]]) -> Witness:
-    """Complete search for the base cases; red target first."""
-    _note(trace, f"base case {pair}: complete search")
-    w = _find(c, RED, pair.red_target) or _find(c, BLUE, pair.blue_target)
-    if w is not None:
-        return w
-    raise ExtractionError(f"base case {pair} produced no witness; trace: {trace}")
-
-
-def _solve(
-    pair: PairKind, c: Coloring, links: _LinkTables, trace: Optional[List[str]]
-) -> Witness:
-    """links serves the top-level coloring, of which c is a prefix."""
-    kind, n, m = pair.kind, pair.n, pair.m
-    w = _fast_red(c, pair.red_target, links)
-    if w is not None:
-        _note(trace, f"{pair}: red target built greedily")
-        return w
-
-    if kind in (PP, CC) and (n, m) in _BASES:
-        return _oracle_solve(pair, c, trace)
-
-    # Lift the sub pair's witness by one step: its red structure, or its blue
-    # one with the colours swapped; its other colour is already a witness.
-    if kind == PNCM:
-        swap, sub = False, PairKind(CC, n, m)
-    elif (kind, n, m) == (PMCN, 4, 3):
-        swap, sub = False, PairKind(CC, 4, 4)
-    elif kind == PMCN:
-        swap, sub = True, PairKind(PNCM, m, m) if n == m + 1 else PairKind(PMCN, n - 1, m)
-    else:
-        swap = n == m
-        sub = PairKind(kind, n, n - 1) if swap else PairKind(kind, n - 1, m)
-    rw = _solve(sub, c.restrict(ramsey_number(sub)), links, trace)
-    if rw.color == (RED if swap else BLUE):
-        return rw
-    if swap:
-        _note(trace, f"{pair}: swapping colors around blue {rw.shape} of length {rw.length}")
-        c, links = c.swap(), links.swap()
-    verts = list(rw.structure.vertices)
-    if kind == PNCM:
-        w = _convert_cycle(c, verts, RED, (CYCLE, m), trace)
-    elif (kind, n, m) == (PMCN, 4, 3):
-        # a red cycle of length 4 contains a red path of length 3
-        w = Witness(RED, PATH, validate_loose_path(verts[:7]))
-    elif kind == PP:
-        w = _path_step(c, verts, n, m, links, trace)
-    else:
-        w = _cycle_step(c, verts, n, m, CYCLE if kind == CC else PATH, links, trace)
-    return _swapped(w) if swap else w
-
-
 def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None) -> Witness:
     """Extract a verified witness for the pair from any coloring at or above
     the threshold.  Deterministic: identical inputs give identical witnesses.
@@ -790,9 +734,64 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
         raise ValueError(
             f"need at least {N} vertices for {pair}, coloring has {coloring.n_vertices}"
         )
-    c = coloring.restrict(N)
-    w = _solve(pair, c, _LinkTables(c), trace)
-    res = verify_witness(c, w)
+    top = coloring.restrict(N)
+    links = _LinkTables(top)  # serves every prefix and, swapped, every swap
+
+    # Descent: each level tries the red target greedily on its threshold
+    # prefix; a failure there hands the level's sub pair down, until a
+    # greedy success or a base case gives the first witness.
+    levels: List[Tuple[PairKind, Coloring, bool]] = []
+    at = pair
+    while True:
+        kind, n, m = at.kind, at.n, at.m
+        c = top.restrict(ramsey_number(at))
+        w = _fast_red(c, at.red_target, links)
+        if w is not None:
+            _note(trace, f"{at}: red target built greedily")
+            break
+        if kind in (PP, CC) and (n, m) in _BASES:
+            _note(trace, f"base case {at}: complete search")
+            w = _find(c, RED, at.red_target) or _find(c, BLUE, at.blue_target)
+            if w is None:
+                raise ExtractionError(f"base case {at} produced no witness; trace: {trace}")
+            break
+        # the level lifts its sub pair's red structure, or its blue one with
+        # the colours swapped; the sub pair's other colour is already a witness
+        if kind == PNCM:
+            swap, sub = False, PairKind(CC, n, m)
+        elif (kind, n, m) == (PMCN, 4, 3):
+            swap, sub = False, PairKind(CC, 4, 4)
+        elif kind == PMCN:
+            swap, sub = True, PairKind(PNCM, m, m) if n == m + 1 else PairKind(PMCN, n - 1, m)
+        else:
+            swap = n == m
+            sub = PairKind(kind, n, n - 1) if swap else PairKind(kind, n - 1, m)
+        levels.append((at, c, swap))
+        at = sub
+
+    # Ascent: lift the witness by one step per level, innermost level first.
+    for at, c, swap in reversed(levels):
+        kind, n, m = at.kind, at.n, at.m
+        if w.color == (RED if swap else BLUE):
+            continue
+        lk = links
+        if swap:
+            _note(trace, f"{at}: swapping colors around blue {w.shape} of length {w.length}")
+            c, lk = c.swap(), links.swap()
+        verts = list(w.structure.vertices)
+        if kind == PNCM:
+            w = _convert_cycle(c, verts, RED, (CYCLE, m), trace)
+        elif (kind, n, m) == (PMCN, 4, 3):
+            # a red cycle of length 4 contains a red path of length 3
+            w = Witness(RED, PATH, validate_loose_path(verts[:7]))
+        elif kind == PP:
+            w = _path_step(c, verts, n, m, lk, trace)
+        else:
+            w = _cycle_step(c, verts, n, m, CYCLE if kind == CC else PATH, lk, trace)
+        if swap:
+            w = Witness(opposite(w.color), w.shape, w.structure)
+
+    res = verify_witness(top, w)
     if not res:
         raise ExtractionError(f"internal: witness fails verification: {res.reason}")
     target = (w.shape, w.length)

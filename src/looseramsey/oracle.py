@@ -33,8 +33,7 @@ from .core import (
     TripleEdge,
     Witness,
     colex_rank,
-    validate_loose_cycle,
-    validate_loose_path,
+    validate_structure,
 )
 
 ENUMERATION_BUDGET_BITS = 24
@@ -177,30 +176,30 @@ def _color_bits(coloring: Coloring, color: str) -> int:
     return bits if color == RED else bits ^ ((1 << coloring.n_triples) - 1)
 
 
+def _find_mono(coloring: Coloring, color: str, shape: str, length: int) -> Optional[Witness]:
+    """find_mono_path and find_mono_cycle: _search on the colour's table."""
+    letter, shortest, need = ("C", 3, 2 * length) if shape == CYCLE else ("P", 1, 2 * length + 1)
+    if length < shortest:
+        raise ValueError(f"{shape} length {length} below minimum {shortest}")
+    n = coloring.n_vertices
+    if need > n:
+        raise ValueError(f"{letter}_{length} needs {need} vertices, coloring has {n}")
+    seq = _search(range(n), _link_table(n, _color_bits(coloring, color)), shape, length)
+    return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
+
+
 def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
     """Complete search for a monochromatic loose path of the given length.
 
     Deterministic: vertices are tried in ascending label order, so the
     returned witness is the first sequence under that order.
     """
-    if length < 1:
-        raise ValueError(f"path length {length} below minimum 1")
-    n = coloring.n_vertices
-    if 2 * length + 1 > n:
-        raise ValueError(f"P_{length} needs {2 * length + 1} vertices, coloring has {n}")
-    seq = _search(range(n), _link_table(n, _color_bits(coloring, color)), PATH, length)
-    return None if seq is None else Witness(color, PATH, validate_loose_path(seq))
+    return _find_mono(coloring, color, PATH, length)
 
 
 def find_mono_cycle(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
     """Complete search for a monochromatic loose cycle of the given length."""
-    if length < 3:
-        raise ValueError(f"cycle length {length} below minimum 3")
-    n = coloring.n_vertices
-    if 2 * length > n:
-        raise ValueError(f"C_{length} needs {2 * length} vertices, coloring has {n}")
-    seq = _search(range(n), _link_table(n, _color_bits(coloring, color)), CYCLE, length)
-    return None if seq is None else Witness(color, CYCLE, validate_loose_cycle(seq))
+    return _find_mono(coloring, color, CYCLE, length)
 
 
 def _structure_masks(n_vertices: int, shape: str, length: int) -> List[int]:
@@ -213,11 +212,10 @@ def _structure_masks(n_vertices: int, shape: str, length: int) -> List[int]:
         raise ValueError(
             f"{shape} target length {length} out of range: a {shape} needs length >= {shortest}"
         )
-    validate = validate_loose_path if shape == PATH else validate_loose_cycle
     n_needed = 2 * length + 1 if shape == PATH else 2 * length
     # a structure's edges are distinct triples, so the sum of their bits is their union
     masks = dict.fromkeys(
-        sum(1 << colex_rank(e) for e in validate(seq).edges)
+        sum(1 << colex_rank(e) for e in validate_structure(shape, seq).edges)
         for seq in permutations(range(n_vertices), n_needed)
     )
     return list(masks)

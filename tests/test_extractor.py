@@ -1,12 +1,23 @@
 """Witness extraction: greedy growth, maximality, chaining, the full solver."""
 
+import inspect
 import random
+import sys
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from looseramsey.constructions import CC, PMCN, PNCM, PP, PairKind, SplitSpec, build_split_coloring
+from looseramsey.constructions import (
+    CC,
+    PMCN,
+    PNCM,
+    PP,
+    PairKind,
+    SplitSpec,
+    build_split_coloring,
+    lower_bound_params,
+)
 from looseramsey.core import (
     BLUE,
     CYCLE,
@@ -485,3 +496,23 @@ class TestSolve:
         c = build_split_coloring(SplitSpec(7, 1)).swap()  # adversarial-ish, 8 verts
         solve(PairKind(PP, 3, 3), c, trace=trace)
         assert trace and all(isinstance(line, str) for line in trace)
+
+    def test_frames_do_not_grow_with_the_induction(self):
+        """The induction runs as loops: both solves descend through about 2n
+        levels, under a recursion limit only 40 frames above the caller's
+        depth."""
+        pp = PairKind(PP, 80, 80)
+        cc = PairKind(CC, 40, 40)
+        spec = lower_bound_params(cc)
+        cases = [
+            (pp, Coloring(ramsey_number(pp), 0)),
+            (cc, build_split_coloring(SplitSpec(spec.a + 1, spec.b))),
+        ]
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            witnesses = [solve(pair, c) for pair, c in cases]
+        finally:
+            sys.setrecursionlimit(old)
+        for (pair, c), w in zip(cases, witnesses):
+            assert verify_witness(c, w), pair
