@@ -1,6 +1,7 @@
-"""Before/after records of split+1 solve time against n and of the oracle.
+"""Before/after records of split+1 solve time against n, of the oracle and
+of the coloring file formats.
 
-    python3 scripts/bench_record.py scaling|oracle
+    python3 scripts/bench_record.py scaling|oracle|formats
 
 Writes BENCH_<record>.json at the root of the checkout.  Two sources are
 timed: the package at commit PARENT (set it to the commit a change is
@@ -27,6 +28,12 @@ the line count of its `looseramsey/*.py` as `wc -l` gives it.
   in SEEDS, keeping the least of SOLVES runs on fresh copies.  `completions`
   counts solves that end in the oracle completion; `speedup_sum_of_medians`
   is the parent's sum of medians over this checkout's, per group of cases.
+- `formats`: LRC1 and LRE1 encode and decode of the split coloring of
+  pncm(30, 30) (N = 74) and of a random coloring, drawn by
+  `random.Random(N)`, at each N in FORMAT_NS; each time is the least of
+  CALLS calls.  `sha1` covers each source's encoded files, which agree when
+  both write the same bytes, and `speedup` is the parent's median time over
+  this checkout's.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "0ed5d22"
+PARENT = "c45429f"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80)
 CASES = [(kind, side, orient) for kind in KINDS for side in "ab" for orient in ("plain", "swapped")]
@@ -59,6 +66,8 @@ FLIP_CASES = (("pmcn", 16, 4, "a", "plain"), ("pp", 20, 4, "b", "swapped"),
 FLIPS = 2
 SEEDS = range(12)
 SOLVES = 5
+FORMAT_NS = (30, 74, 100)
+CALLS = 5
 NOTES = (
     "One shared 2-core x86-64 container, time.perf_counter. The host cannot pin "
     "CPUs, fix the clock frequency or drop caches, and other tenants load it: its speed drifts "
@@ -143,6 +152,34 @@ def sweep_oracle() -> dict:
     return {"times": times, "completions": completions, "sha1": sha1}
 
 
+def sweep_formats() -> dict:
+    """Time every format case once with the looseramsey on sys.path."""
+    from looseramsey.constructions import PairKind, build_split_coloring, lower_bound_params
+    from looseramsey.core import Coloring
+    from looseramsey.formats import decode, encode_lrc1, encode_lre1
+
+    def least(call):
+        best = math.inf
+        for _ in range(CALLS):
+            start = time.perf_counter()
+            out = call()
+            best = min(best, time.perf_counter() - start)
+        return best, out
+
+    cases = {"split pncm(30,30) N=74": build_split_coloring(lower_bound_params(PairKind("pncm", 30, 30)))}
+    for n in FORMAT_NS:
+        cases[f"random N={n}"] = Coloring(n, random.Random(n).getrandbits(math.comb(n, 3)))
+    times, texts = {}, []
+    for case, c in cases.items():
+        for fmt, encode in (("LRC1", encode_lrc1), ("LRE1", encode_lre1)):
+            times[f"{fmt} encode {case}"], text = least(lambda: encode(c))
+            times[f"{fmt} decode {case}"], back = least(lambda: decode(text))
+            if back != c:
+                raise RuntimeError(f"{fmt} round trip of {case} changed the coloring")
+            texts.append(text)
+    return {"times": times, "sha1": hashlib.sha1("".join(texts).encode()).hexdigest()}
+
+
 def _quartiles(samples: list) -> dict:
     """Per case, nested as in the samples: (first quartile, median, third
     quartile) over the samples."""
@@ -202,12 +239,23 @@ def _oracle_keys(quart: dict, outs: dict):
     return params, runs, {"speedup_sum_of_medians": speedup}
 
 
+def _formats_keys(quart: dict, outs: dict):
+    """The formats record's parameters, keys per source and speedup."""
+    params = {"ns": list(FORMAT_NS), "calls": CALLS}
+    runs = {label: {"sha1": sorted({o["sha1"] for o in outs[label]})} for label in quart}
+    before, after = quart.values()
+    speedup = {case: round(q[1] / after[case][1], 2) for case, q in before.items()}
+    return params, runs, {"speedup": speedup}
+
+
 # the sweep, its record's own keys, its repeats and its note
 RECORDS = {
     "scaling": (sweep_scaling, _scaling_keys, 7,
                 "Cases under 1 ms are noise-bound and their exponents mean little."),
     "oracle": (sweep_oracle, _oracle_keys, 3,
                "An unpruned oracle's proofs at n = 8 take minutes, hence only 3 repeats."),
+    "formats": (sweep_formats, _formats_keys, 7,
+                "LRC1 times are under 1 ms and noise-bound."),
 }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -198,18 +199,35 @@ class Coloring:
         return Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
 
     def red_edges(self) -> Iterator[TripleEdge]:
-        """The red triples in rank order."""
-        # flags[r] is bit r; the triples (., y, z) hold the y ranks from base
-        flags = format(self.red_bits, f"0{self.n_triples}b")[::-1]
-        base = 0
-        for z in range(2, self.n_vertices):
-            for y in range(1, z):
-                end = base + y
-                x = flags.find("1", base, end)
-                while x >= 0:
-                    yield TripleEdge(x - base, y, z)
-                    x = flags.find("1", x + 1, end)
-                base = end
+        """The red triples in rank order, read block by block (see _red_blocks)."""
+        for y, z, block in _red_blocks(self):
+            for x in compress(range(y), block):
+                yield TripleEdge(x, y, z)
+
+
+# format(bits, "b") reversed and encoded is one byte per rank; this maps its
+# ASCII digits to 0/1 flags, which bytes.find and itertools.compress read.
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _red_blocks(coloring: Coloring) -> Iterator[Tuple[int, int, bytes]]:
+    """(y, z, flags) for every (y, z) with a red triple {x < y < z}, in rank
+    order; flags[x] is 1 iff {x, y, z} is red.  The triples of one (y, z)
+    fill the ranks [C(z,3) + C(y,2), + y), so the blocks tile the bitmap in
+    order.  The flag string is sized by the highest red rank and the walk
+    stops there, so a sparse coloring of a huge N costs only its red span."""
+    bits = coloring.red_bits
+    top = bits.bit_length()
+    flags = format(bits, "b")[::-1].encode().translate(_FLAGS)
+    base = 0
+    for z in range(2, coloring.n_vertices):
+        for y in range(1, z):
+            if base >= top:
+                return
+            end = base + y
+            if flags.find(1, base, end) >= 0:
+                yield y, z, flags[base:end]
+            base = end
 
 
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:

@@ -18,11 +18,12 @@ The replacement-move search and the blue chaining read the coloring
 through link tables (per vertex pair, the bitset of third vertices that
 complete a triple of one colour), so they test whole reservoirs at once.
 One table is built per top-level solve, for the colour asked for first;
-the other is its complement.  The move search rules a window of the red path in or out with
-a few mask tests against per-vertex reach masks before scanning it pair by
-pair.  The chaining remembers the states it has seen fail and charges each
-revisit the node budget its first search used, so it returns exactly what
-the search without the memo returns under the same budget.
+the other is its complement, and the complete searches read both.  The
+move search rules a window of the red path in or out with a few mask tests
+against per-vertex reach masks before scanning it pair by pair.  The
+chaining remembers the states it has seen fail and charges each revisit the
+node budget its first search used, so it returns exactly what the search
+without the memo returns under the same budget.
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -57,11 +58,10 @@ from .core import (
 )
 from .oracle import (
     Links,
+    _find_mono,
     _link_table,
     find_loose_cycle_from_edges,
     find_loose_path_from_edges,
-    find_mono_cycle,
-    find_mono_path,
 )
 
 # (n, m) pairs whose thresholds rest on external small-case results.
@@ -458,10 +458,14 @@ def _check(c: Coloring, color: str, shape: str, seq: Sequence[int]) -> Optional[
     return w if verify_witness(c, w) else None
 
 
-def _find(c: Coloring, color: str, target: Tuple[str, int]) -> Optional[Witness]:
-    """Complete search for a structure of the colour, shape and length."""
-    shape, length = target
-    return (find_mono_path if shape == PATH else find_mono_cycle)(c, color, length)
+def _find(
+    c: Coloring, color: str, target: Tuple[str, int], links: _LinkTables
+) -> Optional[Witness]:
+    """Complete search for a structure of the colour, shape and length, on
+    the colour's table in links cut down to c's vertices."""
+    n, mask = c.n_vertices, (1 << c.n_vertices) - 1
+    T = [[t & mask for t in row[:n]] for row in links.table(color)[:n]]
+    return _find_mono(c, color, *target, T)
 
 
 def _from_family(
@@ -478,6 +482,7 @@ def _completion(
     c: Coloring,
     blue_target: Tuple[str, int],
     red_target: Tuple[str, int],
+    links: _LinkTables,
     trace: Optional[List[str]],
     why: str,
 ) -> Witness:
@@ -492,7 +497,7 @@ def _completion(
         RuntimeWarning,
         stacklevel=2,
     )
-    w = _find(c, BLUE, blue_target) or _find(c, RED, red_target)
+    w = _find(c, BLUE, blue_target, links) or _find(c, RED, red_target, links)
     if w is None:
         raise ExtractionError(
             f"no witness found below threshold invariants; trace: {trace}"
@@ -527,7 +532,7 @@ def _open_cycle(c: Coloring, cyc: List[int], color: str):
 
 def _convert_cycle(
     c: Coloring, cyc: List[int], color: str, other: Tuple[str, int],
-    trace: Optional[List[str]],
+    links: _LinkTables, trace: Optional[List[str]],
 ) -> Witness:
     """A cycle of the colour yields either a path of the colour and the
     cycle's length or the other colour's target (shape, length), assembled
@@ -541,7 +546,7 @@ def _convert_cycle(
     own = (PATH, len(cyc) // 2)
     blue, red = (other, own) if color == RED else (own, other)
     return _from_family(family, oc, *other) or _completion(
-        c, blue, red, trace, "cycle conversion"
+        c, blue, red, links, trace, "cycle conversion"
     )
 
 
@@ -601,7 +606,7 @@ def _cycle_step(
     if path is None:
         _note(trace, "cycle boundary entirely blue; assembling blue target directly")
         return _from_family(family, BLUE, want, m) or _completion(
-            c, (want, m), (CYCLE, n), trace, "blue boundary assembly"
+            c, (want, m), (CYCLE, n), links, trace, "blue boundary assembly"
         )
     z, c1, P = path[0], path[1], path[2:]
     W0 = sorted(set(range(c.n_vertices)) - set(path))
@@ -616,7 +621,7 @@ def _cycle_step(
     qq0, used, consumed = _chain(links.table(BLUE), P, W0, trace)
     x = len(W0) - len(used)
     if qq0 is None or x >= 2:
-        return _completion(c, (want, m), (CYCLE, n), trace, f"chain leftover {x}")
+        return _completion(c, (want, m), (CYCLE, n), links, trace, f"chain leftover {x}")
     _note(trace, f"chained blue path: {consumed} edges consumed, leftover {x}")
 
     u = sorted(set(W0) - used)[0] if x == 1 else None
@@ -632,8 +637,8 @@ def _cycle_step(
                 _note(trace, "closing candidate blue: blue cycle")
                 return w
             # blue cycle found but a blue path is wanted: open it
-            return _convert_cycle(c, list(seq), BLUE, (CYCLE, n), trace)
-    return _completion(c, (want, m), (CYCLE, n), trace, "no closing candidate matched")
+            return _convert_cycle(c, list(seq), BLUE, (CYCLE, n), links, trace)
+    return _completion(c, (want, m), (CYCLE, n), links, trace, "no closing candidate matched")
 
 
 def _path_candidates(
@@ -678,7 +683,7 @@ def _path_step(
     qq0, used, consumed = _chain(links.table(BLUE), p[2:], W0, trace)
     x = len(W0) - len(used)
     if qq0 is None or x >= 2 or (x == 1 and m % 2 == 0):
-        return _completion(c, (PATH, m), (PATH, n), trace, f"path chain leftover {x}")
+        return _completion(c, (PATH, m), (PATH, n), links, trace, f"path chain leftover {x}")
     _note(trace, f"chained blue path: {consumed} edges consumed, leftover {x}")
 
     v = sorted(set(W0) - used)[0] if x == 1 else None
@@ -689,10 +694,10 @@ def _path_step(
                 continue
             if color == RED and shape == CYCLE:
                 _note(trace, "closing candidate red cycle; converting")
-                return _convert_cycle(c, list(seq), RED, (PATH, m), trace)
+                return _convert_cycle(c, list(seq), RED, (PATH, m), links, trace)
             _note(trace, f"closing candidate accepted: {color} {shape}")
             return w
-    return _completion(c, (PATH, m), (PATH, n), trace, "no closing candidate matched")
+    return _completion(c, (PATH, m), (PATH, n), links, trace, "no closing candidate matched")
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +756,7 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             break
         if kind in (PP, CC) and (n, m) in _BASES:
             _note(trace, f"base case {at}: complete search")
-            w = _find(c, RED, at.red_target) or _find(c, BLUE, at.blue_target)
+            w = _find(c, RED, at.red_target, links) or _find(c, BLUE, at.blue_target, links)
             if w is None:
                 raise ExtractionError(f"base case {at} produced no witness; trace: {trace}")
             break
@@ -780,7 +785,7 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             c, lk = c.swap(), links.swap()
         verts = list(w.structure.vertices)
         if kind == PNCM:
-            w = _convert_cycle(c, verts, RED, (CYCLE, m), trace)
+            w = _convert_cycle(c, verts, RED, (CYCLE, m), lk, trace)
         elif (kind, n, m) == (PMCN, 4, 3):
             # a red cycle of length 4 contains a red path of length 3
             w = Witness(RED, PATH, validate_loose_path(verts[:7]))

@@ -10,10 +10,11 @@ Also accepted on input, LRE1: header line ``LRE1 <N>`` followed by one
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb
 from typing import TextIO
 
-from .core import Coloring, TripleEdge, bitmap_of_ranks
+from .core import Coloring, TripleEdge, _red_blocks, bitmap_of_ranks, colex_unrank
 
 
 class FormatError(ValueError):
@@ -34,10 +35,17 @@ def encode_lrc1(coloring: Coloring) -> str:
 
 
 def encode_lre1(coloring: Coloring) -> str:
-    lines = [f"LRE1 {coloring.n_vertices}"]
-    for e in coloring.red_edges():
-        lines.append(f"{e.a} {e.b} {e.c}")
-    return "\n".join(lines) + "\n"
+    """One ``x y z`` line per red triple, in rank order.  The lines of one
+    (y, z) block share their tail, so each block is one join of its red x
+    labels over that tail; the labels stop at the highest red vertex."""
+    bits = coloring.red_bits
+    top = colex_unrank(bits.bit_length() - 1, coloring.n_vertices).c if bits else 0
+    labels = [str(x) for x in range(top)]
+    out = [f"LRE1 {coloring.n_vertices}\n"]
+    for y, z, block in _red_blocks(coloring):
+        sep = f" {y} {z}\n"
+        out.append(sep.join(compress(labels, block)) + sep)
+    return "".join(out)
 
 
 def decode(text: str) -> Coloring:

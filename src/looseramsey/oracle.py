@@ -176,15 +176,20 @@ def _color_bits(coloring: Coloring, color: str) -> int:
     return bits if color == RED else bits ^ ((1 << coloring.n_triples) - 1)
 
 
-def _find_mono(coloring: Coloring, color: str, shape: str, length: int) -> Optional[Witness]:
-    """find_mono_path and find_mono_cycle: _search on the colour's table."""
+def _find_mono(
+    coloring: Coloring, color: str, shape: str, length: int, T: Optional[Links] = None
+) -> Optional[Witness]:
+    """find_mono_path and find_mono_cycle: _search on the colour's table,
+    which is built here unless the caller passes it as T."""
     letter, shortest, need = ("C", 3, 2 * length) if shape == CYCLE else ("P", 1, 2 * length + 1)
     if length < shortest:
         raise ValueError(f"{shape} length {length} below minimum {shortest}")
     n = coloring.n_vertices
     if need > n:
         raise ValueError(f"{letter}_{length} needs {need} vertices, coloring has {n}")
-    seq = _search(range(n), _link_table(n, _color_bits(coloring, color)), shape, length)
+    if T is None:
+        T = _link_table(n, _color_bits(coloring, color))
+    seq = _search(range(n), T, shape, length)
     return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
 
 

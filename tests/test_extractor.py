@@ -376,7 +376,7 @@ class TestConvertRedCycle:
             if cyc is None:
                 continue
             trace = []
-            w = _convert_cycle(c, list(cyc.structure.vertices), RED, (PATH, 2), trace)
+            w = _convert_cycle(c, list(cyc.structure.vertices), RED, (PATH, 2), _LinkTables(c), trace)
             assert trace == ["opened red cycle into red path"], seed
             self._check(c, w, RED, 3)
             found += 1
@@ -389,7 +389,7 @@ class TestConvertRedCycle:
             c, cyc = _cycle_with_blue_boundary(seed)
             m = 2 + seed % 2
             trace = []
-            w = _convert_cycle(c, cyc, RED, (PATH, m), trace)
+            w = _convert_cycle(c, cyc, RED, (PATH, m), _LinkTables(c), trace)
             assert trace == ["cycle boundary entirely blue; assembling blue target"], seed
             self._check(c, w, BLUE, m)
 
@@ -414,7 +414,7 @@ class TestConvertBlueCycle:
             if cyc is None:
                 continue
             trace = []
-            w = _convert_cycle(c, list(cyc.structure.vertices), BLUE, (CYCLE, 4), trace)
+            w = _convert_cycle(c, list(cyc.structure.vertices), BLUE, (CYCLE, 4), _LinkTables(c), trace)
             assert trace == ["opened blue cycle into blue path"], seed
             self._check(c, w, BLUE, (PATH, 3))
             found += 1
@@ -426,7 +426,7 @@ class TestConvertBlueCycle:
             c, cyc = _cycle_with_blue_boundary(seed)
             target = ((PATH, 2), (PATH, 3), (CYCLE, 3))[seed % 3]
             trace = []
-            w = _convert_cycle(c.swap(), cyc, BLUE, target, trace)
+            w = _convert_cycle(c.swap(), cyc, BLUE, target, _LinkTables(c).swap(), trace)
             assert trace == ["cycle boundary entirely red; assembling red target"], seed
             self._check(c.swap(), w, RED, target)
 

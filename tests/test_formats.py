@@ -1,12 +1,14 @@
 """Coloring file formats: round trips and malformed input."""
 
 import io
+import random
 import tracemalloc
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from looseramsey.constructions import PNCM, PairKind, build_split_coloring, lower_bound_params
 from looseramsey.core import (
     PATH,
     RED,
@@ -76,6 +78,24 @@ def test_sparse_lre1_is_sized_by_its_edges(n):
     finally:
         tracemalloc.stop()
     assert c == Coloring(n, 1) and ok
+    assert peak < 1 << 20
+
+
+def test_huge_sparse_coloring_encodes_its_red_span():
+    """Encoding reads the bitmap up to its highest red rank and labels up to
+    its highest red vertex, never C(N,3) bits: at N = 100000 that would be
+    about 1.7e14 flags."""
+    c = Coloring(100_000, 0b1011)
+    tracemalloc.start()
+    try:
+        edges = list(c.red_edges())
+        text = encode_lre1(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges == [TripleEdge(0, 1, 2), TripleEdge(0, 1, 3), TripleEdge(1, 2, 3)]
+    assert text.splitlines() == ["LRE1 100000", "0 1 2", "0 1 3", "1 2 3"]
+    assert decode(text) == c
     assert peak < 1 << 20
 
 
@@ -179,6 +199,25 @@ def _reference_decode(text: str) -> Coloring:
     return Coloring(n, bits)
 
 
+# The LRE1 encoder that the block join replaced, with the red_edges scan it
+# called inlined: one line per red triple found in the bitmap's binary string.
+
+
+def _reference_encode_lre1(coloring: Coloring) -> str:
+    lines = [f"LRE1 {coloring.n_vertices}"]
+    flags = format(coloring.red_bits, f"0{coloring.n_triples}b")[::-1]
+    base = 0
+    for z in range(2, coloring.n_vertices):
+        for y in range(1, z):
+            end = base + y
+            x = flags.find("1", base, end)
+            while x >= 0:
+                lines.append(f"{x - base} {y} {z}")
+                x = flags.find("1", x + 1, end)
+            base = end
+    return "\n".join(lines) + "\n"
+
+
 def _reference_red_edges(self):
     bits = self.red_bits
     while bits:
@@ -216,12 +255,33 @@ class TestCodecParity:
         assert lrc1 == _reference_encode_lrc1(c)
         assert list(c.red_edges()) == list(_reference_red_edges(c))
         lre1 = encode_lre1(c)
+        assert lre1 == _reference_encode_lre1(c)
         for text in (lrc1, lrc1.upper(), lre1):
             assert decode(text) == _reference_decode(text) == c
         edges = list(c.red_edges())
         rnd.shuffle(edges)
         raw = [tuple(rnd.sample(e, 3)) for e in edges]
         assert Coloring.from_red_edges(n, raw) == _reference_from_red_edges(n, raw) == c
+
+    @pytest.mark.parametrize("n", [3, 4, 30, 74, 100])
+    @pytest.mark.parametrize("kind", ["all-blue", "all-red", "rank 0", "top rank", "random"])
+    def test_same_bytes_on_fixed_colorings(self, n, kind):
+        top = comb(n, 3) - 1
+        c = Coloring(n, {
+            "all-blue": 0,
+            "all-red": (1 << top + 1) - 1,
+            "rank 0": 1,
+            "top rank": 1 << top,
+            "random": random.Random(n).getrandbits(top + 1),
+        }[kind])
+        assert encode_lre1(c) == _reference_encode_lre1(c)
+        assert list(c.red_edges()) == list(_reference_red_edges(c))
+
+    def test_same_bytes_on_the_split_coloring(self):
+        c = build_split_coloring(lower_bound_params(PairKind(PNCM, 30, 30)))
+        assert c.n_vertices == 74
+        assert encode_lre1(c) == _reference_encode_lre1(c)
+        assert list(c.red_edges()) == list(_reference_red_edges(c))
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(3, 20), rnd=st.randoms(use_true_random=False))

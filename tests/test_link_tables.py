@@ -7,15 +7,17 @@ slot matcher `_fill`); the kernels must return exactly what they return.
 """
 
 import random
+import warnings
 from itertools import combinations, permutations
 from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looseramsey import extractor
+from looseramsey import extractor, oracle
 from looseramsey.constructions import (
     CC,
+    PMCN,
     PP,
     PairKind,
     SplitSpec,
@@ -31,6 +33,7 @@ from looseramsey.core import (
     colex_rank,
     edge_color,
     opposite,
+    verify_witness,
 )
 from looseramsey.extractor import (
     _bits,
@@ -383,6 +386,28 @@ class TestTables:
                 links.table(first)
                 links.table(opposite(first))
                 assert built == [_color_bits(c, opposite(first) if swapped else first)]
+
+    def test_completion_reads_the_solve_tables(self, monkeypatch):
+        """A solve that ends in a completion search builds one table: the
+        search reads the solve's own tables, cut to its prefix."""
+        built = []
+        for module in (extractor, oracle):
+            real = module._link_table
+            monkeypatch.setattr(module, "_link_table",
+                                lambda n, bits, real=real: built.append(n) or real(n, bits))
+        pair = PairKind(PMCN, 16, 4)
+        spec = lower_bound_params(pair)
+        split = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
+        bits = split.red_bits
+        for r in random.Random(0).sample(range(split.n_triples), 2):
+            bits ^= 1 << r
+        c, trace = Coloring(split.n_vertices, bits), []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            w = solve(pair, c, trace=trace)
+        assert any(note.startswith("completion search") for note in trace)
+        assert verify_witness(c, w)
+        assert len(built) == 1
 
     def test_greedy_solve_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(extractor, "_link_table", None)
