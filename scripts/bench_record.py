@@ -14,12 +14,14 @@ outputs, which agree when both return the same results, and `src_lines`,
 the line count of its `looseramsey/*.py` as `wc -l` gives it.
 
 - `scaling`: one `solve` per kind (pp, cc, pncm, pmcn) on its diagonal pair
-  (m = n, or m = n - 1 for pmcn), n in SCALING_NS, side (the extremal split
-  with one extra vertex in A or in B: `a+1`, `b+1`) and orientation (the
-  split coloring or its colour swap: plain, swapped); the hard ones are
-  `a+1` plain and `b+1` swapped.  `exponent_40_80` is the least-squares
-  slope of log time against log n from n = 40 to 80, and `speedup` the
-  parent's median time over this checkout's.
+  (m = n, or m = n - 1 for pmcn) and on the off-diagonal pair pp(n, n // 2),
+  n in SCALING_NS, side (the extremal split with one extra vertex in A or
+  in B: `a+1`, `b+1`) and orientation (the split coloring or its colour
+  swap: plain, swapped); the hard diagonal ones are `a+1` plain and `b+1`
+  swapped.  `completions` counts, per case, the n whose solve ends in the
+  oracle completion.  `exponent_40_80` is the least-squares slope of log
+  time against log n from n = 40 to 80, and `speedup` the parent's median
+  time over this checkout's.
 - `oracle`: `absence` is, per kind on its diagonal pair at n in ORACLE_NS,
   the two proofs of absence (no red and no blue target) on the extremal
   split coloring on R - 1 vertices, oriented so red is the short target.
@@ -56,10 +58,12 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "c45429f"
+PARENT = "3b026a1"
 KINDS = ("pp", "cc", "pncm", "pmcn")
-SCALING_NS = (10, 20, 40, 60, 80)
-CASES = [(kind, side, orient) for kind in KINDS for side in "ab" for orient in ("plain", "swapped")]
+SCALING_NS = (10, 20, 40, 60, 80, 120)
+OFF_DIAGONAL = "pp(n,n/2)"
+CASES = [(row, side, orient) for row in (*KINDS, OFF_DIAGONAL) for side in "ab"
+         for orient in ("plain", "swapped")]
 ORACLE_NS = (5, 6, 7, 8)
 FLIP_CASES = (("pmcn", 16, 4, "a", "plain"), ("pp", 20, 4, "b", "swapped"),
               ("pp", 11, 11, "b", "swapped"))
@@ -86,6 +90,16 @@ def _split1(pair, side: str, orient: str):
     return c.swap() if orient == "swapped" else c
 
 
+def _scaling_pair(row: str, n: int):
+    """The pair of a scaling row at n: pp(n, n // 2) for the off-diagonal
+    row, else the kind's diagonal pair (m = n, or m = n - 1 for pmcn)."""
+    from looseramsey.constructions import PairKind
+
+    if row == OFF_DIAGONAL:
+        return PairKind("pp", n, n // 2)
+    return PairKind(row, n, n - 1 if row == "pmcn" else n)
+
+
 def _line(w) -> str:
     return f"{w.color} {w.shape} " + " ".join(map(str, w.structure.vertices))
 
@@ -96,17 +110,22 @@ def sweep_scaling() -> dict:
     from looseramsey.extractor import solve
 
     solve(PairKind("pp", 3, 3), _split1(PairKind("pp", 3, 3), "a", "plain"))  # warm imports
-    times, lines = {}, []
-    for kind, side, orient in CASES:
-        row = times.setdefault(f"{kind} {side}+1 {orient}", {})
+    times, lines, completions = {}, [], {}
+    for label, side, orient in CASES:
+        case = f"{label} {side}+1 {orient}"
+        row, completions[case] = times.setdefault(case, {}), 0
         for n in SCALING_NS:
-            pair = PairKind(kind, n, n - 1 if kind == "pmcn" else n)
-            c = _split1(pair, side, orient)
-            start = time.perf_counter()
-            w = solve(pair, c)
-            row[str(n)] = time.perf_counter() - start
+            pair = _scaling_pair(label, n)
+            c, trace = _split1(pair, side, orient), []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                start = time.perf_counter()
+                w = solve(pair, c, trace=trace)
+                row[str(n)] = time.perf_counter() - start
+            completions[case] += any(note.startswith("completion") for note in trace)
             lines.append(_line(w))
-    return {"times": times, "sha1": hashlib.sha1("\n".join(lines).encode()).hexdigest()}
+    sha1 = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    return {"times": times, "completions": completions, "sha1": sha1}
 
 
 def sweep_oracle() -> dict:
@@ -216,6 +235,7 @@ def _scaling_keys(quart: dict, outs: dict):
     runs = {label: {
         "exponent_40_80": {case: round(_slope([(n, row[str(n)][1]) for n in fit]), 2)
                            for case, row in q.items()},
+        "completions": outs[label][-1]["completions"],
         "witness_sha1": sorted({o["sha1"] for o in outs[label]}),
     } for label, q in quart.items()}
     before, after = quart.values()

@@ -4,8 +4,9 @@ Given a 2-coloring of K3_N with N at or above the threshold of a pair, the
 engine produces a verified red or blue witness.  It runs the paper's
 induction as two loops: the descent tries a greedy build of the red target
 on each level's threshold prefix, shortening one side of the pair by one per
-failed level, down to a greedy success or a base case (complete search); the
-ascent lifts that witness by one edge per level that needs it.
+failed level, down to a greedy success or a base case (complete search),
+and carries the greedy path down while the prefix holds it; the ascent
+lifts that witness by one edge per level that needs it.
 The lift works by maximalizing the red structure against the reservoir W
 (the vertices outside it) with length-increasing replacement moves, chaining
 a blue path through W across 2- and 3-edge windows of the red path, and
@@ -14,16 +15,17 @@ colors decide the branch: either some candidate is fully blue (the blue
 witness) or the red edge that blocks it extends the red structure to the
 red witness.
 
-The replacement-move search and the blue chaining read the coloring
-through link tables (per vertex pair, the bitset of third vertices that
-complete a triple of one colour), so they test whole reservoirs at once.
+The replacement-move search, the blue chaining and, once the red table is
+built, the end extensions read the coloring through link tables (per vertex
+pair, the bitset of third vertices that complete a triple of one colour).
 One table is built per top-level solve, for the colour asked for first;
 the other is its complement, and the complete searches read both.  The
 move search rules a window of the red path in or out with a few mask tests
-against per-vertex reach masks before scanning it pair by pair.  The
-chaining remembers the states it has seen fail and charges each revisit the
-node budget its first search used, so it returns exactly what the search
-without the memo returns under the same budget.
+against per-vertex reach masks, and skips it for the rest of the solve on
+any reservoir inside one it failed on.  The chaining remembers the states
+it has seen fail and charges each revisit the node budget its first search
+used, so it returns exactly what the search without the memo returns under
+the same budget.
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -89,37 +91,43 @@ def ramsey_number(pair: PairKind) -> int:
 
 # ---------------------------------------------------------------------------
 # Link tables: per vertex pair, the bitset of third vertices completing a
-# triple of one colour.  The greedy path, the openers and the candidate
-# checks look triples up one at a time through Coloring.test instead.
+# triple of one colour.  The top-level greedy path, the openers and the
+# candidate checks look triples up one at a time through Coloring.test.
 
 
 class _LinkTables:
     """The link tables of one coloring, built on first use: the colour asked
     for first from its own bitmap, the other as its complement row by row.
 
-    One instance serves a whole top-level solve: the prefix restrictions
-    that the induction descends to are served by the same tables (callers
-    only read bits of vertices inside the prefix), and the view returned by
-    swap() serves the colour-swapped coloring, whose red table is the blue
-    table of this one.
+    One instance serves a whole top-level solve: the prefixes the induction
+    descends to read the same tables (callers only read bits inside the
+    prefix), and the view returned by swap() serves the colour-swapped
+    coloring, whose red table is the blue table of this one.  So does each
+    colour's failed-window memo of the move search (see _find_move).
     """
 
-    __slots__ = ("_coloring", "_tables", "_swapped")
+    __slots__ = ("_coloring", "_tables", "_failed", "_swapped")
 
     def __init__(self, coloring: Coloring) -> None:
         self._coloring = coloring
         self._tables: Dict[str, Links] = {}
+        self._failed: Dict[str, Dict[Tuple[int, int, int], int]] = {}
         self._swapped = False
 
     def swap(self) -> "_LinkTables":
         view = _LinkTables(self._coloring)
-        view._tables = self._tables
+        view._tables, view._failed = self._tables, self._failed
         view._swapped = not self._swapped
         return view
 
+    def built(self, color: str) -> Optional[Links]:
+        return self._tables.get(opposite(color) if self._swapped else color)
+
+    def failed(self, color: str) -> Dict[Tuple[int, int, int], int]:
+        return self._failed.setdefault(opposite(color) if self._swapped else color, {})
+
     def table(self, color: str) -> Links:
-        if self._swapped:
-            color = opposite(color)
+        color = opposite(color) if self._swapped else color
         tables, c = self._tables, self._coloring
         if not tables:
             tables[color] = _link_table(c.n_vertices, (c if color == RED else c.swap()).red_bits)
@@ -145,9 +153,18 @@ def _bits(mask: int) -> Iterator[int]:
 # Red path growth: greedy seed, end extension, replacement moves.
 
 
-def _red_edge_at(red: EdgeTest, free: List[int], end: int) -> Optional[Tuple[int, int]]:
-    """First (mid, new) from the ascending list free, lowest labels first,
-    with {end, mid, new} red; None when the path cannot grow at end."""
+def _red_edge_at(
+    red: EdgeTest, T: Optional[Links], free: List[int], fmask: int, end: int
+) -> Optional[Tuple[int, int]]:
+    """First (mid, new) from the ascending list free (bitmask fmask), lowest
+    labels first, with {end, mid, new} red (read from T if given), or None."""
+    if T is not None:
+        row = T[end]
+        for mid in free:
+            news = row[mid] & fmask
+            if news:
+                return mid, (news & -news).bit_length() - 1
+        return None
     for mid in free:
         for new in free:
             if new != mid and red(end, mid, new):
@@ -155,20 +172,32 @@ def _red_edge_at(red: EdgeTest, free: List[int], end: int) -> Optional[Tuple[int
     return None
 
 
-def _append_extend(red: EdgeTest, n: int, seq: List[int]) -> None:
+def _append_extend(red: EdgeTest, n: int, seq: List[int], T: Optional[Links] = None) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
-    per edge, lowest labels first; the tail end is tried first."""
+    per edge, lowest labels first, tail end first; through T if given."""
     free = sorted(set(range(n)) - set(seq))
+    fmask = sum(1 << v for v in free) if T is not None else 0
     while True:
-        step = _red_edge_at(red, free, seq[-1])
+        step = _red_edge_at(red, T, free, fmask, seq[-1])
         if step is not None:
             seq.extend(step)
-        elif (step := _red_edge_at(red, free, seq[0])) is not None:
+        elif (step := _red_edge_at(red, T, free, fmask, seq[0])) is not None:
             seq[:0] = step[::-1]
         else:
             return
         for v in step:
             free.remove(v)
+        if T is not None:
+            fmask ^= 1 << step[0] | 1 << step[1]
+
+
+def _greedy(c: Coloring, T: Optional[Links]) -> List[int]:
+    """The vertices of greedy_red_path(c), extended through T if given."""
+    if c.red_bits == 0:
+        return []
+    seq = list(colex_unrank((c.red_bits & -c.red_bits).bit_length() - 1, c.n_vertices))
+    _append_extend(c.test(RED), c.n_vertices, seq, T)
+    return seq
 
 
 def greedy_red_path(c: Coloring) -> LoosePath:
@@ -177,13 +206,7 @@ def greedy_red_path(c: Coloring) -> LoosePath:
     Empty path if the coloring has no red edge.  Deterministic: seeded from
     the lowest-rank red triple, extensions take the lowest labels first.
     """
-    if c.red_bits == 0:
-        return LoosePath(())
-    red = c.test(RED)
-    first = colex_unrank((c.red_bits & -c.red_bits).bit_length() - 1, c.n_vertices)
-    seq = [first.a, first.b, first.c]
-    _append_extend(red, c.n_vertices, seq)
-    return LoosePath(tuple(seq))
+    return LoosePath(tuple(_greedy(c, None)))
 
 
 def _two(a: int, b: int) -> bool:
@@ -232,21 +255,23 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach)
         # on the lat side (w in left) or on the rat side (w in right)
         return _two(left, right) or left & reach[rat] != 0 or right & reach[lat] != 0
     for x, y, z in permutations(_bits(core)):
-        ax, xr, xy, xz = Tlat[x], Trat[x], T[x][y], T[x][z]
-        ay, yr, zr = Tlat[y], Trat[y], Trat[z]
+        ax, xr, xy = Tlat[x], Trat[x], T[x][y]
+        # the rows' reservoir parts, each computed once
+        axW, ayW, xrW, yrW, zrW = ax & W, Tlat[y] & W, xr & W, Trat[y] & W, Trat[z] & W
+        xyW, xzW = xy & W, T[x][z] & W
         if (
             # links b = x, d2 = y: z in one private slot, W in the others
-            ax >> z & 1 and _two(xy & W, yr & W)
-            or xy >> z & 1 and _two(ax & W, yr & W)
-            or yr >> z & 1 and _two(ax & W, xy & W)
+            ax >> z & 1 and _two(xyW, yrW)
+            or xy >> z & 1 and _two(axW, yrW)
+            or Trat[y] >> z & 1 and _two(axW, xyW)
             # link b = x, d2 in W: y, z fill two slots in order, W the third
-            or _two(xy & zr & W, ax & W)
-            or ax >> y & 1 and (zr & W & reach[x] or xz & W & reach[rat])
+            or _two(xyW & zrW, axW)
+            or ax >> y & 1 and (zrW & reach[x] or xzW & reach[rat])
             # link d2 = x, b in W: likewise
-            or _two(ay & xz & W, xr & W)
-            or xr >> z & 1 and (xy & W & reach[lat] or ay & W & reach[x])
+            or _two(ayW & xzW, xrW)
+            or xr >> z & 1 and (xyW & reach[lat] or ayW & reach[x])
             # links b, d2 in W: x, y, z fill slots a, d1, e
-            or _linked(T, ax & W, y, zr & W)
+            or axW and zrW and _linked(T, axW, y, zrW)
         ):
             return True
     return False
@@ -267,7 +292,9 @@ def _route(T: Links, end: int, pool: List[int], rat: int) -> Optional[List[int]]
     return None
 
 
-def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[int, int]]]:
+def _find_move(
+    T: Links, p: List[int], wset, failed: Optional[Dict[Tuple[int, int, int], int]] = None
+) -> Optional[Tuple[List[int], Tuple[int, int]]]:
     """First length-increasing red replacement of one or two consecutive path
     edges using two reservoir vertices, preserving the path's end vertices.
 
@@ -276,6 +303,8 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
     keeps its vertex set, so only the new edges need color checks.
     T is the red link table; wset must avoid the path.  A window is scanned
     pair by pair only after _bridges, which is exact, finds a move in it.
+    failed, a memo shared by searches on T, maps (lat, rat, core mask) to a
+    reservoir _bridges failed on; a window is not retested on its subsets.
     Returns (new vertex sequence, (x, y) used) or None.
     """
     L = (len(p) - 1) // 2
@@ -284,6 +313,7 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
         return None
     wmask = sum(1 << w for w in wl)
     reach = _Reach(T, wmask)
+    failed = {} if failed is None else failed
 
     for j in range(L):
         lats = [(p[2 * j], p[: 2 * j + 1])]
@@ -296,9 +326,13 @@ def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[
                 rats.append((p[r + 1], [p[r + 1], p[r]] + p[r + 2 :]))
             core = p[2 * j + 1 : r]
             cmask = sum(1 << v for v in core)
-            if not any(
-                _bridges(T, lat, rat, cmask, wmask, reach) for lat, _ in lats for rat, _ in rats
-            ):
+            # scan only if some end pair, not ruled out by failed, passes _bridges
+            for key in [(lat, rat, cmask) for lat, _ in lats for rat, _ in rats]:
+                if wmask & ~failed.get(key, 0):
+                    if _bridges(T, *key, wmask, reach):
+                        break
+                    failed[key] = wmask
+            else:
                 continue
             for x, y in combinations(wl, 2):
                 for lat, left in lats:
@@ -315,11 +349,12 @@ def _grow(c: Coloring, links: _LinkTables, seq: List[int], need: int) -> List[in
     again after every move.  links serves c (or a coloring it is a prefix of)."""
     red = c.test(RED)
     while (len(seq) - 1) // 2 < need:
-        mv = _find_move(links.table(RED), seq, set(range(c.n_vertices)) - set(seq))
+        T = links.table(RED)
+        mv = _find_move(T, seq, set(range(c.n_vertices)) - set(seq), links.failed(RED))
         if mv is None:
             break
         seq = mv[0]
-        _append_extend(red, c.n_vertices, seq)
+        _append_extend(red, c.n_vertices, seq, T)
     return seq
 
 
@@ -613,7 +648,7 @@ def _cycle_step(
     _note(trace, f"opened cycle: boundary edge through {z}, reservoir {W0}")
 
     # Any replacement move on the opened path closes to the longer red cycle.
-    mv = _find_move(links.table(RED), P, W0)
+    mv = _find_move(links.table(RED), P, W0, links.failed(RED))
     if mv is not None:
         _note(trace, "replacement move closes the longer red cycle")
         return Witness(RED, CYCLE, validate_loose_cycle(mv[0] + [c1]))
@@ -671,7 +706,7 @@ def _path_step(
     blue path of length m.  links serves c (or a coloring it is a prefix of)."""
     p = list(p)
     # grow toward the red target before anything else
-    _append_extend(c.test(RED), c.n_vertices, p)
+    _append_extend(c.test(RED), c.n_vertices, p, links.table(RED))
     p = _grow(c, links, p, n)
     if (len(p) - 1) // 2 >= n:
         _note(trace, "red path extended to target length")
@@ -704,16 +739,17 @@ def _path_step(
 # Top-level induction.
 
 
-def _fast_red(c: Coloring, target: Tuple[str, int], links: _LinkTables) -> Optional[Witness]:
-    """Cheap attempt at the red target: greedy path plus replacement moves.
-    Succeeds on most colorings without entering the induction, and then
-    without building a link table."""
+def _fast_red(
+    c: Coloring, target: Tuple[str, int], links: _LinkTables, gp: List[int]
+) -> Optional[Witness]:
+    """Cheap attempt at the red target: c's greedy path gp grown by
+    replacement moves.  Succeeds on most colorings without entering the
+    induction, and then without building a link table."""
     shape, tlen = target
-    gp = greedy_red_path(c)
-    if not gp.vertices:
+    if not gp:
         return None
     need = tlen if shape == PATH else tlen - 1
-    seq = _grow(c, links, list(gp.vertices), need)
+    seq = _grow(c, links, list(gp), need)
     if (len(seq) - 1) // 2 < need:
         return None
     if shape == PATH:
@@ -744,13 +780,16 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
 
     # Descent: each level tries the red target greedily on its threshold
     # prefix; a failure there hands the level's sub pair down, until a
-    # greedy success or a base case gives the first witness.
+    # greedy success or a base case gives the first witness.  The greedy
+    # path carries down while the prefix still holds all its vertices.
     levels: List[Tuple[PairKind, Coloring, bool]] = []
-    at = pair
+    at, gp = pair, None
     while True:
         kind, n, m = at.kind, at.n, at.m
         c = top.restrict(ramsey_number(at))
-        w = _fast_red(c, at.red_target, links)
+        if gp is None or any(v >= c.n_vertices for v in gp):
+            gp = _greedy(c, links.built(RED))
+        w = _fast_red(c, at.red_target, links, gp)
         if w is not None:
             _note(trace, f"{at}: red target built greedily")
             break

@@ -219,22 +219,25 @@ def _reference_encode_lre1(coloring: Coloring) -> str:
 
 
 def _reference_red_edges(self):
-    bits = self.red_bits
-    while bits:
-        low = bits & -bits
-        yield colex_unrank(low.bit_length() - 1, self.n_vertices)
-        bits ^= low
+    """One pass over the reversed binary string: bit r is its character r."""
+    flags = format(self.red_bits, "b")[::-1]
+    r = flags.find("1")
+    while r >= 0:
+        yield colex_unrank(r, self.n_vertices)
+        r = flags.find("1", r + 1)
 
 
 def _reference_from_red_edges(n_vertices: int, edges) -> "Coloring":
-    bits = 0
+    """Sets rank r as bit r & 7 of byte r >> 3, then converts once."""
+    flags = bytearray(comb(max(n_vertices, 0), 3) // 8 + 1)
     for e in edges:
         if not isinstance(e, TripleEdge):
             e = TripleEdge.of(*e)
         if e.c >= n_vertices:
             raise ValueError(f"edge {e} outside [0, {n_vertices})")
-        bits |= 1 << colex_rank(e)
-    return Coloring(n_vertices, bits)
+        r = colex_rank(e)
+        flags[r >> 3] |= 1 << (r & 7)
+    return Coloring(n_vertices, int.from_bytes(flags, "little"))
 
 
 def _error(fn, *args):

@@ -36,10 +36,12 @@ from looseramsey.core import (
     verify_witness,
 )
 from looseramsey.extractor import (
+    _append_extend,
     _bits,
     _bridges,
     _chain,
     _find_move,
+    _greedy,
     _linked,
     _LinkTables,
     _Reach,
@@ -579,3 +581,125 @@ class TestKernels:
         assert got == (None, frozenset(), 0)
         assert trace == ["chain: leftover 2 reservoir vertices"]
         assert got == _reference_chain(c, list(range(7)), [7, 8], [])
+
+
+def _memo_instance(seed):
+    """A seeded (coloring, path, other vertices) on at most 16 vertices: a
+    random coloring of red density 0.2, 0.5 or 0.8, or a split+1 coloring
+    plain or swapped; the greedy red path or a random vertex sequence."""
+    rnd = random.Random(seed)
+    n = rnd.randint(7, 16)
+    if seed % 4 == 3:
+        a = rnd.randint(3, n - 2)
+        c = build_split_coloring(SplitSpec(a, n - a))
+        c = c.swap() if rnd.random() < 0.5 else c
+    else:
+        density = (0.2, 0.5, 0.8)[seed % 4]
+        c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
+    p = list(greedy_red_path(c).vertices)
+    if len(p) < 3 or len(p) > n - 3 or rnd.random() < 0.5:
+        p = rnd.sample(range(n), 2 * rnd.randint(1, (n - 3) // 2) + 1)
+    return c, p, [v for v in range(n) if v not in p]
+
+
+class TestDescentReuse:
+    def test_failed_window_memo_is_exact(self):
+        """A memo filled by searches on reservoirs W1, W2, W3 leaves every
+        later result unchanged, on reservoirs inside one of them and on
+        reservoirs drawn from their union or from all other vertices; the
+        memo keeps growing across the queries.  A memo holding the union of
+        the failed reservoirs of a window gets some of these wrong."""
+        covered = moves = 0
+        for seed in range(900):
+            c, p, rest = _memo_instance(seed)
+            rnd = random.Random(seed)
+            T, red, memo = _LinkTables(c).table(RED), c.test(RED), {}
+            filled = [set(rnd.sample(rest, rnd.randint(2, len(rest)))) for _ in range(3)]
+            for w in filled:
+                _find_move(T, list(p), w, memo)
+            union = sorted(set().union(*filled))
+            queries = [set(rnd.sample(sorted(w), rnd.randint(0, len(w)))) for w in filled]
+            queries += [set(rnd.sample(union, rnd.randint(2, len(union)))) for _ in range(3)]
+            queries += [set(rnd.sample(rest, rnd.randint(2, len(rest)))) for _ in range(2)]
+            for w in queries:
+                fresh = _find_move(T, list(p), w)
+                got = _find_move(T, list(p), w, memo)
+                assert got == fresh == _reference_find_move(red, list(p), w), seed
+                moves += got is not None
+                covered += len(w) >= 2 and any(
+                    sum(1 << v for v in w) & ~seen == 0 for seen in memo.values()
+                )
+        assert 1000 < moves < 6000 and covered > 1000
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(3, 14), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_greedy_path_is_the_prefix_greedy_path(self, n, seed, data):
+        """greedy_red_path(c.restrict(k)) is greedy_red_path(c) whenever
+        every vertex of the latter lies below k."""
+        rnd = random.Random(seed)
+        if rnd.random() < 0.3:
+            a = rnd.randint(3, n)
+            c = build_split_coloring(SplitSpec(a, n - a))
+            c = c.swap() if rnd.random() < 0.5 else c
+        else:
+            density = rnd.choice([0.05, 0.2, 0.5, 0.9])
+            c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
+        gp = greedy_red_path(c)
+        k = data.draw(st.integers(max(gp.vertices, default=2) + 1, n))
+        assert greedy_red_path(c.restrict(k)) == gp
+
+    def test_end_extension_from_rows_is_the_triple_scan(self):
+        """_append_extend through the red table of a larger coloring returns
+        the sequence its per-triple scan returns on the prefix, from seeds of
+        one, three or five vertices; so does the greedy build."""
+        grown = 0
+        for seed in range(600):
+            rnd = random.Random(seed)
+            big = rnd.randint(4, 18)
+            density = (0.1, 0.3, 0.5, 0.8)[seed % 4]
+            top = Coloring(big, sum(1 << r for r in range(comb(big, 3)) if rnd.random() < density))
+            T = _LinkTables(top).table(RED)
+            c = top.restrict(rnd.randint(3, big))
+            n, red = c.n_vertices, c.test(RED)
+            start = rnd.sample(range(n), rnd.choice([k for k in (1, 3, 5) if k <= n]))
+            rows, triples = list(start), list(start)
+            _append_extend(red, n, rows, T)
+            _append_extend(red, n, triples)
+            assert rows == triples, seed
+            assert _greedy(c, T) == _greedy(c, None) == list(greedy_red_path(c).vertices), seed
+            grown += len(rows) > len(start)
+        assert grown > 300
+
+    def test_descent_reuses_settled_work(self, monkeypatch):
+        """On split+1 pp(12, 12) a+1 the descent builds the greedy path on
+        fewer levels than it has, and a level that repeats an earlier
+        level's (N, target) calls _bridges not once."""
+        builds, levels, bridges = [], [], [0]
+        real_greedy, real_fast, real_bridges = (
+            extractor._greedy, extractor._fast_red, extractor._bridges)
+
+        def counting_bridges(*args):
+            bridges[0] += 1
+            return real_bridges(*args)
+
+        def recording_fast(c, target, links, gp):
+            before = bridges[0]
+            w = real_fast(c, target, links, gp)
+            levels.append(((c.n_vertices, target), bridges[0] - before))
+            return w
+
+        monkeypatch.setattr(extractor, "_greedy", lambda c, T: builds.append(c) or real_greedy(c, T))
+        monkeypatch.setattr(extractor, "_fast_red", recording_fast)
+        monkeypatch.setattr(extractor, "_bridges", counting_bridges)
+        pair = PairKind(PP, 12, 12)
+        spec = lower_bound_params(pair)
+        c = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
+        assert verify_witness(c, solve(pair, c))
+        assert len(builds) < len(levels)
+        seen, repeats = set(), 0
+        for key, calls in levels:
+            if key in seen:
+                assert calls == 0, key
+                repeats += 1
+            seen.add(key)
+        assert repeats > 0 and levels[0][1] > 0
