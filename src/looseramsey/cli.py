@@ -122,6 +122,8 @@ def stress(pair: PairKind, trials: int, seed: int) -> StressReport:
     merge order-independently across workers."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if seed < 0:  # Random(-s) draws the same stream as Random(s)
+        raise ValueError(f"seed must be non-negative, got {seed}")
     raw = os.environ.get("LOOSERAMSEY_WORKERS", "1")
     try:
         workers = min(int(raw), trials) if raw.isdecimal() else 0

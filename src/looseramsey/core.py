@@ -1,13 +1,14 @@
 """Colored complete 3-uniform hypergraphs and their loose substructures.
 
 A coloring of K3_N stores one bit per triple, indexed in colexicographic
-order.  Every per-triple color lookup reads one byte of a cached byte view
-of that bitmap, so it costs the same at any N.  Loose paths and cycles are
+order.  Every per-triple color lookup goes through the coloring's one red
+tester, built once, which reads one byte of a cached byte view of that
+bitmap, so a lookup costs the same at any N.  Loose paths and cycles are
 kept as ordered vertex sequences; the edge decomposition is derived, which
 makes the sequence itself the certificate a verifier can check.
 
 Invariants
-- TripleEdge vertices strictly increasing.
+- TripleEdge.of gives strictly increasing vertices; lookups take any order.
 - Coloring bitmap covers exactly C(N,3) triples; every triple has one color.
 - LoosePath on 2l+1 distinct vertices, LooseCycle on 2l distinct vertices
   with l >= 3; consecutive edges share exactly one vertex.
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 RED = "red"
 BLUE = "blue"
@@ -81,23 +81,6 @@ def _comb_tables(size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return c2, c3
 
 
-def bitmap_of_ranks(ranks: Iterable[int], n_triples: int) -> int:
-    """The bitmap with exactly the given ranks (each below n_triples) set,
-    built in one pass over a byte buffer."""
-    buf = bytearray((n_triples + 7) // 8)
-    for r in ranks:
-        buf[r >> 3] |= 1 << (r & 7)
-    return int.from_bytes(buf, "little")
-
-
-def all_triples(n_vertices: int) -> Iterator[TripleEdge]:
-    """All triples of [0, n_vertices) in colex (= rank) order."""
-    for c in range(2, n_vertices):
-        for b in range(1, c):
-            for a in range(b):
-                yield TripleEdge(a, b, c)
-
-
 EdgeTest = Callable[[int, int, int], bool]
 
 
@@ -118,26 +101,6 @@ class Coloring:
     def n_triples(self) -> int:
         return comb(self.n_vertices, 3)
 
-    @classmethod
-    def all_red(cls, n_vertices: int) -> "Coloring":
-        return cls(n_vertices, (1 << comb(n_vertices, 3)) - 1)
-
-    @classmethod
-    def all_blue(cls, n_vertices: int) -> "Coloring":
-        return cls(n_vertices, 0)
-
-    @classmethod
-    def from_red_edges(cls, n_vertices: int, edges) -> "Coloring":
-        def ranks():
-            for e in edges:
-                if not isinstance(e, TripleEdge):
-                    e = TripleEdge.of(*e)
-                if e.c >= n_vertices:
-                    raise ValueError(f"edge {e} outside [0, {n_vertices})")
-                yield colex_rank(e)
-
-        return cls(n_vertices, bitmap_of_ranks(ranks(), comb(max(n_vertices, 0), 3)))
-
     @cached_property
     def _view(self) -> bytes:
         # Rank r is bit r & 7 of byte r >> 3.  Sized by the highest red rank,
@@ -146,19 +109,9 @@ class Coloring:
         bits = self.red_bits
         return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
 
-    def is_red(self, e: TripleEdge) -> bool:
-        a, b, c = e
-        r = comb(c, 3) + comb(b, 2) + a  # colex_rank(e)
-        try:
-            return self._view[r >> 3] >> (r & 7) & 1 == 1
-        except IndexError:  # past the highest red rank
-            return False
-
-    def test(self, color: str) -> EdgeTest:
-        """Membership test f(x, y, z) for one color class, over three distinct
-        vertices below N in any order; reads the same byte view as is_red."""
-        if color not in (RED, BLUE):
-            raise ValueError(f"unknown color {color!r}")
+    @cached_property
+    def _red(self) -> EdgeTest:
+        """Whether {x, y, z}, three distinct vertices below N in any order, is red."""
         view = self._view
         # A triple with a vertex >= k has rank >= C(k, 3) > 8 * len(view), so
         # it is blue: the tables stop at k, not N, and reading past them
@@ -179,7 +132,18 @@ class Coloring:
             except IndexError:  # past the tables or the view
                 return False
 
+        return red
+
+    def test(self, color: str) -> EdgeTest:
+        """Membership test f(x, y, z) for one color class: _red or its negation."""
+        if color not in (RED, BLUE):
+            raise ValueError(f"unknown color {color!r}")
+        red = self._red
         return red if color == RED else lambda x, y, z: not red(x, y, z)
+
+    def __getstate__(self):
+        # the cached tester is a closure: pickle the fields alone
+        return {"n_vertices": self.n_vertices, "red_bits": self.red_bits}
 
     def swap(self) -> "Coloring":
         """The coloring with red and blue exchanged."""
@@ -197,12 +161,6 @@ class Coloring:
         if n_prefix == self.n_vertices:
             return self
         return Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
-
-    def red_edges(self) -> Iterator[TripleEdge]:
-        """The red triples in rank order, read block by block (see _red_blocks)."""
-        for y, z, block in _red_blocks(self):
-            for x in compress(range(y), block):
-                yield TripleEdge(x, y, z)
 
 
 # format(bits, "b") reversed and encoded is one byte per rank; this maps its
@@ -231,9 +189,13 @@ def _red_blocks(coloring: Coloring) -> Iterator[Tuple[int, int, bytes]]:
 
 
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:
-    if e.c >= coloring.n_vertices:
-        raise ValueError(f"edge {e} outside [0, {coloring.n_vertices})")
-    return RED if coloring.is_red(e) else BLUE
+    a, b, c = e
+    n = coloring.n_vertices
+    if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+        raise ValueError(f"edge {e} outside [0, {n})")
+    if a == b or b == c or a == c:
+        raise ValueError(f"edge vertices must be distinct: {(a, b, c)}")
+    return RED if coloring._red(a, b, c) else BLUE
 
 
 def _edge_triples(vertices: Tuple[int, ...], closed: bool) -> Iterator[Tuple[int, int, int]]:
@@ -278,46 +240,37 @@ class LooseCycle:
 Structure = Union[LoosePath, LooseCycle]
 
 
-def validate_loose_path(vertices) -> LoosePath:
-    """Check the loose path invariants and wrap the sequence.
-
-    A sequence of 2l+1 >= 3 distinct vertices always decomposes into l
-    edges with the loose intersection pattern, so distinctness and parity
-    are the whole check.
-    """
+def validate_structure(shape: str, vertices) -> Structure:
+    """Check vertices as a loose path or a loose cycle, as shape names, and
+    wrap the sequence.  2l+1 >= 3 (a path) or 2l >= 6 (a cycle) distinct
+    vertices always decompose into l edges with the loose intersection
+    pattern, so distinctness and parity are the whole check."""
+    if shape not in (PATH, CYCLE):
+        raise StructureError(f"unknown shape {shape!r}")
     v = tuple(int(x) for x in vertices)
-    if len(v) < 3:
+    if shape == PATH and len(v) < 3:
         raise StructureError(f"path needs at least 3 vertices, got {len(v)}")
-    if len(v) % 2 == 0:
+    if shape == PATH and len(v) % 2 == 0:
         raise StructureError(f"even vertex count {len(v)} cannot decompose into loose edges")
+    if shape == CYCLE and len(v) % 2 == 1:
+        raise StructureError(f"odd vertex count {len(v)} cannot close a loose cycle")
+    if shape == CYCLE and len(v) < 6:
+        raise StructureError(f"cycle length {len(v) // 2} below minimum 3")
     if len(set(v)) != len(v):
-        raise StructureError(f"duplicate vertex in path sequence {v}")
+        raise StructureError(f"duplicate vertex in {shape} sequence {v}")
     if min(v) < 0:
         raise StructureError("negative vertex label")
-    return LoosePath(v)
+    return LoosePath(v) if shape == PATH else LooseCycle(v)
+
+
+def validate_loose_path(vertices) -> LoosePath:
+    """validate_structure for a loose path."""
+    return validate_structure(PATH, vertices)
 
 
 def validate_loose_cycle(vertices) -> LooseCycle:
-    """Check the loose cycle invariants and wrap the sequence."""
-    v = tuple(int(x) for x in vertices)
-    if len(v) % 2 == 1:
-        raise StructureError(f"odd vertex count {len(v)} cannot close a loose cycle")
-    if len(v) < 6:
-        raise StructureError(f"cycle length {len(v) // 2} below minimum 3")
-    if len(set(v)) != len(v):
-        raise StructureError(f"duplicate vertex in cycle sequence {v}")
-    if min(v) < 0:
-        raise StructureError("negative vertex label")
-    return LooseCycle(v)
-
-
-def validate_structure(shape: str, vertices) -> Structure:
-    """Check vertices as a loose path or a loose cycle, as shape names."""
-    if shape == PATH:
-        return validate_loose_path(vertices)
-    if shape == CYCLE:
-        return validate_loose_cycle(vertices)
-    raise StructureError(f"unknown shape {shape!r}")
+    """validate_structure for a loose cycle."""
+    return validate_structure(CYCLE, vertices)
 
 
 @dataclass(frozen=True)

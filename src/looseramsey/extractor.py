@@ -47,14 +47,11 @@ from .core import (
     RED,
     Coloring,
     EdgeTest,
-    LoosePath,
     StructureError,
     TripleEdge,
     Witness,
     colex_unrank,
     opposite,
-    validate_loose_cycle,
-    validate_loose_path,
     validate_structure,
     verify_witness,
 )
@@ -192,21 +189,14 @@ def _append_extend(red: EdgeTest, n: int, seq: List[int], T: Optional[Links] = N
 
 
 def _greedy(c: Coloring, T: Optional[Links]) -> List[int]:
-    """The vertices of greedy_red_path(c), extended through T if given."""
+    """A red loose path, as its vertices, that no red edge extends at either
+    end; empty if no triple is red.  Seeded from the lowest-rank red triple,
+    each extension takes the lowest labels first, read from T if given."""
     if c.red_bits == 0:
         return []
     seq = list(colex_unrank((c.red_bits & -c.red_bits).bit_length() - 1, c.n_vertices))
     _append_extend(c.test(RED), c.n_vertices, seq, T)
     return seq
-
-
-def greedy_red_path(c: Coloring) -> LoosePath:
-    """A red loose path not extendable by one red edge at either end.
-
-    Empty path if the coloring has no red edge.  Deterministic: seeded from
-    the lowest-rank red triple, extensions take the lowest labels first.
-    """
-    return LoosePath(tuple(_greedy(c, None)))
 
 
 def _two(a: int, b: int) -> bool:
@@ -575,7 +565,7 @@ def _convert_cycle(
     path, family = _open_cycle(c, cyc, color)
     if path is not None:
         _note(trace, f"opened {color} cycle into {color} path")
-        return Witness(color, PATH, validate_loose_path(path))
+        return Witness(color, PATH, validate_structure(PATH, path))
     oc = opposite(color)
     _note(trace, f"cycle boundary entirely {oc}; assembling {oc} target")
     own = (PATH, len(cyc) // 2)
@@ -651,7 +641,7 @@ def _cycle_step(
     mv = _find_move(links.table(RED), P, W0, links.failed(RED))
     if mv is not None:
         _note(trace, "replacement move closes the longer red cycle")
-        return Witness(RED, CYCLE, validate_loose_cycle(mv[0] + [c1]))
+        return Witness(RED, CYCLE, validate_structure(CYCLE, mv[0] + [c1]))
 
     qq0, used, consumed = _chain(links.table(BLUE), P, W0, trace)
     x = len(W0) - len(used)
@@ -710,7 +700,7 @@ def _path_step(
     p = _grow(c, links, p, n)
     if (len(p) - 1) // 2 >= n:
         _note(trace, "red path extended to target length")
-        return Witness(RED, PATH, validate_loose_path(p[: 2 * n + 1]))
+        return Witness(RED, PATH, validate_structure(PATH, p[: 2 * n + 1]))
 
     wbar = sorted(set(range(c.n_vertices)) - set(p))
     u = wbar[-1]
@@ -753,7 +743,7 @@ def _fast_red(
     if (len(seq) - 1) // 2 < need:
         return None
     if shape == PATH:
-        return Witness(RED, PATH, validate_loose_path(seq[: 2 * tlen + 1]))
+        return Witness(RED, PATH, validate_structure(PATH, seq[: 2 * tlen + 1]))
     # close a sub-path of length tlen-1 with one fresh vertex
     red = c.test(RED)
     span = 2 * tlen - 1
@@ -762,7 +752,7 @@ def _fast_red(
         inside = set(sub)
         for zv in range(c.n_vertices):
             if zv not in inside and red(sub[-1], zv, sub[0]):
-                return Witness(RED, CYCLE, validate_loose_cycle(sub + [zv]))
+                return Witness(RED, CYCLE, validate_structure(CYCLE, sub + [zv]))
     return None
 
 
@@ -827,7 +817,7 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             w = _convert_cycle(c, verts, RED, (CYCLE, m), lk, trace)
         elif (kind, n, m) == (PMCN, 4, 3):
             # a red cycle of length 4 contains a red path of length 3
-            w = Witness(RED, PATH, validate_loose_path(verts[:7]))
+            w = Witness(RED, PATH, validate_structure(PATH, verts[:7]))
         elif kind == PP:
             w = _path_step(c, verts, n, m, lk, trace)
         else:

@@ -14,7 +14,7 @@ from itertools import compress
 from math import comb
 from typing import TextIO
 
-from .core import Coloring, TripleEdge, _red_blocks, bitmap_of_ranks, colex_unrank
+from .core import Coloring, TripleEdge, _red_blocks, colex_unrank
 
 
 class FormatError(ValueError):
@@ -102,7 +102,11 @@ def decode(text: str) -> Coloring:
                 raise FormatError(str(exc)) from exc
             raise FormatError(f"edge {ln!r} outside [0, {n})")
         ranks.append(comb(z, 3) + comb(y, 2) + x)
-    return Coloring(n, bitmap_of_ranks(ranks, max(ranks, default=-1) + 1))
+    # rank r is bit r & 7 of byte r >> 3, set in one pass over a byte buffer
+    buf = bytearray((max(ranks, default=-1) + 8) // 8)
+    for r in ranks:
+        buf[r >> 3] |= 1 << (r & 7)
+    return Coloring(n, int.from_bytes(buf, "little"))
 
 
 def write_coloring(coloring: Coloring, fh: TextIO, explicit: bool = False) -> None:

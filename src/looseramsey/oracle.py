@@ -168,14 +168,6 @@ def _search(verts: Sequence[int], T: Links, shape: str, length: int) -> Optional
     return None
 
 
-def _color_bits(coloring: Coloring, color: str) -> int:
-    """The colex bitmap of one colour class of a coloring."""
-    if color not in (RED, BLUE):
-        raise ValueError(f"unknown color {color!r}")
-    bits = coloring.red_bits
-    return bits if color == RED else bits ^ ((1 << coloring.n_triples) - 1)
-
-
 def _find_mono(
     coloring: Coloring, color: str, shape: str, length: int, T: Optional[Links] = None
 ) -> Optional[Witness]:
@@ -188,7 +180,9 @@ def _find_mono(
     if need > n:
         raise ValueError(f"{letter}_{length} needs {need} vertices, coloring has {n}")
     if T is None:
-        T = _link_table(n, _color_bits(coloring, color))
+        if color not in (RED, BLUE):
+            raise ValueError(f"unknown color {color!r}")
+        T = _link_table(n, (coloring if color == RED else coloring.swap()).red_bits)
     seq = _search(range(n), T, shape, length)
     return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
 

@@ -210,7 +210,7 @@ class TestStructuralInvariants:
             length = rnd.randint(2, (n - 1) // 2)
             verts = rnd.sample(range(n), 2 * length + 1)
             path = validate_loose_path(verts)
-            c = Coloring.from_red_edges(n, path.edges)
+            c = Coloring(n, sum(1 << colex_rank(e) for e in path.edges))
             w = Witness(RED, PATH, path)
             assert verify_witness(c, w)
             victim = rnd.choice(path.edges)

@@ -8,7 +8,7 @@ from looseramsey.cli import PRNG_NAME, StressReport, main, random_coloring, stre
 from looseramsey.constructions import CC, PP, PairKind
 from looseramsey.core import Coloring
 from looseramsey.extractor import ramsey_number
-from looseramsey.formats import decode
+from looseramsey.formats import decode, encode_lre1
 
 
 class TestRandomColoring:
@@ -52,6 +52,17 @@ class TestStress:
         with pytest.raises(ValueError):
             stress(PairKind(PP, 3, 3), trials=0, seed=0)
 
+    def test_negative_seed_rejected(self, capsys):
+        # Random(-s) draws the stream of Random(s): seed -5 would rerun seeds 1-4
+        assert random_coloring(12, -3) == random_coloring(12, 3)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+            stress(PairKind(PP, 3, 3), trials=10, seed=-5)
+        assert main(["stress", "--pair", "pp", "-n", "3", "-m", "3",
+                     "--trials", "10", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be non-negative, got -5\n"
+
     def test_failure_report_format(self):
         rep = StressReport(pair=PairKind(PP, 3, 3), N=8, trials=1, seed=0)
         rep.failures.append((0, "boom"))
@@ -84,8 +95,7 @@ class TestMain:
         # the certificate has R-1 vertices; extraction needs the threshold
         c = decode(f.read_text())
         big = Coloring(c.n_vertices + 1, c.red_bits)
-        f.write_text("LRE1 %d\n" % big.n_vertices
-                     + "".join(f"{e.a} {e.b} {e.c}\n" for e in big.red_edges()))
+        f.write_text(encode_lre1(big))
         assert main(["extract", "--file", str(f), "--pair", "pp",
                      "-n", "4", "-m", "3"]) == 0
         witness_line = capsys.readouterr().out.strip().splitlines()[-1]

@@ -76,7 +76,7 @@ class TestLowerBoundParams:
 
 class TestBuildSplitColoring:
     def test_empty_b_is_all_blue(self):
-        assert build_split_coloring(SplitSpec(3, 0)) == Coloring.all_blue(3)
+        assert build_split_coloring(SplitSpec(3, 0)) == Coloring(3, 0)
 
     def test_rule(self):
         c = build_split_coloring(SplitSpec(7, 1))
@@ -85,7 +85,7 @@ class TestBuildSplitColoring:
 
     def test_red_count(self):
         c = build_split_coloring(SplitSpec(7, 1))
-        assert sum(1 for _ in c.red_edges()) == comb(8, 3) - comb(7, 3) == 21
+        assert c.red_bits.bit_count() == comb(8, 3) - comb(7, 3) == 21
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):

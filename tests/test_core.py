@@ -1,5 +1,6 @@
 """Colored hypergraph primitives: colex indexing, structures, verification."""
 
+import pickle
 import random
 from math import comb
 
@@ -16,7 +17,6 @@ from looseramsey.core import (
     StructureError,
     TripleEdge,
     Witness,
-    all_triples,
     colex_rank,
     colex_unrank,
     edge_color,
@@ -25,7 +25,15 @@ from looseramsey.core import (
     validate_loose_path,
     verify_witness,
 )
-from looseramsey.oracle import _color_bits
+from looseramsey.formats import decode
+
+
+def _from_edges(n, edges):
+    return decode(f"LRE1 {n}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges))
+
+
+def _triples(n):
+    return [colex_unrank(r, n) for r in range(comb(n, 3))]
 
 
 class TestTripleEdge:
@@ -51,9 +59,8 @@ class TestColex:
 
     def test_all_triples_is_rank_order(self):
         for n in (3, 5, 8):
-            triples = list(all_triples(n))
-            assert len(triples) == comb(n, 3)
-            assert [colex_rank(e) for e in triples] == list(range(comb(n, 3)))
+            triples = [(a, b, c) for c in range(n) for b in range(c) for a in range(b)]
+            assert [tuple(e) for e in _triples(n)] == triples
 
     def test_unrank_out_of_range(self):
         with pytest.raises(ValueError):
@@ -84,29 +91,53 @@ class TestColoring:
         assert c.swap().red_bits == c.red_bits ^ ((1 << c.n_triples) - 1)
 
     def test_restrict_keeps_prefix_colors(self):
-        c = Coloring.from_red_edges(8, [(0, 1, 2), (0, 1, 7), (2, 3, 4)])
+        c = _from_edges(8, [(0, 1, 2), (0, 1, 7), (2, 3, 4)])
         sub = c.restrict(5)
-        assert sub.is_red(TripleEdge(0, 1, 2))
-        assert sub.is_red(TripleEdge(2, 3, 4))
-        assert sub.red_bits == Coloring.from_red_edges(5, [(0, 1, 2), (2, 3, 4)]).red_bits
+        assert edge_color(sub, TripleEdge(0, 1, 2)) == RED
+        assert edge_color(sub, TripleEdge(2, 3, 4)) == RED
+        assert sub.red_bits == _from_edges(5, [(0, 1, 2), (2, 3, 4)]).red_bits
 
     def test_restrict_range(self):
-        c = Coloring.all_red(6)
+        c = Coloring(6, 0).swap()
         with pytest.raises(ValueError):
             c.restrict(2)
         with pytest.raises(ValueError):
             c.restrict(7)
 
-    def test_red_edges_round_trip(self):
+    def test_pickle_drops_the_cached_tester(self):
         c = Coloring(7, 0x2f031)
-        assert Coloring.from_red_edges(7, c.red_edges()) == c
+        assert c.test(RED)(0, 1, 2) and c._red is c._red
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and "_red" not in vars(back)
+        assert [back.test(RED)(*e) for e in _triples(7)] == [c.test(RED)(*e) for e in _triples(7)]
 
     def test_edge_color(self):
-        c = Coloring.from_red_edges(5, [(0, 1, 2)])
+        c = _from_edges(5, [(0, 1, 2)])
         assert edge_color(c, TripleEdge(0, 1, 2)) == RED
         assert edge_color(c, TripleEdge(0, 1, 3)) == BLUE
         with pytest.raises(ValueError):
             edge_color(c, TripleEdge(0, 1, 5))
+
+    def test_edge_color_takes_any_vertex_order(self):
+        # rank 5 is {0, 2, 4}; the unsorted (5, 1, 2) is the blue {1, 2, 5}
+        c = Coloring(6, 1 << 5)
+        assert edge_color(c, TripleEdge(0, 2, 4)) == edge_color(c, TripleEdge(4, 0, 2)) == RED
+        assert edge_color(c, TripleEdge(5, 1, 2)) == BLUE
+        for e in _triples(6):
+            for order in ((e.c, e.a, e.b), (e.b, e.c, e.a), (e.c, e.b, e.a)):
+                assert edge_color(c, TripleEdge(*order)) == edge_color(c, e)
+
+    @pytest.mark.parametrize("e", [(9, 1, 2), (1, 9, 2), (0, 1, 6), (-1, 1, 2)])
+    def test_edge_color_range_checks_every_vertex(self, e):
+        e = TripleEdge(*e)
+        with pytest.raises(ValueError) as exc:
+            edge_color(Coloring(6, 1 << 5), e)
+        assert str(exc.value) == f"edge {e} outside [0, 6)"
+
+    def test_edge_color_rejects_repeated_vertices(self):
+        # (1, 1, 2) would read rank 1, the triple {0, 1, 3}
+        with pytest.raises(ValueError, match=r"edge vertices must be distinct: \(1, 1, 2\)"):
+            edge_color(Coloring(6, 1 << 1), TripleEdge(1, 1, 2))
 
     def test_opposite(self):
         assert opposite(RED) == BLUE
@@ -115,7 +146,7 @@ class TestColoring:
     def test_unknown_color_has_no_tester(self):
         # any name but red and blue used to read as blue
         with pytest.raises(ValueError, match="unknown color 'Red'"):
-            Coloring.all_red(5).test("Red")
+            Coloring(5, 0).swap().test("Red")
 
 
 # The shift-based lookups that the byte view replaced, kept verbatim.
@@ -137,7 +168,7 @@ class _ReferenceColorTest:
     __slots__ = ("bits", "c2", "c3")
 
     def __init__(self, coloring: Coloring, color: str) -> None:
-        self.bits = _color_bits(coloring, color)
+        self.bits = (coloring if color == RED else coloring.swap()).red_bits
         n = coloring.n_vertices
         self.c2 = [comb(i, 2) for i in range(n + 1)]
         self.c3 = [comb(i, 3) for i in range(n + 1)]
@@ -153,9 +184,9 @@ class _ReferenceColorTest:
 
 
 def _assert_lookups_match(c, rnd, sample=400):
-    """Coloring.test and is_red against the references, both colours, on
-    (a sample of) every triple with its vertices in random order."""
-    triples = list(all_triples(c.n_vertices))
+    """Coloring.test and edge_color against the references, both colours,
+    on (a sample of) every triple with its vertices in random order."""
+    triples = _triples(c.n_vertices)
     if len(triples) > sample:
         triples = rnd.sample(triples, sample)
     for color in (RED, BLUE):
@@ -164,8 +195,8 @@ def _assert_lookups_match(c, rnd, sample=400):
             x, y, z = rnd.sample(e, 3)
             assert new(x, y, z) is ref(x, y, z), (c, color, e)
     for e in triples:
-        assert c.is_red(e) is _reference_is_red(c, e), (c, e)
-        assert edge_color(c, e) == (RED if _reference_is_red(c, e) else BLUE)
+        assert edge_color(c, e) == (RED if _reference_is_red(c, e) else BLUE), (c, e)
+        assert edge_color(c, TripleEdge(*rnd.sample(e, 3))) == edge_color(c, e)
 
 
 class TestLookupParity:
@@ -188,11 +219,11 @@ class TestLookupParity:
 
     @pytest.mark.parametrize("n", [3, 4, 9, 40])
     def test_all_blue_view_is_empty(self, n):
-        c = Coloring.all_blue(n)
+        c = Coloring(n, 0)
         assert c._view == b""
         red, blue = c.test(RED), c.test(BLUE)
-        for e in all_triples(n):
-            assert red(*e) is False and blue(*e) is True and c.is_red(e) is False
+        for e in _triples(n):
+            assert red(*e) is False and blue(*e) is True and edge_color(c, e) == BLUE
 
     @pytest.mark.parametrize("rank", [0, 7, 8, 15, 16, comb(12, 3) - 1])
     def test_single_red_triple_at_a_byte_edge(self, rank):
@@ -259,28 +290,28 @@ class TestStructures:
 
 class TestVerifyWitness:
     def test_accepts_matching(self):
-        c = Coloring.all_red(7)
+        c = Coloring(7, 0).swap()
         w = Witness(RED, PATH, validate_loose_path(range(7)))
         assert verify_witness(c, w)
 
     def test_rejects_wrong_color(self):
-        c = Coloring.all_red(7)
+        c = Coloring(7, 0).swap()
         w = Witness(BLUE, PATH, validate_loose_path(range(7)))
         res = verify_witness(c, w)
         assert not res and "red" in res.reason
 
     def test_rejects_label_overflow(self):
-        c = Coloring.all_red(6)
+        c = Coloring(6, 0).swap()
         w = Witness(RED, PATH, validate_loose_path([0, 1, 2, 3, 6]))
         assert not verify_witness(c, w)
 
     def test_rejects_broken_structure(self):
-        c = Coloring.all_red(7)
+        c = Coloring(7, 0).swap()
         w = Witness(RED, CYCLE, LoosePath((0, 1, 2, 3, 4)))
         assert not verify_witness(c, w)
 
     def test_rejects_unknown_color_and_shape(self):
-        c = Coloring.all_red(7)
+        c = Coloring(7, 0).swap()
         path = validate_loose_path(range(7))
         assert not verify_witness(c, Witness("green", PATH, path))
         assert not verify_witness(c, Witness(RED, "tree", path))

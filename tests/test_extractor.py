@@ -39,12 +39,17 @@ from looseramsey.extractor import (
     _find_move,
     _LinkTables,
     _open_cycle,
+    _greedy,
     _path_step,
-    greedy_red_path,
     ramsey_number,
     solve,
 )
+from looseramsey.formats import decode
 from looseramsey.oracle import find_mono_cycle, find_mono_path
+
+
+def _from_edges(n, edges):
+    return decode(f"LRE1 {n}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges))
 
 
 def _rand(n, seed):
@@ -55,7 +60,7 @@ def _path_only(n_vertices, path_len):
     """Coloring whose red graph is exactly one loose path starting at 0."""
     verts = list(range(2 * path_len + 1))
     edges = [tuple(verts[2 * i : 2 * i + 3]) for i in range(path_len)]
-    return Coloring.from_red_edges(n_vertices, edges), verts
+    return _from_edges(n_vertices, edges), verts
 
 
 def _maximal(c, verts, wset):
@@ -164,7 +169,7 @@ class TestOpenCycle:
                 assert ref is None and old_kind == "family"
                 assert set(family) == set(ref_family) == set(old_payload)
                 assert len(family) == len(set(family)) == k * (c.n_vertices - k)
-                assert all(c.is_red(e) == (color == BLUE) for e in family)
+                assert all(c.test(RED if color == BLUE else BLUE)(*e) for e in family)
                 continue
             assert family is None and old_kind == "path"
             assert (path[0], path[1], path[2:]) == ref
@@ -204,28 +209,28 @@ class TestRamseyNumber:
 
 class TestGreedyRedPath:
     def test_all_red_k7(self):
-        assert greedy_red_path(Coloring.all_red(7)).length == 3
+        assert len(_greedy(Coloring(7, 0).swap(), None)) == 7
 
     def test_all_blue(self):
-        assert greedy_red_path(Coloring.all_blue(7)).vertices == ()
+        assert _greedy(Coloring(7, 0), None) == []
 
     def test_split(self):
-        p = greedy_red_path(build_split_coloring(SplitSpec(7, 1)))
-        assert p.length == 2
+        assert len(_greedy(build_split_coloring(SplitSpec(7, 1)), None)) == 5
 
     def test_result_is_red_and_unextendable(self):
         for seed in range(30):
             c = _rand(9, seed)
-            p = greedy_red_path(c)
-            if not p.vertices:
+            seq = _greedy(c, None)
+            if not seq:
                 continue
-            assert verify_witness(c, Witness(RED, PATH, p))
-            free = set(range(9)) - set(p.vertices)
+            assert verify_witness(c, Witness(RED, PATH, validate_loose_path(seq)))
+            free = set(range(9)) - set(seq)
+            red = c.test(RED)
             for a in free:
                 for b in free:
                     if a < b:
-                        assert not c.is_red(TripleEdge.of(p.vertices[-1], a, b))
-                        assert not c.is_red(TripleEdge.of(p.vertices[0], a, b))
+                        assert not red(seq[-1], a, b)
+                        assert not red(seq[0], a, b)
 
 
 class TestMaximalize:
@@ -233,11 +238,11 @@ class TestMaximalize:
     length-increasing replacement move."""
 
     def test_empty_reservoir_unchanged(self):
-        red = _LinkTables(Coloring.all_red(7)).table(RED)
+        red = _LinkTables(Coloring(7, 0).swap()).table(RED)
         assert _find_move(red, list(range(7)), set()) is None
 
     def test_all_red_grows_by_one(self):
-        c = Coloring.all_red(7)
+        c = Coloring(7, 0).swap()
         verts, used = _find_move(_LinkTables(c).table(RED), list(range(5)), {5, 6})
         assert used == (5, 6)
         w = Witness(RED, PATH, validate_loose_path(verts))
@@ -260,7 +265,7 @@ class TestChainBluePath:
         assert q.length == 2 and consumed == 2
         assert len({5, 6, 7} - used) == 1
         for e in q.edges:
-            assert not c.is_red(e)
+            assert c.test(BLUE)(*e)
 
     def test_length_accounting(self):
         """Assembly length is twice (reservoir vertices used minus one), the
@@ -276,13 +281,13 @@ class TestChainBluePath:
                 if rnd.random() < 0.06:
                     bits |= 1 << i
             c = Coloring(12, bits)
-            p = greedy_red_path(c)
-            if p.length < 2:
+            seq = _greedy(c, None)
+            if len(seq) < 5:
                 continue
-            wset = set(range(12)) - set(p.vertices)
+            wset = set(range(12)) - set(seq)
             if len(wset) < 3:
                 continue
-            verts, wset = _maximal(c, list(p.vertices), wset)
+            verts, wset = _maximal(c, seq, wset)
             L = (len(verts) - 1) // 2
             if len(wset) < 3 or L < 2:
                 continue
@@ -295,7 +300,7 @@ class TestChainBluePath:
             assert used == wused
             assert 0 <= consumed <= L
             for e in q.edges:
-                assert not c.is_red(e)
+                assert c.test(BLUE)(*e)
             checked += 1
         assert checked > 20
 
@@ -322,7 +327,7 @@ class TestSteps:
     def test_path_step_move_reaching_target_is_traced(self):
         # no red edge extends the path 0..4 at an end, but replacing {0,1,2}
         # by {0,1,5} {5,6,2} reaches length 3: the step must say so
-        c = Coloring.from_red_edges(7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (2, 5, 6)])
+        c = _from_edges(7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (2, 5, 6)])
         trace = []
         w = _path_step(c, [0, 1, 2, 3, 4], 3, 3, _LinkTables(c), trace)
         assert (w.color, w.shape, w.length) == (RED, PATH, 3)
@@ -332,7 +337,7 @@ class TestSteps:
     def test_cycle_step_on_blue_remainder(self):
         cyc = [0, 1, 2, 3, 4, 5, 6, 7]
         edges = [tuple(cyc[2 * i : 2 * i + 3]) for i in range(3)] + [(6, 7, 0)]
-        c = Coloring.from_red_edges(11, edges)
+        c = _from_edges(11, edges)
         assert validate_loose_cycle(cyc).length == 4
         w = _cycle_step(c, cyc, 5, 4, CYCLE, _LinkTables(c), None)
         assert w.color == BLUE and (w.shape, w.length) == (CYCLE, 4)
@@ -354,7 +359,7 @@ def _cycle_with_blue_boundary(seed):
             continue
         if rnd.random() < 0.3:
             red.append(e)
-    return Coloring.from_red_edges(n, red), cyc
+    return _from_edges(n, red), cyc
 
 
 class TestConvertRedCycle:
@@ -434,12 +439,12 @@ class TestConvertBlueCycle:
 class TestSolve:
     def test_below_threshold(self):
         with pytest.raises(ValueError):
-            solve(PairKind(PP, 3, 3), Coloring.all_red(7))
+            solve(PairKind(PP, 3, 3), Coloring(7, 0).swap())
 
     def test_all_red_gives_red_target(self):
         for pair in (PairKind(PP, 4, 3), PairKind(CC, 4, 4), PairKind(PNCM, 4, 3),
                      PairKind(PMCN, 5, 3)):
-            c = Coloring.all_red(ramsey_number(pair))
+            c = Coloring(ramsey_number(pair), 0).swap()
             w = solve(pair, c)
             assert w.color == RED
             assert (w.shape, w.length) == pair.red_target

@@ -17,7 +17,6 @@ from looseramsey.core import (
     Witness,
     _comb_tables,
     colex_rank,
-    colex_unrank,
     validate_loose_path,
     verify_witness,
 )
@@ -32,14 +31,14 @@ from looseramsey.formats import (
 
 
 def test_lrc1_header_and_length():
-    text = encode_lrc1(Coloring.all_red(6))
+    text = encode_lrc1(Coloring(6, 0).swap())
     lines = text.splitlines()
     assert lines[0] == "LRC1 6"
     assert len(lines[1]) == (20 + 3) // 4
 
 
 def test_lre1_lists_red_triples():
-    c = Coloring.from_red_edges(5, [(0, 1, 2), (1, 3, 4)])
+    c = Coloring(5, 1 << colex_rank(TripleEdge(0, 1, 2)) | 1 << colex_rank(TripleEdge(1, 3, 4)))
     text = encode_lre1(c)
     assert text.splitlines() == ["LRE1 5", "0 1 2", "1 3 4"]
 
@@ -47,8 +46,8 @@ def test_lre1_lists_red_triples():
 @pytest.mark.parametrize(
     "c",
     [
-        Coloring.all_red(5),
-        Coloring.all_blue(5),
+        Coloring(5, 0).swap(),
+        Coloring(5, 0),
         Coloring(6, 0b10110),
         Coloring(9, 0x1234567890),
     ],
@@ -60,7 +59,7 @@ def test_round_trips(c):
 
 @given(st.integers(3, 9), st.randoms(use_true_random=False))
 def test_round_trip_random(n, rnd):
-    c = Coloring(n, rnd.getrandbits(Coloring.all_red(n).n_triples))
+    c = Coloring(n, rnd.getrandbits(comb(n, 3)))
     assert decode(encode_lrc1(c)) == c
     assert decode(encode_lre1(c)) == c
 
@@ -88,12 +87,10 @@ def test_huge_sparse_coloring_encodes_its_red_span():
     c = Coloring(100_000, 0b1011)
     tracemalloc.start()
     try:
-        edges = list(c.red_edges())
         text = encode_lre1(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert edges == [TripleEdge(0, 1, 2), TripleEdge(0, 1, 3), TripleEdge(1, 2, 3)]
     assert text.splitlines() == ["LRE1 100000", "0 1 2", "0 1 3", "1 2 3"]
     assert decode(text) == c
     assert peak < 1 << 20
@@ -199,7 +196,7 @@ def _reference_decode(text: str) -> Coloring:
     return Coloring(n, bits)
 
 
-# The LRE1 encoder that the block join replaced, with the red_edges scan it
+# The LRE1 encoder that the block join replaced, with the red-edge scan it
 # called inlined: one line per red triple found in the bitmap's binary string.
 
 
@@ -218,28 +215,6 @@ def _reference_encode_lre1(coloring: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reference_red_edges(self):
-    """One pass over the reversed binary string: bit r is its character r."""
-    flags = format(self.red_bits, "b")[::-1]
-    r = flags.find("1")
-    while r >= 0:
-        yield colex_unrank(r, self.n_vertices)
-        r = flags.find("1", r + 1)
-
-
-def _reference_from_red_edges(n_vertices: int, edges) -> "Coloring":
-    """Sets rank r as bit r & 7 of byte r >> 3, then converts once."""
-    flags = bytearray(comb(max(n_vertices, 0), 3) // 8 + 1)
-    for e in edges:
-        if not isinstance(e, TripleEdge):
-            e = TripleEdge.of(*e)
-        if e.c >= n_vertices:
-            raise ValueError(f"edge {e} outside [0, {n_vertices})")
-        r = colex_rank(e)
-        flags[r >> 3] |= 1 << (r & 7)
-    return Coloring(n_vertices, int.from_bytes(flags, "little"))
-
-
 def _error(fn, *args):
     """The type and message fn raises, or None when it returns."""
     try:
@@ -256,15 +231,14 @@ class TestCodecParity:
         c = Coloring(n, rnd.getrandbits(comb(n, 3)))
         lrc1 = encode_lrc1(c)
         assert lrc1 == _reference_encode_lrc1(c)
-        assert list(c.red_edges()) == list(_reference_red_edges(c))
         lre1 = encode_lre1(c)
         assert lre1 == _reference_encode_lre1(c)
-        for text in (lrc1, lrc1.upper(), lre1):
+        # LRE1 input in any line order, each line's vertices in any order
+        lines = [ln.split() for ln in lre1.splitlines()[1:]]
+        rnd.shuffle(lines)
+        shuffled = f"LRE1 {n}\n" + "".join(" ".join(rnd.sample(ln, 3)) + "\n" for ln in lines)
+        for text in (lrc1, lrc1.upper(), lre1, shuffled):
             assert decode(text) == _reference_decode(text) == c
-        edges = list(c.red_edges())
-        rnd.shuffle(edges)
-        raw = [tuple(rnd.sample(e, 3)) for e in edges]
-        assert Coloring.from_red_edges(n, raw) == _reference_from_red_edges(n, raw) == c
 
     @pytest.mark.parametrize("n", [3, 4, 30, 74, 100])
     @pytest.mark.parametrize("kind", ["all-blue", "all-red", "rank 0", "top rank", "random"])
@@ -278,13 +252,11 @@ class TestCodecParity:
             "random": random.Random(n).getrandbits(top + 1),
         }[kind])
         assert encode_lre1(c) == _reference_encode_lre1(c)
-        assert list(c.red_edges()) == list(_reference_red_edges(c))
 
     def test_same_bytes_on_the_split_coloring(self):
         c = build_split_coloring(lower_bound_params(PairKind(PNCM, 30, 30)))
         assert c.n_vertices == 74
         assert encode_lre1(c) == _reference_encode_lre1(c)
-        assert list(c.red_edges()) == list(_reference_red_edges(c))
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(3, 20), rnd=st.randoms(use_true_random=False))
@@ -314,13 +286,6 @@ class TestCodecParity:
             expected = _error(_reference_decode, text)
             assert expected is not None and expected[0] is FormatError, text
             assert _error(decode, text) == expected, text
-
-    def test_from_red_edges_errors(self):
-        for n, edges in ((5, [(0, 1, 5)]), (5, [(0, 1, 1)]), (5, [(-1, 2, 3)]),
-                         (2, [(0, 1, 2)]), (2, []), (-1, [])):
-            expected = _error(_reference_from_red_edges, n, edges)
-            assert expected is not None
-            assert _error(Coloring.from_red_edges, n, edges) == expected
 
     def test_upper_case_hex_accepted(self):
         c = Coloring(9, 0xFEDCBA9876543210ABCDE)

@@ -29,8 +29,8 @@ from looseramsey.core import (
     RED,
     Coloring,
     TripleEdge,
-    all_triples,
     colex_rank,
+    colex_unrank,
     edge_color,
     opposite,
     verify_witness,
@@ -48,11 +48,18 @@ from looseramsey.extractor import (
     _route,
     _window_inners,
     _window_p4,
-    greedy_red_path,
     ramsey_number,
     solve,
 )
-from looseramsey.oracle import _color_bits, _link_table
+from looseramsey.oracle import _link_table
+
+
+def _triples(n):
+    return [colex_unrank(r, n) for r in range(comb(n, 3))]
+
+
+def _color_bits(c, color):
+    return (c if color == RED else c.swap()).red_bits
 
 
 def _reference_find_move(red, p, wset):
@@ -227,7 +234,7 @@ def _instance(seed, min_edges=1):
         density = rnd.choice([0.1, 0.3, 0.5, 0.7, 0.9])
         bits = sum(1 << rank for rank in range(comb(n, 3)) if rnd.random() < density)
     c = Coloring(n, bits)
-    p = list(greedy_red_path(c).vertices)
+    p = _greedy(c, None)
     if len(p) < 2 * min_edges + 1 or rnd.random() < 0.5:
         p = rnd.sample(range(n), 2 * rnd.randint(min_edges, (n - 3) // 2) + 1)
     rest = [v for v in range(n) if v not in p]
@@ -248,7 +255,7 @@ def _late_chain_instance(seed):
     hard = set(rnd.sample(w, rnd.randint(1, 2)))
     density = rnd.choice([0.3, 0.5, 0.7])
     red = 0
-    for r, e in enumerate(all_triples(n)):
+    for r, e in enumerate(_triples(n)):
         if rnd.random() >= (0.05 if hard.intersection(e) else density):
             red |= 1 << r
     return Coloring(n, red), p, sorted(w)
@@ -358,7 +365,7 @@ class TestTables:
         prefixes, the tables equal those built from each colour's bitmap."""
         for n in range(3, 13):
             rnd = random.Random(n)
-            colorings = [Coloring.all_red(n), Coloring.all_blue(n)]
+            colorings = [Coloring(n, 0).swap(), Coloring(n, 0)]
             colorings += [Coloring(n, rnd.getrandbits(comb(n, 3))) for _ in range(4)]
             for c in colorings:
                 want = {color: _link_table(n, _color_bits(c, color)) for color in (RED, BLUE)}
@@ -413,7 +420,7 @@ class TestTables:
 
     def test_greedy_solve_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(extractor, "_link_table", None)
-        c = Coloring.all_red(10)
+        c = Coloring(10, 0).swap()
         assert solve(PairKind(PP, 4, 4), c).color == RED
 
 
@@ -476,7 +483,7 @@ class TestKernels:
             verts = rnd.sample(range(n), 2 + k + nw)
             lat, rat = verts[:2]
             bits = 0
-            for r, e in enumerate(all_triples(n)):
+            for r, e in enumerate(_triples(n)):
                 if rnd.random() < (density / nw if lat in e or rat in e else density):
                     bits |= 1 << r
             T = _LinkTables(Coloring(n, bits)).table(RED)
@@ -573,7 +580,7 @@ class TestKernels:
         # the blue triples {7,0,1} {1,4,8} {8,3,5} {5,2,7} would close the
         # 3-edge window at 0 only by reusing its head 7 as its tail
         blue = [(0, 1, 7), (1, 4, 8), (3, 5, 8), (2, 5, 7)]
-        c = Coloring.all_red(9)
+        c = Coloring(9, 0).swap()
         for e in blue:
             c = Coloring(9, c.red_bits ^ 1 << colex_rank(TripleEdge(*e)))
         trace = []
@@ -596,7 +603,7 @@ def _memo_instance(seed):
     else:
         density = (0.2, 0.5, 0.8)[seed % 4]
         c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
-    p = list(greedy_red_path(c).vertices)
+    p = _greedy(c, None)
     if len(p) < 3 or len(p) > n - 3 or rnd.random() < 0.5:
         p = rnd.sample(range(n), 2 * rnd.randint(1, (n - 3) // 2) + 1)
     return c, p, [v for v in range(n) if v not in p]
@@ -634,7 +641,7 @@ class TestDescentReuse:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(3, 14), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_greedy_path_is_the_prefix_greedy_path(self, n, seed, data):
-        """greedy_red_path(c.restrict(k)) is greedy_red_path(c) whenever
+        """The greedy path of c.restrict(k) is the greedy path of c whenever
         every vertex of the latter lies below k."""
         rnd = random.Random(seed)
         if rnd.random() < 0.3:
@@ -644,9 +651,9 @@ class TestDescentReuse:
         else:
             density = rnd.choice([0.05, 0.2, 0.5, 0.9])
             c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
-        gp = greedy_red_path(c)
-        k = data.draw(st.integers(max(gp.vertices, default=2) + 1, n))
-        assert greedy_red_path(c.restrict(k)) == gp
+        gp = _greedy(c, None)
+        k = data.draw(st.integers(max(gp, default=2) + 1, n))
+        assert _greedy(c.restrict(k), None) == gp
 
     def test_end_extension_from_rows_is_the_triple_scan(self):
         """_append_extend through the red table of a larger coloring returns
@@ -666,7 +673,7 @@ class TestDescentReuse:
             _append_extend(red, n, rows, T)
             _append_extend(red, n, triples)
             assert rows == triples, seed
-            assert _greedy(c, T) == _greedy(c, None) == list(greedy_red_path(c).vertices), seed
+            assert _greedy(c, T) == _greedy(c, None), seed
             grown += len(rows) > len(start)
         assert grown > 300
 

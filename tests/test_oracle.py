@@ -20,6 +20,7 @@ from looseramsey.core import (
     validate_loose_path,
     verify_witness,
 )
+from looseramsey.formats import decode, encode_lre1
 from looseramsey.oracle import (
     _link_table,
     _structure_masks,
@@ -38,9 +39,9 @@ def _random_coloring(n, rnd):
 
 def _relabeled(c, perm):
     """The coloring with vertex v renamed perm[v]."""
-    return Coloring.from_red_edges(
-        c.n_vertices, (TripleEdge.of(perm[e.a], perm[e.b], perm[e.c]) for e in c.red_edges())
-    )
+    edges = (map(int, ln.split()) for ln in encode_lre1(c).splitlines()[1:])
+    lines = "".join(f"{perm[x]} {perm[y]} {perm[z]}\n" for x, y, z in edges)
+    return decode(f"LRE1 {c.n_vertices}\n{lines}")
 
 
 def _flipped(c, k, rnd):
@@ -72,16 +73,16 @@ def longest_mono_path(coloring, color):
 
 class TestFindMonoPath:
     def test_all_red_k7(self):
-        w = find_mono_path(Coloring.all_red(7), RED, 3)
+        w = find_mono_path(Coloring(7, 0).swap(), RED, 3)
         assert list(w.structure.vertices) == [0, 1, 2, 3, 4, 5, 6]
-        assert verify_witness(Coloring.all_red(7), w)
+        assert verify_witness(Coloring(7, 0).swap(), w)
 
     def test_split_has_no_red_p3(self):
         c = build_split_coloring(SplitSpec(7, 1))
         assert find_mono_path(c, RED, 3) is None
 
     def test_parameter_errors(self):
-        c = Coloring.all_red(8)
+        c = Coloring(8, 0).swap()
         with pytest.raises(ValueError):
             find_mono_path(c, RED, 0)
         with pytest.raises(ValueError):
@@ -109,7 +110,7 @@ class TestFindMonoPath:
 
 class TestFindMonoCycle:
     def test_all_blue_k6(self):
-        w = find_mono_cycle(Coloring.all_blue(6), BLUE, 3)
+        w = find_mono_cycle(Coloring(6, 0), BLUE, 3)
         assert list(w.structure.vertices) == [0, 1, 2, 3, 4, 5]
 
     def test_split_has_no_blue_c4_on_8(self):
@@ -121,7 +122,7 @@ class TestFindMonoCycle:
         assert find_mono_cycle(c, RED, 3) is None
 
     def test_parameter_errors(self):
-        c = Coloring.all_red(6)
+        c = Coloring(6, 0).swap()
         with pytest.raises(ValueError):
             find_mono_cycle(c, RED, 2)
         with pytest.raises(ValueError):
@@ -132,11 +133,11 @@ class TestFindMonoCycle:
 
 class TestLongestMonoPath:
     def test_all_red_k9(self):
-        length, w = longest_mono_path(Coloring.all_red(9), RED)
+        length, w = longest_mono_path(Coloring(9, 0).swap(), RED)
         assert length == 4 and w.length == 4
 
     def test_no_edges(self):
-        assert longest_mono_path(Coloring.all_red(9), BLUE) == (0, None)
+        assert longest_mono_path(Coloring(9, 0).swap(), BLUE) == (0, None)
 
     def test_split(self):
         c = build_split_coloring(SplitSpec(7, 1))
@@ -319,7 +320,7 @@ class TestFamilySearch:
             n = rnd.randint(5, 9)
             triples = [TripleEdge.of(*t) for t in itertools.combinations(range(n), 3)]
             family = rnd.sample(triples, rnd.randint(0, len(triples) // 2))
-            c = Coloring.from_red_edges(n, family)
+            c = Coloring(n, sum(1 << colex_rank(e) for e in family))
             searches = [(find_loose_path_from_edges, find_mono_path, validate_loose_path,
                          rnd.randint(1, (n - 1) // 2))]
             if n >= 6:
