@@ -163,31 +163,6 @@ class Coloring:
         return Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
 
 
-# format(bits, "b") reversed and encoded is one byte per rank; this maps its
-# ASCII digits to 0/1 flags, which bytes.find and itertools.compress read.
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _red_blocks(coloring: Coloring) -> Iterator[Tuple[int, int, bytes]]:
-    """(y, z, flags) for every (y, z) with a red triple {x < y < z}, in rank
-    order; flags[x] is 1 iff {x, y, z} is red.  The triples of one (y, z)
-    fill the ranks [C(z,3) + C(y,2), + y), so the blocks tile the bitmap in
-    order.  The flag string is sized by the highest red rank and the walk
-    stops there, so a sparse coloring of a huge N costs only its red span."""
-    bits = coloring.red_bits
-    top = bits.bit_length()
-    flags = format(bits, "b")[::-1].encode().translate(_FLAGS)
-    base = 0
-    for z in range(2, coloring.n_vertices):
-        for y in range(1, z):
-            if base >= top:
-                return
-            end = base + y
-            if flags.find(1, base, end) >= 0:
-                yield y, z, flags[base:end]
-            base = end
-
-
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:
     a, b, c = e
     n = coloring.n_vertices

@@ -25,7 +25,9 @@ against per-vertex reach masks, and skips it for the rest of the solve on
 any reservoir inside one it failed on.  The chaining remembers the states
 it has seen fail and charges each revisit the node budget its first search
 used, so it returns exactly what the search without the memo returns under
-the same budget.
+the same budget.  A monochromatic cycle whose boundary edges all have the
+other colour yields that colour's target by the oracle's search on the
+boundary's own link table, which depends only on the cycle.
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -48,20 +50,13 @@ from .core import (
     Coloring,
     EdgeTest,
     StructureError,
-    TripleEdge,
     Witness,
     colex_unrank,
     opposite,
     validate_structure,
     verify_witness,
 )
-from .oracle import (
-    Links,
-    _find_mono,
-    _link_table,
-    find_loose_cycle_from_edges,
-    find_loose_path_from_edges,
-)
+from .oracle import Links, _find_mono, _link_table
 
 # (n, m) pairs whose thresholds rest on external small-case results.
 _BASES = {(3, 3), (4, 3), (4, 4)}
@@ -169,7 +164,7 @@ def _red_edge_at(
     return None
 
 
-def _append_extend(red: EdgeTest, n: int, seq: List[int], T: Optional[Links] = None) -> None:
+def _append_extend(red: EdgeTest, n: int, seq: List[int], T: Optional[Links]) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
     per edge, lowest labels first, tail end first; through T if given."""
     free = sorted(set(range(n)) - set(seq))
@@ -283,7 +278,7 @@ def _route(T: Links, end: int, pool: List[int], rat: int) -> Optional[List[int]]
 
 
 def _find_move(
-    T: Links, p: List[int], wset, failed: Optional[Dict[Tuple[int, int, int], int]] = None
+    T: Links, p: List[int], wset, failed: Dict[Tuple[int, int, int], int]
 ) -> Optional[Tuple[List[int], Tuple[int, int]]]:
     """First length-increasing red replacement of one or two consecutive path
     edges using two reservoir vertices, preserving the path's end vertices.
@@ -303,7 +298,6 @@ def _find_move(
         return None
     wmask = sum(1 << w for w in wl)
     reach = _Reach(T, wmask)
-    failed = {} if failed is None else failed
 
     for j in range(L):
         lats = [(p[2 * j], p[: 2 * j + 1])]
@@ -493,16 +487,6 @@ def _find(
     return _find_mono(c, color, *target, T)
 
 
-def _from_family(
-    family: List[TripleEdge], color: str, shape: str, length: int
-) -> Optional[Witness]:
-    """A structure of the shape and length inside the edge family, all of
-    whose edges have the colour; None if the family holds none."""
-    find = find_loose_path_from_edges if shape == PATH else find_loose_cycle_from_edges
-    seq = find(family, length)
-    return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
-
-
 def _completion(
     c: Coloring,
     blue_target: Tuple[str, int],
@@ -530,29 +514,41 @@ def _completion(
     return w
 
 
-def _open_cycle(c: Coloring, cyc: List[int], color: str):
+def _open_cycle(c: Coloring, cyc: List[int], color: str) -> Optional[List[int]]:
     """Open a monochromatic cycle at its first boundary edge {c1, c2, z} of
     the same colour, {c0, c1, c2} a cycle edge and z outside the cycle; per
     cycle edge {u, v, w}, {v, w, z} is tried before {u, v, z}.
 
-    Returns (path, None), the path z, c1, c2, ..., c0 of the cycle's length,
-    or (None, family) when every boundary edge, listed in family, has the
-    opposite colour.
+    Returns the path z, c1, c2, ..., c0 of the cycle's length, or None when
+    every boundary edge has the opposite colour.
     """
     test = c.test(color)
     k = len(cyc)
     outside = sorted(set(range(c.n_vertices)) - set(cyc))
-    family: List[TripleEdge] = []
     for j in range(0, k, 2):
         u, v, w = cyc[j], cyc[j + 1], cyc[(j + 2) % k]
         for z in outside:
             if test(v, w, z):
-                return [z, v] + cyc[j + 2 :] + cyc[: j + 1], None
+                return [z, v] + cyc[j + 2 :] + cyc[: j + 1]
             if test(u, v, z):
-                return [z, v] + (cyc[j + 2 :] + cyc[: j + 1])[::-1], None
-            family.append(TripleEdge.of(u, v, z))
-            family.append(TripleEdge.of(v, w, z))
-    return None, family
+                return [z, v] + (cyc[j + 2 :] + cyc[: j + 1])[::-1]
+    return None
+
+
+def _boundary_table(n: int, cyc: List[int]) -> Links:
+    """The link table of the boundary edges {c_i, c_i+1, z} of the cycle cyc
+    on n vertices, z outside the cycle: T[c_i][c_i+1] is the mask of the
+    outside vertices, T[c_i][z] the mask of c_i's two cycle neighbours."""
+    k = len(cyc)
+    outside = ((1 << n) - 1) & ~sum(1 << v for v in cyc)
+    T = [[0] * n for _ in range(n)]
+    for i, v in enumerate(cyc):
+        w = cyc[(i + 1) % k]
+        T[v][w] = T[w][v] = outside
+        nbrs = 1 << cyc[i - 1] | 1 << w
+        for z in _bits(outside):
+            T[v][z] = T[z][v] = nbrs
+    return T
 
 
 def _convert_cycle(
@@ -562,7 +558,7 @@ def _convert_cycle(
     """A cycle of the colour yields either a path of the colour and the
     cycle's length or the other colour's target (shape, length), assembled
     from the cycle boundary when all of it has the other colour."""
-    path, family = _open_cycle(c, cyc, color)
+    path = _open_cycle(c, cyc, color)
     if path is not None:
         _note(trace, f"opened {color} cycle into {color} path")
         return Witness(color, PATH, validate_structure(PATH, path))
@@ -570,7 +566,7 @@ def _convert_cycle(
     _note(trace, f"cycle boundary entirely {oc}; assembling {oc} target")
     own = (PATH, len(cyc) // 2)
     blue, red = (other, own) if color == RED else (own, other)
-    return _from_family(family, oc, *other) or _completion(
+    return _find_mono(c, oc, *other, _boundary_table(c.n_vertices, cyc)) or _completion(
         c, blue, red, links, trace, "cycle conversion"
     )
 
@@ -627,10 +623,10 @@ def _cycle_step(
     the blue target (cycle of length m, or path of length m when n > m).
     links serves c (or a coloring it is a prefix of).
     """
-    path, family = _open_cycle(c, cyc, RED)
+    path = _open_cycle(c, cyc, RED)
     if path is None:
         _note(trace, "cycle boundary entirely blue; assembling blue target directly")
-        return _from_family(family, BLUE, want, m) or _completion(
+        return _find_mono(c, BLUE, want, m, _boundary_table(c.n_vertices, cyc)) or _completion(
             c, (want, m), (CYCLE, n), links, trace, "blue boundary assembly"
         )
     z, c1, P = path[0], path[1], path[2:]

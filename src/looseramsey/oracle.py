@@ -8,19 +8,18 @@ absence.  Twin vertices, whose exchange maps the table onto itself (every
 vertex of A, or of B, in a split coloring), are interchangeable, so each
 branch tries only the lowest unused vertex of a twin class: proofs of
 absence on split colorings stay polynomial, and the first sequence found
-stays the same.  find_mono_path and find_mono_cycle run it over all
-vertices on the table of one colour class; find_loose_path_from_edges and
-find_loose_cycle_from_edges over the vertices of an edge family on the
-family's table.  Exhaustive enumeration iterates every red bitmap of K3_N
-(only feasible for C(N,3) <= 24) with the work vectorized over bitmap
-chunks.
+stays the same.  find_mono_path and find_mono_cycle run it on the table of
+one colour class; the extractor runs it through _find_mono on the tables
+of its solve and on a cycle's boundary table.  Exhaustive enumeration
+iterates every red bitmap of K3_N (only feasible for C(N,3) <= 24) with the
+work vectorized over bitmap chunks.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .core import (
     PATH,
     RED,
     Coloring,
-    TripleEdge,
     Witness,
     colex_rank,
     validate_structure,
@@ -69,11 +67,12 @@ def _link_table(n: int, bits: int) -> Links:
     return T
 
 
-def _twins(verts: Sequence[int], T: Links) -> Tuple[List[int], List[int]]:
-    """Twin classes of the link table T over verts: u and v are twins when
-    swapping them maps T onto itself, i.e. every x outside {u, v} has the
-    same row towards u and v outside bits u and v.  Returns, per vertex,
-    its class (the lowest member) and the mask of its lower twins."""
+def _twins(T: Links) -> Tuple[List[int], List[int]]:
+    """Twin classes of the link table T: u and v are twins when swapping
+    them maps T onto itself, i.e. every x outside {u, v} has the same row
+    towards u and v outside bits u and v.  Returns, per vertex, its class
+    (the lowest member) and the mask of its lower twins."""
+    verts = range(len(T))
     cls, lower = [0] * len(T), [0] * len(T)
     members = {}
     for v in verts:
@@ -91,15 +90,15 @@ def _twins(verts: Sequence[int], T: Links) -> Tuple[List[int], List[int]]:
     return cls, lower
 
 
-def _search(verts: Sequence[int], T: Links, shape: str, length: int) -> Optional[List[int]]:
-    """First loose path or cycle of the given length on verts whose every edge
-    is in the link table T, as a vertex sequence, or None when none exists.
+def _search(T: Links, shape: str, length: int) -> Optional[List[int]]:
+    """First loose path or cycle of the given length whose every edge is in
+    the link table T, as a vertex sequence, or None when none exists.
 
-    Vertices are tried in ascending order (verts is ascending, and the
-    candidates for a pair are the set bits of its link row, lowest first),
-    so the result is the lexicographically first sequence.  A path fixes
-    v1 < v2 (its first two positions are interchangeable); a cycle runs
-    from each start vertex in turn and closes with the lowest unused z.
+    Vertices are tried in ascending order (the candidates for a pair are
+    the set bits of its link row, lowest first), so the result is the
+    lexicographically first sequence.  A path fixes v1 < v2 (its first two
+    positions are interchangeable); a cycle runs from each start vertex in
+    turn and closes with the lowest unused z.
 
     Twins (see _twins) are interchangeable: at every branch a candidate is
     skipped while a lower twin of it is still unused.  Swapping the two
@@ -113,7 +112,8 @@ def _search(verts: Sequence[int], T: Links, shape: str, length: int) -> Optional
     the memo is cleared whenever the start advances.
     """
     cycle = shape == CYCLE
-    cls, lower = _twins(verts, T)
+    verts = range(len(T))
+    cls, lower = _twins(T)
     failed: Set[Tuple[int, int]] = set()
 
     def extend(used: int, end: int, remaining: int) -> Optional[List[int]]:
@@ -183,7 +183,7 @@ def _find_mono(
         if color not in (RED, BLUE):
             raise ValueError(f"unknown color {color!r}")
         T = _link_table(n, (coloring if color == RED else coloring.swap()).red_bits)
-    seq = _search(range(n), T, shape, length)
+    seq = _search(T, shape, length)
     return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
 
 
@@ -266,40 +266,3 @@ def exhaustive_avoidance_search(
         else:
             count += int(np.count_nonzero(avoid))
     return None if mode == "find-one" else count
-
-
-def _family_search(
-    edges: Iterable[TripleEdge], shape: str, length: int
-) -> Optional[List[int]]:
-    """_search over the vertices of an edge family, on its link table."""
-    edges = list(edges)
-    verts = sorted({v for e in edges for v in e})
-    n = verts[-1] + 1 if verts else 0
-    T: Links = [[0] * n for _ in range(n)]
-    for a, b, c in edges:
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            T[x][y] |= 1 << z
-            T[y][x] |= 1 << z
-    return _search(verts, T, shape, length)
-
-
-def find_loose_path_from_edges(
-    edges: Iterable[TripleEdge], length: int
-) -> Optional[List[int]]:
-    """Loose path of the given length using only edges from the family.
-
-    Returns the vertex sequence, or None.  Used to assemble structures
-    whose candidate edges are already known to be one color.
-    """
-    if length < 1:
-        return None
-    return _family_search(edges, PATH, length)
-
-
-def find_loose_cycle_from_edges(
-    edges: Iterable[TripleEdge], length: int
-) -> Optional[List[int]]:
-    """Loose cycle of the given length using only edges from the family."""
-    if length < 3:
-        return None
-    return _family_search(edges, CYCLE, length)

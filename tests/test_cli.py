@@ -1,5 +1,6 @@
 """Command-line interface: seeded randomness, stress reports, subcommands."""
 
+import io
 import json
 
 import pytest
@@ -137,6 +138,19 @@ class TestMain:
                      "--blue-target", "cycle", "3", "--mode", "count"]) == 0
         assert capsys.readouterr().out.strip().isdigit()
 
+    def test_extract_reads_stdin(self, monkeypatch, capsys):
+        c = random_coloring(8, 1)
+        monkeypatch.setattr("sys.stdin", io.StringIO(encode_lre1(c)))
+        assert main(["extract", "--file", "-", "--pair", "pp", "-n", "3", "-m", "3"]) == 0
+        assert capsys.readouterr().out == "red path 0 1 2 3 5 6 7\n"
+
+    def test_enumerate_none(self, capsys):
+        # every 3-uniform coloring of K3_5 has a red or a blue edge
+        assert main(["enumerate", "-N", "5", "--red-target", "path", "1",
+                     "--blue-target", "path", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "none\n" and captured.err == ""
+
     def test_enumerate_find_one(self, capsys):
         rc = main(["enumerate", "-N", "6", "--red-target", "cycle", "3",
                    "--blue-target", "cycle", "3"])
@@ -198,6 +212,20 @@ class TestUsageErrors:
         f.write_text(body)
         assert main(["verify", "--file", str(f),
                      "--witness", "red path 0 1 2 3 4"]) == 2
+        self._one_error_line(capsys, needle)
+
+    @pytest.mark.parametrize(
+        "witness,needle",
+        [
+            ("red path 0 1", "witness needs color, shape and vertices: 'red path 0 1'"),
+            ("green path 0 1 2", "unknown color 'green'"),
+        ],
+        ids=["too-few-vertices", "unknown-color"],
+    )
+    def test_malformed_witness(self, tmp_path, capsys, witness, needle):
+        f = tmp_path / "c.lrc"
+        f.write_text("LRC1 7\n000000000")
+        assert main(["verify", "--file", str(f), "--witness", witness]) == 2
         self._one_error_line(capsys, needle)
 
     def test_invalid_pair(self, capsys):

@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -27,12 +28,15 @@ from looseramsey.core import (
     TripleEdge,
     Witness,
     colex_rank,
+    opposite,
     validate_loose_cycle,
     validate_loose_path,
     validate_structure,
     verify_witness,
 )
+from looseramsey import extractor
 from looseramsey.extractor import (
+    _boundary_table,
     _chain,
     _convert_cycle,
     _cycle_step,
@@ -46,6 +50,7 @@ from looseramsey.extractor import (
 )
 from looseramsey.formats import decode
 from looseramsey.oracle import find_mono_cycle, find_mono_path
+from test_oracle import _reference_family_search, check_twins
 
 
 def _from_edges(n, edges):
@@ -67,7 +72,7 @@ def _maximal(c, verts, wset):
     """Apply replacement moves until none exists; each grows the path by one
     edge and consumes two reservoir vertices."""
     red = _LinkTables(c).table(RED)
-    while (mv := _find_move(red, verts, wset)) is not None:
+    while (mv := _find_move(red, verts, wset, {})) is not None:
         verts, (x, y) = mv
         wset = wset - {x, y}
     return verts, wset
@@ -156,22 +161,19 @@ class TestOpenCycle:
     """`_open_cycle` is the one boundary scan: the cycle step's opener, the
     red-cycle conversion and the blue-cycle opening all call it."""
 
-    def test_matches_the_step_opener_and_families(self):
+    def test_matches_the_step_opener(self):
         found = wrapped = 0
         for seed in range(1500):
             c, cyc, color = _opener_instance(seed)
             k = len(cyc)
-            path, family = _open_cycle(c, cyc, color)
+            path = _open_cycle(c, cyc, color)
             # the old step opener reads red; the blue case is red after a swap
-            ref, ref_family = _reference_step_opener(c if color == RED else c.swap(), cyc)
-            old_kind, old_payload = _reference_open_cycle(c, cyc, color)
+            ref, _ = _reference_step_opener(c if color == RED else c.swap(), cyc)
+            old_kind, _ = _reference_open_cycle(c, cyc, color)
             if path is None:
                 assert ref is None and old_kind == "family"
-                assert set(family) == set(ref_family) == set(old_payload)
-                assert len(family) == len(set(family)) == k * (c.n_vertices - k)
-                assert all(c.test(RED if color == BLUE else BLUE)(*e) for e in family)
                 continue
-            assert family is None and old_kind == "path"
+            assert old_kind == "path"
             assert (path[0], path[1], path[2:]) == ref
             w = Witness(color, PATH, validate_loose_path(path))
             assert w.length == k // 2 and verify_witness(c, w)
@@ -179,6 +181,79 @@ class TestOpenCycle:
             found += 1
             wrapped += path[1] == cyc[k - 1]
         assert found > 500 and wrapped > 20
+
+
+def _boundary_instances(seeds):
+    """(coloring, cycle, colour, family) for the instances of _opener_instance
+    whose boundary edges all have the colour opposite to the cycle's, with
+    the boundary family the old opener listed."""
+    for seed in seeds:
+        c, cyc, color = _opener_instance(seed)
+        kind, family = _reference_open_cycle(c, cyc, color)
+        if kind == "family":
+            yield c, cyc, color, family
+
+
+class TestBoundaryTable:
+    """The boundary assembly runs the oracle kernel on `_boundary_table`,
+    which is the table the edge-family search built from the opener's list
+    of boundary edges, and finds what that search found."""
+
+    def test_is_the_family_table(self):
+        checked = 0
+        for c, cyc, color, family in _boundary_instances(range(1500)):
+            n = c.n_vertices
+            ref = [[0] * n for _ in range(n)]
+            for a, b, z in family:
+                for x, y, w in ((a, b, z), (b, z, a), (z, a, b)):
+                    ref[x][y] |= 1 << w
+                    ref[y][x] |= 1 << w
+            assert len(family) == len(set(family)) == len(cyc) * (n - len(cyc))
+            assert all(c.test(opposite(color))(*e) for e in family)
+            assert _boundary_table(n, cyc) == ref
+            checked += 1
+        assert checked > 400
+
+    def test_twin_classes(self):
+        checked = 0
+        for c, cyc, color, family in _boundary_instances(range(300)):
+            masks = {1 << a | 1 << b | 1 << z for a, b, z in family}
+            check_twins(_boundary_table(c.n_vertices, cyc),
+                        lambda x, y, z: (1 << x | 1 << y | 1 << z) in masks)
+            checked += 1
+        assert checked > 60
+
+    def test_assemblies_match_the_family_search(self, monkeypatch):
+        """Both assembly calls, `_convert_cycle`'s and the all-blue boundary
+        of `_cycle_step`, return the reference search's sequence for every
+        target the coloring has room for, or fall through to the completion
+        (stubbed out here) exactly when the reference finds none."""
+        monkeypatch.setattr(extractor, "_completion", lambda *args: None)
+        found, absent = {RED: 0, BLUE: 0}, {RED: 0, BLUE: 0}
+        for c, cyc, color, family in _boundary_instances(range(1500)):
+            n, oc = c.n_vertices, opposite(color)
+            targets = [(PATH, L) for L in range(1, (n - 1) // 2 + 1)]
+            targets += [(CYCLE, L) for L in range(3, n // 2 + 1)]
+            # _cycle_step opens red cycles: a blue one is red after the swap
+            links = _LinkTables(c)
+            step_c, step_links = (c, links) if color == RED else (c.swap(), links.swap())
+            for shape, length in targets:
+                ref = _reference_family_search(family, shape, length)
+                trace = []
+                w = _convert_cycle(c, cyc, color, (shape, length), links, trace)
+                assert trace == [f"cycle boundary entirely {oc}; assembling {oc} target"]
+                step = _cycle_step(step_c, cyc, len(cyc) // 2 + 1, length, shape, step_links, None)
+                if ref is None:
+                    assert w is None and step is None
+                    absent[color] += 1
+                    continue
+                assert (w.color, w.shape, w.length) == (oc, shape, length)
+                assert list(w.structure.vertices) == ref and verify_witness(c, w)
+                assert step.color == BLUE and step.structure == w.structure
+                found[color] += 1
+        assert sum(found.values()) > 1100 and sum(absent.values()) > 2000, (found, absent)
+        assert min(found.values()) > 400 and min(absent.values()) > 800, (found, absent)
+
 
 class TestRamseyNumber:
     @pytest.mark.parametrize(
@@ -239,18 +314,18 @@ class TestMaximalize:
 
     def test_empty_reservoir_unchanged(self):
         red = _LinkTables(Coloring(7, 0).swap()).table(RED)
-        assert _find_move(red, list(range(7)), set()) is None
+        assert _find_move(red, list(range(7)), set(), {}) is None
 
     def test_all_red_grows_by_one(self):
         c = Coloring(7, 0).swap()
-        verts, used = _find_move(_LinkTables(c).table(RED), list(range(5)), {5, 6})
+        verts, used = _find_move(_LinkTables(c).table(RED), list(range(5)), {5, 6}, {})
         assert used == (5, 6)
         w = Witness(RED, PATH, validate_loose_path(verts))
         assert w.length == 3 and verify_witness(c, w)
 
     def test_all_blue_outside_path_unchanged(self):
         c, verts = _path_only(9, 2)
-        assert _find_move(_LinkTables(c).table(RED), verts, {5, 6, 7, 8}) is None
+        assert _find_move(_LinkTables(c).table(RED), verts, {5, 6, 7, 8}, {}) is None
 
 
 class TestChainBluePath:
@@ -521,3 +596,50 @@ class TestSolve:
             sys.setrecursionlimit(old)
         for (pair, c), w in zip(cases, witnesses):
             assert verify_witness(c, w), pair
+
+
+class TestBranchPins:
+    """Solves that reach branches no other test reaches through `solve`,
+    each pinned to its witness and its whole trace; none warns."""
+
+    CASES = [
+        # _path_candidates' x == 0, m even branch, its red cycle converted
+        # by an all-blue boundary
+        (PairKind(PP, 5, 4), 12,
+         "1 2 4, 1 5 6, 2 4 7, 1 6 7, 2 6 7, 3 4 8, 4 5 8, 4 7 8, 6 7 8, 0 4 9, "
+         "1 4 9, 4 5 9, 2 6 9, 4 7 9, 7 9 10, 5 7 11",
+         "blue path 0 4 3 1 5 6 11 7 8",
+         ["pp(n=4, m=4): red target built greedily",
+          "chained blue path: 2 edges consumed, leftover 0",
+          "closing candidate red cycle; converting",
+          "cycle boundary entirely blue; assembling blue target"]),
+        # the ascent from the red C_4 of cc(4, 4) to the red P_3 of pmcn(4, 3)
+        (PairKind(PMCN, 4, 3), 9,
+         "2 3 4, 0 2 6, 0 3 6, 3 5 7, 0 5 8, 2 5 8, 2 7 8, 3 7 8",
+         "red path 0 5 8 7 2 4 3",
+         ["base case cc(n=4, m=4): complete search"]),
+        # the red cycle's conversion through its opening exit
+        (PairKind(PMCN, 5, 4), 11,
+         "1 2 5, 1 3 6, 3 4 7, 2 6 7, 1 3 8, 4 7 8, 0 5 9, 3 6 9, 3 7 9, 4 7 9, 6 8 9",
+         "red path 9 4 7 6 2 5 1 3 8",
+         ["base case cc(n=4, m=4): complete search",
+          "opened red cycle into red path"]),
+        # the cycle step's all-blue boundary
+        (PairKind(CC, 5, 4), 11,
+         "3 4 6, 0 3 7, 2 4 7, 5 6 8, 0 7 8, 1 7 10",
+         "blue cycle 0 1 7 2 9 5 8 10",
+         ["base case cc(n=4, m=4): complete search",
+          "cycle boundary entirely blue; assembling blue target directly"]),
+    ]
+
+    @pytest.mark.parametrize("pair,N,edges,line,notes", CASES,
+                             ids=["pp54", "pmcn43", "pmcn54", "cc54"])
+    def test_witness_and_trace(self, pair, N, edges, line, notes):
+        c = _from_edges(N, [tuple(map(int, e.split())) for e in edges.split(",")])
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = solve(pair, c, trace)
+        got = f"{w.color} {w.shape} " + " ".join(map(str, w.structure.vertices))
+        assert got == line and trace == notes
+        assert verify_witness(c, w)

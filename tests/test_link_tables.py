@@ -543,7 +543,7 @@ class TestKernels:
         moves = 0
         for seed in range(1500):
             c, p, w = _instance(seed)
-            got = _find_move(_LinkTables(c).table(RED), list(p), set(w))
+            got = _find_move(_LinkTables(c).table(RED), list(p), set(w), {})
             assert got == _reference_find_move(c.test(RED), list(p), set(w)), seed
             moves += got is not None
         assert 100 < moves < 1400
@@ -629,7 +629,7 @@ class TestDescentReuse:
             queries += [set(rnd.sample(union, rnd.randint(2, len(union)))) for _ in range(3)]
             queries += [set(rnd.sample(rest, rnd.randint(2, len(rest)))) for _ in range(2)]
             for w in queries:
-                fresh = _find_move(T, list(p), w)
+                fresh = _find_move(T, list(p), w, {})
                 got = _find_move(T, list(p), w, memo)
                 assert got == fresh == _reference_find_move(red, list(p), w), seed
                 moves += got is not None
@@ -671,7 +671,7 @@ class TestDescentReuse:
             start = rnd.sample(range(n), rnd.choice([k for k in (1, 3, 5) if k <= n]))
             rows, triples = list(start), list(start)
             _append_extend(red, n, rows, T)
-            _append_extend(red, n, triples)
+            _append_extend(red, n, triples, None)
             assert rows == triples, seed
             assert _greedy(c, T) == _greedy(c, None), seed
             grown += len(rows) > len(start)

@@ -14,10 +14,6 @@ from looseramsey.core import (
     PATH,
     RED,
     Coloring,
-    TripleEdge,
-    colex_rank,
-    validate_loose_cycle,
-    validate_loose_path,
     verify_witness,
 )
 from looseramsey.formats import decode, encode_lre1
@@ -26,8 +22,6 @@ from looseramsey.oracle import (
     _structure_masks,
     _twins,
     exhaustive_avoidance_search,
-    find_loose_cycle_from_edges,
-    find_loose_path_from_edges,
     find_mono_cycle,
     find_mono_path,
 )
@@ -195,21 +189,24 @@ def _swap_preserves(verts, member, u, v):
     )
 
 
+def check_twins(T, member):
+    """_twins(T) against a brute-force check of every transposition of the
+    table's vertices, member(x, y, z) telling whether {x, y, z} is an edge;
+    returns the lower-twin masks."""
+    verts = range(len(T))
+    cls, lower = _twins(T)
+    for v in verts:
+        below = [u for u in verts if u < v and _swap_preserves(verts, member, u, v)]
+        assert lower[v] == sum(1 << u for u in below), (len(T), v)
+        assert cls[v] == (below[0] if below else v), (len(T), v)
+    return lower
+
+
 class TestTwinClasses:
     """_twins against a brute-force check of every transposition."""
 
-    @staticmethod
-    def _check(verts, T, member):
-        cls, lower = _twins(verts, T)
-        for v in verts:
-            below = [u for u in verts if u < v and _swap_preserves(verts, member, u, v)]
-            assert lower[v] == sum(1 << u for u in below), (verts, v)
-            assert cls[v] == (below[0] if below else v), (verts, v)
-        return lower
-
     def _check_coloring(self, c):
-        n = c.n_vertices
-        return self._check(range(n), _link_table(n, c.red_bits), c.test(RED))
+        return check_twins(_link_table(c.n_vertices, c.red_bits), c.test(RED))
 
     def test_split_colorings(self):
         for a in range(3, 10):
@@ -251,25 +248,6 @@ class TestTwinClasses:
                 Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
             )
 
-    def test_family_tables(self):
-        """Family tables span only the family's vertices, whose labels may
-        leave gaps; the empty family has no vertices at all."""
-        rnd = random.Random(53)
-        families = [[]]
-        for _ in range(40):
-            n = rnd.randint(3, 9)
-            stride = rnd.choice((1, 2, 3))
-            triples = [TripleEdge.of(*(stride * x for x in t))
-                       for t in itertools.combinations(range(n), 3)]
-            families.append(rnd.sample(triples, rnd.randint(1, len(triples))))
-        for family in families:
-            verts = sorted({v for e in family for v in e})
-            n = verts[-1] + 1 if verts else 0
-            bits = sum(1 << colex_rank(e) for e in family)
-            masks = {1 << e.a | 1 << e.b | 1 << e.c for e in family}
-            self._check(verts, _link_table(n, bits),
-                        lambda x, y, z: (1 << x | 1 << y | 1 << z) in masks)
-
 
 class TestEnumeration:
     def test_budget_refusal(self):
@@ -291,52 +269,6 @@ class TestEnumeration:
         if found is not None:
             assert find_mono_path(found, RED, 2) is None
             assert find_mono_path(found, BLUE, 2) is None
-
-
-class TestFamilySearch:
-    def test_path_from_explicit_edges(self):
-        edges = [TripleEdge.of(0, 1, 2), TripleEdge.of(2, 3, 4), TripleEdge.of(4, 5, 6)]
-        seq = find_loose_path_from_edges(edges, 3)
-        assert seq is not None and len(seq) == 7
-        assert find_loose_path_from_edges(edges, 4) is None
-
-    def test_cycle_from_explicit_edges(self):
-        edges = [
-            TripleEdge.of(0, 1, 2),
-            TripleEdge.of(2, 3, 4),
-            TripleEdge.of(4, 5, 0),
-        ]
-        seq = find_loose_cycle_from_edges(edges, 3)
-        assert seq is not None and len(seq) == 6
-        assert find_loose_cycle_from_edges(edges[:2], 3) is None
-
-    def test_family_search_matches_coloring_search(self):
-        """On a random family F the family search finds a structure exactly
-        when the coloring whose red edges are F has a red one, and uses only
-        edges of F."""
-        rnd = random.Random(17)
-        found = absent = 0
-        for _ in range(150):
-            n = rnd.randint(5, 9)
-            triples = [TripleEdge.of(*t) for t in itertools.combinations(range(n), 3)]
-            family = rnd.sample(triples, rnd.randint(0, len(triples) // 2))
-            c = Coloring(n, sum(1 << colex_rank(e) for e in family))
-            searches = [(find_loose_path_from_edges, find_mono_path, validate_loose_path,
-                         rnd.randint(1, (n - 1) // 2))]
-            if n >= 6:
-                searches.append((find_loose_cycle_from_edges, find_mono_cycle,
-                                 validate_loose_cycle, rnd.randint(3, n // 2)))
-            for from_edges, mono, validate, length in searches:
-                seq = from_edges(family, length)
-                assert (seq is None) == (mono(c, RED, length) is None)
-                if seq is None:
-                    absent += 1
-                else:
-                    found += 1
-                    structure = validate(seq)
-                    assert structure.length == length
-                    assert set(structure.edges) <= set(family)
-        assert found > 50 and absent > 50
 
 
 def _reference_search(verts, test, shape, length):
@@ -433,21 +365,3 @@ class TestAgainstReferenceSearch:
                     found += ref is not None
                     absent += ref is None
         assert found > 300 and absent > 50
-
-    def test_family_searches(self):
-        rnd = random.Random(31)
-        found = absent = 0
-        for _ in range(150):
-            n = rnd.randint(3, 11)
-            triples = [TripleEdge.of(*t) for t in itertools.combinations(range(n), 3)]
-            family = rnd.sample(triples, rnd.randint(0, len(triples) // 2))
-            for from_edges, shape, lengths in (
-                (find_loose_path_from_edges, PATH, range(1, (n - 1) // 2 + 1)),
-                (find_loose_cycle_from_edges, CYCLE, range(3, n // 2 + 1)),
-            ):
-                for length in lengths:
-                    ref = _reference_family_search(family, shape, length)
-                    assert from_edges(family, length) == ref, (n, family, shape, length)
-                    found += ref is not None
-                    absent += ref is None
-        assert found > 300 and absent > 80
