@@ -19,9 +19,10 @@ the line count of its `looseramsey/*.py` as `wc -l` gives it.
   in B: `a+1`, `b+1`) and orientation (the split coloring or its colour
   swap: plain, swapped); the hard diagonal ones are `a+1` plain and `b+1`
   swapped.  `completions` counts, per case, the n whose solve ends in the
-  oracle completion.  `exponent_40_80` is the least-squares slope of log
-  time against log n from n = 40 to 80, and `speedup` the parent's median
-  time over this checkout's.
+  oracle completion.  `exponent_40_80` and `exponent_120_160` are the
+  least-squares slopes of log time against log n from n = 40 to 80 and
+  from n = 120 to 160, and `speedup` the parent's median time over this
+  checkout's.
 - `oracle`: `absence` is, per kind on its diagonal pair at n in ORACLE_NS,
   the two proofs of absence (no red and no blue target) on the extremal
   split coloring on R - 1 vertices, oriented so red is the short target.
@@ -58,9 +59,9 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "3b026a1"
+PARENT = "4ba2dd8"
 KINDS = ("pp", "cc", "pncm", "pmcn")
-SCALING_NS = (10, 20, 40, 60, 80, 120)
+SCALING_NS = (10, 20, 40, 60, 80, 120, 160)
 OFF_DIAGONAL = "pp(n,n/2)"
 CASES = [(row, side, orient) for row in (*KINDS, OFF_DIAGONAL) for side in "ab"
          for orient in ("plain", "swapped")]
@@ -231,10 +232,14 @@ def _groups(quart: dict) -> dict:
 
 def _scaling_keys(quart: dict, outs: dict):
     """The scaling record's parameters, keys per source and speedup."""
-    fit = [n for n in SCALING_NS if 40 <= n <= 80]
+    def exponents(q, lo, hi):
+        fit = [n for n in SCALING_NS if lo <= n <= hi]
+        return {case: round(_slope([(n, row[str(n)][1]) for n in fit]), 2)
+                for case, row in q.items()}
+
     runs = {label: {
-        "exponent_40_80": {case: round(_slope([(n, row[str(n)][1]) for n in fit]), 2)
-                           for case, row in q.items()},
+        "exponent_40_80": exponents(q, 40, 80),
+        "exponent_120_160": exponents(q, 120, 160),
         "completions": outs[label][-1]["completions"],
         "witness_sha1": sorted({o["sha1"] for o in outs[label]}),
     } for label, q in quart.items()}

@@ -18,16 +18,19 @@ red witness.
 The replacement-move search, the blue chaining and, once the red table is
 built, the end extensions read the coloring through link tables (per vertex
 pair, the bitset of third vertices that complete a triple of one colour).
-One table is built per top-level solve, for the colour asked for first;
-the other is its complement, and the complete searches read both.  The
-move search rules a window of the red path in or out with a few mask tests
-against per-vertex reach masks, and skips it for the rest of the solve on
-any reservoir inside one it failed on.  The chaining remembers the states
-it has seen fail and charges each revisit the node budget its first search
+One table is built per top-level solve (by numpy from 16 vertices on), for
+the colour asked for first; the other is its complement, derived over a
+numpy array of its ints, and the complete searches read both.  The move search rules a window
+of the red path in or out with a few mask tests against per-vertex reach
+masks, and skips it for the rest of the solve on any reservoir inside one
+it failed on.  The chaining remembers the states it has seen fail and
+charges each revisit, at the call site, the node budget its first search
 used, so it returns exactly what the search without the memo returns under
-the same budget.  A monochromatic cycle whose boundary edges all have the
-other colour yields that colour's target by the oracle's search on the
-boundary's own link table, which depends only on the cycle.
+the same budget; once the budget is spent, it leaves every loop whose
+children cannot beat its best assembly.  A monochromatic cycle whose
+boundary edges all have the other colour yields that colour's target by
+the oracle's search on the boundary's own link table, which depends only
+on the cycle, as do its twin classes (_boundary_twins).
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -40,6 +43,8 @@ from __future__ import annotations
 import warnings
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
 from .core import (
@@ -56,7 +61,7 @@ from .core import (
     validate_structure,
     verify_witness,
 )
-from .oracle import Links, _find_mono, _link_table
+from .oracle import Links, Twins, _find_mono, _link_table
 
 # (n, m) pairs whose thresholds rest on external small-case results.
 _BASES = {(3, 3), (4, 3), (4, 4)}
@@ -89,7 +94,8 @@ def ramsey_number(pair: PairKind) -> int:
 
 class _LinkTables:
     """The link tables of one coloring, built on first use: the colour asked
-    for first from its own bitmap, the other as its complement row by row.
+    for first from its own bitmap, the other as its complement, over a
+    numpy array of the first one's ints.
 
     One instance serves a whole top-level solve: the prefixes the induction
     descends to read the same tables (callers only read bits inside the
@@ -125,11 +131,12 @@ class _LinkTables:
             tables[color] = _link_table(c.n_vertices, (c if color == RED else c.swap()).red_bits)
         if color not in tables:
             # T[x][y]: every third vertex outside {x, y} that the other colour lacks
-            full = (1 << c.n_vertices) - 1
-            tables[color] = [
-                [full ^ (1 << x | 1 << y | t) if x != y else 0 for y, t in enumerate(row)]
-                for x, row in enumerate(tables[opposite(color)])
-            ]
+            n = c.n_vertices
+            bit = np.array([1 << v for v in range(n)], dtype=object)
+            T = np.array(tables[opposite(color)], dtype=object)
+            T ^= (bit ^ ((1 << n) - 1)) ^ bit[:, None]
+            np.fill_diagonal(T, 0)
+            tables[color] = T.tolist()
         return tables[color]
 
 
@@ -202,9 +209,16 @@ def _two(a: int, b: int) -> bool:
 
 def _linked(T: Links, links: int, end: int, slot: int) -> bool:
     """Whether some w in `links` has a vertex of `slot` completing the
-    triple {w, end, .}; walks the smaller mask, as T is symmetric."""
+    triple {w, end, .}; walks the smaller mask, as T is symmetric, one row
+    per set bit (one row test when it has one bit, and no generator)."""
     small, big = (links, slot) if links.bit_count() <= slot.bit_count() else (slot, links)
-    return any(T[end][w] & big for w in _bits(small))
+    row = T[end]
+    while small:
+        low = small & -small
+        if row[low.bit_length() - 1] & big:
+            return True
+        small ^= low
+    return False
 
 
 class _Reach(dict):
@@ -212,11 +226,11 @@ class _Reach(dict):
     the w with {w, v, s} in T for some s in wmask other than w."""
 
     def __init__(self, T: Links, wmask: int) -> None:
-        self.T, self.wmask = T, wmask
+        self.T, self.ws = T, list(_bits(wmask))
 
     def __missing__(self, v: int) -> int:
         Tv, r = self.T[v], 0
-        for s in _bits(self.wmask):
+        for s in self.ws:
             r |= Tv[s]
         self[v] = r
         return r
@@ -287,7 +301,8 @@ def _find_move(
     (demoting that edge's old link to a private vertex); the neighboring edge
     keeps its vertex set, so only the new edges need color checks.
     T is the red link table; wset must avoid the path.  A window is scanned
-    pair by pair only after _bridges, which is exact, finds a move in it.
+    pair by pair, and its path slices are cut, only after _bridges, which is
+    exact, finds a move in it.
     failed, a memo shared by searches on T, maps (lat, rat, core mask) to a
     reservoir _bridges failed on; a window is not retested on its subsets.
     Returns (new vertex sequence, (x, y) used) or None.
@@ -300,24 +315,27 @@ def _find_move(
     reach = _Reach(T, wmask)
 
     for j in range(L):
-        lats = [(p[2 * j], p[: 2 * j + 1])]
-        if j >= 1:
-            lats.append((p[2 * j - 1], p[: 2 * j - 1] + [p[2 * j], p[2 * j - 1]]))
+        # the left end is p[2j], or p[2j-1] re-attached with p[2j] demoted
+        lends = [p[2 * j], p[2 * j - 1]] if j else [p[0]]
         # the 2-edge window ends at p[2j+2], the 3-edge one at p[2j+4]
         for r in range(2 * j + 2, min(2 * j + 4, 2 * L) + 1, 2):
-            rats = [(p[r], p[r:])]
-            if r < 2 * L:
-                rats.append((p[r + 1], [p[r + 1], p[r]] + p[r + 2 :]))
-            core = p[2 * j + 1 : r]
-            cmask = sum(1 << v for v in core)
+            rends = [p[r], p[r + 1]] if r < 2 * L else [p[r]]
+            cmask = sum(1 << v for v in p[2 * j + 1 : r])
             # scan only if some end pair, not ruled out by failed, passes _bridges
-            for key in [(lat, rat, cmask) for lat, _ in lats for rat, _ in rats]:
+            for key in [(lat, rat, cmask) for lat in lends for rat in rends]:
                 if wmask & ~failed.get(key, 0):
                     if _bridges(T, *key, wmask, reach):
                         break
                     failed[key] = wmask
             else:
                 continue
+            lats = [(p[2 * j], p[: 2 * j + 1])]
+            if j >= 1:
+                lats.append((p[2 * j - 1], p[: 2 * j - 1] + [p[2 * j], p[2 * j - 1]]))
+            rats = [(p[r], p[r:])]
+            if r < 2 * L:
+                rats.append((p[r + 1], [p[r + 1], p[r]] + p[r + 2 :]))
+            core = p[2 * j + 1 : r]
             for x, y in combinations(wl, 2):
                 for lat, left in lats:
                     for rat, right in rats:
@@ -378,7 +396,7 @@ def _chain(
     blue is the blue link table; w0 must avoid verts.  Fresh vertices are
     tried in ascending label order.  The search visits at most
     _CHAIN_BUDGET nodes, a revisited failed state counting as often as its
-    first search did.
+    first search did; revisits are charged where they would be called.
     Returns (sequence or None, reservoir vertices used, edges consumed).
     """
     L = (len(verts) - 1) // 2
@@ -392,7 +410,10 @@ def _chain(
     # first search charged, memo hits included.  The outcome of a state
     # depends on nothing else, and a revisit charges the same amount, so the
     # budget runs out at the node where an unmemoized search would; a
-    # revisit reaches only used sets already compared against best.
+    # revisit reaches only used sets already compared against best.  So a
+    # revisit is charged, max(0, budget - cost), instead of being called: a
+    # failed state is never w0mask and never improves best, and a call at
+    # budget 0 charges nothing either.
     failed: Dict[Tuple[int, int, int], int] = {}
 
     # Per window start j: the oriented inner triples of the 2-edge windows
@@ -423,23 +444,32 @@ def _chain(
             return list(seq), used, j
         if budget <= 0:
             return None
-        key = (j, seq[-1], used) if seq else None
-        cost = failed.get(key)
-        if cost is not None:
-            budget = max(0, budget - cost)
-            return None
         start = budget
         budget -= 1
         fresh = w0mask & ~used
         # (start vertex, sequence through it, fresh vertices after it): any
         # fresh vertex for the first window, the end of seq for a later one
         starts = [(seq[-1], seq, fresh)] if seq else [(p, [p], fresh ^ 1 << p) for p in _bits(fresh)]
+        # Once the budget is spent, a call only compares its used set with
+        # best's and with w0mask (which has more vertices than best), so the
+        # loops stop where no child has more than best: k vertices after a
+        # 2-edge window, k + 1 after a 3-edge one.
+        k = used.bit_count() + (1 if seq else 2)
         if j <= L - 2:
             for i1, i2, i3, heads, tails in twos[j]:
+                if budget <= 0 and k <= best[1].bit_count():
+                    break
                 for p, head, rest in starts:
                     if heads >> p & 1:
                         for q in _bits(tails & rest):
-                            res = rec(j + 2, head + [i1, i2, i3, q], used | 1 << p | 1 << q)
+                            if budget <= 0 and k <= best[1].bit_count():
+                                break
+                            nxt = used | 1 << p | 1 << q
+                            cost = failed.get((j + 2, q, nxt))
+                            if cost is not None:
+                                budget = max(0, budget - cost)
+                                continue
+                            res = rec(j + 2, head + [i1, i2, i3, q], nxt)
                             if res:
                                 return res
         if j <= L - 3:
@@ -447,13 +477,21 @@ def _chain(
             for p, head, rest in starts:
                 if heads >> p & 1:
                     for q in _bits(mids & rest):
+                        if budget <= 0 and k + 1 <= best[1].bit_count():
+                            break
                         for s in _bits(tails & rest & ~(1 << q)):
-                            seq3 = head + front + [q] + back + [s]
-                            res = rec(j + 3, seq3, used | 1 << p | 1 << q | 1 << s)
+                            if budget <= 0 and k + 1 <= best[1].bit_count():
+                                break
+                            nxt = used | 1 << p | 1 << q | 1 << s
+                            cost = failed.get((j + 3, s, nxt))
+                            if cost is not None:
+                                budget = max(0, budget - cost)
+                                continue
+                            res = rec(j + 3, head + front + [q] + back + [s], nxt)
                             if res:
                                 return res
-        if key is not None and budget > 0:
-            failed[key] = start - budget
+        if seq and budget > 0:
+            failed[j, seq[-1], used] = start - budget
         return None
 
     res = rec(0, [], 0)
@@ -551,6 +589,21 @@ def _boundary_table(n: int, cyc: List[int]) -> Links:
     return T
 
 
+def _boundary_twins(n: int, cyc: List[int]) -> Twins:
+    """The twin classes of _boundary_table(n, cyc), as _twins finds them: the
+    outside vertices form one class, and every vertex of the cycle (of
+    length 3 or more) is its own.  With no vertex outside, the table is all
+    zero and every vertex is a twin of vertex 0."""
+    outside = ((1 << n) - 1) & ~sum(1 << v for v in cyc)
+    if not outside:
+        return [0] * n, [(1 << v) - 1 for v in range(n)]
+    first = (outside & -outside).bit_length() - 1
+    cls, lower = list(range(n)), [0] * n
+    for z in _bits(outside):
+        cls[z], lower[z] = first, outside & ((1 << z) - 1)
+    return cls, lower
+
+
 def _convert_cycle(
     c: Coloring, cyc: List[int], color: str, other: Tuple[str, int],
     links: _LinkTables, trace: Optional[List[str]],
@@ -566,9 +619,10 @@ def _convert_cycle(
     _note(trace, f"cycle boundary entirely {oc}; assembling {oc} target")
     own = (PATH, len(cyc) // 2)
     blue, red = (other, own) if color == RED else (own, other)
-    return _find_mono(c, oc, *other, _boundary_table(c.n_vertices, cyc)) or _completion(
-        c, blue, red, links, trace, "cycle conversion"
-    )
+    n = c.n_vertices
+    return _find_mono(
+        c, oc, *other, _boundary_table(n, cyc), _boundary_twins(n, cyc)
+    ) or _completion(c, blue, red, links, trace, "cycle conversion")
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +680,10 @@ def _cycle_step(
     path = _open_cycle(c, cyc, RED)
     if path is None:
         _note(trace, "cycle boundary entirely blue; assembling blue target directly")
-        return _find_mono(c, BLUE, want, m, _boundary_table(c.n_vertices, cyc)) or _completion(
-            c, (want, m), (CYCLE, n), links, trace, "blue boundary assembly"
-        )
+        N = c.n_vertices
+        return _find_mono(
+            c, BLUE, want, m, _boundary_table(N, cyc), _boundary_twins(N, cyc)
+        ) or _completion(c, (want, m), (CYCLE, n), links, trace, "blue boundary assembly")
     z, c1, P = path[0], path[1], path[2:]
     W0 = sorted(set(range(c.n_vertices)) - set(path))
     _note(trace, f"opened cycle: boundary edge through {z}, reservoir {W0}")

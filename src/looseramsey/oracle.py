@@ -10,9 +10,13 @@ branch tries only the lowest unused vertex of a twin class: proofs of
 absence on split colorings stay polynomial, and the first sequence found
 stays the same.  find_mono_path and find_mono_cycle run it on the table of
 one colour class; the extractor runs it through _find_mono on the tables
-of its solve and on a cycle's boundary table.  Exhaustive enumeration
-iterates every red bitmap of K3_N (only feasible for C(N,3) <= 24) with the
-work vectorized over bitmap chunks.
+of its solve and on a cycle's boundary table, whose twin classes it passes
+in.  _link_table builds a colour's table with numpy, one chunk of largest
+vertices (one range of the colex bitmap) at a time, and only then makes
+Python ints of its rows; below 16 vertices a walk over the triples costs
+less than numpy's calls and builds it instead.  Exhaustive enumeration iterates every red bitmap
+of K3_N (only feasible for C(N,3) <= 24) with the work vectorized over
+bitmap chunks.
 """
 
 from __future__ import annotations
@@ -38,11 +42,50 @@ ENUMERATION_BUDGET_BITS = 24
 
 
 Links = List[List[int]]
+# per vertex, its twin class (the lowest member) and the mask of its lower twins
+Twins = Tuple[List[int], List[int]]
 
 
-def _link_table(n: int, bits: int) -> Links:
-    """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
-    `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0."""
+# cells of a chunk's bool arrays in the table build, about: each chunk takes
+# a multiple of 8 largest vertices, so it fills whole bytes of the rows
+_CHUNK_CELLS = 1 << 20
+
+
+def _packed_links(n: int, bits: int) -> np.ndarray:
+    """packed[u][v], for u > v, holds the row T[u][v] of _link_table as
+    little-endian bytes, padded to whole 64-bit words; for u <= v it holds
+    only part of the row.
+
+    The triples with largest vertex z occupy ranks [C(z,3), C(z+1,3)), so a
+    chunk of largest vertices is one range of the bitmap.  Its flags fill
+    A[z, y, x], for x < y < z, in rank order, and S = A | A.transpose(0, 2,
+    1) is symmetric in its last two axes.  Row (z, a) takes its bits below
+    z from S[z, a, :], and row (a, b) takes bit z from S[z, a, b]: for
+    u > v, the first gives the bits of row (u, v) below u, the second
+    those above.
+    """
+    flags = np.frombuffer(bits.to_bytes((comb(n, 3) + 7) >> 3, "little"), np.uint8)
+    packed = np.zeros((n, n, 8 * -(-n // 64)), np.uint8)
+    v = np.arange(n)
+    below = v[:, None] > v  # [y, x]: x < y, and [z, y]: y < z
+    step = max(8, _CHUNK_CELLS // max(1, n * n) & ~7)
+    for z0 in range(0, n, step):
+        z1 = min(n, z0 + step)
+        r0, r1 = comb(z0, 3), comb(z1, 3)
+        inside = below[z0:z1, :z1, None] & below[:z1, :z1]
+        A = np.zeros(inside.shape, bool)
+        block = np.unpackbits(flags[r0 >> 3 : (r1 + 7) >> 3], bitorder="little")
+        A[inside] = block[r0 & 7 : (r0 & 7) + r1 - r0]
+        S = A | A.transpose(0, 2, 1)
+        packed[z0:z1, :z1, : (z1 + 7) >> 3] |= np.packbits(S, axis=-1, bitorder="little")
+        packed[:z1, :z1, z0 >> 3 : (z1 + 7) >> 3] |= np.packbits(
+            S.transpose(1, 2, 0), axis=-1, bitorder="little"
+        )
+    return packed
+
+
+def _walked_links(n: int, bits: int) -> Links:
+    """_link_table by a walk over the set triples, one at a time."""
     T = [[0] * n for _ in range(n)]
     for z in range(2, n):
         # the triples with largest vertex z occupy ranks [C(z,3), C(z+1,3))
@@ -67,7 +110,36 @@ def _link_table(n: int, bits: int) -> Links:
     return T
 
 
-def _twins(T: Links) -> Tuple[List[int], List[int]]:
+# Below this many vertices the walk over the triples is faster than the
+# fixed cost of numpy's calls: at 12 vertices 0.06 against 0.08 ms, and 0.07
+# against 0.11 ms right after other work has evicted numpy from the caches,
+# as between the searches of `cli search`; from 16 vertices on numpy wins.
+_NUMPY_FROM = 16
+
+
+def _link_table(n: int, bits: int) -> Links:
+    """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
+    `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0.  Built by
+    numpy (_packed_links) from _NUMPY_FROM vertices on: the rows below the
+    diagonal become Python ints, and each row above it is the same int as
+    its mirror."""
+    if n < _NUMPY_FROM:
+        return _walked_links(n, bits)
+    packed = _packed_links(n, bits)
+    size = packed.shape[2]
+    if size == 8:  # one-word rows: numpy makes the ints
+        lower = packed.view("<u8").reshape(n, n).tolist()
+    else:
+        buf, zeros, lower = memoryview(packed.reshape(-1)), [0] * n, []
+        for u in range(n):
+            start = u * n * size
+            row = [int.from_bytes(buf[o : o + size], "little") for o in range(start, start + u * size, size)]
+            lower.append(row + zeros[u:])
+    cols = list(zip(*lower))
+    return [lower[u][:u] + list(cols[u][u:]) for u in range(n)]
+
+
+def _twins(T: Links) -> Twins:
     """Twin classes of the link table T: u and v are twins when swapping
     them maps T onto itself, i.e. every x outside {u, v} has the same row
     towards u and v outside bits u and v.  Returns, per vertex, its class
@@ -90,9 +162,10 @@ def _twins(T: Links) -> Tuple[List[int], List[int]]:
     return cls, lower
 
 
-def _search(T: Links, shape: str, length: int) -> Optional[List[int]]:
+def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[int]]:
     """First loose path or cycle of the given length whose every edge is in
-    the link table T, as a vertex sequence, or None when none exists.
+    the link table T, as a vertex sequence, or None when none exists; twins
+    is _twins(T).
 
     Vertices are tried in ascending order (the candidates for a pair are
     the set bits of its link row, lowest first), so the result is the
@@ -113,7 +186,7 @@ def _search(T: Links, shape: str, length: int) -> Optional[List[int]]:
     """
     cycle = shape == CYCLE
     verts = range(len(T))
-    cls, lower = _twins(T)
+    cls, lower = twins
     failed: Set[Tuple[int, int]] = set()
 
     def extend(used: int, end: int, remaining: int) -> Optional[List[int]]:
@@ -169,10 +242,12 @@ def _search(T: Links, shape: str, length: int) -> Optional[List[int]]:
 
 
 def _find_mono(
-    coloring: Coloring, color: str, shape: str, length: int, T: Optional[Links] = None
+    coloring: Coloring, color: str, shape: str, length: int,
+    T: Optional[Links] = None, twins: Optional[Twins] = None,
 ) -> Optional[Witness]:
     """find_mono_path and find_mono_cycle: _search on the colour's table,
-    which is built here unless the caller passes it as T."""
+    which is built here unless the caller passes it as T, with its twin
+    classes, computed here unless the caller passes them."""
     letter, shortest, need = ("C", 3, 2 * length) if shape == CYCLE else ("P", 1, 2 * length + 1)
     if length < shortest:
         raise ValueError(f"{shape} length {length} below minimum {shortest}")
@@ -183,7 +258,7 @@ def _find_mono(
         if color not in (RED, BLUE):
             raise ValueError(f"unknown color {color!r}")
         T = _link_table(n, (coloring if color == RED else coloring.swap()).red_bits)
-    seq = _search(T, shape, length)
+    seq = _search(T, shape, length, twins or _twins(T))
     return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
 
 

@@ -37,6 +37,7 @@ from looseramsey.core import (
 from looseramsey import extractor
 from looseramsey.extractor import (
     _boundary_table,
+    _boundary_twins,
     _chain,
     _convert_cycle,
     _cycle_step,
@@ -49,7 +50,7 @@ from looseramsey.extractor import (
     solve,
 )
 from looseramsey.formats import decode
-from looseramsey.oracle import find_mono_cycle, find_mono_path
+from looseramsey.oracle import _twins, find_mono_cycle, find_mono_path
 from test_oracle import _reference_family_search, check_twins
 
 
@@ -222,6 +223,22 @@ class TestBoundaryTable:
                         lambda x, y, z: (1 << x | 1 << y | 1 << z) in masks)
             checked += 1
         assert checked > 60
+
+    def test_closed_form_twins(self):
+        """The twin classes the assemblies pass to the search are the ones
+        _twins finds on the boundary table: on random cycles of 6 to N
+        vertices, N from 7 to 30, with a vertex or more outside, and on
+        cycles through every vertex, whose table is all zero."""
+        for seed in range(600):
+            rnd = random.Random(seed)
+            n = rnd.randint(7, 30)
+            k = 2 * rnd.randint(3, (n - 1) // 2)
+            cyc = rnd.sample(range(n), k)
+            assert _boundary_twins(n, cyc) == _twins(_boundary_table(n, cyc)), seed
+        for n in range(6, 31, 2):
+            cyc = random.Random(n).sample(range(n), n)
+            assert not any(map(any, _boundary_table(n, cyc)))
+            assert _boundary_twins(n, cyc) == _twins(_boundary_table(n, cyc)), n
 
     def test_assemblies_match_the_family_search(self, monkeypatch):
         """Both assembly calls, `_convert_cycle`'s and the all-blue boundary

@@ -4,13 +4,19 @@ The references below are the pair-by-pair scans that `_find_move` and
 `_chain` ran before the link tables, testing one triple at a time through
 `Coloring.test`, and the first mask test of a window (`_bridges` with its
 slot matcher `_fill`); the kernels must return exactly what they return.
+The pure-Python table build, its row-by-row complement and the link-table
+`_chain` that charged memo hits inside each call are kept as references
+for the numpy build and for the chain search that charges them at the call
+site and stops once the spent budget leaves nothing to compare.
 """
 
 import random
+import tracemalloc
 import warnings
 from itertools import combinations, permutations
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +62,132 @@ from looseramsey.oracle import _link_table
 
 def _triples(n):
     return [colex_unrank(r, n) for r in range(comb(n, 3))]
+
+
+def _reference_link_table(n, bits):
+    """The table build before numpy, one triple at a time."""
+    T = [[0] * n for _ in range(n)]
+    for z in range(2, n):
+        # the triples with largest vertex z occupy ranks [C(z,3), C(z+1,3))
+        block = (bits >> comb(z, 3)) & ((1 << comb(z, 2)) - 1)
+        Tz, zbit = T[z], 1 << z
+        for y in range(1, z):
+            xs = (block >> comb(y, 2)) & ((1 << y) - 1)
+            if not xs:
+                continue
+            Ty, ybit = T[y], 1 << y
+            Tz[y] = xs
+            while xs:
+                low = xs & -xs
+                x = low.bit_length() - 1
+                xs ^= low
+                Tz[x] |= ybit
+                Ty[x] |= zbit
+    for x in range(n):
+        Tx = T[x]
+        for y in range(x + 1, n):
+            Tx[y] = T[y][x]
+    return T
+
+
+def _reference_complement(n, other):
+    """The other colour's table, row by row, as _LinkTables derived it."""
+    full = (1 << n) - 1
+    return [
+        [full ^ (1 << x | 1 << y | t) if x != y else 0 for y, t in enumerate(row)]
+        for x, row in enumerate(other)
+    ]
+
+
+def _reference_memo_chain(blue, verts, w0, trace, stats=None):
+    """`_chain` as it was when each memo hit was a call: the same search,
+    charging a revisited failed state inside the call.  stats, if given,
+    receives the budget left at the end."""
+    L = (len(verts) - 1) // 2
+    w0mask = 0
+    for w in w0:
+        w0mask |= 1 << w
+    total = w0mask.bit_count()
+    budget = extractor._CHAIN_BUDGET
+    best = [None, 0, 0]
+    failed = {}
+    twos = [
+        [
+            (i1, i2, i3, blue[i1][i2] & w0mask, blue[i2][i3] & w0mask)
+            for inner in _window_inners(verts, j)
+            for i1, i2, i3 in (inner, inner[::-1])
+        ]
+        for j in range(L - 1)
+    ]
+    threes = []
+    for j in range(L - 2):
+        g0, g1, g2, g3, g4, g5 = _window_p4(verts, j)
+        threes.append((
+            [g0, g1, g2], [g3, g4, g5],
+            blue[g0][g1] & w0mask, blue[g1][g2] & blue[g3][g4] & w0mask, blue[g4][g5] & w0mask,
+        ))
+
+    def rec(j, seq, used):
+        nonlocal budget
+        if used.bit_count() > best[1].bit_count():
+            best[0], best[1], best[2] = list(seq), used, j
+        if used == w0mask:
+            return list(seq), used, j
+        if budget <= 0:
+            return None
+        key = (j, seq[-1], used) if seq else None
+        cost = failed.get(key)
+        if cost is not None:
+            budget = max(0, budget - cost)
+            return None
+        start = budget
+        budget -= 1
+        fresh = w0mask & ~used
+        starts = [(seq[-1], seq, fresh)] if seq else [(p, [p], fresh ^ 1 << p) for p in _bits(fresh)]
+        if j <= L - 2:
+            for i1, i2, i3, heads, tails in twos[j]:
+                for p, head, rest in starts:
+                    if heads >> p & 1:
+                        for q in _bits(tails & rest):
+                            res = rec(j + 2, head + [i1, i2, i3, q], used | 1 << p | 1 << q)
+                            if res:
+                                return res
+        if j <= L - 3:
+            front, back, heads, mids, tails = threes[j]
+            for p, head, rest in starts:
+                if heads >> p & 1:
+                    for q in _bits(mids & rest):
+                        for s in _bits(tails & rest & ~(1 << q)):
+                            seq3 = head + front + [q] + back + [s]
+                            res = rec(j + 3, seq3, used | 1 << p | 1 << q | 1 << s)
+                            if res:
+                                return res
+        if key is not None and budget > 0:
+            failed[key] = start - budget
+        return None
+
+    res = rec(0, [], 0)
+    if stats is not None:
+        stats["budget"] = budget
+    if res is None:
+        res = tuple(best)
+        trace.append(f"chain: leftover {total - res[1].bit_count()} reservoir vertices")
+    seq, used, consumed = res
+    return (list(seq) if seq else None), frozenset(_bits(used)), consumed
+
+
+def _table_bitmaps(n):
+    """Named colex bitmaps over n vertices: random, a split coloring, all
+    red, all blue and sparse (each triple red with probability 0.02)."""
+    rnd = random.Random(n)
+    triples, a = comb(n, 3), max(3, n // 2)
+    return {
+        "random": rnd.getrandbits(triples),
+        "split": build_split_coloring(SplitSpec(a, n - a)).red_bits if n >= 3 else 0,
+        "all red": (1 << triples) - 1,
+        "all blue": 0,
+        "sparse": sum(1 << r for r in range(triples) if rnd.random() < 0.02),
+    }
 
 
 def _color_bits(c, color):
@@ -424,6 +556,58 @@ class TestTables:
         assert solve(PairKind(PP, 4, 4), c).color == RED
 
 
+class TestVectorisedTables:
+    """The numpy build against the pure-Python one it replaced, which still
+    builds the tables of fewer than oracle._NUMPY_FROM vertices."""
+
+    SIZES = [*range(0, 41), 63, 64, 65, 70, 100, 150]
+
+    @pytest.mark.parametrize("numpy_from", [0, oracle._NUMPY_FROM, 10**9])
+    def test_build_equals_the_triple_walk(self, monkeypatch, numpy_from):
+        monkeypatch.setattr(oracle, "_NUMPY_FROM", numpy_from)
+        for n in self.SIZES:
+            for name, bits in _table_bitmaps(n).items():
+                assert _link_table(n, bits) == _reference_link_table(n, bits), (n, name)
+
+    def test_build_in_chunks_of_eight_vertices(self, monkeypatch):
+        """The smallest chunk: every byte of the packed rows comes from
+        several chunks, and the last chunk may be partial."""
+        monkeypatch.setattr(oracle, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(oracle, "_NUMPY_FROM", 0)
+        for n in [*range(3, 41), 65]:
+            for name, bits in _table_bitmaps(n).items():
+                assert _link_table(n, bits) == _reference_link_table(n, bits), (n, name)
+
+    def test_rows_mirror_one_int(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_NUMPY_FROM", 0)
+        for n in (5, 64, 65):
+            T = _link_table(n, random.Random(n).getrandbits(comb(n, 3)))
+            assert all(T[x][y] is T[y][x] for x in range(n) for y in range(x))
+
+    def test_second_colour_is_the_row_by_row_complement(self):
+        for n in self.SIZES[3:]:  # a coloring has 3 vertices or more
+            for name, bits in _table_bitmaps(n).items():
+                c = Coloring(n, bits)
+                for first in (RED, BLUE):
+                    links = _LinkTables(c)
+                    own = links.table(first)
+                    assert links.table(opposite(first)) == _reference_complement(n, own), (n, name)
+
+    def test_build_memory_stays_below_half_a_cube(self):
+        """A bool array over all ordered triples would take N^3 bytes; the
+        chunked build peaks well below half of that."""
+        n = 300
+        bits = random.Random(n).getrandbits(comb(n, 3))
+        tracemalloc.start()
+        try:
+            T = _link_table(n, bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n**3 / 2, peak
+        assert T[n - 1][n - 2] == _reference_link_table(n, bits)[n - 1][n - 2]
+
+
 class TestKernels:
     def test_reach_is_the_or_of_reservoir_rows(self):
         for seed in range(300):
@@ -575,6 +759,37 @@ class TestKernels:
                 assert got_trace == want_trace, (budget, i)
                 exhausted += stats["budget"] == 0
             assert exhausted > 0, budget
+
+    def test_chain_matches_the_memo_in_the_call(self, monkeypatch):
+        """Charging memo hits at the call site and leaving the loops once the
+        spent budget leaves no child to compare gives what the search that
+        called every child returns, trace notes included, under budgets
+        that run out early and at the default on the chains of hard solves
+        (pp(n, n) b+1 swapped at n = 10, 20, 40: 13328 calls at n = 40)."""
+        cases = [_instance(seed, min_edges=3) for seed in range(300)]
+        cases = [(c, p, sorted(w)) for c, p, w in cases]
+        cases += [_late_chain_instance(seed) for seed in range(300)]
+        cases += _hard_chain_calls(monkeypatch)
+        tables = [(_LinkTables(c).table(BLUE), p, w) for c, p, w in cases]
+        calls = []
+        real = extractor._chain
+        with monkeypatch.context() as patch:
+            patch.setattr(extractor, "_chain", lambda *a: calls.append(a[:3]) or real(*a))
+            for n in (10, 20, 40):
+                pair = PairKind(PP, n, n)
+                spec = lower_bound_params(pair)
+                solve(pair, build_split_coloring(SplitSpec(spec.a, spec.b + 1)).swap())
+        tables += [(blue, list(p), list(w)) for blue, p, w in calls]
+        for budget in (1, 17, 4000):
+            monkeypatch.setattr(extractor, "_CHAIN_BUDGET", budget)
+            exhausted = 0
+            for i, (blue, p, w) in enumerate(tables):
+                got_trace, want_trace, stats = [], [], {}
+                got = _chain(blue, p, w, got_trace)
+                assert got == _reference_memo_chain(blue, p, w, want_trace, stats), (budget, i)
+                assert got_trace == want_trace, (budget, i)
+                exhausted += stats["budget"] == 0
+            assert exhausted > 3, budget
 
     def test_chain_uses_each_reservoir_vertex_once(self):
         # the blue triples {7,0,1} {1,4,8} {8,3,5} {5,2,7} would close the
