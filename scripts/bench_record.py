@@ -1,7 +1,7 @@
-"""Before/after records of split+1 solve time against n, of the oracle and
-of the coloring file formats.
+"""Before/after records of split+1 solve time against n, of the oracle, of
+the coloring file formats and of the link-table build.
 
-    python3 scripts/bench_record.py scaling|oracle|formats
+    python3 scripts/bench_record.py scaling|oracle|formats|tables
 
 Writes BENCH_<record>.json at the root of the checkout.  Two sources are
 timed: the package at commit PARENT (set it to the commit a change is
@@ -37,6 +37,15 @@ the line count of its `looseramsey/*.py` as `wc -l` gives it.
   CALLS calls.  `sha1` covers each source's encoded files, which agree when
   both write the same bytes, and `speedup` is the parent's median time over
   this checkout's.
+- `tables`: the link-table build `_link_table` on a random coloring, drawn
+  by `random.Random(N)`, at each N in TABLE_NS: `warm` is the least of
+  TABLE_CALLS calls right after each other, `cold` the median of as many
+  calls, each right after a pass over 4 MB of numpy array and 100000 Python
+  floats (about what runs between the searches of `cli search`), and
+  `second colour` the least of TABLE_CALLS blue tables derived through
+  `_LinkTables` from a red table built outside the timed span.  `sha1`
+  covers every table built, which agree when both build the same ints, and
+  `speedup` is the parent's median time over this checkout's.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "4ba2dd8"
+PARENT = "2826b2c"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160)
 OFF_DIAGONAL = "pp(n,n/2)"
@@ -73,6 +82,8 @@ SEEDS = range(12)
 SOLVES = 5
 FORMAT_NS = (30, 74, 100)
 CALLS = 5
+TABLE_NS = (9, 12, 14, 16, 20, 25, 30, 33, 48, 64, 65, 74, 100, 300)
+TABLE_CALLS = 9
 NOTES = (
     "One shared 2-core x86-64 container, time.perf_counter. The host cannot pin "
     "CPUs, fix the clock frequency or drop caches, and other tenants load it: its speed drifts "
@@ -200,6 +211,46 @@ def sweep_formats() -> dict:
     return {"times": times, "sha1": hashlib.sha1("".join(texts).encode()).hexdigest()}
 
 
+def sweep_tables() -> dict:
+    """Time every table case once with the looseramsey on sys.path."""
+    import numpy as np
+
+    from looseramsey.core import BLUE, RED, Coloring
+    from looseramsey.extractor import _LinkTables
+    from looseramsey.oracle import _link_table
+
+    junk, floats = np.ones(4 << 20, np.uint8), [float(i) for i in range(100000)]
+
+    def evict():
+        junk.sum()
+        sum(floats)
+
+    times, digest = {}, hashlib.sha1()
+    for n in TABLE_NS:
+        bits = random.Random(n).getrandbits(math.comb(n, 3))
+        warm, cold, second = [], [], []
+        T = _link_table(n, bits)
+        for _ in range(TABLE_CALLS):
+            start = time.perf_counter()
+            _link_table(n, bits)
+            warm.append(time.perf_counter() - start)
+        for _ in range(TABLE_CALLS):
+            evict()
+            start = time.perf_counter()
+            _link_table(n, bits)
+            cold.append(time.perf_counter() - start)
+        for _ in range(TABLE_CALLS):
+            links = _LinkTables(Coloring(n, bits))
+            links.table(RED)
+            start = time.perf_counter()
+            blue = links.table(BLUE)
+            second.append(time.perf_counter() - start)
+        times[f"warm N={n}"], times[f"cold N={n}"] = min(warm), statistics.median(cold)
+        times[f"second colour N={n}"] = min(second)
+        digest.update(repr((T, blue)).encode())
+    return {"times": times, "sha1": digest.hexdigest()}
+
+
 def _quartiles(samples: list) -> dict:
     """Per case, nested as in the samples: (first quartile, median, third
     quartile) over the samples."""
@@ -273,6 +324,13 @@ def _formats_keys(quart: dict, outs: dict):
     return params, runs, {"speedup": speedup}
 
 
+def _tables_keys(quart: dict, outs: dict):
+    """The tables record's parameters, keys per source and speedup: those
+    of the formats record, with its own sizes and calls."""
+    _, runs, speedup = _formats_keys(quart, outs)
+    return {"ns": list(TABLE_NS), "calls": TABLE_CALLS}, runs, speedup
+
+
 # the sweep, its record's own keys, its repeats and its note
 RECORDS = {
     "scaling": (sweep_scaling, _scaling_keys, 7,
@@ -281,6 +339,8 @@ RECORDS = {
                "An unpruned oracle's proofs at n = 8 take minutes, hence only 3 repeats."),
     "formats": (sweep_formats, _formats_keys, 7,
                 "LRC1 times are under 1 ms and noise-bound."),
+    "tables": (sweep_tables, _tables_keys, 7,
+               "Builds under 0.1 ms are noise-bound, most of all the cold ones."),
 }
 
 

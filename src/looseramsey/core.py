@@ -154,13 +154,17 @@ class Coloring:
 
         Triples inside a label prefix occupy a rank prefix in colex order,
         so restriction is a bitmap truncation.  The full prefix is the
-        coloring itself, which is immutable.
+        coloring itself, which is immutable.  The prefix shares this
+        coloring's byte view: its bytes agree on every rank below
+        C(n_prefix, 3), and _red reads no rank above.
         """
         if not 3 <= n_prefix <= self.n_vertices:
             raise ValueError(f"prefix size {n_prefix} out of range")
         if n_prefix == self.n_vertices:
             return self
-        return Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
+        prefix = Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
+        prefix.__dict__["_view"] = self._view  # where cached_property keeps it
+        return prefix
 
 
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:
@@ -222,7 +226,7 @@ def validate_structure(shape: str, vertices) -> Structure:
     pattern, so distinctness and parity are the whole check."""
     if shape not in (PATH, CYCLE):
         raise StructureError(f"unknown shape {shape!r}")
-    v = tuple(int(x) for x in vertices)
+    v = tuple(map(int, vertices))
     if shape == PATH and len(v) < 3:
         raise StructureError(f"path needs at least 3 vertices, got {len(v)}")
     if shape == PATH and len(v) % 2 == 0:

@@ -18,16 +18,20 @@ red witness.
 The replacement-move search, the blue chaining and, once the red table is
 built, the end extensions read the coloring through link tables (per vertex
 pair, the bitset of third vertices that complete a triple of one colour).
-One table is built per top-level solve (by numpy from 16 vertices on), for
+One table is built per top-level solve (by numpy from 14 vertices on), for
 the colour asked for first; the other is its complement, derived over a
-numpy array of its ints, and the complete searches read both.  The move search rules a window
-of the red path in or out with a few mask tests against per-vertex reach
-masks, and skips it for the rest of the solve on any reservoir inside one
-it failed on.  The chaining remembers the states it has seen fail and
-charges each revisit, at the call site, the node budget its first search
-used, so it returns exactly what the search without the memo returns under
-the same budget; once the budget is spent, it leaves every loop whose
-children cannot beat its best assembly.  A monochromatic cycle whose
+numpy array of its ints, and the complete searches read both.  The move
+search rules a window of the red path in or out with a few mask tests
+against per-vertex reach masks, written out in place (the three-vertex
+core's six orderings come from its bits, not from a generator), and skips
+it for the rest of the solve on any reservoir inside one it failed on.  A
+descent level that repeats the prefix size and red target of the level
+above makes no greedy attempt: it would fail as that one did.  The
+chaining remembers the states it has seen fail and charges each revisit,
+at the call site, the node budget its first search used, so it returns
+exactly what the search without the memo returns under the same budget;
+once the budget is spent, it leaves every loop whose children cannot beat
+its best assembly.  A monochromatic cycle whose
 boundary edges all have the other colour yields that colour's target by
 the oracle's search on the boundary's own link table, which depends only
 on the cycle, as do its twin classes (_boundary_twins).
@@ -201,12 +205,6 @@ def _greedy(c: Coloring, T: Optional[Links]) -> List[int]:
     return seq
 
 
-def _two(a: int, b: int) -> bool:
-    """Whether the masks a and b hold one vertex each, the two distinct."""
-    both = a | b
-    return a != 0 and b != 0 and both & (both - 1) != 0
-
-
 def _linked(T: Links, links: int, end: int, slot: int) -> bool:
     """Whether some w in `links` has a vertex of `slot` completing the
     triple {w, end, .}; walks the smaller mask, as T is symmetric, one row
@@ -244,7 +242,10 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach)
     three (a three-edge path lat a b d1 d2 e rat through the links b and
     d2, with private slots a, d1, e); lat, rat and the core lie outside
     wmask; reach is _Reach(T, wmask).  The test splits on which links lie
-    in the core; each case is a few mask tests or one _linked pass.
+    in the core; each case is a few mask tests or one _linked pass.  "a
+    and b and (s := a | b) & (s - 1)" holds when the masks a and b hold
+    one vertex each, the two distinct; it is written out, not called, as
+    this test runs on every window the move search tries.
     """
     W, Tlat, Trat = wmask, T[lat], T[rat]
     if core & (core - 1) == 0:
@@ -252,22 +253,29 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach)
         left, right = Tlat[mid] & W, Trat[mid] & W
         # link mid with reservoir ends, or a reservoir link w with mid
         # on the lat side (w in left) or on the rat side (w in right)
-        return _two(left, right) or left & reach[rat] != 0 or right & reach[lat] != 0
-    for x, y, z in permutations(_bits(core)):
+        return (
+            left and right and (s := left | right) & (s - 1)
+            or left & reach[rat] or right & reach[lat]
+        ) != 0
+    rest = core & (core - 1)  # the core without its lowest vertex
+    high = rest & (rest - 1)
+    u, v, w = (core ^ rest).bit_length() - 1, (rest ^ high).bit_length() - 1, high.bit_length() - 1
+    # the six orderings of the core, in permutations order
+    for x, y, z in ((u, v, w), (u, w, v), (v, u, w), (v, w, u), (w, u, v), (w, v, u)):
         ax, xr, xy = Tlat[x], Trat[x], T[x][y]
         # the rows' reservoir parts, each computed once
         axW, ayW, xrW, yrW, zrW = ax & W, Tlat[y] & W, xr & W, Trat[y] & W, Trat[z] & W
         xyW, xzW = xy & W, T[x][z] & W
         if (
             # links b = x, d2 = y: z in one private slot, W in the others
-            ax >> z & 1 and _two(xyW, yrW)
-            or xy >> z & 1 and _two(axW, yrW)
-            or Trat[y] >> z & 1 and _two(axW, xyW)
+            ax >> z & 1 and xyW and yrW and (s := xyW | yrW) & (s - 1)
+            or xy >> z & 1 and axW and yrW and (s := axW | yrW) & (s - 1)
+            or Trat[y] >> z & 1 and axW and xyW and (s := axW | xyW) & (s - 1)
             # link b = x, d2 in W: y, z fill two slots in order, W the third
-            or _two(xyW & zrW, axW)
+            or (m := xyW & zrW) and axW and (s := m | axW) & (s - 1)
             or ax >> y & 1 and (zrW & reach[x] or xzW & reach[rat])
             # link d2 = x, b in W: likewise
-            or _two(ayW & xzW, xrW)
+            or (m := ayW & xzW) and xrW and (s := m | xrW) & (s - 1)
             or xr >> z & 1 and (xyW & reach[lat] or ayW & reach[x])
             # links b, d2 in W: x, y, z fill slots a, d1, e
             or axW and zrW and _linked(T, axW, y, zrW)
@@ -822,18 +830,23 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
     # Descent: each level tries the red target greedily on its threshold
     # prefix; a failure there hands the level's sub pair down, until a
     # greedy success or a base case gives the first witness.  The greedy
-    # path carries down while the prefix still holds all its vertices.
+    # path carries down while the prefix still holds all its vertices.  A
+    # level with the prefix size and red target of the level above (pp(n, n)
+    # then pp(n, n - 1) at even n) would grow the same path on the same
+    # table and fail again, so it skips the attempt.
     levels: List[Tuple[PairKind, Coloring, bool]] = []
-    at, gp = pair, None
+    at, gp, tried = pair, None, None
     while True:
         kind, n, m = at.kind, at.n, at.m
         c = top.restrict(ramsey_number(at))
         if gp is None or any(v >= c.n_vertices for v in gp):
             gp = _greedy(c, links.built(RED))
-        w = _fast_red(c, at.red_target, links, gp)
-        if w is not None:
-            _note(trace, f"{at}: red target built greedily")
-            break
+        if (c.n_vertices, at.red_target) != tried:
+            tried = c.n_vertices, at.red_target
+            w = _fast_red(c, at.red_target, links, gp)
+            if w is not None:
+                _note(trace, f"{at}: red target built greedily")
+                break
         if kind in (PP, CC) and (n, m) in _BASES:
             _note(trace, f"base case {at}: complete search")
             w = _find(c, RED, at.red_target, links) or _find(c, BLUE, at.blue_target, links)

@@ -11,16 +11,19 @@ absence on split colorings stay polynomial, and the first sequence found
 stays the same.  find_mono_path and find_mono_cycle run it on the table of
 one colour class; the extractor runs it through _find_mono on the tables
 of its solve and on a cycle's boundary table, whose twin classes it passes
-in.  _link_table builds a colour's table with numpy, one chunk of largest
-vertices (one range of the colex bitmap) at a time, and only then makes
-Python ints of its rows; below 16 vertices a walk over the triples costs
-less than numpy's calls and builds it instead.  Exhaustive enumeration iterates every red bitmap
-of K3_N (only feasible for C(N,3) <= 24) with the work vectorized over
-bitmap chunks.
+in.  _link_table builds a colour's table with numpy and only then makes
+Python ints of its rows: up to 64 vertices each row is one word, and one
+scatter of the bitmap's flags into a bool array and one packbits build
+them all; above 64, one chunk of largest vertices (one range of the colex
+bitmap) at a time.  Below 14 vertices a walk over the triples costs less
+than numpy's calls and builds it instead.  Exhaustive enumeration iterates
+every red bitmap of K3_N (only feasible for C(N,3) <= 24) with the work
+vectorized over bitmap chunks.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 from typing import List, Optional, Set, Tuple
@@ -46,8 +49,8 @@ Links = List[List[int]]
 Twins = Tuple[List[int], List[int]]
 
 
-# cells of a chunk's bool arrays in the table build, about: each chunk takes
-# a multiple of 8 largest vertices, so it fills whole bytes of the rows
+# cells of a chunk's bool arrays in the multiword build, about: each chunk
+# takes a multiple of 8 largest vertices, so it fills whole bytes of the rows
 _CHUNK_CELLS = 1 << 20
 
 
@@ -84,6 +87,19 @@ def _packed_links(n: int, bits: int) -> np.ndarray:
     return packed
 
 
+@lru_cache(maxsize=4)
+def _cells(w: int) -> np.ndarray:
+    """For the one-word build at width w (8, 16, 32 or 64): per colex rank
+    of a triple x < y < z of [0, w), the positions in a flat (w, w, w) bool
+    array of the three cells (y, x, z), (z, x, y) and (z, y, x), one row of
+    the array each, as int32.  Every n <= w reads the first C(n, 3) columns:
+    the ranks of a vertex prefix are a rank prefix.  All four widths hold
+    0.57 MB (0.5 MB of it for w = 64)."""
+    below = np.tri(w, w, -1, bool)  # [z, y]: y < z
+    z, y, x = np.nonzero(below[:, :, None] & below)  # in rank order
+    return np.stack([(y * w + x) * w + z, (z * w + x) * w + y, (z * w + y) * w + x]).astype(np.int32)
+
+
 def _walked_links(n: int, bits: int) -> Links:
     """_link_table by a walk over the set triples, one at a time."""
     T = [[0] * n for _ in range(n)]
@@ -111,25 +127,35 @@ def _walked_links(n: int, bits: int) -> Links:
 
 
 # Below this many vertices the walk over the triples is faster than the
-# fixed cost of numpy's calls: at 12 vertices 0.06 against 0.08 ms, and 0.07
-# against 0.11 ms right after other work has evicted numpy from the caches,
-# as between the searches of `cli search`; from 16 vertices on numpy wins.
-_NUMPY_FROM = 16
+# fixed cost of numpy's calls once other work has evicted numpy from the
+# caches, as between the searches of `cli search`: right after a pass over
+# 4 MB, the walk takes 0.085 ms at 12 vertices and the one-word scatter
+# 0.094, 0.119 against 0.107 at 14, and 0.157 against 0.111 at 16 (shared
+# 2-core x86-64, Python 3.11).  Warm, the scatter wins from 9 vertices on.
+_NUMPY_FROM = 14
 
 
 def _link_table(n: int, bits: int) -> Links:
     """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
-    `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0.  Built by
-    numpy (_packed_links) from _NUMPY_FROM vertices on: the rows below the
-    diagonal become Python ints, and each row above it is the same int as
-    its mirror."""
+    `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0.  Below
+    _NUMPY_FROM vertices a walk over the set triples builds it; up to 64,
+    each rank's flag goes to its three cells (_cells) of one (n, w, w) bool
+    array, w the power of two from 8 that holds n, and one packbits makes
+    every row a w-bit word; above 64, _packed_links builds it by chunks.
+    The rows below the diagonal become Python ints, and each row above it
+    is the same int as its mirror."""
     if n < _NUMPY_FROM:
         return _walked_links(n, bits)
-    packed = _packed_links(n, bits)
-    size = packed.shape[2]
-    if size == 8:  # one-word rows: numpy makes the ints
-        lower = packed.view("<u8").reshape(n, n).tolist()
+    if n <= 64:
+        w, r = max(8, 1 << (n - 1).bit_length()), comb(n, 3)
+        flags = np.frombuffer(bits.to_bytes((r + 7) >> 3, "little"), np.uint8)
+        cells = np.zeros(n * w * w, bool)
+        cells[_cells(w)[:, :r]] = np.unpackbits(flags, count=r, bitorder="little")
+        words = np.packbits(cells, bitorder="little").view(f"<u{w >> 3}")
+        lower = words.reshape(n, w)[:, :n].tolist()
     else:
+        packed = _packed_links(n, bits)
+        size = packed.shape[2]
         buf, zeros, lower = memoryview(packed.reshape(-1)), [0] * n, []
         for u in range(n):
             start = u * n * size

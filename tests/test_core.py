@@ -231,6 +231,28 @@ class TestLookupParity:
         assert len(c._view) == rank // 8 + 1
         _assert_lookups_match(c, random.Random(rank), sample=comb(12, 3))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_prefix_shares_the_parent_view(self, seed):
+        """restrict(k) holds the parent's byte view, not a copy, and its
+        tester answers as a fresh coloring of the truncated bitmap on every
+        triple below k; a triple reaching past k reads blue, even where the
+        parent's bytes have it red."""
+        rnd = random.Random(seed)
+        n = rnd.randint(4, 24)
+        bits = rnd.getrandbits(comb(n, 3))
+        if seed % 2:
+            bits &= rnd.getrandbits(comb(n, 3))
+        c = Coloring(n, bits)
+        k = rnd.randint(3, n - 1)
+        sub = c.restrict(k)
+        assert sub._view is c._view
+        fresh = Coloring(k, bits & ((1 << comb(k, 3)) - 1))
+        assert sub == fresh
+        red, want = sub.test(RED), fresh.test(RED)
+        for x, y, z in _triples(k):
+            assert red(x, y, z) is want(x, y, z) is red(z, x, y), (seed, x, y, z)
+        assert not any(red(x, y, n - 1) for x, y, z in _triples(k))
+
     @given(st.integers(3, 40), st.randoms(use_true_random=False))
     def test_full_restriction_is_the_coloring(self, n, rnd):
         c = Coloring(n, rnd.getrandbits(comb(n, 3)))

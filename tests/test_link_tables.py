@@ -557,10 +557,12 @@ class TestTables:
 
 
 class TestVectorisedTables:
-    """The numpy build against the pure-Python one it replaced, which still
-    builds the tables of fewer than oracle._NUMPY_FROM vertices."""
+    """The numpy builds against the pure-Python one they replaced, which
+    still builds the tables of fewer than oracle._NUMPY_FROM vertices: the
+    one-word scatter up to 64 vertices, at every width it uses, and the
+    chunked build above."""
 
-    SIZES = [*range(0, 41), 63, 64, 65, 70, 100, 150]
+    SIZES = [*range(0, 41), 48, 63, 64, 65, 70, 100, 150]
 
     @pytest.mark.parametrize("numpy_from", [0, oracle._NUMPY_FROM, 10**9])
     def test_build_equals_the_triple_walk(self, monkeypatch, numpy_from):
@@ -571,10 +573,11 @@ class TestVectorisedTables:
 
     def test_build_in_chunks_of_eight_vertices(self, monkeypatch):
         """The smallest chunk: every byte of the packed rows comes from
-        several chunks, and the last chunk may be partial."""
+        several chunks, and the last chunk may be partial.  Only rows of
+        more than one word, above 64 vertices, are built in chunks."""
         monkeypatch.setattr(oracle, "_CHUNK_CELLS", 1)
         monkeypatch.setattr(oracle, "_NUMPY_FROM", 0)
-        for n in [*range(3, 41), 65]:
+        for n in [*range(3, 41), *range(65, 81), 100]:
             for name, bits in _table_bitmaps(n).items():
                 assert _link_table(n, bits) == _reference_link_table(n, bits), (n, name)
 
@@ -583,6 +586,16 @@ class TestVectorisedTables:
         for n in (5, 64, 65):
             T = _link_table(n, random.Random(n).getrandbits(comb(n, 3)))
             assert all(T[x][y] is T[y][x] for x in range(n) for y in range(x))
+
+    def test_scatter_positions_stay_bounded(self, monkeypatch):
+        """The one-word build keeps one position array per width (8, 16, 32
+        and 64), under 1 MB in all, whatever sizes it builds."""
+        monkeypatch.setattr(oracle, "_NUMPY_FROM", 0)
+        for n in range(65):
+            _link_table(n, random.Random(n).getrandbits(comb(n, 3)))
+        widths = [8, 16, 32, 64]
+        assert sum(oracle._cells(w).nbytes for w in widths) < 1 << 20
+        assert oracle._cells.cache_info().currsize == len(widths)
 
     def test_second_colour_is_the_row_by_row_complement(self):
         for n in self.SIZES[3:]:  # a coloring has 3 vertices or more
@@ -894,8 +907,10 @@ class TestDescentReuse:
 
     def test_descent_reuses_settled_work(self, monkeypatch):
         """On split+1 pp(12, 12) a+1 the descent builds the greedy path on
-        fewer levels than it has, and a level that repeats an earlier
-        level's (N, target) calls _bridges not once."""
+        fewer levels than it tries greedily, and a level that repeats the
+        (N, target) of the level above tries nothing: no two consecutive
+        greedy attempts share them, while the first level's calls
+        _bridges."""
         builds, levels, bridges = [], [], [0]
         real_greedy, real_fast, real_bridges = (
             extractor._greedy, extractor._fast_red, extractor._bridges)
@@ -918,10 +933,6 @@ class TestDescentReuse:
         c = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
         assert verify_witness(c, solve(pair, c))
         assert len(builds) < len(levels)
-        seen, repeats = set(), 0
-        for key, calls in levels:
-            if key in seen:
-                assert calls == 0, key
-                repeats += 1
-            seen.add(key)
-        assert repeats > 0 and levels[0][1] > 0
+        keys = [key for key, _ in levels]
+        assert all(a != b for a, b in zip(keys, keys[1:])), keys
+        assert levels[0][1] > 0
