@@ -320,6 +320,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OverflowError, MemoryError) as exc:  # a coloring too large to hold
         print(f"error: input too large to hold in memory ({type(exc).__name__})", file=sys.stderr)
         return 2
+    except RecursionError:  # the oracle's search recurses once per target edge
+        print("error: structure too long for the interpreter's recursion limit", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ Also accepted on input, LRE1: header line ``LRE1 <N>`` followed by one
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from math import comb
-from typing import Iterator, TextIO, Tuple
+from operator import add
+from typing import TextIO
 
 from .core import Coloring, TripleEdge, colex_unrank
 
@@ -34,47 +35,41 @@ def encode_lrc1(coloring: Coloring) -> str:
     return f"LRC1 {coloring.n_vertices}\n{digits.translate(_NIBBLE_REVERSE)}\n"
 
 
-# format(bits, "b") reversed and encoded is one byte per rank; this maps its
-# ASCII digits to 0/1 flags, which bytes.find and itertools.compress read.
+# format(bits, "0{width}b") reversed and encoded is one byte per rank, up to
+# the width; this maps its ASCII digits to 0/1 flags, which compress reads.
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _red_blocks(coloring: Coloring) -> Iterator[Tuple[int, int, bytes]]:
-    """(y, z, flags) for every (y, z) with a red triple {x < y < z}, in rank
-    order; flags[x] is 1 iff {x, y, z} is red.  The triples of one (y, z)
-    fill the ranks [C(z,3) + C(y,2), + y), so the blocks tile the bitmap in
-    order.  The flag string is sized by the highest red rank and the walk
-    stops there, so a sparse coloring of a huge N costs only its red span."""
-    bits = coloring.red_bits
-    top = bits.bit_length()
-    flags = format(bits, "b")[::-1].encode().translate(_FLAGS)
-    base = 0
-    for z in range(2, coloring.n_vertices):
-        for y in range(1, z):
-            if base >= top:
-                return
-            end = base + y
-            if flags.find(1, base, end) >= 0:
-                yield y, z, flags[base:end]
-            base = end
-
-
 def encode_lre1(coloring: Coloring) -> str:
-    """One ``x y z`` line per red triple, in rank order.  The lines of one
-    (y, z) block share their tail, so each block is one join of its red x
-    labels over that tail; the labels stop at the highest red vertex."""
+    """One ``x y z`` line per red triple, in rank order.  The triples
+    {x < y < z} of one z fill the ranks [C(z,3), C(z+1,3)) in the order of
+    their pair labels ``"x y "`` (y ascending, then x), so one list of those
+    labels, grown by z - 1 entries per z, serves every z: each z with a red
+    triple is one join of its red pair labels over the tail ``"z\\n"``, and
+    of all its labels when all its triples are red, as in a split coloring.
+    The flags and labels stop at the highest red vertex, so a sparse coloring
+    of a huge N costs only its red span."""
     bits = coloring.red_bits
     top = colex_unrank(bits.bit_length() - 1, coloring.n_vertices).c if bits else 0
-    labels = [str(x) for x in range(top)]
+    # the flags end with the block of z = top, so a block without a 0 is all red
+    flags = format(bits, f"0{comb(top + 1, 3)}b")[::-1].encode().translate(_FLAGS)
+    labels = [f"{x} " for x in range(top)]
+    pairs = []
     out = [f"LRE1 {coloring.n_vertices}\n"]
-    for y, z, block in _red_blocks(coloring):
-        sep = f" {y} {z}\n"
-        out.append(sep.join(compress(labels, block)) + sep)
+    base = 0
+    for z in range(2, top + 1):
+        pairs += map(add, labels[:z - 1], repeat(labels[z - 1]))
+        end = base + len(pairs)
+        block = flags[base:end]
+        if 1 in block:
+            tail = f"{z}\n"
+            out.append(tail.join(compress(pairs, block) if 0 in block else pairs) + tail)
+        base = end
     return "".join(out)
 
 
 def decode(text: str) -> Coloring:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise FormatError("empty coloring file")
     header = lines[0].split()

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -267,6 +268,30 @@ class TestUsageErrors:
         f.write_text("LRE1 100000000\n5 99999999 7\n")
         assert main(["verify", "--file", str(f), "--witness", "red path 0 1 2"]) == 2
         self._one_error_line(capsys, "too large", "OverflowError")
+
+    def test_search_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # the oracle's search recurses once per target edge; under a limit
+        # about 25 frames above this test a path of 5 edges fits and one of
+        # 30 does not
+        f = tmp_path / "c.lre"
+        f.write_text(encode_lre1(Coloring(61, 0).swap()))
+        argv = ["search", "--file", str(f), "--color", "red", "--shape", "path", "--length"]
+        assert main([*argv, "5"]) == 0  # first-use imports and caches, under the usual limit
+        capsys.readouterr()
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 25)
+        try:
+            short = main([*argv, "5"])
+            short_out = capsys.readouterr().out
+            long = main([*argv, "30"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert short == 0 and short_out.startswith("red path 0 1 2")
+        assert long == 2
+        self._one_error_line(capsys, "recursion limit")
 
     def test_enumerate_unknown_shape(self, capsys):
         assert main(["enumerate", "-N", "6", "--red-target", "foo", "3",

@@ -8,7 +8,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from looseramsey.constructions import PNCM, PairKind, build_split_coloring, lower_bound_params
+from looseramsey.constructions import (
+    PMCN,
+    PNCM,
+    PairKind,
+    SplitSpec,
+    build_split_coloring,
+    lower_bound_params,
+)
 from looseramsey.core import (
     PATH,
     RED,
@@ -257,6 +264,37 @@ class TestCodecParity:
         c = build_split_coloring(lower_bound_params(PairKind(PNCM, 30, 30)))
         assert c.n_vertices == 74
         assert encode_lre1(c) == _reference_encode_lre1(c)
+
+    # The triples {x < y < z} of one z fill the ranks [C(z,3), C(z+1,3)).
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_same_bytes_at_the_ends_of_each_z_block(self, n):
+        """The only red triple is the first, or the last, rank of a z block."""
+        for z in range(2, n):
+            for rank in (comb(z, 3), comb(z + 1, 3) - 1):
+                c = Coloring(n, 1 << rank)
+                assert encode_lre1(c) == _reference_encode_lre1(c), (z, rank)
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_same_bytes_below_the_top_vertex(self, n):
+        """The highest red vertex h is below N - 1: blocks z > h are blank."""
+        for h in range(2, n - 1):
+            rnd = random.Random(n * 100 + h)
+            top = 1 << rnd.randrange(comb(h, 3), comb(h + 1, 3))
+            c = Coloring(n, rnd.getrandbits(comb(h + 1, 3)) | top)
+            assert encode_lre1(c) == _reference_encode_lre1(c), h
+
+    @pytest.mark.parametrize("kind", ["pp", "cc", "pncm", "pmcn"])
+    def test_same_bytes_on_split1_colorings(self, kind):
+        """The split+1 coloring (one extra vertex in A or in B) of every pair
+        of the kind with n <= 8, plain and colour-swapped."""
+        for n in range(3, 9):
+            for m in range(3, n if kind == PMCN else n + 1):
+                spec = lower_bound_params(PairKind(kind, n, m))
+                for a, b in ((spec.a + 1, spec.b), (spec.a, spec.b + 1)):
+                    split = build_split_coloring(SplitSpec(a, b))
+                    for c in (split, split.swap()):
+                        assert encode_lre1(c) == _reference_encode_lre1(c), (n, m, a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(3, 20), rnd=st.randoms(use_true_random=False))
