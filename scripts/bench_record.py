@@ -68,7 +68,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "74e4ac2"
+PARENT = "7a2223b"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160)
 OFF_DIAGONAL = "pp(n,n/2)"

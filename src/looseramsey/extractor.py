@@ -31,7 +31,8 @@ chaining remembers the states it has seen fail and charges each revisit,
 at the call site, the node budget its first search used, so it returns
 exactly what the search without the memo returns under the same budget;
 once the budget is spent, it leaves every loop whose children cannot beat
-its best assembly.  A monochromatic cycle whose
+its best assembly, and it stops at an assembly that uses every reservoir
+vertex some window can place.  A monochromatic cycle whose
 boundary edges all have the other colour yields that colour's target by
 the oracle's search on the boundary's own link table, which depends only
 on the cycle, as do its twin classes (_boundary_twins).
@@ -242,10 +243,11 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach)
     three (a three-edge path lat a b d1 d2 e rat through the links b and
     d2, with private slots a, d1, e); lat, rat and the core lie outside
     wmask; reach is _Reach(T, wmask).  The test splits on which links lie
-    in the core; each case is a few mask tests or one _linked pass.  "a
-    and b and (s := a | b) & (s - 1)" holds when the masks a and b hold
-    one vertex each, the two distinct; it is written out, not called, as
-    this test runs on every window the move search tries.
+    in the core; each case is a few mask tests or one _linked pass, made
+    only if reach[y] meets the slot it walks into.  "a and b and (s := a |
+    b) & (s - 1)" holds when the masks a and b hold one vertex each, the
+    two distinct; it is written out, not called, as this test runs on every
+    window the move search tries.
     """
     W, Tlat, Trat = wmask, T[lat], T[rat]
     if core & (core - 1) == 0:
@@ -278,7 +280,7 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach)
             or (m := ayW & xzW) and xrW and (s := m | xrW) & (s - 1)
             or xr >> z & 1 and (xyW & reach[lat] or ayW & reach[x])
             # links b, d2 in W: x, y, z fill slots a, d1, e
-            or axW and zrW and _linked(T, axW, y, zrW)
+            or axW and zrW & reach[y] and _linked(T, axW, y, zrW)
         ):
             return True
     return False
@@ -405,6 +407,8 @@ def _chain(
     tried in ascending label order.  The search visits at most
     _CHAIN_BUDGET nodes, a revisited failed state counting as often as its
     first search did; revisits are charged where they would be called.
+    It stops at the first assembly using every vertex of w0 that some
+    window's masks hold (none other can be placed), which is the best one.
     Returns (sequence or None, reservoir vertices used, edges consumed).
     """
     L = (len(verts) - 1) // 2
@@ -420,7 +424,7 @@ def _chain(
     # budget runs out at the node where an unmemoized search would; a
     # revisit reaches only used sets already compared against best.  So a
     # revisit is charged, max(0, budget - cost), instead of being called: a
-    # failed state is never w0mask and never improves best, and a call at
+    # failed state is never usable and never improves best, and a call at
     # budget 0 charges nothing either.
     failed: Dict[Tuple[int, int, int], int] = {}
 
@@ -442,13 +446,19 @@ def _chain(
             [g0, g1, g2], [g3, g4, g5],
             blue[g0][g1] & w0mask, blue[g1][g2] & blue[g3][g4] & w0mask, blue[g4][g5] & w0mask,
         ))
+    usable = 0
+    for window in twos:
+        for t in window:
+            usable |= t[3] | t[4]
+    for t in threes:
+        usable |= t[2] | t[3] | t[4]
 
     # used is the bitmask of reservoir vertices in seq; seq ends in one after the first window
     def rec(j: int, seq: List[int], used: int):
         nonlocal budget
         if used.bit_count() > best[1].bit_count():
             best[0], best[1], best[2] = list(seq), used, j
-        if used == w0mask:
+        if used == usable:
             return list(seq), used, j
         if budget <= 0:
             return None
@@ -459,7 +469,7 @@ def _chain(
         # fresh vertex for the first window, the end of seq for a later one
         starts = [(seq[-1], seq, fresh)] if seq else [(p, [p], fresh ^ 1 << p) for p in _bits(fresh)]
         # Once the budget is spent, a call only compares its used set with
-        # best's and with w0mask (which has more vertices than best), so the
+        # best's and with usable (which has more vertices than best), so the
         # loops stop where no child has more than best: k vertices after a
         # 2-edge window, k + 1 after a 3-edge one.
         k = used.bit_count() + (1 if seq else 2)
@@ -503,7 +513,7 @@ def _chain(
         return None
 
     res = rec(0, [], 0)
-    if res is None:
+    if res is None or usable != w0mask:
         res = tuple(best)
         _note(trace, f"chain: leftover {total - res[1].bit_count()} reservoir vertices")
     seq, used, consumed = res

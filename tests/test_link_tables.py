@@ -7,10 +7,12 @@ slot matcher `_fill`); the kernels must return exactly what they return.
 The pure-Python table build, its row-by-row complement and the link-table
 `_chain` that charged memo hits inside each call are kept as references
 for the numpy build and for the chain search that charges them at the call
-site and stops once the spent budget leaves nothing to compare.
+site, stops once the spent budget leaves nothing to compare, and stops
+at an assembly that places every reservoir vertex some window can place.
 """
 
 import random
+import sys
 import tracemalloc
 import warnings
 from itertools import combinations, permutations
@@ -393,10 +395,11 @@ def _late_chain_instance(seed):
     return Coloring(n, red), p, sorted(w)
 
 
-def _hard_chain_calls(monkeypatch):
+def _hard_chain_calls(monkeypatch, solves=((PP, 10, 10, "b", True), (CC, 10, 10, "a", False))):
     """(coloring, verts, w0) of each _chain call made while solving split+1
-    pp(10,10) b+1 swapped and cc(10,10) a+1 plain, whose chains end with a
-    leftover; the coloring is the one whose blue table the call read."""
+    of each (kind, n, m, side, swapped) of solves, by default pp(10,10) b+1
+    swapped and cc(10,10) a+1 plain, whose chains end with a leftover; the
+    coloring is the one whose blue table the call read."""
     calls = []
     real = extractor._chain
 
@@ -407,8 +410,8 @@ def _hard_chain_calls(monkeypatch):
     tops = []
     with monkeypatch.context() as patch:
         patch.setattr(extractor, "_chain", record)
-        for kind, side, swap in ((PP, "b", True), (CC, "a", False)):
-            pair = PairKind(kind, 10, 10)
+        for kind, n, m, side, swap in solves:
+            pair = PairKind(kind, n, m)
             spec = lower_bound_params(pair)
             plus = SplitSpec(spec.a + (side == "a"), spec.b + (side == "b"))
             c = build_split_coloring(plus)
@@ -422,6 +425,41 @@ def _hard_chain_calls(monkeypatch):
         assert _LinkTables(c).table(BLUE) == blue
         cases.append((c, verts, w0))
     return cases
+
+
+def _isolated_chain_instance(seed):
+    """A seeded (coloring, path, reservoir) for the chain search, with one
+    or two reservoir vertices in no blue triple with two path vertices, so
+    that no window can place them: _late_chain_instance's for even seeds,
+    _instance's with paths of three edges or more for odd ones."""
+    if seed % 2:
+        c, p, w = _instance(seed, min_edges=3)
+    else:
+        c, p, w = _late_chain_instance(seed)
+    rnd = random.Random(seed)
+    out = rnd.sample(w, min(len(w), rnd.randint(1, 2)))
+    red = c.red_bits
+    for v in out:
+        for a, b in combinations(p, 2):
+            red |= 1 << colex_rank(TripleEdge.of(v, a, b))
+    return Coloring(c.n_vertices, red), p, sorted(w), set(out)
+
+
+def _rec_entries(blue, verts, w0):
+    """The trace of a _chain call and the number of times it entered rec."""
+    entries, trace = [0], []
+    code = extractor._chain.__code__
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec" and frame.f_code.co_filename == code.co_filename:
+            entries[0] += 1
+
+    sys.setprofile(count)
+    try:
+        _chain(blue, verts, w0, trace)
+    finally:
+        sys.setprofile(None)
+    return trace, entries[0]
 
 
 class TestTables:
@@ -816,6 +854,53 @@ class TestKernels:
         assert got == (None, frozenset(), 0)
         assert trace == ["chain: leftover 2 reservoir vertices"]
         assert got == _reference_chain(c, list(range(7)), [7, 8], [])
+
+    def test_chain_stops_at_the_usable_bound(self, monkeypatch):
+        """The search stops at an assembly that uses every reservoir vertex
+        some window can place, and returns what the exhaustive search (and
+        the one charging memo hits inside the call) returns, trace notes
+        included, under budgets that run out early and at the default: on
+        reservoirs with a vertex no window can place, and on the top-level
+        chains of split+1 cc(10, 10) and pmcn(10, 9) a+1 plain and pp(10,
+        10) and pp(12, 12) b+1 swapped, which ended with leftover 1 after
+        33, 33, 33 and 17 nodes when the search ran until w0 was used."""
+        isolated = [_isolated_chain_instance(seed) for seed in range(400)]
+        hard = _hard_chain_calls(monkeypatch, (
+            (CC, 10, 10, "a", False), (PMCN, 10, 9, "a", False),
+            (PP, 10, 10, "b", True), (PP, 12, 12, "b", True),
+        ))
+        assert len(hard) == 4
+        cases = [(c, p, w) for c, p, w, _ in isolated] + hard
+        for budget in (1, 2, 5, 17, 4000):
+            monkeypatch.setattr(extractor, "_CHAIN_BUDGET", budget)
+            for i, (c, p, w) in enumerate(cases):
+                blue = _LinkTables(c).table(BLUE)
+                got_trace, scan_trace, memo_trace = [], [], []
+                got = _chain(blue, p, w, got_trace)
+                assert got == _reference_chain(c, p, w, scan_trace), (budget, i)
+                assert got == _reference_memo_chain(blue, p, w, memo_trace), (budget, i)
+                assert got_trace == scan_trace == memo_trace, (budget, i)
+                if i < len(isolated):
+                    assert not got[1] & isolated[i][3], (budget, i)
+        for c, p, w in hard:
+            trace, nodes = _rec_entries(_LinkTables(c).table(BLUE), p, w)
+            assert trace == ["chain: leftover 1 reservoir vertices"]
+            assert nodes <= 5, (p, w)
+
+    def test_two_link_walk_is_guarded(self, monkeypatch):
+        """On split+1 pp(n, n) a+1 plain, every two-link walk of the move
+        search fails, and reach[y] rules each out before it starts: _linked
+        runs 0 times at n = 10 and 40 (24 and 636 times without the guard)."""
+        walks = []
+        real = extractor._linked
+        monkeypatch.setattr(extractor, "_linked", lambda *a: walks.append(a) or real(*a))
+        for n in (10, 40):
+            pair = PairKind(PP, n, n)
+            spec = lower_bound_params(pair)
+            c = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
+            w = solve(pair, c)
+            assert verify_witness(c.restrict(ramsey_number(pair)), w)
+        assert walks == []
 
 
 def _memo_instance(seed):
