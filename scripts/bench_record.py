@@ -6,12 +6,15 @@ the coloring file formats and of the link-table build.
 Writes BENCH_<record>.json at the root of the checkout.  Two sources are
 timed: the package at commit PARENT (set it to the commit a change is
 measured against), extracted with `git archive`, and this checkout's
-`src/`.  Every repeat runs each source's whole sweep in a fresh interpreter,
-alternating which source goes first; a case's time is the median over the
-repeats, with its quartiles, in ms by `time.perf_counter`, every input
-built outside the timed span.  Each source gets the sha1 of all its
-outputs, which agree when both return the same results, and `src_lines`,
-the line count of its `looseramsey/*.py` as `wc -l` gives it.
+`src/`.  Every repeat imports both into one fresh interpreter, keeping each
+source's modules and swapping them into sys.modules in turn (numpy is
+shared), and runs the two sweeps case by case: each case runs on one
+source and then on the other, the first source alternating per case and
+per repeat, so drift over seconds hits both alike.  A case's time is the
+median over the repeats, with its quartiles, in ms by `time.perf_counter`,
+every input built outside the timed span.  Each source gets the sha1 of
+all its outputs, which agree when both return the same results, and
+`src_lines`, the line count of its `looseramsey/*.py` as `wc -l` gives it.
 
 - `scaling`: one `solve` per kind (pp, cc, pncm, pmcn) on its diagonal pair
   (m = n, or m = n - 1 for pmcn) and on the off-diagonal pair pp(n, n // 2),
@@ -52,10 +55,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import platform
 import random
 import statistics
@@ -68,7 +73,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "7a2223b"
+PARENT = "5d9f176"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160)
 OFF_DIAGONAL = "pp(n,n/2)"
@@ -87,8 +92,8 @@ TABLE_CALLS = 9
 NOTES = (
     "One shared 2-core x86-64 container, time.perf_counter. The host cannot pin "
     "CPUs, fix the clock frequency or drop caches, and other tenants load it: its speed drifts "
-    "by up to 1.7x over minutes. Sources alternate in fresh interpreters and each time is a "
-    "median over repeats, so drift hits both sides alike."
+    "by up to 1.7x over minutes. Both sources share one interpreter per repeat and alternate "
+    "case by case, and each time is a median over repeats, so drift hits both sides alike."
 )
 
 
@@ -116,8 +121,13 @@ def _line(w) -> str:
     return f"{w.color} {w.shape} " + " ".join(map(str, w.structure.vertices))
 
 
-def sweep_scaling() -> dict:
-    """Time every scaling case once with the looseramsey on sys.path."""
+# Each sweep times every case once with the looseramsey in sys.modules,
+# yields after each case so that the other source runs it next, and
+# returns its record.
+
+
+def sweep_scaling():
+    """The scaling cases."""
     from looseramsey.constructions import PairKind
     from looseramsey.extractor import solve
 
@@ -136,12 +146,13 @@ def sweep_scaling() -> dict:
                 row[str(n)] = time.perf_counter() - start
             completions[case] += any(note.startswith("completion") for note in trace)
             lines.append(_line(w))
+            yield
     sha1 = hashlib.sha1("\n".join(lines).encode()).hexdigest()
     return {"times": times, "completions": completions, "sha1": sha1}
 
 
-def sweep_oracle() -> dict:
-    """Time every oracle case once with the looseramsey on sys.path."""
+def sweep_oracle():
+    """The oracle cases."""
     from looseramsey.constructions import PairKind, build_split_coloring, lower_bound_params
     from looseramsey.core import BLUE, PATH, RED, Coloring
     from looseramsey.extractor import solve
@@ -159,6 +170,7 @@ def sweep_oracle() -> dict:
                 w = find(c, color, length)
                 times[f"absence n={n} {kind} {color} {shape} {length}"] = time.perf_counter() - start
                 lines.append("none" if w is None else f"found {w.structure.vertices}")
+                yield
     for kind, n, m, side, orient in FLIP_CASES:
         pair = PairKind(kind, n, m)
         base = _split1(pair, side, orient)
@@ -179,12 +191,13 @@ def sweep_oracle() -> dict:
             times[f"{case} seed {seed}"] = best
             completions[case] += any(note.startswith("completion") for note in trace)
             lines.append(_line(w))
+            yield
     sha1 = hashlib.sha1("\n".join(lines).encode()).hexdigest()
     return {"times": times, "completions": completions, "sha1": sha1}
 
 
-def sweep_formats() -> dict:
-    """Time every format case once with the looseramsey on sys.path."""
+def sweep_formats():
+    """The format cases."""
     from looseramsey.constructions import PairKind, build_split_coloring, lower_bound_params
     from looseramsey.core import Coloring
     from looseramsey.formats import decode, encode_lrc1, encode_lre1
@@ -208,11 +221,12 @@ def sweep_formats() -> dict:
             if back != c:
                 raise RuntimeError(f"{fmt} round trip of {case} changed the coloring")
             texts.append(text)
+            yield
     return {"times": times, "sha1": hashlib.sha1("".join(texts).encode()).hexdigest()}
 
 
-def sweep_tables() -> dict:
-    """Time every table case once with the looseramsey on sys.path."""
+def sweep_tables():
+    """The table cases."""
     import numpy as np
 
     from looseramsey.core import BLUE, RED, Coloring
@@ -248,6 +262,7 @@ def sweep_tables() -> dict:
         times[f"warm N={n}"], times[f"cold N={n}"] = min(warm), statistics.median(cold)
         times[f"second colour N={n}"] = min(second)
         digest.update(repr((T, blue)).encode())
+        yield
     return {"times": times, "sha1": digest.hexdigest()}
 
 
@@ -358,26 +373,61 @@ def src_lines(src: str) -> int:
     return sum(p.read_text().count("\n") for p in Path(src).glob("looseramsey/*.py"))
 
 
+def load(src: str) -> dict:
+    """Import looseramsey and every module of it from src, and take them out
+    of sys.modules again, so that the next source imports its own."""
+    sys.path.insert(0, src)
+    try:
+        pkg = importlib.import_module("looseramsey")
+        if not Path(pkg.__file__).resolve().is_relative_to(Path(src).resolve()):
+            raise ImportError(f"looseramsey imported from {pkg.__file__}, not from {src}")
+        for info in pkgutil.iter_modules(pkg.__path__):
+            importlib.import_module(f"looseramsey.{info.name}")
+    finally:
+        sys.path.remove(src)
+    names = [m for m in sys.modules if m == "looseramsey" or m.startswith("looseramsey.")]
+    return {m: sys.modules.pop(m) for m in names}
+
+
+def interleave(sweep, srcs: list) -> list:
+    """Each source's record from one sweep per source, run one case at a
+    time with that source's modules in sys.modules, the first source
+    alternating per case."""
+    modules = [load(src) for src in srcs]
+    runs, records = [sweep() for _ in srcs], [None] * len(srcs)
+    order = list(range(len(srcs)))
+    while None in records:
+        for i in order:
+            if records[i] is None:
+                sys.modules.update(modules[i])
+                try:
+                    next(runs[i])
+                except StopIteration as done:
+                    records[i] = done.value
+        order.reverse()
+    return records
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("record", choices=RECORDS)
-    ap.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
+    ap.add_argument("--worker", metavar="DIR", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args()
     sweep, own_keys, repeats, note = RECORDS[args.record]
     if args.worker:
-        sys.path.insert(0, args.worker)
-        print(json.dumps(sweep()))
+        print(json.dumps(interleave(sweep, args.worker)))
         return
     with tempfile.TemporaryDirectory() as tmp:
         sources = [(parent_src(tmp), f"parent {PARENT}"), (str(ROOT / "src"), "this checkout")]
         outs = {label: [] for _, label in sources}
         lines = {label: src_lines(src) for src, label in sources}
         for r in range(repeats):
-            for src, label in sources[:: 1 if r % 2 == 0 else -1]:
-                cmd = [sys.executable, __file__, args.record, "--worker", src]
-                out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-                outs[label].append(json.loads(out))
-                print(f"repeat {r + 1}/{repeats}: {label} done", file=sys.stderr)
+            ordered = sources[:: 1 if r % 2 == 0 else -1]
+            cmd = [sys.executable, __file__, args.record, "--worker", *(src for src, _ in ordered)]
+            out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+            for (_, label), record in zip(ordered, json.loads(out)):
+                outs[label].append(record)
+            print(f"repeat {r + 1}/{repeats} done", file=sys.stderr)
     quart = {label: _quartiles([o["times"] for o in out]) for label, out in outs.items()}
     params, runs, speedup = own_keys(quart, outs)
     for label, qs in quart.items():

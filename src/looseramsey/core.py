@@ -110,14 +110,19 @@ class Coloring:
         return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
 
     @cached_property
+    def _ranks(self) -> Tuple[bytes, Tuple[int, ...], Tuple[int, ...]]:
+        """The byte view and the C(y, 2) and C(z, 3) tables that rank a
+        triple in it.  A triple with a vertex >= k, the tables' size, has
+        rank >= C(k, 3) > 8 * len(view), so it is blue: the tables stop at
+        k, not N, and so does every loop that reads them."""
+        view = self._view
+        return (view, *_comb_tables(min(self.n_vertices, int((48 * len(view)) ** (1 / 3)) + 4)))
+
+    @cached_property
     def _red(self) -> EdgeTest:
         """Whether {x, y, z}, three distinct vertices below N in any order, is red."""
-        view = self._view
-        # A triple with a vertex >= k has rank >= C(k, 3) > 8 * len(view), so
-        # it is blue: the tables stop at k, not N, and reading past them
-        # raises the same IndexError as reading past the view.
-        k = min(self.n_vertices, int((48 * len(view)) ** (1 / 3)) + 4)
-        c2, c3 = _comb_tables(k)
+        # reading past the tables raises the same IndexError as past the view
+        view, c2, c3 = self._ranks
 
         def red(x: int, y: int, z: int) -> bool:
             if x > y:
@@ -284,13 +289,24 @@ def verify_witness(coloring: Coloring, witness: Witness) -> VerifyResult:
         return VerifyResult(False, str(exc))
     if max(structure.vertices) >= coloring.n_vertices:
         return VerifyResult(False, "vertex label outside the coloring")
-    claimed = coloring.test(witness.color)
-    for t in _edge_triples(structure.vertices, witness.shape == CYCLE):
-        if not claimed(*t):
-            e = TripleEdge.of(*t)
+    view, c2, c3 = coloring._ranks
+    k, top, want = len(c3), 8 * len(view), witness.color == RED
+    v = structure.vertices
+    ring = v + v[:1] if witness.shape == CYCLE else v
+    # edge i is ring[2i], ring[2i+1], ring[2i+2], ranked in place
+    for i in range(0, len(ring) - 2, 2):
+        x, y, z = ring[i], ring[i + 1], ring[i + 2]
+        if x > y:
+            x, y = y, x
+        if y > z:
+            y, z = z, y
+        if x > y:
+            x, y = y, x
+        red = z < k and (r := c3[z] + c2[y] + x) < top and view[r >> 3] >> (r & 7) & 1 == 1
+        if red != want:
             return VerifyResult(
                 False,
-                f"edge {{{e.a},{e.b},{e.c}}} is {opposite(witness.color)},"
+                f"edge {{{x},{y},{z}}} is {opposite(witness.color)},"
                 f" witness claims {witness.color}",
             )
     return VerifyResult(True)

@@ -23,8 +23,11 @@ the colour asked for first; the other is its complement, derived over a
 numpy array of its ints, and the complete searches read both.  The move
 search rules a window of the red path in or out with a few mask tests
 against per-vertex reach masks, written out in place (the three-vertex
-core's six orderings come from its bits, not from a generator), and skips
-it for the rest of the solve on any reservoir inside one it failed on.  A
+core's six orderings come from its bits, not from a generator), tests the
+end pairs of a window as one on the OR of their rows before it tests any
+alone, and skips a window for the rest of the solve on any reservoir inside
+one it failed on.  Before any table, the greedy build reads the coloring's
+byte view with the rank written out, one loop and no call per triple.  A
 descent level that repeats the prefix size and red target of the level
 above makes no greedy attempt: it would fail as that one did.  The
 chaining remembers the states it has seen fail and charges each revisit,
@@ -58,7 +61,6 @@ from .core import (
     PATH,
     RED,
     Coloring,
-    EdgeTest,
     StructureError,
     Witness,
     colex_unrank,
@@ -93,8 +95,9 @@ def ramsey_number(pair: PairKind) -> int:
 
 # ---------------------------------------------------------------------------
 # Link tables: per vertex pair, the bitset of third vertices completing a
-# triple of one colour.  The top-level greedy path, the openers and the
-# candidate checks look triples up one at a time through Coloring.test.
+# triple of one colour.  The top-level greedy path reads the coloring's
+# byte view, and the openers and the candidate checks look triples up one
+# at a time through Coloring.test.
 
 
 class _LinkTables:
@@ -158,10 +161,11 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _red_edge_at(
-    red: EdgeTest, T: Optional[Links], free: List[int], fmask: int, end: int
+    c: Coloring, T: Optional[Links], free: List[int], fmask: int, end: int
 ) -> Optional[Tuple[int, int]]:
     """First (mid, new) from the ascending list free (bitmask fmask), lowest
-    labels first, with {end, mid, new} red (read from T if given), or None."""
+    labels first, with {end, mid, new} red: read from T if given, else from
+    c's byte view with the rank written out, or None."""
     if T is not None:
         row = T[end]
         for mid in free:
@@ -169,23 +173,36 @@ def _red_edge_at(
             if news:
                 return mid, (news & -news).bit_length() - 1
         return None
+    view, c2, c3 = c._ranks
+    k, top = len(c3), 8 * len(view)
+    if end >= k:
+        return None  # every triple through end is blue
     for mid in free:
+        if mid >= k:
+            return None
+        a, b = (end, mid) if end < mid else (mid, end)
+        # the rank of {a, b, new} for new above b, between a and b, below a
+        above, cb, ca = c2[b] + a, c3[b], c2[a]
         for new in free:
-            if new != mid and red(end, mid, new):
-                return mid, new
+            if new >= k:
+                break
+            if new != mid:
+                r = c3[new] + above if new > b else cb + (c2[new] + a if new > a else ca + new)
+                if r < top and view[r >> 3] >> (r & 7) & 1:
+                    return mid, new
     return None
 
 
-def _append_extend(red: EdgeTest, n: int, seq: List[int], T: Optional[Links]) -> None:
+def _append_extend(c: Coloring, seq: List[int], T: Optional[Links]) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
     per edge, lowest labels first, tail end first; through T if given."""
-    free = sorted(set(range(n)) - set(seq))
+    free = sorted(set(range(c.n_vertices)) - set(seq))
     fmask = sum(1 << v for v in free) if T is not None else 0
     while True:
-        step = _red_edge_at(red, T, free, fmask, seq[-1])
+        step = _red_edge_at(c, T, free, fmask, seq[-1])
         if step is not None:
             seq.extend(step)
-        elif (step := _red_edge_at(red, T, free, fmask, seq[0])) is not None:
+        elif (step := _red_edge_at(c, T, free, fmask, seq[0])) is not None:
             seq[:0] = step[::-1]
         else:
             return
@@ -199,10 +216,13 @@ def _greedy(c: Coloring, T: Optional[Links]) -> List[int]:
     """A red loose path, as its vertices, that no red edge extends at either
     end; empty if no triple is red.  Seeded from the lowest-rank red triple,
     each extension takes the lowest labels first, read from T if given."""
-    if c.red_bits == 0:
+    bits = c.red_bits
+    if bits == 0:
         return []
-    seq = list(colex_unrank((c.red_bits & -c.red_bits).bit_length() - 1, c.n_vertices))
-    _append_extend(c.test(RED), c.n_vertices, seq, T)
+    # the low word first: low & -low copies the whole bitmap twice
+    low = bits & 0xFFFFFFFFFFFFFFFF or bits
+    seq = list(colex_unrank((low & -low).bit_length() - 1, c.n_vertices))
+    _append_extend(c, seq, T)
     return seq
 
 
@@ -222,46 +242,70 @@ def _linked(T: Links, links: int, end: int, slot: int) -> bool:
 
 class _Reach(dict):
     """reach[v], filled on first use: the OR of T[v][s] over s in wmask, so
-    the w with {w, v, s} in T for some s in wmask other than w."""
+    the w with {w, v, s} in T for some s in wmask other than w; for a tuple
+    of vertices, the OR of theirs."""
 
     def __init__(self, T: Links, wmask: int) -> None:
         self.T, self.ws = T, list(_bits(wmask))
 
-    def __missing__(self, v: int) -> int:
-        Tv, r = self.T[v], 0
-        for s in self.ws:
-            r |= Tv[s]
+    def __missing__(self, v) -> int:
+        r = 0
+        if type(v) is tuple:
+            for u in v:
+                r |= self[u]
+        else:
+            Tv = self.T[v]
+            for s in self.ws:
+                r |= Tv[s]
         self[v] = r
         return r
 
 
-def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach) -> bool:
-    """Whether a red loose path from lat to rat has as its inner vertices
-    exactly the vertices of `core` plus two vertices of wmask.
+def _bridges(
+    T: Links, lats: Tuple[int, ...], rats: Tuple[int, ...], core: int, wmask: int, reach: _Reach
+) -> bool:
+    """Whether a red loose path from some lat in lats to some rat in rats
+    (one or two each) has as its inner vertices exactly the vertices of
+    `core` plus two vertices of wmask.
 
     `core` holds one vertex (a two-edge path through one link vertex) or
     three (a three-edge path lat a b d1 d2 e rat through the links b and
-    d2, with private slots a, d1, e); lat, rat and the core lie outside
+    d2, with private slots a, d1, e); the ends and the core lie outside
     wmask; reach is _Reach(T, wmask).  The test splits on which links lie
     in the core; each case is a few mask tests or one _linked pass, made
-    only if reach[y] meets the slot it walks into.  "a and b and (s := a |
-    b) & (s - 1)" holds when the masks a and b hold one vertex each, the
-    two distinct; it is written out, not called, as this test runs on every
-    window the move search tries.
+    only if reach[y] meets the slot it walks into.  Two ends on a side act
+    as one whose row and reach are the OR of theirs.  That is exact: every
+    clause is monotone in the ends' masks and reads one mask of each side,
+    so it holds on the union iff it holds for some (lat, rat).  "a and b
+    and (s := a | b) & (s - 1)" holds when the masks a and b hold one vertex
+    each, the two distinct; it is written out, not called, as this test
+    runs on every window the move search tries.
     """
-    W, Tlat, Trat = wmask, T[lat], T[rat]
+    W, Tlat, Trat = wmask, T[lats[0]], T[rats[0]]
+    lk, rk = lats if len(lats) > 1 else lats[0], rats if len(rats) > 1 else rats[0]
     if core & (core - 1) == 0:
         mid = core.bit_length() - 1
-        left, right = Tlat[mid] & W, Trat[mid] & W
+        left, right = Tlat[mid], Trat[mid]
+        if len(lats) > 1:
+            left |= T[lats[1]][mid]
+        if len(rats) > 1:
+            right |= T[rats[1]][mid]
+        left, right = left & W, right & W
         # link mid with reservoir ends, or a reservoir link w with mid
         # on the lat side (w in left) or on the rat side (w in right)
         return (
             left and right and (s := left | right) & (s - 1)
-            or left & reach[rat] or right & reach[lat]
+            or left & reach[rk] or right & reach[lk]
         ) != 0
     rest = core & (core - 1)  # the core without its lowest vertex
     high = rest & (rest - 1)
     u, v, w = (core ^ rest).bit_length() - 1, (rest ^ high).bit_length() - 1, high.bit_length() - 1
+    if len(lats) > 1:
+        Tb = T[lats[1]]
+        Tlat = {u: Tlat[u] | Tb[u], v: Tlat[v] | Tb[v], w: Tlat[w] | Tb[w]}
+    if len(rats) > 1:
+        Tb = T[rats[1]]
+        Trat = {u: Trat[u] | Tb[u], v: Trat[v] | Tb[v], w: Trat[w] | Tb[w]}
     # the six orderings of the core, in permutations order
     for x, y, z in ((u, v, w), (u, w, v), (v, u, w), (v, w, u), (w, u, v), (w, v, u)):
         ax, xr, xy = Tlat[x], Trat[x], T[x][y]
@@ -275,10 +319,10 @@ def _bridges(T: Links, lat: int, rat: int, core: int, wmask: int, reach: _Reach)
             or Trat[y] >> z & 1 and axW and xyW and (s := axW | xyW) & (s - 1)
             # link b = x, d2 in W: y, z fill two slots in order, W the third
             or (m := xyW & zrW) and axW and (s := m | axW) & (s - 1)
-            or ax >> y & 1 and (zrW & reach[x] or xzW & reach[rat])
+            or ax >> y & 1 and (zrW & reach[x] or xzW & reach[rk])
             # link d2 = x, b in W: likewise
             or (m := ayW & xzW) and xrW and (s := m | xrW) & (s - 1)
-            or xr >> z & 1 and (xyW & reach[lat] or ayW & reach[x])
+            or xr >> z & 1 and (xyW & reach[lk] or ayW & reach[x])
             # links b, d2 in W: x, y, z fill slots a, d1, e
             or axW and zrW & reach[y] and _linked(T, axW, y, zrW)
         ):
@@ -315,6 +359,10 @@ def _find_move(
     exact, finds a move in it.
     failed, a memo shared by searches on T, maps (lat, rat, core mask) to a
     reservoir _bridges failed on; a window is not retested on its subsets.
+    When two or more of a window's end pairs are left, one _bridges call on
+    all the window's ends rules them all out (a pair failed rules out fails
+    on this smaller reservoir too), or else each is tested in turn, so the
+    memo gains the entries the pair-by-pair test gives it.
     Returns (new vertex sequence, (x, y) used) or None.
     """
     L = (len(p) - 1) // 2
@@ -326,17 +374,23 @@ def _find_move(
 
     for j in range(L):
         # the left end is p[2j], or p[2j-1] re-attached with p[2j] demoted
-        lends = [p[2 * j], p[2 * j - 1]] if j else [p[0]]
+        lends = (p[2 * j], p[2 * j - 1]) if j else (p[0],)
         # the 2-edge window ends at p[2j+2], the 3-edge one at p[2j+4]
         for r in range(2 * j + 2, min(2 * j + 4, 2 * L) + 1, 2):
-            rends = [p[r], p[r + 1]] if r < 2 * L else [p[r]]
+            rends = (p[r], p[r + 1]) if r < 2 * L else (p[r],)
             cmask = sum(1 << v for v in p[2 * j + 1 : r])
-            # scan only if some end pair, not ruled out by failed, passes _bridges
-            for key in [(lat, rat, cmask) for lat in lends for rat in rends]:
-                if wmask & ~failed.get(key, 0):
-                    if _bridges(T, *key, wmask, reach):
-                        break
+            # scan only if some end pair, not ruled out by failed, passes
+            # _bridges; two or more are first tested as one, on all the ends
+            live = [key for lat in lends for rat in rends
+                    if wmask & ~failed.get(key := (lat, rat, cmask), 0)]
+            if len(live) > 1 and not _bridges(T, lends, rends, cmask, wmask, reach):
+                for key in live:
                     failed[key] = wmask
+                continue
+            for key in live:
+                if _bridges(T, (key[0],), (key[1],), cmask, wmask, reach):
+                    break
+                failed[key] = wmask
             else:
                 continue
             lats = [(p[2 * j], p[: 2 * j + 1])]
@@ -359,14 +413,13 @@ def _grow(c: Coloring, links: _LinkTables, seq: List[int], need: int) -> List[in
     """Grow the red path seq, maximal under end extension, by replacement
     moves until it has need edges or no move applies, extending the ends
     again after every move.  links serves c (or a coloring it is a prefix of)."""
-    red = c.test(RED)
     while (len(seq) - 1) // 2 < need:
         T = links.table(RED)
         mv = _find_move(T, seq, set(range(c.n_vertices)) - set(seq), links.failed(RED))
         if mv is None:
             break
         seq = mv[0]
-        _append_extend(red, c.n_vertices, seq, T)
+        _append_extend(c, seq, T)
     return seq
 
 
@@ -513,6 +566,7 @@ def _chain(
         return None
 
     res = rec(0, [], 0)
+    del rec  # rec's cell holds rec: a cycle only the cyclic collector frees
     if res is None or usable != w0mask:
         res = tuple(best)
         _note(trace, f"chain: leftover {total - res[1].bit_count()} reservoir vertices")
@@ -765,7 +819,7 @@ def _path_step(
     blue path of length m.  links serves c (or a coloring it is a prefix of)."""
     p = list(p)
     # grow toward the red target before anything else
-    _append_extend(c.test(RED), c.n_vertices, p, links.table(RED))
+    _append_extend(c, p, links.table(RED))
     p = _grow(c, links, p, n)
     if (len(p) - 1) // 2 >= n:
         _note(trace, "red path extended to target length")

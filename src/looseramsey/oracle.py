@@ -244,27 +244,30 @@ def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[in
         failed.add(key)
         return None
 
-    for i, v1 in enumerate(verts):
-        if lower[v1]:
-            continue
-        if cycle:
-            failed.clear()
-        row = T[v1]
-        for v2 in verts if cycle else verts[i + 1 :]:
-            if lower[v2] & ~(1 << v1):
+    try:
+        for i, v1 in enumerate(verts):
+            if lower[v1]:
                 continue
-            free = ~(1 << v1 | 1 << v2)
-            v3s = row[v2]
-            while v3s:
-                low = v3s & -v3s
-                v3s ^= low
-                v3 = low.bit_length() - 1
-                if lower[v3] & free:
+            if cycle:
+                failed.clear()
+            row = T[v1]
+            for v2 in verts if cycle else verts[i + 1 :]:
+                if lower[v2] & ~(1 << v1):
                     continue
-                rest = extend(1 << v1 | 1 << v2 | low, v3, length - 1 - cycle)
-                if rest is not None:
-                    return [v1, v2, v3] + rest
-    return None
+                free = ~(1 << v1 | 1 << v2)
+                v3s = row[v2]
+                while v3s:
+                    low = v3s & -v3s
+                    v3s ^= low
+                    v3 = low.bit_length() - 1
+                    if lower[v3] & free:
+                        continue
+                    rest = extend(1 << v1 | 1 << v2 | low, v3, length - 1 - cycle)
+                    if rest is not None:
+                        return [v1, v2, v3] + rest
+        return None
+    finally:
+        del extend  # extend's cell holds extend: a cycle only the cyclic collector frees
 
 
 def _find_mono(

@@ -322,6 +322,26 @@ class TestVerifyWitness:
         res = verify_witness(c, w)
         assert not res and "red" in res.reason
 
+    def test_rejection_names_the_first_wrong_edge(self):
+        """The messages for a cycle whose closing edge is recoloured and for
+        a blue witness on red edges, as verify_witness has always worded
+        them; on a sparse view, an edge past the rank tables reads blue."""
+        cyc = validate_loose_cycle([5, 1, 7, 0, 3, 2])  # closes with {3, 2, 5}
+        red = Coloring(8, 0).swap()
+        assert verify_witness(red, Witness(RED, CYCLE, cyc))
+        closed = Coloring(8, red.red_bits ^ 1 << colex_rank(TripleEdge(2, 3, 5)))
+        res = verify_witness(closed, Witness(RED, CYCLE, cyc))
+        assert res.reason == "edge {2,3,5} is blue, witness claims red"
+        res = verify_witness(red, Witness(BLUE, CYCLE, cyc))
+        assert res.reason == "edge {1,5,7} is red, witness claims blue"
+        res = verify_witness(closed, Witness(BLUE, CYCLE, cyc))
+        assert res.reason == "edge {1,5,7} is red, witness claims blue"
+        sparse = Coloring(1000, 1)
+        far = validate_loose_path([999, 500, 0, 3, 4])
+        assert verify_witness(sparse, Witness(BLUE, PATH, far))
+        res = verify_witness(sparse, Witness(RED, PATH, far))
+        assert res.reason == "edge {0,500,999} is blue, witness claims red"
+
     def test_rejects_label_overflow(self):
         c = Coloring(6, 0).swap()
         w = Witness(RED, PATH, validate_loose_path([0, 1, 2, 3, 6]))

@@ -2,8 +2,10 @@
 
 The references below are the pair-by-pair scans that `_find_move` and
 `_chain` ran before the link tables, testing one triple at a time through
-`Coloring.test`, and the first mask test of a window (`_bridges` with its
-slot matcher `_fill`); the kernels must return exactly what they return.
+`Coloring.test`, the first mask test of a window (`_bridges` with its
+slot matcher `_fill`), the move search that tested each end pair of a
+window on its own, and the greedy build through `Coloring.test`; the
+kernels must return exactly what they return.
 The pure-Python table build, its row-by-row complement and the link-table
 `_chain` that charged memo hits inside each call are kept as references
 for the numpy build and for the chain search that charges them at the call
@@ -11,6 +13,7 @@ site, stops once the spent budget leaves nothing to compare, and stops
 at an assembly that places every reservoir vertex some window can place.
 """
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -59,7 +62,7 @@ from looseramsey.extractor import (
     ramsey_number,
     solve,
 )
-from looseramsey.oracle import _link_table
+from looseramsey.oracle import _link_table, find_mono_path
 
 
 def _triples(n):
@@ -240,6 +243,75 @@ def _reference_find_move(red, p, wset):
                                 if red(d2, e, rat):
                                     return left + [a, b, d1, d2, e] + right, (x, y)
     return None
+
+
+def _reference_pairwise_find_move(T, p, wset, failed, calls):
+    """_find_move before the union test: each end pair of a window tested
+    on its own, in order, until one passes.  calls counts its _bridges."""
+    L = (len(p) - 1) // 2
+    wl = sorted(wset)
+    if len(wl) < 2 or L == 0:
+        return None
+    wmask = sum(1 << w for w in wl)
+    reach = _Reach(T, wmask)
+    for j in range(L):
+        lends = [p[2 * j], p[2 * j - 1]] if j else [p[0]]
+        for r in range(2 * j + 2, min(2 * j + 4, 2 * L) + 1, 2):
+            rends = [p[r], p[r + 1]] if r < 2 * L else [p[r]]
+            cmask = sum(1 << v for v in p[2 * j + 1 : r])
+            for key in [(lat, rat, cmask) for lat in lends for rat in rends]:
+                if wmask & ~failed.get(key, 0):
+                    calls[0] += 1
+                    if _bridges(T, key[:1], key[1:2], cmask, wmask, reach):
+                        break
+                    failed[key] = wmask
+            else:
+                continue
+            lats = [(p[2 * j], p[: 2 * j + 1])]
+            if j >= 1:
+                lats.append((p[2 * j - 1], p[: 2 * j - 1] + [p[2 * j], p[2 * j - 1]]))
+            rats = [(p[r], p[r:])]
+            if r < 2 * L:
+                rats.append((p[r + 1], [p[r + 1], p[r]] + p[r + 2 :]))
+            for x, y in combinations(wl, 2):
+                for lat, left in lats:
+                    for rat, right in rats:
+                        inner = _route(T, lat, p[2 * j + 1 : r] + [x, y], rat)
+                        if inner is not None:
+                            return left + inner + right, (x, y)
+    return None
+
+
+def _reference_append_extend(red, n, seq):
+    """_append_extend by the per-triple scan through red, a Coloring.test."""
+    free = sorted(set(range(n)) - set(seq))
+
+    def edge_at(end):
+        for mid in free:
+            for new in free:
+                if new != mid and red(end, mid, new):
+                    return mid, new
+        return None
+
+    while True:
+        step = edge_at(seq[-1])
+        if step is not None:
+            seq.extend(step)
+        elif (step := edge_at(seq[0])) is not None:
+            seq[:0] = step[::-1]
+        else:
+            return
+        for v in step:
+            free.remove(v)
+
+
+def _reference_greedy(c):
+    """_greedy through Coloring.test: seeded from the lowest red rank."""
+    if c.red_bits == 0:
+        return []
+    seq = list(colex_unrank((c.red_bits & -c.red_bits).bit_length() - 1, c.n_vertices))
+    _reference_append_extend(c.test(RED), c.n_vertices, seq)
+    return seq
 
 
 def _reference_fill(masks, core, free):
@@ -725,7 +797,7 @@ class TestKernels:
             cmask = sum(1 << v for v in verts[2 : 2 + k])
             wmask = sum(1 << v for v in verts[2 + k :])
             want = _reference_bridges(T, lat, rat, cmask, wmask)
-            assert _bridges(T, lat, rat, cmask, wmask, _Reach(T, wmask)) == want, seed
+            assert _bridges(T, (lat,), (rat,), cmask, wmask, _Reach(T, wmask)) == want, seed
             fails += not want
         assert fails >= 1200 // 3
 
@@ -749,9 +821,95 @@ class TestKernels:
             cmask = sum(1 << v for v in core)
             wmask = sum(1 << v for v in w)
             T = _LinkTables(c).table(RED)
-            assert _bridges(T, lat, rat, cmask, wmask, _Reach(T, wmask)) == want, seed
+            assert _bridges(T, (lat,), (rat,), cmask, wmask, _Reach(T, wmask)) == want, seed
             hits += want
         assert 100 < hits < 1400
+
+    def test_union_passes_where_a_pair_passes(self):
+        """_bridges on one or two lats and one or two rats passes exactly
+        when one of their pairs passes, on tables built as in the
+        slot-matcher test: sound, as every clause is monotone in the ends'
+        masks, and no looser, as every clause joins one mask of each side."""
+        outcomes = set()
+        for seed in range(1600):
+            rnd = random.Random(seed)
+            density, k = (0.2, 0.5, 0.8)[seed % 3], (1, 3)[seed // 3 % 2]
+            nl, nr = 1 + seed // 6 % 2, 1 + seed // 12 % 2
+            nw = rnd.randint(2, 14)
+            n = rnd.randint(nl + nr + k + nw, 24)
+            verts = rnd.sample(range(n), nl + nr + k + nw)
+            lats, rats = tuple(verts[:nl]), tuple(verts[nl : nl + nr])
+            ends = set(lats + rats)
+            bits = 0
+            for r, e in enumerate(_triples(n)):
+                if rnd.random() < (density / nw if ends.intersection(e) else density):
+                    bits |= 1 << r
+            T = _LinkTables(Coloring(n, bits)).table(RED)
+            cmask = sum(1 << v for v in verts[nl + nr : nl + nr + k])
+            wmask = sum(1 << v for v in verts[nl + nr + k :])
+            some = any(_reference_bridges(T, lat, rat, cmask, wmask) for lat in lats for rat in rats)
+            union = _bridges(T, lats, rats, cmask, wmask, _Reach(T, wmask))
+            assert union == some, seed
+            outcomes.add((nl + nr, union))
+        assert outcomes == {(k, b) for k in (2, 3, 4) for b in (True, False)}
+
+    def test_union_test_keeps_the_pairwise_memo(self, monkeypatch):
+        """After every _find_move call of a sequence on one memo, the move
+        and the failed-window memo equal those of the search that tests
+        each end pair on its own: on random reservoirs of seeded instances,
+        and on every call of split+1 pp(10, 10) and cc(10, 10) a+1 plain and
+        pp(10, 10) b+1 swapped.  Those solves make fewer _bridges calls."""
+        for seed in range(600):
+            c, p, rest = _memo_instance(seed)
+            rnd = random.Random(seed)
+            T, memo, ref = _LinkTables(c).table(RED), {}, {}
+            for _ in range(4):
+                w = set(rnd.sample(rest, rnd.randint(0, len(rest))))
+                got = _find_move(T, list(p), w, memo)
+                assert got == _reference_pairwise_find_move(T, list(p), w, ref, [0]), seed
+                assert memo == ref, seed
+        real_find, real_bridges = extractor._find_move, extractor._bridges
+        calls, pairwise = [0], [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return real_bridges(*args)
+
+        def both(T, p, wset, failed):
+            ref = dict(failed)
+            want = _reference_pairwise_find_move(T, list(p), wset, ref, pairwise)
+            got = real_find(T, p, wset, failed)
+            assert got == want and failed == ref
+            return got
+
+        monkeypatch.setattr(extractor, "_find_move", both)
+        monkeypatch.setattr(extractor, "_bridges", counting)
+        for kind, side, swap in ((PP, "a", False), (CC, "a", False), (PP, "b", True)):
+            pair = PairKind(kind, 10, 10)
+            spec = lower_bound_params(pair)
+            c = build_split_coloring(SplitSpec(spec.a + (side == "a"), spec.b + (side == "b")))
+            c = c.swap() if swap else c
+            assert verify_witness(c.restrict(ramsey_number(pair)), solve(pair, c))
+        assert 0 < calls[0] < pairwise[0]
+
+    def test_searches_leave_no_reference_cycles(self):
+        """A hard solve, whose blue chain runs, and the proofs of absence on
+        an extremal split coloring free everything they allocate by
+        reference counting: the cyclic collector then finds nothing."""
+        pair = PairKind(PP, 10, 10)
+        spec = lower_bound_params(pair)
+        hard = build_split_coloring(SplitSpec(spec.a, spec.b + 1)).swap()
+        split = build_split_coloring(lower_bound_params(PairKind(PP, 6, 6)))
+        gc.collect()
+        gc.disable()
+        try:
+            w = solve(pair, hard)
+            assert find_mono_path(split, RED, 6) is None
+            assert find_mono_path(split, BLUE, 6) is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert verify_witness(hard.restrict(ramsey_number(pair)), w)
 
     def test_route_matches_a_permutation_scan(self):
         """_route returns the first ordering of its pool, in permutations
@@ -969,9 +1127,10 @@ class TestDescentReuse:
         assert _greedy(c.restrict(k), None) == gp
 
     def test_end_extension_from_rows_is_the_triple_scan(self):
-        """_append_extend through the red table of a larger coloring returns
-        the sequence its per-triple scan returns on the prefix, from seeds of
-        one, three or five vertices; so does the greedy build."""
+        """_append_extend through the red table of a larger coloring, and
+        through the prefix's byte view, returns the sequence the per-triple
+        scan through Coloring.test returns on the prefix, from seeds of one,
+        three or five vertices; so do both greedy builds."""
         grown = 0
         for seed in range(600):
             rnd = random.Random(seed)
@@ -980,15 +1139,50 @@ class TestDescentReuse:
             top = Coloring(big, sum(1 << r for r in range(comb(big, 3)) if rnd.random() < density))
             T = _LinkTables(top).table(RED)
             c = top.restrict(rnd.randint(3, big))
-            n, red = c.n_vertices, c.test(RED)
+            n = c.n_vertices
             start = rnd.sample(range(n), rnd.choice([k for k in (1, 3, 5) if k <= n]))
-            rows, triples = list(start), list(start)
-            _append_extend(red, n, rows, T)
-            _append_extend(red, n, triples, None)
-            assert rows == triples, seed
-            assert _greedy(c, T) == _greedy(c, None), seed
+            rows, view, triples = list(start), list(start), list(start)
+            _append_extend(c, rows, T)
+            _append_extend(c, view, None)
+            _reference_append_extend(c.test(RED), n, triples)
+            assert rows == view == triples, seed
+            assert _greedy(c, T) == _greedy(c, None) == _reference_greedy(c), seed
             grown += len(rows) > len(start)
         assert grown > 300
+
+    def test_byte_view_greedy_is_the_triple_scan(self):
+        """The greedy build from the byte view is the per-triple scan through
+        Coloring.test: on split colorings and their swaps; on sparse views,
+        whose every rank from a cut upward is blue, so that the rank tables
+        stop below N; on bitmaps whose low word is blue, where the seed's
+        lowest red rank comes from the whole bitmap; and on prefixes that
+        share a larger coloring's byte view."""
+        seen = {"short tables": 0, "blue low word": 0, "shared view": 0}
+        for seed in range(400):
+            rnd = random.Random(seed)
+            n = rnd.randint(3, 30)
+            t = comb(n, 3)
+            bits = rnd.getrandbits(t)
+            if seed % 2:
+                bits &= rnd.getrandbits(t)
+            if seed % 4 == 0:
+                a = rnd.randint(3, n)
+                c = build_split_coloring(SplitSpec(a, n - a))
+                c = c.swap() if seed % 8 == 4 else c
+            elif seed % 4 == 1:
+                c = Coloring(n, bits & ((1 << rnd.randint(0, t)) - 1))
+            elif seed % 4 == 2:
+                low = rnd.randint(64, max(64, t))
+                c = Coloring(n, bits >> low << low)
+            else:
+                top = Coloring(n + rnd.randint(1, 8), 0)
+                top = Coloring(top.n_vertices, rnd.getrandbits(top.n_triples))
+                c = top.restrict(n)
+                seen["shared view"] += c._view is top._view
+            seen["short tables"] += len(c._ranks[2]) < n
+            seen["blue low word"] += c.red_bits and not c.red_bits & 0xFFFFFFFFFFFFFFFF
+            assert _greedy(c, None) == _reference_greedy(c), seed
+        assert min(seen.values()) > 40, seen
 
     def test_descent_reuses_settled_work(self, monkeypatch):
         """On split+1 pp(12, 12) a+1 the descent builds the greedy path on
