@@ -1,7 +1,7 @@
 """Before/after records of split+1 solve time against n, of the oracle, of
 the coloring file formats and of the link-table build.
 
-    python3 scripts/bench_record.py scaling|oracle|formats|tables
+    python3 scripts/bench_record.py scaling|oracle|formats|tables|memory
 
 Writes BENCH_<record>.json at the root of the checkout.  Two sources are
 timed: the package at commit PARENT (set it to the commit a change is
@@ -49,6 +49,11 @@ all its outputs, which agree when both return the same results, and
   `_LinkTables` from a red table built outside the timed span.  `sha1`
   covers every table built, which agree when both build the same ints, and
   `speedup` is the parent's median time over this checkout's.
+- `memory`: the peak RSS (`ru_maxrss`) of one `solve` of split+1 pp(n, n),
+  `a+1` plain and `b+1` swapped, n in MEMORY_NS, each in a fresh
+  interpreter per source; `input_rss_mb` is the peak before the solve,
+  with the coloring built, and `ratio` the parent's peak over this
+  checkout's.  It runs once: a peak does not drift with the host's speed.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ import os
 import pkgutil
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -73,9 +79,9 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "5d9f176"
+PARENT = "278fdd7"
 KINDS = ("pp", "cc", "pncm", "pmcn")
-SCALING_NS = (10, 20, 40, 60, 80, 120, 160)
+SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 OFF_DIAGONAL = "pp(n,n/2)"
 CASES = [(row, side, orient) for row in (*KINDS, OFF_DIAGONAL) for side in "ab"
          for orient in ("plain", "swapped")]
@@ -89,6 +95,8 @@ FORMAT_NS = (30, 74, 100)
 CALLS = 5
 TABLE_NS = (9, 12, 14, 16, 20, 25, 30, 33, 48, 64, 65, 74, 100, 300)
 TABLE_CALLS = 9
+MEMORY_NS = (160, 240, 320)
+MEMORY_CASES = [(n, side, orient) for n in MEMORY_NS for side, orient in (("a", "plain"), ("b", "swapped"))]
 NOTES = (
     "One shared 2-core x86-64 container, time.perf_counter. The host cannot pin "
     "CPUs, fix the clock frequency or drop caches, and other tenants load it: its speed drifts "
@@ -359,6 +367,44 @@ RECORDS = {
 }
 
 
+def solve_peak(src: str, n: int, side: str, orient: str) -> dict:
+    """One solve of split+1 pp(n, n) from src, in this fresh interpreter."""
+    sys.path.insert(0, src)
+    from looseramsey.constructions import PairKind
+    from looseramsey.extractor import solve
+
+    pair = PairKind("pp", n, n)
+    c = _split1(pair, side, orient)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    start = time.perf_counter()
+    w = solve(pair, c)
+    seconds = time.perf_counter() - start
+    return {"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "input_rss_mb": before, "solve_s": seconds, "witness": _line(w)}
+
+
+def record_memory(sources: list) -> dict:
+    """The memory record's runs and ratio: the cases one at a time, each
+    source in a fresh interpreter."""
+    runs = {label: {"peak_rss_mb": {}, "input_rss_mb": {}, "solve_s": {}} for _, label in sources}
+    witnesses = {label: [] for _, label in sources}
+    for n, side, orient in MEMORY_CASES:
+        case = f"pp({n},{n}) {side}+1 {orient}"
+        for src, label in sources:
+            cmd = [sys.executable, __file__, "memory", "--solve", src, str(n), side, orient]
+            out = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+            for key in ("peak_rss_mb", "input_rss_mb", "solve_s"):
+                runs[label][key][case] = round(out[key], 1 if key != "solve_s" else 2)
+            witnesses[label].append(out["witness"])
+        print(f"{case} done", file=sys.stderr)
+    for label, lines in witnesses.items():
+        runs[label]["witness_sha1"] = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+        runs[label]["src_lines"] = src_lines(next(src for src, lb in sources if lb == label))
+    before, after = (r["peak_rss_mb"] for r in runs.values())
+    return {"cases": list(before), "runs": runs,
+            "ratio": {case: round(before[case] / after[case], 2) for case in before}}
+
+
 def parent_src(tmp: str) -> str:
     """Extract PARENT's src/ into tmp and return its path."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", PARENT, "src"],
@@ -410,9 +456,24 @@ def interleave(sweep, srcs: list) -> list:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("record", choices=RECORDS)
+    ap.add_argument("record", choices=[*RECORDS, "memory"])
     ap.add_argument("--worker", metavar="DIR", nargs="+", help=argparse.SUPPRESS)
+    ap.add_argument("--solve", nargs=4, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.solve:
+        src, n, side, orient = args.solve
+        print(json.dumps(solve_peak(src, int(n), side, orient)))
+        return
+    host = {"python": platform.python_version(), "machine": platform.machine(),
+            "nproc": os.cpu_count()}
+    if args.record == "memory":
+        with tempfile.TemporaryDirectory() as tmp:
+            sources = [(parent_src(tmp), f"parent {PARENT}"), (str(ROOT / "src"), "this checkout")]
+            record = {"sources": [label for _, label in sources], "ns": list(MEMORY_NS),
+                      "notes": "ru_maxrss in MB of one solve per fresh interpreter; numpy's import counts.",
+                      "host": host, **record_memory(sources)}
+        (ROOT / "BENCH_memory.json").write_text(json.dumps(record, indent=1) + "\n")
+        return
     sweep, own_keys, repeats, note = RECORDS[args.record]
     if args.worker:
         print(json.dumps(interleave(sweep, args.worker)))
@@ -437,8 +498,6 @@ def main() -> None:
             **runs[label],
             "src_lines": lines[label],
         }
-    host = {"python": platform.python_version(), "machine": platform.machine(),
-            "nproc": os.cpu_count()}
     record = {"sources": list(outs), **params, "repeats": repeats, "notes": f"{NOTES} {note}",
               "host": host, "runs": runs, **speedup}
     (ROOT / f"BENCH_{args.record}.json").write_text(json.dumps(record, indent=1) + "\n")

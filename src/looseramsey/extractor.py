@@ -18,26 +18,28 @@ red witness.
 The replacement-move search, the blue chaining and, once the red table is
 built, the end extensions read the coloring through link tables (per vertex
 pair, the bitset of third vertices that complete a triple of one colour).
-One table is built per top-level solve (by numpy from 14 vertices on), for
-the colour asked for first; the other is its complement, derived over a
-numpy array of its ints, and the complete searches read both.  The move
-search rules a window of the red path in or out with a few mask tests
-against per-vertex reach masks, written out in place (the three-vertex
-core's six orderings come from its bits, not from a generator), tests the
-end pairs of a window as one on the OR of their rows before it tests any
-alone, and skips a window for the rest of the solve on any reservoir inside
-one it failed on.  Before any table, the greedy build reads the coloring's
-byte view with the rank written out, one loop and no call per triple.  A
-descent level that repeats the prefix size and red target of the level
-above makes no greedy attempt: it would fail as that one did.  The
-chaining remembers the states it has seen fail and charges each revisit,
-at the call site, the node budget its first search used, so it returns
-exactly what the search without the memo returns under the same budget;
-once the budget is spent, it leaves every loop whose children cannot beat
-its best assembly, and it stops at an assembly that uses every reservoir
-vertex some window can place.  A monochromatic cycle whose
-boundary edges all have the other colour yields that colour's target by
-the oracle's search on the boundary's own link table, which depends only
+One build per top-level solve gives both colours, which the complete
+searches read too: from 14 to 64 vertices one numpy word matrix, XORed for
+the other colour; else one colour's table and its complement.  The
+descent's prefixes and the ascent's colour swaps are views of the solve's
+coloring, so no level copies the bitmap, and the greedy seed, the lowest
+red rank, is found once per solve.  The move search rules a window of the
+red path in or out with a few mask tests against per-vertex reach masks,
+written out in place (the three-vertex core's rows and bits are read once
+for its six orderings), tests the end pairs of a window as one on the OR of
+their rows before it tests any alone, and skips a window for the rest of
+the solve on any reservoir inside one it failed on.  Before any table, the
+greedy build reads the coloring's byte view with the rank written out, one
+loop and no call per triple.  A descent level that repeats the prefix size
+and red target of the level above makes no greedy attempt: it would fail as
+that one did.  The chaining remembers the states it has seen fail and
+charges each revisit, at the call site, the node budget its first search
+used, so it returns exactly what the search without the memo returns under
+the same budget; once the budget is spent, it leaves every loop whose
+children cannot beat its best assembly, and it stops at an assembly that
+uses every reservoir vertex some window can place.  A monochromatic cycle
+whose boundary edges all have the other colour yields that colour's target
+by the oracle's search on the boundary's own link table, which depends only
 on the cycle, as do its twin classes (_boundary_twins).
 
 Every emitted witness is re-verified against the coloring.  A few corner
@@ -51,8 +53,6 @@ from __future__ import annotations
 import warnings
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
 from .core import (
@@ -68,7 +68,7 @@ from .core import (
     validate_structure,
     verify_witness,
 )
-from .oracle import Links, Twins, _find_mono, _link_table
+from .oracle import _NUMPY_FROM, Links, Twins, _find_mono, _link_table, _link_words, _others
 
 # (n, m) pairs whose thresholds rest on external small-case results.
 _BASES = {(3, 3), (4, 3), (4, 4)}
@@ -101,24 +101,27 @@ def ramsey_number(pair: PairKind) -> int:
 
 
 class _LinkTables:
-    """The link tables of one coloring, built on first use: the colour asked
-    for first from its own bitmap, the other as its complement, over a
-    numpy array of the first one's ints.
+    """The link tables of one coloring, built on first use: from
+    _NUMPY_FROM to 64 vertices both colours from one word matrix of the red
+    bitmap (_link_words), else the colour asked for first from its own
+    bitmap and the other as its complement, row by row.
 
     One instance serves a whole top-level solve: the prefixes the induction
     descends to read the same tables (callers only read bits inside the
     prefix), and the view returned by swap() serves the colour-swapped
     coloring, whose red table is the blue table of this one.  So does each
-    colour's failed-window memo of the move search (see _find_move).
+    colour's failed-window memo of the move search (see _find_move).  On a
+    swapped coloring it is the swap() of the unswapped coloring's tables.
     """
 
     __slots__ = ("_coloring", "_tables", "_failed", "_swapped")
 
     def __init__(self, coloring: Coloring) -> None:
-        self._coloring = coloring
+        self._coloring = coloring.swap() if coloring._flip else coloring
+        # RED and BLUE map to the tables, "words" to the word matrix
         self._tables: Dict[str, Links] = {}
         self._failed: Dict[str, Dict[Tuple[int, int, int], int]] = {}
-        self._swapped = False
+        self._swapped = coloring._flip
 
     def swap(self) -> "_LinkTables":
         view = _LinkTables(self._coloring)
@@ -135,16 +138,26 @@ class _LinkTables:
     def table(self, color: str) -> Links:
         color = opposite(color) if self._swapped else color
         tables, c = self._tables, self._coloring
-        if not tables:
-            tables[color] = _link_table(c.n_vertices, (c if color == RED else c.swap()).red_bits)
-        if color not in tables:
-            # T[x][y]: every third vertex outside {x, y} that the other colour lacks
-            n = c.n_vertices
-            bit = np.array([1 << v for v in range(n)], dtype=object)
-            T = np.array(tables[opposite(color)], dtype=object)
-            T ^= (bit ^ ((1 << n) - 1)) ^ bit[:, None]
-            np.fill_diagonal(T, 0)
-            tables[color] = T.tolist()
+        if color in tables:
+            return tables[color]
+        n, other = c.n_vertices, tables.get(opposite(color))
+        if _NUMPY_FROM <= n <= 64:
+            S = tables.get("words")
+            if S is None:
+                S = tables["words"] = _link_words(n, c.red_bits)
+            tables[color] = (S if color == RED else S ^ _others(n)).tolist()
+        elif other is not None:
+            # T[x][y]: every third vertex outside {x, y} that the other colour
+            # lacks; each row above the diagonal is its mirror's int
+            full, T = (1 << n) - 1, [[0] * n for _ in range(n)]
+            for x, row in enumerate(other):
+                fx, Tx = full ^ 1 << x, T[x]
+                for y in range(x):
+                    Tx[y] = T[y][x] = fx ^ 1 << y ^ row[y]
+            tables[color] = T
+        else:
+            bits = c.red_bits if color == RED else c.red_bits ^ (1 << c.n_triples) - 1
+            tables[color] = _link_table(n, bits)
         return tables[color]
 
 
@@ -216,12 +229,10 @@ def _greedy(c: Coloring, T: Optional[Links]) -> List[int]:
     """A red loose path, as its vertices, that no red edge extends at either
     end; empty if no triple is red.  Seeded from the lowest-rank red triple,
     each extension takes the lowest labels first, read from T if given."""
-    bits = c.red_bits
-    if bits == 0:
+    low = c._lowest_red()
+    if low is None:
         return []
-    # the low word first: low & -low copies the whole bitmap twice
-    low = bits & 0xFFFFFFFFFFFFFFFF or bits
-    seq = list(colex_unrank((low & -low).bit_length() - 1, c.n_vertices))
+    seq = list(colex_unrank(low, c.n_vertices))
     _append_extend(c, seq, T)
     return seq
 
@@ -241,12 +252,12 @@ def _linked(T: Links, links: int, end: int, slot: int) -> bool:
 
 
 class _Reach(dict):
-    """reach[v], filled on first use: the OR of T[v][s] over s in wmask, so
-    the w with {w, v, s} in T for some s in wmask other than w; for a tuple
-    of vertices, the OR of theirs."""
+    """reach[v], filled on first use: the OR of T[v][s] over s in ws, a list
+    of reservoir vertices, so the w with {w, v, s} in T for some s in ws
+    other than w; for a tuple of vertices, the OR of theirs."""
 
-    def __init__(self, T: Links, wmask: int) -> None:
-        self.T, self.ws = T, list(_bits(wmask))
+    def __init__(self, T: Links, ws: List[int]) -> None:
+        self.T, self.ws = T, ws
 
     def __missing__(self, v) -> int:
         r = 0
@@ -261,6 +272,11 @@ class _Reach(dict):
         return r
 
 
+# the six orderings (x, y, z) of the core's vertices, as indexes in
+# permutations order, with the pair indexes x + y - 1, x + z - 1, y + z - 1
+_ORDERINGS = tuple((x, y, z, x + y - 1, x + z - 1, y + z - 1) for x, y, z in permutations(range(3)))
+
+
 def _bridges(
     T: Links, lats: Tuple[int, ...], rats: Tuple[int, ...], core: int, wmask: int, reach: _Reach
 ) -> bool:
@@ -269,28 +285,24 @@ def _bridges(
     `core` plus two vertices of wmask.
 
     `core` holds one vertex (a two-edge path through one link vertex) or
-    three (a three-edge path lat a b d1 d2 e rat through the links b and
-    d2, with private slots a, d1, e); the ends and the core lie outside
-    wmask; reach is _Reach(T, wmask).  The test splits on which links lie
-    in the core; each case is a few mask tests or one _linked pass, made
-    only if reach[y] meets the slot it walks into.  Two ends on a side act
-    as one whose row and reach are the OR of theirs.  That is exact: every
-    clause is monotone in the ends' masks and reads one mask of each side,
-    so it holds on the union iff it holds for some (lat, rat).  "a and b
-    and (s := a | b) & (s - 1)" holds when the masks a and b hold one vertex
-    each, the two distinct; it is written out, not called, as this test
-    runs on every window the move search tries.
+    three (a three-edge path lat a b d1 d2 e rat through the links b and d2,
+    with private slots a, d1, e); the ends and the core lie outside wmask;
+    reach is _Reach(T, the vertices of wmask).  The test splits on which
+    links lie in the core; each case is a few mask tests or one _linked
+    pass, made only if reach[y] meets the slot it walks into.  Two ends on a
+    side act as one whose row and reach are the OR of theirs.  That is
+    exact: every clause is monotone in the ends' masks and reads one mask of
+    each side, so it holds on the union iff it holds for some (lat, rat).
+    "a and b and (s := a | b) & (s - 1)" holds when the masks a and b hold
+    one vertex each, the two distinct; it is written out, not called, as
+    this test runs on every window the move search tries.
     """
-    W, Tlat, Trat = wmask, T[lats[0]], T[rats[0]]
+    # Tl is Tlat, and Tr is Trat, on a side with one end
+    W, Tlat, Trat, Tl, Tr = wmask, T[lats[0]], T[rats[0]], T[lats[-1]], T[rats[-1]]
     lk, rk = lats if len(lats) > 1 else lats[0], rats if len(rats) > 1 else rats[0]
     if core & (core - 1) == 0:
         mid = core.bit_length() - 1
-        left, right = Tlat[mid], Trat[mid]
-        if len(lats) > 1:
-            left |= T[lats[1]][mid]
-        if len(rats) > 1:
-            right |= T[rats[1]][mid]
-        left, right = left & W, right & W
+        left, right = (Tlat[mid] | Tl[mid]) & W, (Trat[mid] | Tr[mid]) & W
         # link mid with reservoir ends, or a reservoir link w with mid
         # on the lat side (w in left) or on the rat side (w in right)
         return (
@@ -299,32 +311,31 @@ def _bridges(
         ) != 0
     rest = core & (core - 1)  # the core without its lowest vertex
     high = rest & (rest - 1)
-    u, v, w = (core ^ rest).bit_length() - 1, (rest ^ high).bit_length() - 1, high.bit_length() - 1
-    if len(lats) > 1:
-        Tb = T[lats[1]]
-        Tlat = {u: Tlat[u] | Tb[u], v: Tlat[v] | Tb[v], w: Tlat[w] | Tb[w]}
-    if len(rats) > 1:
-        Tb = T[rats[1]]
-        Trat = {u: Trat[u] | Tb[u], v: Trat[v] | Tb[v], w: Trat[w] | Tb[w]}
-    # the six orderings of the core, in permutations order
-    for x, y, z in ((u, v, w), (u, w, v), (v, u, w), (v, w, u), (w, u, v), (w, v, u)):
-        ax, xr, xy = Tlat[x], Trat[x], T[x][y]
-        # the rows' reservoir parts, each computed once
-        axW, ayW, xrW, yrW, zrW = ax & W, Tlat[y] & W, xr & W, Trat[y] & W, Trat[z] & W
-        xyW, xzW = xy & W, T[x][z] & W
+    V = u, v, w = (core ^ rest).bit_length() - 1, (rest ^ high).bit_length() - 1, high.bit_length() - 1
+    Tu, Tv = T[u], T[v]
+    a0, a1, a2 = Tlat[u] | Tl[u], Tlat[v] | Tl[v], Tlat[w] | Tl[w]
+    r0, r1, r2 = Trat[u] | Tr[u], Trat[v] | Tr[v], Trat[w] | Tr[w]
+    # read once per window: per core vertex i, the reservoir parts of the
+    # ends' rows; per pair {i, j} (index i + j - 1), whether it makes a red
+    # triple with lat and with rat, and the reservoir part of its own row
+    aW, rW, cW = (a0 & W, a1 & W, a2 & W), (r0 & W, r1 & W, r2 & W), (Tu[v] & W, Tu[w] & W, Tv[w] & W)
+    la, ra = (a0 >> v & 1, a0 >> w & 1, a1 >> w & 1), (r0 >> v & 1, r0 >> w & 1, r1 >> w & 1)
+    tri = Tu[v] >> w & 1  # the core itself is red
+    for x, y, z, xy, xz, yz in _ORDERINGS:
+        axW, xyW, yrW, zrW = aW[x], cW[xy], rW[y], rW[z]
         if (
             # links b = x, d2 = y: z in one private slot, W in the others
-            ax >> z & 1 and xyW and yrW and (s := xyW | yrW) & (s - 1)
-            or xy >> z & 1 and axW and yrW and (s := axW | yrW) & (s - 1)
-            or Trat[y] >> z & 1 and axW and xyW and (s := axW | xyW) & (s - 1)
+            la[xz] and xyW and yrW and (s := xyW | yrW) & (s - 1)
+            or tri and axW and yrW and (s := axW | yrW) & (s - 1)
+            or ra[yz] and axW and xyW and (s := axW | xyW) & (s - 1)
             # link b = x, d2 in W: y, z fill two slots in order, W the third
             or (m := xyW & zrW) and axW and (s := m | axW) & (s - 1)
-            or ax >> y & 1 and (zrW & reach[x] or xzW & reach[rk])
+            or la[xy] and (zrW & reach[V[x]] or cW[xz] & reach[rk])
             # link d2 = x, b in W: likewise
-            or (m := ayW & xzW) and xrW and (s := m | xrW) & (s - 1)
-            or xr >> z & 1 and (xyW & reach[lk] or ayW & reach[x])
+            or (m := aW[y] & cW[xz]) and rW[x] and (s := m | rW[x]) & (s - 1)
+            or ra[xz] and (xyW & reach[lk] or aW[y] & reach[V[x]])
             # links b, d2 in W: x, y, z fill slots a, d1, e
-            or axW and zrW & reach[y] and _linked(T, axW, y, zrW)
+            or axW and zrW & reach[V[y]] and _linked(T, axW, V[y], zrW)
         ):
             return True
     return False
@@ -370,7 +381,7 @@ def _find_move(
     if len(wl) < 2 or L == 0:
         return None
     wmask = sum(1 << w for w in wl)
-    reach = _Reach(T, wmask)
+    reach = _Reach(T, wl)
 
     for j in range(L):
         # the left end is p[2j], or p[2j-1] re-attached with p[2j] demoted
@@ -378,7 +389,9 @@ def _find_move(
         # the 2-edge window ends at p[2j+2], the 3-edge one at p[2j+4]
         for r in range(2 * j + 2, min(2 * j + 4, 2 * L) + 1, 2):
             rends = (p[r], p[r + 1]) if r < 2 * L else (p[r],)
-            cmask = sum(1 << v for v in p[2 * j + 1 : r])
+            cmask = 1 << p[2 * j + 1]
+            if r > 2 * j + 2:
+                cmask |= 1 << p[2 * j + 2] | 1 << p[2 * j + 3]
             # scan only if some end pair, not ruled out by failed, passes
             # _bridges; two or more are first tested as one, on all the ends
             live = [key for lat in lends for rat in rends

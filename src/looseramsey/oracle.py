@@ -135,32 +135,43 @@ def _walked_links(n: int, bits: int) -> Links:
 _NUMPY_FROM = 14
 
 
+def _link_words(n: int, bits: int) -> np.ndarray:
+    """_link_table up to 64 vertices as a symmetric (n, n) array of w-bit
+    words, w the power of two from 8 that holds n: each rank's flag goes to
+    its three cells (_cells) of one (n, w, w) bool array, one packbits makes
+    each row below the diagonal a word, and L | L.T mirrors them."""
+    w, r = max(8, 1 << (n - 1).bit_length()), comb(n, 3)
+    flags = np.frombuffer(bits.to_bytes((r + 7) >> 3, "little"), np.uint8)
+    cells = np.zeros(n * w * w, bool)
+    cells[_cells(w)[:, :r]] = np.unpackbits(flags, count=r, bitorder="little")
+    L = np.packbits(cells, bitorder="little").view(f"<u{w >> 3}").reshape(n, w)[:, :n]
+    return L | L.T
+
+
+@lru_cache(maxsize=64)
+def _others(n: int) -> np.ndarray:
+    """_link_words of the all-red coloring: row (x, y) holds every vertex
+    outside {x, y}.  XORed onto one colour's words, it gives the other's."""
+    return _link_words(n, (1 << comb(n, 3)) - 1)
+
+
 def _link_table(n: int, bits: int) -> Links:
     """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
     `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0.  Below
     _NUMPY_FROM vertices a walk over the set triples builds it; up to 64,
-    each rank's flag goes to its three cells (_cells) of one (n, w, w) bool
-    array, w the power of two from 8 that holds n, and one packbits makes
-    every row a w-bit word; above 64, _packed_links builds it by chunks.
-    The rows below the diagonal become Python ints, and each row above it
-    is the same int as its mirror."""
+    _link_words; above, _packed_links by chunks, and each row above the
+    diagonal is the same int as its mirror."""
     if n < _NUMPY_FROM:
         return _walked_links(n, bits)
     if n <= 64:
-        w, r = max(8, 1 << (n - 1).bit_length()), comb(n, 3)
-        flags = np.frombuffer(bits.to_bytes((r + 7) >> 3, "little"), np.uint8)
-        cells = np.zeros(n * w * w, bool)
-        cells[_cells(w)[:, :r]] = np.unpackbits(flags, count=r, bitorder="little")
-        words = np.packbits(cells, bitorder="little").view(f"<u{w >> 3}")
-        lower = words.reshape(n, w)[:, :n].tolist()
-    else:
-        packed = _packed_links(n, bits)
-        size = packed.shape[2]
-        buf, zeros, lower = memoryview(packed.reshape(-1)), [0] * n, []
-        for u in range(n):
-            start = u * n * size
-            row = [int.from_bytes(buf[o : o + size], "little") for o in range(start, start + u * size, size)]
-            lower.append(row + zeros[u:])
+        return _link_words(n, bits).tolist()
+    packed = _packed_links(n, bits)
+    size = packed.shape[2]
+    buf, zeros, lower = memoryview(packed.reshape(-1)), [0] * n, []
+    for u in range(n):
+        start = u * n * size
+        row = [int.from_bytes(buf[o : o + size], "little") for o in range(start, start + u * size, size)]
+        lower.append(row + zeros[u:])
     cols = list(zip(*lower))
     return [lower[u][:u] + list(cols[u][u:]) for u in range(n)]
 

@@ -13,6 +13,7 @@ from looseramsey.core import (
     PATH,
     RED,
     Coloring,
+    LooseCycle,
     LoosePath,
     StructureError,
     TripleEdge,
@@ -258,6 +259,69 @@ class TestLookupParity:
         c = Coloring(n, rnd.getrandbits(comb(n, 3)))
         assert c.restrict(n) is c
         assert c.restrict(n) == Coloring(n, c.red_bits)
+
+
+def _assert_same_coloring(view, eager, rnd):
+    """view answers as eager, the coloring built from its bitmap: n_triples,
+    both testers on every triple (in random vertex order), verify_witness
+    on random paths and cycles claimed in either colour, all without
+    computing the view's red_bits; then red_bits, ==, hash and pickling."""
+    n = eager.n_vertices
+    assert view.n_vertices == n and view.n_triples == eager.n_triples
+    for color in (RED, BLUE):
+        got, want = view.test(color), eager.test(color)
+        for e in _triples(n):
+            x, y, z = rnd.sample(e, 3)
+            assert got(x, y, z) is want(x, y, z), (color, e)
+    for _ in range(6):
+        shape = CYCLE if n >= 6 and rnd.random() < 0.5 else PATH
+        size = 2 * rnd.randint(3, n // 2) if shape == CYCLE else 2 * rnd.randint(1, (n - 1) // 2) + 1
+        structure = (LooseCycle if shape == CYCLE else LoosePath)(tuple(rnd.sample(range(n), size)))
+        for color in (RED, BLUE):
+            w = Witness(color, shape, structure)
+            assert verify_witness(view, w) == verify_witness(eager, w)
+    assert "red_bits" not in vars(view) or view._base is None
+    assert view.red_bits == eager.red_bits
+    assert view == eager and eager == view and hash(view) == hash(eager)
+    assert pickle.dumps(view) == pickle.dumps(eager)
+    back = pickle.loads(pickle.dumps(view))
+    assert type(back) is Coloring and back == eager and back._base is None
+
+
+class TestViews:
+    """restrict() and swap() return views of one bitmap, which answer as the
+    colorings built from their own bitmaps."""
+
+    @given(st.integers(3, 40), st.integers(0, 2**32), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_prefixes_and_swaps_match_the_eager_colorings(self, n, seed, data):
+        rnd = random.Random(seed)
+        t = comb(n, 3)
+        bits = rnd.getrandbits(t)
+        if rnd.random() < 0.5:  # sparse: the byte view ends early
+            bits &= rnd.getrandbits(t) & rnd.getrandbits(t) & ((1 << rnd.randint(0, t)) - 1)
+        k = data.draw(st.integers(3, n))
+        full, low = (1 << t) - 1, (1 << comb(k, 3)) - 1
+        c = Coloring(n, bits)
+        for view, eager in (
+            (c.restrict(k), Coloring(k, bits & low)),
+            (c.swap(), Coloring(n, bits ^ full)),
+            (c.restrict(k).swap(), Coloring(k, bits & low ^ low)),
+            (c.swap().restrict(k), Coloring(k, bits & low ^ low)),
+            (c.swap().restrict(k).swap(), Coloring(k, bits & low)),
+        ):
+            _assert_same_coloring(view, eager, rnd)
+
+    def test_a_swap_of_a_swap_is_the_coloring(self):
+        c = Coloring(7, 0x2f031)
+        assert c.swap().swap() is c and c.swap().restrict(5).swap() == c.restrict(5)
+
+    def test_views_are_immutable(self):
+        for c in (Coloring(6, 3), Coloring(6, 3).swap(), Coloring(6, 3).restrict(4)):
+            with pytest.raises(AttributeError):
+                c.red_bits = 0
+            with pytest.raises(AttributeError):
+                c.n_vertices = 5
 
 
 class TestStructures:

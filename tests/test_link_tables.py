@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looseramsey import extractor, oracle
+from looseramsey import core, extractor, oracle
 from looseramsey.constructions import (
     CC,
     PMCN,
@@ -253,7 +253,7 @@ def _reference_pairwise_find_move(T, p, wset, failed, calls):
     if len(wl) < 2 or L == 0:
         return None
     wmask = sum(1 << w for w in wl)
-    reach = _Reach(T, wmask)
+    reach = _Reach(T, list(_bits(wmask)))
     for j in range(L):
         lends = [p[2 * j], p[2 * j - 1]] if j else [p[0]]
         for r in range(2 * j + 2, min(2 * j + 4, 2 * L) + 1, 2):
@@ -577,20 +577,19 @@ class TestTables:
         assert links.table(BLUE) == _LinkTables(c.swap()).table(RED)
 
     def test_solve_builds_each_colour_at_most_once(self, monkeypatch):
-        """One table build per solve: the blue table is the red one's
-        complement.  The second solve reads both colours."""
+        """One table build per solve, by _link_words from 14 to 64 vertices
+        and by _link_table at other sizes: the blue table is derived from
+        the red one's build.  The second solve reads both colours."""
         built, asked = [], set()
-        real_build, real_table = extractor._link_table, _LinkTables.table
-
-        def counting(n, bits):
-            built.append(n)
-            return real_build(n, bits)
+        real_table = _LinkTables.table
 
         def recording(self, color):
             asked.add(opposite(color) if self._swapped else color)
             return real_table(self, color)
 
-        monkeypatch.setattr(extractor, "_link_table", counting)
+        for name in ("_link_table", "_link_words"):
+            real = getattr(extractor, name)
+            monkeypatch.setattr(extractor, name, lambda n, bits, real=real: built.append(n) or real(n, bits))
         monkeypatch.setattr(_LinkTables, "table", recording)
         # hard orientations: the induction descends through prefixes and
         # runs steps on the swapped coloring
@@ -625,6 +624,22 @@ class TestTables:
                     T = _LinkTables(c).table(color)
                     assert [[T[x][y] & inside for y in range(k)] for x in range(k)] == own
 
+    @pytest.mark.parametrize("n", range(3, 71))
+    def test_tables_equal_each_colours_own_build(self, n):
+        """Red or blue asked for first, directly or through swap(), of the
+        tables or of the coloring, both tables equal _link_table of that
+        colour's own bitmap: across the walk below 14 vertices, the word
+        matrix from 14 to 64 and the chunked build above."""
+        for name, bits in _table_bitmaps(n).items():
+            c = Coloring(n, bits)
+            want = {RED: _link_table(n, bits), BLUE: _link_table(n, bits ^ (1 << comb(n, 3)) - 1)}
+            for first in (RED, BLUE):
+                for links, swapped in ((_LinkTables(c), False), (_LinkTables(c).swap(), True),
+                                       (_LinkTables(c.swap()), True), (_LinkTables(c.swap()).swap(), False)):
+                    for color in (first, opposite(first)):
+                        own = opposite(color) if swapped else color
+                        assert links.table(color) == want[own], (n, name, first, color, swapped)
+
     def test_first_colour_is_built_from_its_own_bitmap(self, monkeypatch):
         """Only the colour asked for first walks triples, and only its own."""
         built, real = [], extractor._link_table
@@ -642,10 +657,9 @@ class TestTables:
         """A solve that ends in a completion search builds one table: the
         search reads the solve's own tables, cut to its prefix."""
         built = []
-        for module in (extractor, oracle):
-            real = module._link_table
-            monkeypatch.setattr(module, "_link_table",
-                                lambda n, bits, real=real: built.append(n) or real(n, bits))
+        for module, name in ((extractor, "_link_table"), (extractor, "_link_words"), (oracle, "_link_table")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda n, bits, real=real: built.append(n) or real(n, bits))
         pair = PairKind(PMCN, 16, 4)
         spec = lower_bound_params(pair)
         split = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
@@ -691,11 +705,14 @@ class TestVectorisedTables:
             for name, bits in _table_bitmaps(n).items():
                 assert _link_table(n, bits) == _reference_link_table(n, bits), (n, name)
 
-    def test_rows_mirror_one_int(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_NUMPY_FROM", 0)
-        for n in (5, 64, 65):
-            T = _link_table(n, random.Random(n).getrandbits(comb(n, 3)))
-            assert all(T[x][y] is T[y][x] for x in range(n) for y in range(x))
+    def test_rows_mirror_one_int(self):
+        """Built by the triple walk or in chunks, or derived from those, a
+        row above the diagonal is its mirror's int.  (The one-word build's
+        rows come from a symmetric word matrix, each its own int.)"""
+        for n in (5, 13, 65):
+            links = _LinkTables(Coloring(n, random.Random(n).getrandbits(comb(n, 3))))
+            for T in (links.table(RED), links.table(BLUE)):
+                assert all(T[x][y] is T[y][x] for x in range(n) for y in range(x))
 
     def test_scatter_positions_stay_bounded(self, monkeypatch):
         """The one-word build keeps one position array per width (8, 16, 32
@@ -738,7 +755,7 @@ class TestKernels:
             n, wmask = c.n_vertices, sum(1 << v for v in w)
             color = (RED, BLUE)[seed % 2]
             T, has = _LinkTables(c).table(color), c.test(color)
-            reach = _Reach(T, wmask)
+            reach = _Reach(T, list(_bits(wmask)))
             for v in random.Random(seed).sample(range(n), n):  # any fill order
                 want = 0
                 for s in w:
@@ -797,7 +814,7 @@ class TestKernels:
             cmask = sum(1 << v for v in verts[2 : 2 + k])
             wmask = sum(1 << v for v in verts[2 + k :])
             want = _reference_bridges(T, lat, rat, cmask, wmask)
-            assert _bridges(T, (lat,), (rat,), cmask, wmask, _Reach(T, wmask)) == want, seed
+            assert _bridges(T, (lat,), (rat,), cmask, wmask, _Reach(T, list(_bits(wmask)))) == want, seed
             fails += not want
         assert fails >= 1200 // 3
 
@@ -821,7 +838,7 @@ class TestKernels:
             cmask = sum(1 << v for v in core)
             wmask = sum(1 << v for v in w)
             T = _LinkTables(c).table(RED)
-            assert _bridges(T, (lat,), (rat,), cmask, wmask, _Reach(T, wmask)) == want, seed
+            assert _bridges(T, (lat,), (rat,), cmask, wmask, _Reach(T, list(_bits(wmask)))) == want, seed
             hits += want
         assert 100 < hits < 1400
 
@@ -848,7 +865,7 @@ class TestKernels:
             cmask = sum(1 << v for v in verts[nl + nr : nl + nr + k])
             wmask = sum(1 << v for v in verts[nl + nr + k :])
             some = any(_reference_bridges(T, lat, rat, cmask, wmask) for lat in lats for rat in rats)
-            union = _bridges(T, lats, rats, cmask, wmask, _Reach(T, wmask))
+            union = _bridges(T, lats, rats, cmask, wmask, _Reach(T, list(_bits(wmask))))
             assert union == some, seed
             outcomes.add((nl + nr, union))
         assert outcomes == {(k, b) for k in (2, 3, 4) for b in (True, False)}
@@ -1183,6 +1200,24 @@ class TestDescentReuse:
             seen["blue low word"] += c.red_bits and not c.red_bits & 0xFFFFFFFFFFFFFFFF
             assert _greedy(c, None) == _reference_greedy(c), seed
         assert min(seen.values()) > 40, seen
+
+    def test_solve_reads_one_bitmap(self, monkeypatch):
+        """split+1 pp(40, 40) a+1 plain: the descent's prefixes and the
+        ascent's swaps are views that compute no red_bits of their own, and
+        the greedy seed's lowest red rank is found once for the solve."""
+        made, lowest = [], []
+        real_of, real_lowest = Coloring._of, core._lowest_rank
+        monkeypatch.setattr(Coloring, "_of", lambda *a: made.append(real_of(*a)) or made[-1])
+        monkeypatch.setattr(core, "_lowest_rank", lambda bits, flip: lowest.append(flip) or real_lowest(bits, flip))
+        pair = PairKind(PP, 40, 40)
+        spec = lower_bound_params(pair)
+        c, trace = build_split_coloring(SplitSpec(spec.a + 1, spec.b)), []
+        w = solve(pair, c, trace=trace)
+        views = [v for v in made if v is not c]
+        assert sum("swapping colors" in note for note in trace) > 10 and len(views) > 40
+        assert not any("red_bits" in vars(v) for v in views)
+        assert lowest == [False]
+        assert verify_witness(c, w)
 
     def test_descent_reuses_settled_work(self, monkeypatch):
         """On split+1 pp(12, 12) a+1 the descent builds the greedy path on
