@@ -4,11 +4,9 @@ A coloring of K3_N stores one bit per triple, indexed in colexicographic
 order.  Every per-triple color lookup goes through the coloring's one red
 tester, built once, which reads one byte of a cached byte view of that
 bitmap, so a lookup costs the same at any N.  Prefixes and colour swaps
-are views of one bitmap, so the induction's levels copy no bitmap: they
-read its byte view, or its complement's, each built once.  Loose paths and
-cycles are kept as ordered vertex sequences; the edge decomposition is
-derived, which makes the sequence itself the certificate a verifier can
-check.
+are views that copy no bitmap.  Loose paths and cycles are kept as ordered
+vertex sequences; the edge decomposition is derived, which makes the
+sequence itself the certificate a verifier can check.
 
 Invariants
 - TripleEdge.of gives strictly increasing vertices; lookups take any order.
@@ -19,7 +17,7 @@ Invariants
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
@@ -87,62 +85,43 @@ def _comb_tables(size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 EdgeTest = Callable[[int, int, int], bool]
 
 
-def _lowest_rank(bits: int, flip: bool) -> int:
-    """The lowest rank whose bit in bits is not flip, or -1 if none."""
-    # the low word first: low & -low (and ~bits) copy the whole bitmap
-    word = 0xFFFFFFFFFFFFFFFF
-    low = bits & word ^ (word if flip else 0) or (~bits if flip else bits)
-    return (low & -low).bit_length() - 1
-
-
+@dataclass(frozen=True, eq=False)
 class Coloring:
     """Red/blue coloring of K3_N as a red bitmap in colex order.
 
-    restrict() and swap() return views.  A view keeps its base, the
-    coloring built from a bitmap that it comes from, its own vertex count
-    and whether its colours are exchanged.  It reads the base's byte view,
-    or when swapped the base's complemented one, each built once per base,
-    and computes red_bits only when they are read: it equals, hashes and
-    pickles as the coloring of its own bitmap.
+    restrict() and swap() return views (_View) of the base coloring, built
+    from a bitmap, that they come from.  A view reads the base's byte view,
+    or its complement's, and computes red_bits only when they are read: it
+    equals, hashes and pickles as the coloring of its own bitmap.
     """
+
+    n_vertices: int
+    red_bits: int
 
     _base = None  # a view's base
     _flip = False  # a view's colours are those of its base, exchanged
 
-    def __init__(self, n_vertices: int, red_bits: int) -> None:
-        if n_vertices < 3:
+    def __post_init__(self) -> None:
+        if self.n_vertices < 3:
             raise ValueError("coloring needs at least 3 vertices")
-        if red_bits < 0 or red_bits >> comb(n_vertices, 3):
+        if self.red_bits < 0 or self.red_bits >> self.n_triples:
             raise ValueError("red bitmap has bits outside [0, C(N,3))")
-        vars(self).update(n_vertices=n_vertices, red_bits=red_bits)
-
-    @cached_property
-    def red_bits(self) -> int:
-        # only a view gets here: a coloring built from its bitmap holds them
-        mask = (1 << self.n_triples) - 1
-        return self._base.red_bits & mask ^ (mask if self._flip else 0)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, Coloring):
             return NotImplemented
         return (self.n_vertices, self.red_bits) == (other.n_vertices, other.red_bits)
 
     def __hash__(self) -> int:
         return hash((self.n_vertices, self.red_bits))
 
-    def __repr__(self) -> str:
-        return f"Coloring(n_vertices={self.n_vertices!r}, red_bits={self.red_bits!r})"
-
     def _of(self, n_vertices: int, flip: bool) -> "Coloring":
         """The view of this coloring's base on n_vertices, swapped if flip."""
         base = self._base or self
         if n_vertices == base.n_vertices and not flip:
             return base
-        view = object.__new__(Coloring)
-        vars(view).update(n_vertices=n_vertices, _base=base, _flip=flip)
+        view = object.__new__(_View)
+        view.__dict__.update(n_vertices=n_vertices, _base=base, _flip=flip)
         return view
 
     @property
@@ -153,20 +132,23 @@ class Coloring:
     def _view(self) -> bytes:
         # Rank r is bit r & 7 of byte r >> 3.  Sized by the highest red rank,
         # not by C(N,3): ranks past the end read blue, and a sparse coloring
-        # of a huge N costs only the bytes up to its last red triple.  A
-        # view's bytes agree with its base's, or when swapped with those of
-        # the base's complement, on every rank it reads.
-        base = self._base
-        if base is not None:
-            return base._swapped_view if self._flip else base._view
+        # of a huge N costs only the bytes up to its last red triple.
         bits = self.red_bits
         return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
 
-    @cached_property
-    def _swapped_view(self) -> bytes:
-        """The byte view of swap(), read by every swapped view of this one."""
-        bits = self.red_bits ^ (1 << self.n_triples) - 1
-        return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    def _swapped_bytes(self, r: int) -> bytes:
+        """The byte view of swap(), right on the ranks below r at least.
+        Each build covers twice the ranks of the last, or r, up to C(N,3),
+        so they cost a few times the largest swapped view's, however large
+        the base."""
+        size, view = self.__dict__.get("_swapped", (0, b""))
+        if size < r:
+            size = min(max(r, 2 * size), self.n_triples)
+            mask = (1 << size) - 1
+            bits = self.red_bits & mask ^ mask
+            view = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+            self.__dict__["_swapped"] = size, view
+        return view
 
     @cached_property
     def _ranks(self) -> Tuple[bytes, Tuple[int, ...], Tuple[int, ...]]:
@@ -199,12 +181,15 @@ class Coloring:
         return red
 
     def _lowest_red(self) -> Optional[int]:
-        """The rank of the lowest red triple, or None if none is red.  The
-        base finds it once per colour for itself and all its views."""
-        base, key = self._base or self, "_low_blue" if self._flip else "_low_red"
-        r = base.__dict__.get(key)
-        if r is None:
-            r = base.__dict__[key] = _lowest_rank(base.red_bits, self._flip)
+        """The rank of the lowest red triple, or None if none is red, found
+        once per colour by the base for itself and all its views."""
+        base, key = self._base or self, ("_low_red", "_low_blue")[self._flip]
+        if key not in base.__dict__:
+            # the low word first: low & -low (and ~bits) copy the whole bitmap
+            bits, word, flip = base.red_bits, 0xFFFFFFFFFFFFFFFF, self._flip
+            low = bits & word ^ (word if flip else 0) or (~bits if flip else bits)
+            base.__dict__[key] = (low & -low).bit_length() - 1
+        r = base.__dict__[key]
         return r if 0 <= r < comb(self.n_vertices, 3) else None
 
     def test(self, color: str) -> EdgeTest:
@@ -214,9 +199,10 @@ class Coloring:
         red = self._red
         return red if color == RED else lambda x, y, z: not red(x, y, z)
 
-    def __getstate__(self):
-        # the cached tester is a closure: pickle the fields alone
-        return {"n_vertices": self.n_vertices, "red_bits": self.red_bits}
+    def __reduce__(self):
+        # the fields alone: the cached tester is a closure, and a view
+        # pickles as the coloring of its own bitmap
+        return Coloring, (self.n_vertices, self.red_bits)
 
     def swap(self) -> "Coloring":
         """The coloring with red and blue exchanged, as a view."""
@@ -236,6 +222,21 @@ class Coloring:
         if n_prefix == self.n_vertices:
             return self
         return self._of(n_prefix, self._flip)
+
+
+class _View(Coloring):
+    """A prefix or colour swap of a base Coloring (Coloring._of): its bytes
+    agree with the base's, or their complement's, on every rank it reads."""
+
+    @cached_property
+    def red_bits(self) -> int:
+        mask = (1 << self.n_triples) - 1
+        return self._base.red_bits & mask ^ (mask if self._flip else 0)
+
+    @cached_property
+    def _view(self) -> bytes:
+        base = self._base
+        return base._swapped_bytes(self.n_triples) if self._flip else base._view
 
 
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:

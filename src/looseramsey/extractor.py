@@ -18,19 +18,18 @@ red witness.
 The replacement-move search, the blue chaining and, once the red table is
 built, the end extensions read the coloring through link tables (per vertex
 pair, the bitset of third vertices that complete a triple of one colour).
-One build per top-level solve gives both colours, which the complete
-searches read too: from 14 to 64 vertices one numpy word matrix, XORed for
-the other colour; else one colour's table and its complement.  The
-descent's prefixes and the ascent's colour swaps are views of the solve's
-coloring, so no level copies the bitmap, and the greedy seed, the lowest
-red rank, is found once per solve.  The move search rules a window of the
-red path in or out with a few mask tests against per-vertex reach masks,
-written out in place (the three-vertex core's rows and bits are read once
-for its six orderings), tests the end pairs of a window as one on the OR of
-their rows before it tests any alone, and skips a window for the rest of
-the solve on any reservoir inside one it failed on.  Before any table, the
-greedy build reads the coloring's byte view with the rank written out, one
-loop and no call per triple.  A descent level that repeats the prefix size
+One build per top-level solve gives both colours (oracle._ColorLinks),
+which the complete searches read too.  The descent's prefixes and the
+ascent's colour swaps are views of the solve's coloring, so no level copies
+the bitmap, and the greedy seed, the lowest red rank, is found once per
+solve.  The move search rules a window of the red path in or out with a
+few mask tests against per-vertex reach masks, written out in place (the
+three-vertex core's rows and bits are read once for its six orderings),
+tests the end pairs of a window as one on the OR of their rows before it
+tests any alone, and skips a window for the rest of the solve on any
+reservoir inside one it failed on.  Before any table, the greedy build
+reads the coloring's byte view with the rank written out, one loop and no
+call per triple.  A descent level that repeats the prefix size
 and red target of the level above makes no greedy attempt: it would fail as
 that one did.  The chaining remembers the states it has seen fail and
 charges each revisit, at the call site, the node budget its first search
@@ -68,7 +67,7 @@ from .core import (
     validate_structure,
     verify_witness,
 )
-from .oracle import _NUMPY_FROM, Links, Twins, _find_mono, _link_table, _link_words, _others
+from .oracle import Links, Twins, _ColorLinks, _find_mono
 
 # (n, m) pairs whose thresholds rest on external small-case results.
 _BASES = {(3, 3), (4, 3), (4, 4)}
@@ -101,10 +100,8 @@ def ramsey_number(pair: PairKind) -> int:
 
 
 class _LinkTables:
-    """The link tables of one coloring, built on first use: from
-    _NUMPY_FROM to 64 vertices both colours from one word matrix of the red
-    bitmap (_link_words), else the colour asked for first from its own
-    bitmap and the other as its complement, row by row.
+    """The link tables of one coloring, both colours from one build on first
+    use (_ColorLinks).
 
     One instance serves a whole top-level solve: the prefixes the induction
     descends to read the same tables (callers only read bits inside the
@@ -114,19 +111,16 @@ class _LinkTables:
     swapped coloring it is the swap() of the unswapped coloring's tables.
     """
 
-    __slots__ = ("_coloring", "_tables", "_failed", "_swapped")
+    __slots__ = ("_tables", "_failed", "_swapped")
 
     def __init__(self, coloring: Coloring) -> None:
-        self._coloring = coloring.swap() if coloring._flip else coloring
-        # RED and BLUE map to the tables, "words" to the word matrix
-        self._tables: Dict[str, Links] = {}
+        self._tables = _ColorLinks(coloring.swap() if coloring._flip else coloring)
         self._failed: Dict[str, Dict[Tuple[int, int, int], int]] = {}
         self._swapped = coloring._flip
 
     def swap(self) -> "_LinkTables":
-        view = _LinkTables(self._coloring)
-        view._tables, view._failed = self._tables, self._failed
-        view._swapped = not self._swapped
+        view = object.__new__(_LinkTables)
+        view._tables, view._failed, view._swapped = self._tables, self._failed, not self._swapped
         return view
 
     def built(self, color: str) -> Optional[Links]:
@@ -136,29 +130,7 @@ class _LinkTables:
         return self._failed.setdefault(opposite(color) if self._swapped else color, {})
 
     def table(self, color: str) -> Links:
-        color = opposite(color) if self._swapped else color
-        tables, c = self._tables, self._coloring
-        if color in tables:
-            return tables[color]
-        n, other = c.n_vertices, tables.get(opposite(color))
-        if _NUMPY_FROM <= n <= 64:
-            S = tables.get("words")
-            if S is None:
-                S = tables["words"] = _link_words(n, c.red_bits)
-            tables[color] = (S if color == RED else S ^ _others(n)).tolist()
-        elif other is not None:
-            # T[x][y]: every third vertex outside {x, y} that the other colour
-            # lacks; each row above the diagonal is its mirror's int
-            full, T = (1 << n) - 1, [[0] * n for _ in range(n)]
-            for x, row in enumerate(other):
-                fx, Tx = full ^ 1 << x, T[x]
-                for y in range(x):
-                    Tx[y] = T[y][x] = fx ^ 1 << y ^ row[y]
-            tables[color] = T
-        else:
-            bits = c.red_bits if color == RED else c.red_bits ^ (1 << c.n_triples) - 1
-            tables[color] = _link_table(n, bits)
-        return tables[color]
+        return self._tables[opposite(color) if self._swapped else color]
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -16,7 +16,8 @@ Python ints of its rows: up to 64 vertices each row is one word, and one
 scatter of the bitmap's flags into a bool array and one packbits build
 them all; above 64, one chunk of largest vertices (one range of the colex
 bitmap) at a time.  Below 14 vertices a walk over the triples costs less
-than numpy's calls and builds it instead.  Exhaustive enumeration iterates
+than numpy's calls and builds it instead.  _ColorLinks derives a coloring's
+second colour from the build of its first.  Exhaustive enumeration iterates
 every red bitmap of K3_N (only feasible for C(N,3) <= 24) with the work
 vectorized over bitmap chunks.
 """
@@ -38,6 +39,7 @@ from .core import (
     Coloring,
     Witness,
     colex_rank,
+    opposite,
     validate_structure,
 )
 
@@ -148,13 +150,6 @@ def _link_words(n: int, bits: int) -> np.ndarray:
     return L | L.T
 
 
-@lru_cache(maxsize=64)
-def _others(n: int) -> np.ndarray:
-    """_link_words of the all-red coloring: row (x, y) holds every vertex
-    outside {x, y}.  XORed onto one colour's words, it gives the other's."""
-    return _link_words(n, (1 << comb(n, 3)) - 1)
-
-
 def _link_table(n: int, bits: int) -> Links:
     """T[x][y] has bit z iff the triple {x, y, z} is set in the colex bitmap
     `bits` over n vertices.  T[x][y] == T[y][x]; T[x][x] is 0.  Below
@@ -174,6 +169,42 @@ def _link_table(n: int, bits: int) -> Links:
         lower.append(row + zeros[u:])
     cols = list(zip(*lower))
     return [lower[u][:u] + list(cols[u][u:]) for u in range(n)]
+
+
+class _ColorLinks(dict):
+    """color -> _link_table of one coloring's colour class, made on first
+    use, both colours from one build: from _NUMPY_FROM to 64 vertices the
+    word matrix S of the red bitmap (_link_words), else the table of the
+    colour asked for first.  The other colour's row (x, y) holds every
+    vertex outside {x, y} that the built row lacks."""
+
+    __slots__ = ("coloring", "words")
+
+    def __init__(self, coloring: Coloring) -> None:
+        self.coloring, self.words = coloring, None
+
+    def __missing__(self, color: str) -> Links:
+        c, n, other = self.coloring, self.coloring.n_vertices, self.get(opposite(color))
+        if _NUMPY_FROM <= n <= 64:
+            if self.words is None:
+                self.words = _link_words(n, c.red_bits)
+            S = self.words
+            if color == BLUE:
+                bit = np.left_shift(1, np.arange(n, dtype=S.dtype), dtype=S.dtype)
+                S = np.bitwise_or.outer(bit, bit) | S
+                S ^= (1 << n) - 1
+                np.fill_diagonal(S, 0)
+            T = S.tolist()
+        elif other is None:
+            T = _link_table(n, (c if color == RED else c.swap()).red_bits)
+        else:  # each row above the diagonal is its mirror's int
+            full, T = (1 << n) - 1, [[0] * n for _ in range(n)]
+            for x, row in enumerate(other):
+                fx, Tx = full ^ 1 << x, T[x]
+                for y in range(x):
+                    Tx[y] = T[y][x] = fx ^ 1 << y ^ row[y]
+        self[color] = T
+        return T
 
 
 def _twins(T: Links) -> Twins:

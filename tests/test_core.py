@@ -312,6 +312,21 @@ class TestViews:
         ):
             _assert_same_coloring(view, eager, rnd)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_swapped_prefixes_grow_the_complement_as_read(self, sparse):
+        """Swapped prefixes read in growing, then shrinking, size answer as
+        the eager colorings, and the base's complemented bytes cover fewer
+        than twice the ranks of the largest one read so far, or all."""
+        n, rnd = 30, random.Random(sparse)
+        bits = 0b1011 << 40 if sparse else rnd.getrandbits(comb(n, 3))
+        c, largest = Coloring(n, bits), 0
+        for k in [*range(3, n + 1, 3), *range(n - 1, 2, -4)]:
+            low = (1 << comb(k, 3)) - 1
+            _assert_same_coloring(c.restrict(k).swap(), Coloring(k, bits & low ^ low), rnd)
+            largest = max(largest, comb(k, 3))
+            size = vars(c)["_swapped"][0]
+            assert largest <= size < 2 * largest or size == c.n_triples, (k, size)
+
     def test_a_swap_of_a_swap_is_the_coloring(self):
         c = Coloring(7, 0x2f031)
         assert c.swap().swap() is c and c.swap().restrict(5).swap() == c.restrict(5)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looseramsey import core, extractor, oracle
+from looseramsey import extractor, oracle
 from looseramsey.constructions import (
     CC,
     PMCN,
@@ -577,9 +577,10 @@ class TestTables:
         assert links.table(BLUE) == _LinkTables(c.swap()).table(RED)
 
     def test_solve_builds_each_colour_at_most_once(self, monkeypatch):
-        """One table build per solve, by _link_words from 14 to 64 vertices
-        and by _link_table at other sizes: the blue table is derived from
-        the red one's build.  The second solve reads both colours."""
+        """One table build per solve, by oracle._link_words from 14 to 64
+        vertices and by oracle._link_table at other sizes: the blue table is
+        derived from the red one's build.  The second solve reads both
+        colours."""
         built, asked = [], set()
         real_table = _LinkTables.table
 
@@ -588,8 +589,8 @@ class TestTables:
             return real_table(self, color)
 
         for name in ("_link_table", "_link_words"):
-            real = getattr(extractor, name)
-            monkeypatch.setattr(extractor, name, lambda n, bits, real=real: built.append(n) or real(n, bits))
+            real = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda n, bits, real=real: built.append(n) or real(n, bits))
         monkeypatch.setattr(_LinkTables, "table", recording)
         # hard orientations: the induction descends through prefixes and
         # runs steps on the swapped coloring
@@ -642,8 +643,8 @@ class TestTables:
 
     def test_first_colour_is_built_from_its_own_bitmap(self, monkeypatch):
         """Only the colour asked for first walks triples, and only its own."""
-        built, real = [], extractor._link_table
-        monkeypatch.setattr(extractor, "_link_table", lambda n, bits: built.append(bits) or real(n, bits))
+        built, real = [], oracle._link_table
+        monkeypatch.setattr(oracle, "_link_table", lambda n, bits: built.append(bits) or real(n, bits))
         c = Coloring(9, random.Random(1).getrandbits(comb(9, 3)))
         for swapped in (False, True):
             for first in (RED, BLUE):
@@ -657,9 +658,9 @@ class TestTables:
         """A solve that ends in a completion search builds one table: the
         search reads the solve's own tables, cut to its prefix."""
         built = []
-        for module, name in ((extractor, "_link_table"), (extractor, "_link_words"), (oracle, "_link_table")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda n, bits, real=real: built.append(n) or real(n, bits))
+        for name in ("_link_table", "_link_words"):
+            real = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda n, bits, real=real: built.append(n) or real(n, bits))
         pair = PairKind(PMCN, 16, 4)
         spec = lower_bound_params(pair)
         split = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
@@ -675,7 +676,7 @@ class TestTables:
         assert len(built) == 1
 
     def test_greedy_solve_builds_no_table(self, monkeypatch):
-        monkeypatch.setattr(extractor, "_link_table", None)
+        monkeypatch.setattr(oracle, "_link_table", None)
         c = Coloring(10, 0).swap()
         assert solve(PairKind(PP, 4, 4), c).color == RED
 
@@ -1204,11 +1205,17 @@ class TestDescentReuse:
     def test_solve_reads_one_bitmap(self, monkeypatch):
         """split+1 pp(40, 40) a+1 plain: the descent's prefixes and the
         ascent's swaps are views that compute no red_bits of their own, and
-        the greedy seed's lowest red rank is found once for the solve."""
-        made, lowest = [], []
-        real_of, real_lowest = Coloring._of, core._lowest_rank
+        the greedy seed's lowest red rank is found once for the solve, by
+        the coloring, for the red colour alone."""
+        made, seeds = [], []
+        real_of, real_lowest = Coloring._of, Coloring._lowest_red
         monkeypatch.setattr(Coloring, "_of", lambda *a: made.append(real_of(*a)) or made[-1])
-        monkeypatch.setattr(core, "_lowest_rank", lambda bits, flip: lowest.append(flip) or real_lowest(bits, flip))
+
+        def lowest(view):
+            seeds.append(view)
+            return real_lowest(view)
+
+        monkeypatch.setattr(Coloring, "_lowest_red", lowest)
         pair = PairKind(PP, 40, 40)
         spec = lower_bound_params(pair)
         c, trace = build_split_coloring(SplitSpec(spec.a + 1, spec.b)), []
@@ -1216,8 +1223,24 @@ class TestDescentReuse:
         views = [v for v in made if v is not c]
         assert sum("swapping colors" in note for note in trace) > 10 and len(views) > 40
         assert not any("red_bits" in vars(v) for v in views)
-        assert lowest == [False]
+        assert seeds and "_low_red" in vars(c) and "_low_blue" not in vars(c)
+        assert not any(key.startswith("_low") for v in views for key in vars(v))
         assert verify_witness(c, w)
+
+    @pytest.mark.parametrize("pair", [PairKind(CC, 6, 6), PairKind(PMCN, 6, 5)])
+    def test_swapped_views_of_a_huge_sparse_coloring(self, pair):
+        """One red triple of K3_100000: the ascent's swapped views read the
+        complement of the ranks they reach, not of all C(100000, 3)."""
+        c, trace = Coloring(100_000, 1), []
+        tracemalloc.start()
+        try:
+            w = solve(pair, c, trace=trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any("swapping colors" in note for note in trace)
+        assert "_swapped" in vars(c) and verify_witness(c, w)
+        assert peak < 1 << 20
 
     def test_descent_reuses_settled_work(self, monkeypatch):
         """On split+1 pp(12, 12) a+1 the descent builds the greedy path on
