@@ -22,10 +22,13 @@ all its outputs, which agree when both return the same results, and
   in B: `a+1`, `b+1`) and orientation (the split coloring or its colour
   swap: plain, swapped); the hard diagonal ones are `a+1` plain and `b+1`
   swapped.  `completions` counts, per case, the n whose solve ends in the
-  oracle completion.  `exponent_40_80` and `exponent_120_160` are the
-  least-squares slopes of log time against log n from n = 40 to 80 and
-  from n = 120 to 160, and `speedup` the parent's median time over this
-  checkout's.
+  oracle completion.  `work` holds, per case and n, the calls of each
+  function in WORK, made by one more solve, untimed and with those
+  functions wrapped, in the first repeat only: the counts depend on no
+  host, and a change that claims no algorithmic effect keeps them equal.
+  `exponent_40_80` and `exponent_120_160` are the least-squares slopes of
+  log time against log n from n = 40 to 80 and from n = 120 to 160, and
+  `speedup` the parent's median time over this checkout's.
 - `oracle`: `absence` is, per kind on its diagonal pair at n in ORACLE_NS,
   the two proofs of absence (no red and no blue target) on the extremal
   split coloring on R - 1 vertices, oriented so red is the short target.
@@ -79,9 +82,10 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "278fdd7"
+PARENT = "be8a692"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
+WORK = ("_find_move", "_bridges", "_route")
 OFF_DIAGONAL = "pp(n,n/2)"
 CASES = [(row, side, orient) for row in (*KINDS, OFF_DIAGONAL) for side in "ab"
          for orient in ("plain", "swapped")]
@@ -129,18 +133,44 @@ def _line(w) -> str:
     return f"{w.color} {w.shape} " + " ".join(map(str, w.structure.vertices))
 
 
+def _work(extractor, pair, c) -> dict:
+    """The calls of each WORK function of extractor in one solve of pair on
+    c, counted by wrappers that are in place for this solve only."""
+    calls, real = dict.fromkeys(WORK, 0), {name: getattr(extractor, name) for name in WORK}
+
+    def counting(name):
+        f = real[name]
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    for name in WORK:
+        setattr(extractor, name, counting(name))
+    try:
+        extractor.solve(pair, c)
+    finally:
+        for name, f in real.items():
+            setattr(extractor, name, f)
+    return calls
+
+
 # Each sweep times every case once with the looseramsey in sys.modules,
 # yields after each case so that the other source runs it next, and
-# returns its record.
+# returns its record.  COUNT is set in the worker of the first repeat.
+COUNT = False
 
 
 def sweep_scaling():
     """The scaling cases."""
+    from looseramsey import extractor
     from looseramsey.constructions import PairKind
-    from looseramsey.extractor import solve
 
+    solve = extractor.solve
     solve(PairKind("pp", 3, 3), _split1(PairKind("pp", 3, 3), "a", "plain"))  # warm imports
-    times, lines, completions = {}, [], {}
+    times, lines, completions, work = {}, [], {}, {}
     for label, side, orient in CASES:
         case = f"{label} {side}+1 {orient}"
         row, completions[case] = times.setdefault(case, {}), 0
@@ -152,11 +182,13 @@ def sweep_scaling():
                 start = time.perf_counter()
                 w = solve(pair, c, trace=trace)
                 row[str(n)] = time.perf_counter() - start
+                if COUNT:
+                    work.setdefault(case, {})[str(n)] = _work(extractor, pair, c)
             completions[case] += any(note.startswith("completion") for note in trace)
             lines.append(_line(w))
             yield
     sha1 = hashlib.sha1("\n".join(lines).encode()).hexdigest()
-    return {"times": times, "completions": completions, "sha1": sha1}
+    return {"times": times, "completions": completions, "sha1": sha1, "work": work}
 
 
 def sweep_oracle():
@@ -316,6 +348,7 @@ def _scaling_keys(quart: dict, outs: dict):
         "exponent_120_160": exponents(q, 120, 160),
         "completions": outs[label][-1]["completions"],
         "witness_sha1": sorted({o["sha1"] for o in outs[label]}),
+        "work": outs[label][0]["work"],
     } for label, q in quart.items()}
     before, after = quart.values()
     speedup = {case: {k: round(q[1] / after[case][k][1], 2) for k, q in row.items()}
@@ -459,6 +492,7 @@ def main() -> None:
     ap.add_argument("record", choices=[*RECORDS, "memory"])
     ap.add_argument("--worker", metavar="DIR", nargs="+", help=argparse.SUPPRESS)
     ap.add_argument("--solve", nargs=4, help=argparse.SUPPRESS)
+    ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.solve:
         src, n, side, orient = args.solve
@@ -476,6 +510,8 @@ def main() -> None:
         return
     sweep, own_keys, repeats, note = RECORDS[args.record]
     if args.worker:
+        global COUNT
+        COUNT = args.count
         print(json.dumps(interleave(sweep, args.worker)))
         return
     with tempfile.TemporaryDirectory() as tmp:
@@ -484,7 +520,8 @@ def main() -> None:
         lines = {label: src_lines(src) for src, label in sources}
         for r in range(repeats):
             ordered = sources[:: 1 if r % 2 == 0 else -1]
-            cmd = [sys.executable, __file__, args.record, "--worker", *(src for src, _ in ordered)]
+            cmd = [sys.executable, __file__, args.record, "--worker", *(src for src, _ in ordered),
+                   *(["--count"] if r == 0 else [])]
             out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
             for (_, label), record in zip(ordered, json.loads(out)):
                 outs[label].append(record)

@@ -85,6 +85,17 @@ def _comb_tables(size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 EdgeTest = Callable[[int, int, int], bool]
 
 
+class _cached(cached_property):
+    """cached_property without the lock Python 3.11 takes on each first read:
+    the value goes into the instance __dict__ and shadows this descriptor."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Coloring:
     """Red/blue coloring of K3_N as a red bitmap in colex order.
@@ -128,7 +139,7 @@ class Coloring:
     def n_triples(self) -> int:
         return comb(self.n_vertices, 3)
 
-    @cached_property
+    @_cached
     def _view(self) -> bytes:
         # Rank r is bit r & 7 of byte r >> 3.  Sized by the highest red rank,
         # not by C(N,3): ranks past the end read blue, and a sparse coloring
@@ -150,7 +161,7 @@ class Coloring:
             self.__dict__["_swapped"] = size, view
         return view
 
-    @cached_property
+    @_cached
     def _ranks(self) -> Tuple[bytes, Tuple[int, ...], Tuple[int, ...]]:
         """The byte view and the C(y, 2) and C(z, 3) tables that rank a
         triple in it.  A triple with a vertex >= k, the tables' size, has
@@ -159,7 +170,7 @@ class Coloring:
         view = self._view
         return (view, *_comb_tables(min(self.n_vertices, int((48 * len(view)) ** (1 / 3)) + 4)))
 
-    @cached_property
+    @_cached
     def _red(self) -> EdgeTest:
         """Whether {x, y, z}, three distinct vertices below N in any order, is red."""
         # reading past the tables raises the same IndexError as past the view
@@ -228,12 +239,12 @@ class _View(Coloring):
     """A prefix or colour swap of a base Coloring (Coloring._of): its bytes
     agree with the base's, or their complement's, on every rank it reads."""
 
-    @cached_property
+    @_cached
     def red_bits(self) -> int:
         mask = (1 << self.n_triples) - 1
         return self._base.red_bits & mask ^ (mask if self._flip else 0)
 
-    @cached_property
+    @_cached
     def _view(self) -> bytes:
         base = self._base
         return base._swapped_bytes(self.n_triples) if self._flip else base._view

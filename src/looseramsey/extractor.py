@@ -2,11 +2,13 @@
 
 Given a 2-coloring of K3_N with N at or above the threshold of a pair, the
 engine produces a verified red or blue witness.  It runs the paper's
-induction as two loops: the descent tries a greedy build of the red target
-on each level's threshold prefix, shortening one side of the pair by one per
-failed level, down to a greedy success or a base case (complete search),
-and carries the greedy path down while the prefix holds it; the ascent
-lifts that witness by one edge per level that needs it.
+induction as two loops over the pair's descent plan (_plan, made once per
+pair): the descent tries a greedy build of the red target on each level's
+threshold prefix, shortening one side of the pair by one per failed level,
+down to a greedy success or a base case (complete search), and carries the
+greedy path down while the prefix holds it; a level with the threshold and
+red target of the level above tries nothing, as it would fail again.  The
+ascent lifts that witness by one edge per level that needs it.
 The lift works by maximalizing the red structure against the reservoir W
 (the vertices outside it) with length-increasing replacement moves, chaining
 a blue path through W across 2- and 3-edge windows of the red path, and
@@ -15,9 +17,10 @@ colors decide the branch: either some candidate is fully blue (the blue
 witness) or the red edge that blocks it extends the red structure to the
 red witness.
 
-The replacement-move search, the blue chaining and, once the red table is
-built, the end extensions read the coloring through link tables (per vertex
-pair, the bitset of third vertices that complete a triple of one colour).
+The replacement-move search, the blue chaining, the end extensions once the
+red table is built, and the ascent's cycle openers and candidate checks read
+the coloring through link tables (per vertex pair, the bitset of third
+vertices that complete a triple of one colour).
 One build per top-level solve gives both colours (oracle._ColorLinks),
 which the complete searches read too.  The descent's prefixes and the
 ascent's colour swaps are views of the solve's coloring, so no level copies
@@ -29,9 +32,7 @@ tests the end pairs of a window as one on the OR of their rows before it
 tests any alone, and skips a window for the rest of the solve on any
 reservoir inside one it failed on.  Before any table, the greedy build
 reads the coloring's byte view with the rank written out, one loop and no
-call per triple.  A descent level that repeats the prefix size
-and red target of the level above makes no greedy attempt: it would fail as
-that one did.  The chaining remembers the states it has seen fail and
+call per triple.  The chaining remembers the states it has seen fail and
 charges each revisit, at the call site, the node budget its first search
 used, so it returns exactly what the search without the memo returns under
 the same budget; once the budget is spent, it leaves every loop whose
@@ -44,12 +45,14 @@ on the cycle, as do its twin classes (_boundary_twins).
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
 when one is reached, a bounded complete search finishes the extraction,
-raises a RuntimeWarning and records the event in the trace.
+raises a RuntimeWarning and records the event in the trace.  Trace notes
+are formatted only when a trace is kept (_note).
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,9 +82,9 @@ class ExtractionError(RuntimeError):
     """The engine failed to produce a witness; carries the trace if any."""
 
 
-def _note(trace: Optional[List[str]], msg: str) -> None:
+def _note(trace: Optional[List[str]], fmt: str, *args) -> None:
     if trace is not None:
-        trace.append(msg)
+        trace.append(fmt % args if args else fmt)
 
 
 def ramsey_number(pair: PairKind) -> int:
@@ -95,8 +98,8 @@ def ramsey_number(pair: PairKind) -> int:
 # ---------------------------------------------------------------------------
 # Link tables: per vertex pair, the bitset of third vertices completing a
 # triple of one colour.  The top-level greedy path reads the coloring's
-# byte view, and the openers and the candidate checks look triples up one
-# at a time through Coloring.test.
+# byte view; everything after it, the ascent's openers and candidate checks
+# included, reads table rows.
 
 
 class _LinkTables:
@@ -316,15 +319,17 @@ def _bridges(
 def _route(T: Links, end: int, pool: List[int], rat: int) -> Optional[List[int]]:
     """The first ordering of pool, in permutations(pool) order, that makes
     end, pool..., rat a red loose path (T the red link table); None if none
-    does.  Each first edge {end, a, b} comes from permutations(pool, 2), so
-    the recursion from b keeps that order."""
+    does.  Each first edge {end, a, b} is tried in permutations(pool, 2)
+    order (no row T[end][a] holds a), and the recursion from b keeps it."""
+    row = T[end]
     if len(pool) == 1:
-        return pool if T[end][pool[0]] >> rat & 1 else None
-    for a, b in permutations(pool, 2):
-        if T[end][a] >> b & 1:
-            rest = _route(T, b, [v for v in pool if v != a and v != b], rat)
-            if rest is not None:
-                return [a, b] + rest
+        return pool if row[pool[0]] >> rat & 1 else None
+    for a in pool:
+        for b in pool:
+            if row[a] >> b & 1:
+                rest = _route(T, b, [v for v in pool if v != a and v != b], rat)
+                if rest is not None:
+                    return [a, b] + rest
     return None
 
 
@@ -554,7 +559,7 @@ def _chain(
     del rec  # rec's cell holds rec: a cycle only the cyclic collector frees
     if res is None or usable != w0mask:
         res = tuple(best)
-        _note(trace, f"chain: leftover {total - res[1].bit_count()} reservoir vertices")
+        _note(trace, "chain: leftover %s reservoir vertices", total - res[1].bit_count())
     seq, used, consumed = res
     return (list(seq) if seq else None), frozenset(_bits(used)), consumed
 
@@ -563,13 +568,20 @@ def _chain(
 # Candidate checking and fallbacks.
 
 
-def _check(c: Coloring, color: str, shape: str, seq: Sequence[int]) -> Optional[Witness]:
-    """Wrap seq as a witness iff it validates and is entirely of the color."""
+def _check(c: Coloring, links: _LinkTables, color: str, shape: str, seq) -> Optional[Witness]:
+    """Wrap seq as a witness iff it validates, lies in c's vertices and each
+    edge {a, b, z} is bit z of T[a][b], T the colour's table in links."""
     try:
-        w = Witness(color, shape, validate_structure(shape, seq))
+        s = validate_structure(shape, seq)
     except StructureError:
         return None
-    return w if verify_witness(c, w) else None
+    if max(v := s.vertices) >= c.n_vertices:
+        return None
+    T, ring = links.table(color), v + v[:1] if shape == CYCLE else v
+    for i in range(0, len(ring) - 2, 2):
+        if not T[ring[i]][ring[i + 1]] >> ring[i + 2] & 1:
+            return None
+    return Witness(color, shape, s)
 
 
 def _find(
@@ -592,7 +604,7 @@ def _completion(
 ) -> Witness:
     """Bounded complete search, blue target first.  Reached only from branches
     without closed-form candidates; always traced and warned about."""
-    _note(trace, f"completion search ({why})")
+    _note(trace, "completion search (%s)", why)
     bshape, blen = blue_target
     rshape, rlen = red_target
     warnings.warn(
@@ -609,24 +621,25 @@ def _completion(
     return w
 
 
-def _open_cycle(c: Coloring, cyc: List[int], color: str) -> Optional[List[int]]:
+def _open_cycle(c: Coloring, cyc: List[int], T: Links) -> Optional[List[int]]:
     """Open a monochromatic cycle at its first boundary edge {c1, c2, z} of
     the same colour, {c0, c1, c2} a cycle edge and z outside the cycle; per
-    cycle edge {u, v, w}, {v, w, z} is tried before {u, v, z}.
+    cycle edge {u, v, w}, {v, w, z} before {u, v, z}, for the lowest z of c
+    outside the cycle in T[v][w] | T[v][u], T the colour's table serving c.
 
     Returns the path z, c1, c2, ..., c0 of the cycle's length, or None when
     every boundary edge has the opposite colour.
     """
-    test = c.test(color)
     k = len(cyc)
-    outside = sorted(set(range(c.n_vertices)) - set(cyc))
+    outside = ((1 << c.n_vertices) - 1) & ~sum(1 << v for v in cyc)
     for j in range(0, k, 2):
         u, v, w = cyc[j], cyc[j + 1], cyc[(j + 2) % k]
-        for z in outside:
-            if test(v, w, z):
+        hits = (T[v][w] | T[v][u]) & outside
+        if hits:
+            z = (hits & -hits).bit_length() - 1
+            if T[v][w] >> z & 1:
                 return [z, v] + cyc[j + 2 :] + cyc[: j + 1]
-            if test(u, v, z):
-                return [z, v] + (cyc[j + 2 :] + cyc[: j + 1])[::-1]
+            return [z, v] + (cyc[j + 2 :] + cyc[: j + 1])[::-1]
     return None
 
 
@@ -668,12 +681,12 @@ def _convert_cycle(
     """A cycle of the colour yields either a path of the colour and the
     cycle's length or the other colour's target (shape, length), assembled
     from the cycle boundary when all of it has the other colour."""
-    path = _open_cycle(c, cyc, color)
+    path = _open_cycle(c, cyc, links.table(color))
     if path is not None:
-        _note(trace, f"opened {color} cycle into {color} path")
+        _note(trace, "opened %s cycle into %s path", color, color)
         return Witness(color, PATH, validate_structure(PATH, path))
     oc = opposite(color)
-    _note(trace, f"cycle boundary entirely {oc}; assembling {oc} target")
+    _note(trace, "cycle boundary entirely %s; assembling %s target", oc, oc)
     own = (PATH, len(cyc) // 2)
     blue, red = (other, own) if color == RED else (own, other)
     n = c.n_vertices
@@ -734,7 +747,7 @@ def _cycle_step(
     the blue target (cycle of length m, or path of length m when n > m).
     links serves c (or a coloring it is a prefix of).
     """
-    path = _open_cycle(c, cyc, RED)
+    path = _open_cycle(c, cyc, links.table(RED))
     if path is None:
         _note(trace, "cycle boundary entirely blue; assembling blue target directly")
         N = c.n_vertices
@@ -743,7 +756,7 @@ def _cycle_step(
         ) or _completion(c, (want, m), (CYCLE, n), links, trace, "blue boundary assembly")
     z, c1, P = path[0], path[1], path[2:]
     W0 = sorted(set(range(c.n_vertices)) - set(path))
-    _note(trace, f"opened cycle: boundary edge through {z}, reservoir {W0}")
+    _note(trace, "opened cycle: boundary edge through %s, reservoir %s", z, W0)
 
     # Any replacement move on the opened path closes to the longer red cycle.
     mv = _find_move(links.table(RED), P, W0, links.failed(RED))
@@ -755,12 +768,12 @@ def _cycle_step(
     x = len(W0) - len(used)
     if qq0 is None or x >= 2:
         return _completion(c, (want, m), (CYCLE, n), links, trace, f"chain leftover {x}")
-    _note(trace, f"chained blue path: {consumed} edges consumed, leftover {x}")
+    _note(trace, "chained blue path: %s edges consumed, leftover %s", consumed, x)
 
     u = sorted(set(W0) - used)[0] if x == 1 else None
     for qq in (qq0, qq0[::-1]):
         for color, shape, seq in _cycle_candidates(P, c1, z, qq, x, m, u):
-            w = _check(c, color, shape, seq)
+            w = _check(c, links, color, shape, seq)
             if w is None:
                 continue
             if color == RED:
@@ -817,18 +830,18 @@ def _path_step(
     x = len(W0) - len(used)
     if qq0 is None or x >= 2 or (x == 1 and m % 2 == 0):
         return _completion(c, (PATH, m), (PATH, n), links, trace, f"path chain leftover {x}")
-    _note(trace, f"chained blue path: {consumed} edges consumed, leftover {x}")
+    _note(trace, "chained blue path: %s edges consumed, leftover %s", consumed, x)
 
     v = sorted(set(W0) - used)[0] if x == 1 else None
     for qq in (qq0, qq0[::-1]):
         for color, shape, seq in _path_candidates(p, u, qq, x, m, v):
-            w = _check(c, color, shape, seq)
+            w = _check(c, links, color, shape, seq)
             if w is None:
                 continue
             if color == RED and shape == CYCLE:
                 _note(trace, "closing candidate red cycle; converting")
                 return _convert_cycle(c, list(seq), RED, (PATH, m), links, trace)
-            _note(trace, f"closing candidate accepted: {color} {shape}")
+            _note(trace, "closing candidate accepted: %s %s", color, shape)
             return w
     return _completion(c, (PATH, m), (PATH, n), links, trace, "no closing candidate matched")
 
@@ -864,6 +877,32 @@ def _fast_red(
     return None
 
 
+@lru_cache(maxsize=256)
+def _plan(pair: PairKind) -> Tuple[Tuple, ...]:
+    """The descent's levels from pair down to its base case, the last one:
+    each level's pair, threshold, colour swap, the red target it tries
+    greedily (None if the level above had the same threshold and target, as
+    pp(n, n) and pp(n, n - 1) at even n do) and whether it is the base case."""
+    levels, at, tried = [], pair, None
+    while True:
+        kind, n, m = at.kind, at.n, at.m
+        N, target = ramsey_number(at), at.red_target
+        attempt = None if (N, target) == tried else target
+        if kind in (PP, CC) and (n, m) in _BASES:
+            return (*levels, (at, N, False, attempt, True))
+        if kind == PNCM:
+            swap, sub = False, PairKind(CC, n, m)
+        elif (kind, n, m) == (PMCN, 4, 3):
+            swap, sub = False, PairKind(CC, 4, 4)
+        elif kind == PMCN:
+            swap, sub = True, PairKind(PNCM, m, m) if n == m + 1 else PairKind(PMCN, n - 1, m)
+        else:
+            swap = n == m
+            sub = PairKind(kind, n, n - 1) if swap else PairKind(kind, n - 1, m)
+        levels.append((at, N, swap, attempt, False))
+        at, tried = sub, (N, target)
+
+
 def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None) -> Witness:
     """Extract a verified witness for the pair from any coloring at or above
     the threshold.  Deterministic: identical inputs give identical witnesses.
@@ -879,42 +918,22 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
     # Descent: each level tries the red target greedily on its threshold
     # prefix; a failure there hands the level's sub pair down, until a
     # greedy success or a base case gives the first witness.  The greedy
-    # path carries down while the prefix still holds all its vertices.  A
-    # level with the prefix size and red target of the level above (pp(n, n)
-    # then pp(n, n - 1) at even n) would grow the same path on the same
-    # table and fail again, so it skips the attempt.
-    levels: List[Tuple[PairKind, Coloring, bool]] = []
-    at, gp, tried = pair, None, None
-    while True:
-        kind, n, m = at.kind, at.n, at.m
-        c = top.restrict(ramsey_number(at))
-        if gp is None or any(v >= c.n_vertices for v in gp):
+    # path carries down while the prefix still holds all its vertices.
+    levels, gp = [], None  # (pair, prefix, swap) per level lifted
+    for at, N, swap, target, base in _plan(pair):
+        c = top.restrict(N)
+        if gp is None or any(v >= N for v in gp):
             gp = _greedy(c, links.built(RED))
-        if (c.n_vertices, at.red_target) != tried:
-            tried = c.n_vertices, at.red_target
-            w = _fast_red(c, at.red_target, links, gp)
-            if w is not None:
-                _note(trace, f"{at}: red target built greedily")
-                break
-        if kind in (PP, CC) and (n, m) in _BASES:
-            _note(trace, f"base case {at}: complete search")
+        if target is not None and (w := _fast_red(c, target, links, gp)) is not None:
+            _note(trace, "%s: red target built greedily", at)
+            break
+        if base:
+            _note(trace, "base case %s: complete search", at)
             w = _find(c, RED, at.red_target, links) or _find(c, BLUE, at.blue_target, links)
             if w is None:
                 raise ExtractionError(f"base case {at} produced no witness; trace: {trace}")
             break
-        # the level lifts its sub pair's red structure, or its blue one with
-        # the colours swapped; the sub pair's other colour is already a witness
-        if kind == PNCM:
-            swap, sub = False, PairKind(CC, n, m)
-        elif (kind, n, m) == (PMCN, 4, 3):
-            swap, sub = False, PairKind(CC, 4, 4)
-        elif kind == PMCN:
-            swap, sub = True, PairKind(PNCM, m, m) if n == m + 1 else PairKind(PMCN, n - 1, m)
-        else:
-            swap = n == m
-            sub = PairKind(kind, n, n - 1) if swap else PairKind(kind, n - 1, m)
         levels.append((at, c, swap))
-        at = sub
 
     # Ascent: lift the witness by one step per level, innermost level first.
     for at, c, swap in reversed(levels):
@@ -923,7 +942,7 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             continue
         lk = links
         if swap:
-            _note(trace, f"{at}: swapping colors around blue {w.shape} of length {w.length}")
+            _note(trace, "%s: swapping colors around blue %s of length %s", at, w.shape, w.length)
             c, lk = c.swap(), links.swap()
         verts = list(w.structure.vertices)
         if kind == PNCM:

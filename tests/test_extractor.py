@@ -36,9 +36,11 @@ from looseramsey.core import (
 )
 from looseramsey import extractor
 from looseramsey.extractor import (
+    _BASES,
     _boundary_table,
     _boundary_twins,
     _chain,
+    _check,
     _convert_cycle,
     _cycle_step,
     _find_move,
@@ -46,6 +48,7 @@ from looseramsey.extractor import (
     _open_cycle,
     _greedy,
     _path_step,
+    _plan,
     ramsey_number,
     solve,
 )
@@ -167,7 +170,7 @@ class TestOpenCycle:
         for seed in range(1500):
             c, cyc, color = _opener_instance(seed)
             k = len(cyc)
-            path = _open_cycle(c, cyc, color)
+            path = _open_cycle(c, cyc, _LinkTables(c).table(color))
             # the old step opener reads red; the blue case is red after a swap
             ref, _ = _reference_step_opener(c if color == RED else c.swap(), cyc)
             old_kind, _ = _reference_open_cycle(c, cyc, color)
@@ -182,6 +185,76 @@ class TestOpenCycle:
             found += 1
             wrapped += path[1] == cyc[k - 1]
         assert found > 500 and wrapped > 20
+
+    def test_reads_only_the_prefix(self):
+        """On a prefix, with the table of a larger coloring whose triples
+        through the extra vertices all have the cycle's colour, the opener
+        returns what it returns on the prefix's own table."""
+        closed = 0
+        for seed in range(600):
+            c, cyc, color = _opener_instance(seed)
+            n, extra = c.n_vertices, comb(c.n_vertices + 3, 3) - c.n_triples
+            bits = c.red_bits | (((1 << extra) - 1) << c.n_triples if color == RED else 0)
+            big = Coloring(n + 3, bits)
+            path = _open_cycle(big.restrict(n), cyc, _LinkTables(big).table(color))
+            assert path == _open_cycle(c, cyc, _LinkTables(c).table(color)), seed
+            assert _open_cycle(big, cyc, _LinkTables(big).table(color)) is not None
+            closed += path is None
+        assert closed > 100
+
+
+def _check_instance(seed):
+    """(coloring, its links, colour, shape, sequence): a prefix of a random
+    coloring of K3_N, N 7-16, of random red density, itself a prefix of a
+    larger one, as solve makes it, or the prefix's colour swap, with the
+    links of the top coloring (swapped with it); and a random sequence:
+    distinct vertices of the prefix, half of them as short as a target can
+    be so that some are monochromatic, or a sequence that fails to
+    validate or reaches past the prefix."""
+    rnd = random.Random(seed)
+    N = rnd.randint(7, 16)
+    density = rnd.choice((0.1, 0.5, 0.9))
+    bits = sum(1 << r for r in range(comb(N + 2, 3)) if rnd.random() < density)
+    top = Coloring(N + 2, bits).restrict(N)
+    c, links = top.restrict(rnd.randint(6, N)), _LinkTables(top)
+    if rnd.random() < 0.5:
+        c, links = c.swap(), links.swap()
+    color, shape = rnd.choice((RED, BLUE)), rnd.choice((PATH, CYCLE))
+    short = 3 if shape == PATH else 6
+    size = rnd.choice((short, rnd.randint(short, c.n_vertices)))
+    seq = rnd.sample(range(c.n_vertices), size)
+    fault = rnd.choice((None, None, "duplicate", "parity", "short", "outside"))
+    if fault == "duplicate":
+        seq[-1] = seq[0]
+    elif fault == "parity":
+        seq = seq[:-1]
+    elif fault == "short":
+        seq = seq[: short - 2]
+    elif fault == "outside":
+        seq[rnd.randrange(size)] = rnd.randint(c.n_vertices, N - 1 + (c.n_vertices == N))
+    return c, links, color, shape, seq
+
+
+class TestCheck:
+    """`_check` reads the candidate's edges from the colour's table in the
+    links; it accepts exactly what validate_structure and verify_witness
+    accept, on prefixes and on colour swaps of them."""
+
+    def test_agrees_with_verify_witness(self):
+        accepted = rejected = invalid = 0
+        for seed in range(3000):
+            c, links, color, shape, seq = _check_instance(seed)
+            try:
+                w = Witness(color, shape, validate_structure(shape, seq))
+            except ValueError:
+                want = None
+                invalid += 1
+            else:
+                want = w if verify_witness(c, w) else None
+            assert _check(c, links, color, shape, seq) == want, seed
+            accepted += want is not None
+            rejected += want is None
+        assert accepted > 300 and rejected - invalid > 300 and invalid > 300
 
 
 def _boundary_instances(seeds):
@@ -613,6 +686,63 @@ class TestSolve:
             sys.setrecursionlimit(old)
         for (pair, c), w in zip(cases, witnesses):
             assert verify_witness(c, w), pair
+
+
+def _reference_descent(pair):
+    """The levels the descent of solve visited before _plan, its loop
+    verbatim but for the coloring: every greedy attempt fails, and each
+    level is recorded as (pair, threshold, swap, the red target it tried or
+    None, base case)."""
+    visited = []
+    at, tried = pair, None
+    while True:
+        kind, n, m = at.kind, at.n, at.m
+        N, attempt = ramsey_number(at), None
+        if (N, at.red_target) != tried:
+            tried = N, at.red_target
+            attempt = at.red_target
+        if kind in (PP, CC) and (n, m) in _BASES:
+            visited.append((at, N, False, attempt, True))
+            return visited
+        if kind == PNCM:
+            swap, sub = False, PairKind(CC, n, m)
+        elif (kind, n, m) == (PMCN, 4, 3):
+            swap, sub = False, PairKind(CC, 4, 4)
+        elif kind == PMCN:
+            swap, sub = True, PairKind(PNCM, m, m) if n == m + 1 else PairKind(PMCN, n - 1, m)
+        else:
+            swap = n == m
+            sub = PairKind(kind, n, n - 1) if swap else PairKind(kind, n - 1, m)
+        visited.append((at, N, swap, attempt, False))
+        at = sub
+
+
+class TestPlan:
+    def test_matches_the_old_descent(self):
+        pairs = [PairKind(kind, n, m) for kind in (PP, CC, PNCM, PMCN)
+                 for n in range(3, 41) for m in range(3, n + (kind != PMCN))]
+        for pair in pairs:
+            assert _plan(pair) == tuple(_reference_descent(pair)), pair
+        assert len(pairs) == 4 * 741 - 38
+
+    def test_untraced_solve_formats_no_note(self, monkeypatch):
+        """With trace None no note is formatted: a PairKind that cannot be
+        printed does not stop split+1 cc(8, 8) or pp(8, 8) a+1 plain, which
+        run through base cases, cycle and path steps and swapped levels,
+        while a traced solve prints one."""
+
+        def unprintable(self):
+            raise AssertionError("a note was formatted")
+
+        cases = []
+        for pair in (PairKind(CC, 8, 8), PairKind(PP, 8, 8)):
+            spec = lower_bound_params(pair)
+            cases.append((pair, build_split_coloring(SplitSpec(spec.a + 1, spec.b))))
+        monkeypatch.setattr(PairKind, "__str__", unprintable)
+        for pair, c in cases:
+            assert verify_witness(c, solve(pair, c))
+            with pytest.raises(AssertionError, match="a note was formatted"):
+                solve(pair, c, trace=[])
 
 
 class TestBranchPins:
