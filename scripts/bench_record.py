@@ -82,7 +82,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "be8a692"
+PARENT = "dbc8f35"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 WORK = ("_find_move", "_bridges", "_route")

@@ -3,10 +3,12 @@
 A coloring of K3_N stores one bit per triple, indexed in colexicographic
 order.  Every per-triple color lookup goes through the coloring's one red
 tester, built once, which reads one byte of a cached byte view of that
-bitmap, so a lookup costs the same at any N.  Prefixes and colour swaps
-are views that copy no bitmap.  Loose paths and cycles are kept as ordered
-vertex sequences; the edge decomposition is derived, which makes the
-sequence itself the certificate a verifier can check.
+bitmap, so a lookup costs the same at any N.  restrict() and swap()
+return new colorings of the masked or complemented bitmap; the extractor
+reads one coloring per solve with a vertex bound and calls neither.  Loose
+paths and cycles are kept as ordered vertex sequences; the edge
+decomposition is derived, which makes the sequence itself the certificate
+a verifier can check.
 
 Invariants
 - TripleEdge.of gives strictly increasing vertices; lookups take any order.
@@ -96,44 +98,18 @@ class _cached(cached_property):
         return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Coloring:
-    """Red/blue coloring of K3_N as a red bitmap in colex order.
-
-    restrict() and swap() return views (_View) of the base coloring, built
-    from a bitmap, that they come from.  A view reads the base's byte view,
-    or its complement's, and computes red_bits only when they are read: it
-    equals, hashes and pickles as the coloring of its own bitmap.
-    """
+    """Red/blue coloring of K3_N as a red bitmap in colex order."""
 
     n_vertices: int
     red_bits: int
-
-    _base = None  # a view's base
-    _flip = False  # a view's colours are those of its base, exchanged
 
     def __post_init__(self) -> None:
         if self.n_vertices < 3:
             raise ValueError("coloring needs at least 3 vertices")
         if self.red_bits < 0 or self.red_bits >> self.n_triples:
             raise ValueError("red bitmap has bits outside [0, C(N,3))")
-
-    def __eq__(self, other):
-        if not isinstance(other, Coloring):
-            return NotImplemented
-        return (self.n_vertices, self.red_bits) == (other.n_vertices, other.red_bits)
-
-    def __hash__(self) -> int:
-        return hash((self.n_vertices, self.red_bits))
-
-    def _of(self, n_vertices: int, flip: bool) -> "Coloring":
-        """The view of this coloring's base on n_vertices, swapped if flip."""
-        base = self._base or self
-        if n_vertices == base.n_vertices and not flip:
-            return base
-        view = object.__new__(_View)
-        view.__dict__.update(n_vertices=n_vertices, _base=base, _flip=flip)
-        return view
 
     @property
     def n_triples(self) -> int:
@@ -146,20 +122,6 @@ class Coloring:
         # of a huge N costs only the bytes up to its last red triple.
         bits = self.red_bits
         return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-
-    def _swapped_bytes(self, r: int) -> bytes:
-        """The byte view of swap(), right on the ranks below r at least.
-        Each build covers twice the ranks of the last, or r, up to C(N,3),
-        so they cost a few times the largest swapped view's, however large
-        the base."""
-        size, view = self.__dict__.get("_swapped", (0, b""))
-        if size < r:
-            size = min(max(r, 2 * size), self.n_triples)
-            mask = (1 << size) - 1
-            bits = self.red_bits & mask ^ mask
-            view = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-            self.__dict__["_swapped"] = size, view
-        return view
 
     @_cached
     def _ranks(self) -> Tuple[bytes, Tuple[int, ...], Tuple[int, ...]]:
@@ -191,17 +153,13 @@ class Coloring:
 
         return red
 
-    def _lowest_red(self) -> Optional[int]:
-        """The rank of the lowest red triple, or None if none is red, found
-        once per colour by the base for itself and all its views."""
-        base, key = self._base or self, ("_low_red", "_low_blue")[self._flip]
-        if key not in base.__dict__:
-            # the low word first: low & -low (and ~bits) copy the whole bitmap
-            bits, word, flip = base.red_bits, 0xFFFFFFFFFFFFFFFF, self._flip
-            low = bits & word ^ (word if flip else 0) or (~bits if flip else bits)
-            base.__dict__[key] = (low & -low).bit_length() - 1
-        r = base.__dict__[key]
-        return r if 0 <= r < comb(self.n_vertices, 3) else None
+    @_cached
+    def _lowest_red(self) -> int:
+        """The rank of the lowest red triple, or -1 if none is red."""
+        # the low word first: low & -low on all the bits copies the bitmap
+        bits = self.red_bits
+        low = bits & 0xFFFFFFFFFFFFFFFF or bits
+        return (low & -low).bit_length() - 1
 
     def test(self, color: str) -> EdgeTest:
         """Membership test f(x, y, z) for one color class: _red or its negation."""
@@ -211,43 +169,25 @@ class Coloring:
         return red if color == RED else lambda x, y, z: not red(x, y, z)
 
     def __reduce__(self):
-        # the fields alone: the cached tester is a closure, and a view
-        # pickles as the coloring of its own bitmap
+        # the fields alone: the cached tester is a closure
         return Coloring, (self.n_vertices, self.red_bits)
 
     def swap(self) -> "Coloring":
-        """The coloring with red and blue exchanged, as a view."""
-        return self._of(self.n_vertices, not self._flip)
+        """The coloring with red and blue exchanged."""
+        return Coloring(self.n_vertices, self.red_bits ^ ((1 << self.n_triples) - 1))
 
     def restrict(self, n_prefix: int) -> "Coloring":
-        """Induced coloring on the first n_prefix vertices, as a view.
+        """Induced coloring on the first n_prefix vertices.
 
         Triples inside a label prefix occupy a rank prefix in colex order,
-        so the prefix reads the byte view of its base (or of the base's
-        complement) as it is: the bytes agree on every rank below
-        C(n_prefix, 3), and _red reads no rank above.
-        The full prefix is the coloring itself, which is immutable.
+        so restriction is a bitmap truncation.  The full prefix is the
+        coloring itself, which is immutable.
         """
         if not 3 <= n_prefix <= self.n_vertices:
             raise ValueError(f"prefix size {n_prefix} out of range")
         if n_prefix == self.n_vertices:
             return self
-        return self._of(n_prefix, self._flip)
-
-
-class _View(Coloring):
-    """A prefix or colour swap of a base Coloring (Coloring._of): its bytes
-    agree with the base's, or their complement's, on every rank it reads."""
-
-    @_cached
-    def red_bits(self) -> int:
-        mask = (1 << self.n_triples) - 1
-        return self._base.red_bits & mask ^ (mask if self._flip else 0)
-
-    @_cached
-    def _view(self) -> bytes:
-        base = self._base
-        return base._swapped_bytes(self.n_triples) if self._flip else base._view
+        return Coloring(n_prefix, self.red_bits & ((1 << comb(n_prefix, 3)) - 1))
 
 
 def edge_color(coloring: Coloring, e: TripleEdge) -> str:

@@ -22,11 +22,13 @@ red table is built, and the ascent's cycle openers and candidate checks read
 the coloring through link tables (per vertex pair, the bitset of third
 vertices that complete a triple of one colour).
 One build per top-level solve gives both colours (oracle._ColorLinks),
-which the complete searches read too.  The descent's prefixes and the
-ascent's colour swaps are views of the solve's coloring, so no level copies
-the bitmap, and the greedy seed, the lowest red rank, is found once per
-solve.  The move search rules a window of the red path in or out with a
-few mask tests against per-vertex reach masks, written out in place (the
+which the complete searches read too.  A solve reads one coloring, the
+top one, and builds no prefix or swapped coloring: the descent reads it
+below each level's threshold, its vertex count, with the greedy seed (the
+lowest red rank) found once per solve, and the ascent reads only the
+tables, with the colours exchanged at the levels that swap them.  The move
+search rules a window of the red path in or out with a few mask tests
+against per-vertex reach masks, written out in place (the
 three-vertex core's rows and bits are read once for its six orderings),
 tests the end pairs of a window as one on the OR of their rows before it
 tests any alone, and skips a window for the rest of the solve on any
@@ -54,6 +56,7 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
@@ -106,20 +109,20 @@ class _LinkTables:
     """The link tables of one coloring, both colours from one build on first
     use (_ColorLinks).
 
-    One instance serves a whole top-level solve: the prefixes the induction
-    descends to read the same tables (callers only read bits inside the
-    prefix), and the view returned by swap() serves the colour-swapped
-    coloring, whose red table is the blue table of this one.  So does each
-    colour's failed-window memo of the move search (see _find_move).  On a
-    swapped coloring it is the swap() of the unswapped coloring's tables.
+    One instance serves a whole top-level solve: the induction's levels
+    read the same tables on their vertex prefixes (callers only read bits
+    below the level's vertex count), and the view returned by swap() serves
+    the levels that exchange the colours, its red table the blue table of
+    this one.  So does each colour's failed-window memo of the move search
+    (see _find_move).
     """
 
     __slots__ = ("_tables", "_failed", "_swapped")
 
     def __init__(self, coloring: Coloring) -> None:
-        self._tables = _ColorLinks(coloring.swap() if coloring._flip else coloring)
+        self._tables = _ColorLinks(coloring)
         self._failed: Dict[str, Dict[Tuple[int, int, int], int]] = {}
-        self._swapped = coloring._flip
+        self._swapped = False
 
     def swap(self) -> "_LinkTables":
         view = object.__new__(_LinkTables)
@@ -149,7 +152,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _red_edge_at(
-    c: Coloring, T: Optional[Links], free: List[int], fmask: int, end: int
+    c: Optional[Coloring], T: Optional[Links], free: List[int], fmask: int, end: int
 ) -> Optional[Tuple[int, int]]:
     """First (mid, new) from the ascending list free (bitmask fmask), lowest
     labels first, with {end, mid, new} red: read from T if given, else from
@@ -181,10 +184,11 @@ def _red_edge_at(
     return None
 
 
-def _append_extend(c: Coloring, seq: List[int], T: Optional[Links]) -> None:
+def _append_extend(c: Optional[Coloring], n: int, seq: List[int], T: Optional[Links]) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
-    per edge, lowest labels first, tail end first; through T if given."""
-    free = sorted(set(range(c.n_vertices)) - set(seq))
+    below n per edge, lowest labels first, tail end first; through T if
+    given, else through c's byte view."""
+    free = sorted(set(range(n)) - set(seq))
     fmask = sum(1 << v for v in free) if T is not None else 0
     while True:
         step = _red_edge_at(c, T, free, fmask, seq[-1])
@@ -200,15 +204,17 @@ def _append_extend(c: Coloring, seq: List[int], T: Optional[Links]) -> None:
             fmask ^= 1 << step[0] | 1 << step[1]
 
 
-def _greedy(c: Coloring, T: Optional[Links]) -> List[int]:
-    """A red loose path, as its vertices, that no red edge extends at either
-    end; empty if no triple is red.  Seeded from the lowest-rank red triple,
-    each extension takes the lowest labels first, read from T if given."""
-    low = c._lowest_red()
-    if low is None:
+def _greedy(c: Coloring, n: int, T: Optional[Links]) -> List[int]:
+    """A red loose path on the first n vertices of c, as its vertices, that
+    no red edge extends at either end; empty if no triple there is red.
+    Seeded from the lowest-rank red triple, which lies inside the prefix iff
+    its rank is below C(n, 3); each extension takes the lowest labels
+    first, read from T if given."""
+    low = c._lowest_red
+    if not 0 <= low < comb(n, 3):
         return []
-    seq = list(colex_unrank(low, c.n_vertices))
-    _append_extend(c, seq, T)
+    seq = list(colex_unrank(low, n))
+    _append_extend(c, n, seq, T)
     return seq
 
 
@@ -399,17 +405,17 @@ def _find_move(
     return None
 
 
-def _grow(c: Coloring, links: _LinkTables, seq: List[int], need: int) -> List[int]:
-    """Grow the red path seq, maximal under end extension, by replacement
-    moves until it has need edges or no move applies, extending the ends
-    again after every move.  links serves c (or a coloring it is a prefix of)."""
+def _grow(n: int, links: _LinkTables, seq: List[int], need: int) -> List[int]:
+    """Grow the red path seq on the first n vertices, maximal under end
+    extension, by replacement moves until it has need edges or no move
+    applies, extending the ends again after every move."""
     while (len(seq) - 1) // 2 < need:
         T = links.table(RED)
-        mv = _find_move(T, seq, set(range(c.n_vertices)) - set(seq), links.failed(RED))
+        mv = _find_move(T, seq, set(range(n)) - set(seq), links.failed(RED))
         if mv is None:
             break
         seq = mv[0]
-        _append_extend(c, seq, T)
+        _append_extend(None, n, seq, T)
     return seq
 
 
@@ -568,14 +574,14 @@ def _chain(
 # Candidate checking and fallbacks.
 
 
-def _check(c: Coloring, links: _LinkTables, color: str, shape: str, seq) -> Optional[Witness]:
-    """Wrap seq as a witness iff it validates, lies in c's vertices and each
-    edge {a, b, z} is bit z of T[a][b], T the colour's table in links."""
+def _check(n: int, links: _LinkTables, color: str, shape: str, seq) -> Optional[Witness]:
+    """Wrap seq as a witness iff it validates, lies below n and each edge
+    {a, b, z} is bit z of T[a][b], T the colour's table in links."""
     try:
         s = validate_structure(shape, seq)
     except StructureError:
         return None
-    if max(v := s.vertices) >= c.n_vertices:
+    if max(v := s.vertices) >= n:
         return None
     T, ring = links.table(color), v + v[:1] if shape == CYCLE else v
     for i in range(0, len(ring) - 2, 2):
@@ -584,18 +590,16 @@ def _check(c: Coloring, links: _LinkTables, color: str, shape: str, seq) -> Opti
     return Witness(color, shape, s)
 
 
-def _find(
-    c: Coloring, color: str, target: Tuple[str, int], links: _LinkTables
-) -> Optional[Witness]:
+def _find(n: int, color: str, target: Tuple[str, int], links: _LinkTables) -> Optional[Witness]:
     """Complete search for a structure of the colour, shape and length, on
-    the colour's table in links cut down to c's vertices."""
-    n, mask = c.n_vertices, (1 << c.n_vertices) - 1
+    the colour's table in links cut down to the first n vertices."""
+    mask = (1 << n) - 1
     T = [[t & mask for t in row[:n]] for row in links.table(color)[:n]]
-    return _find_mono(c, color, *target, T)
+    return _find_mono(n, color, *target, T)
 
 
 def _completion(
-    c: Coloring,
+    n: int,
     blue_target: Tuple[str, int],
     red_target: Tuple[str, int],
     links: _LinkTables,
@@ -613,7 +617,7 @@ def _completion(
         RuntimeWarning,
         stacklevel=2,
     )
-    w = _find(c, BLUE, blue_target, links) or _find(c, RED, red_target, links)
+    w = _find(n, BLUE, blue_target, links) or _find(n, RED, red_target, links)
     if w is None:
         raise ExtractionError(
             f"no witness found below threshold invariants; trace: {trace}"
@@ -621,17 +625,17 @@ def _completion(
     return w
 
 
-def _open_cycle(c: Coloring, cyc: List[int], T: Links) -> Optional[List[int]]:
+def _open_cycle(n: int, cyc: List[int], T: Links) -> Optional[List[int]]:
     """Open a monochromatic cycle at its first boundary edge {c1, c2, z} of
     the same colour, {c0, c1, c2} a cycle edge and z outside the cycle; per
-    cycle edge {u, v, w}, {v, w, z} before {u, v, z}, for the lowest z of c
-    outside the cycle in T[v][w] | T[v][u], T the colour's table serving c.
+    cycle edge {u, v, w}, {v, w, z} before {u, v, z}, for the lowest z below
+    n outside the cycle in T[v][w] | T[v][u], T the colour's table.
 
     Returns the path z, c1, c2, ..., c0 of the cycle's length, or None when
     every boundary edge has the opposite colour.
     """
     k = len(cyc)
-    outside = ((1 << c.n_vertices) - 1) & ~sum(1 << v for v in cyc)
+    outside = ((1 << n) - 1) & ~sum(1 << v for v in cyc)
     for j in range(0, k, 2):
         u, v, w = cyc[j], cyc[j + 1], cyc[(j + 2) % k]
         hits = (T[v][w] | T[v][u]) & outside
@@ -675,13 +679,14 @@ def _boundary_twins(n: int, cyc: List[int]) -> Twins:
 
 
 def _convert_cycle(
-    c: Coloring, cyc: List[int], color: str, other: Tuple[str, int],
+    n: int, cyc: List[int], color: str, other: Tuple[str, int],
     links: _LinkTables, trace: Optional[List[str]],
 ) -> Witness:
-    """A cycle of the colour yields either a path of the colour and the
-    cycle's length or the other colour's target (shape, length), assembled
-    from the cycle boundary when all of it has the other colour."""
-    path = _open_cycle(c, cyc, links.table(color))
+    """A cycle of the colour on the first n vertices yields either a path of
+    the colour and the cycle's length or the other colour's target (shape,
+    length), assembled from the cycle boundary when all of it has the other
+    colour."""
+    path = _open_cycle(n, cyc, links.table(color))
     if path is not None:
         _note(trace, "opened %s cycle into %s path", color, color)
         return Witness(color, PATH, validate_structure(PATH, path))
@@ -689,10 +694,9 @@ def _convert_cycle(
     _note(trace, "cycle boundary entirely %s; assembling %s target", oc, oc)
     own = (PATH, len(cyc) // 2)
     blue, red = (other, own) if color == RED else (own, other)
-    n = c.n_vertices
     return _find_mono(
-        c, oc, *other, _boundary_table(n, cyc), _boundary_twins(n, cyc)
-    ) or _completion(c, blue, red, links, trace, "cycle conversion")
+        n, oc, *other, _boundary_table(n, cyc), _boundary_twins(n, cyc)
+    ) or _completion(n, blue, red, links, trace, "cycle conversion")
 
 
 # ---------------------------------------------------------------------------
@@ -740,22 +744,21 @@ def _cycle_candidates(
 
 
 def _cycle_step(
-    c: Coloring, cyc: List[int], n: int, m: int, want: str,
+    N: int, cyc: List[int], n: int, m: int, want: str,
     links: _LinkTables, trace: Optional[List[str]],
 ) -> Witness:
-    """Lift a red cycle of length n-1 to a red cycle of length n or produce
-    the blue target (cycle of length m, or path of length m when n > m).
-    links serves c (or a coloring it is a prefix of).
+    """Lift a red cycle of length n-1 on the first N vertices to a red cycle
+    of length n or produce the blue target (cycle of length m, or path of
+    length m when n > m).
     """
-    path = _open_cycle(c, cyc, links.table(RED))
+    path = _open_cycle(N, cyc, links.table(RED))
     if path is None:
         _note(trace, "cycle boundary entirely blue; assembling blue target directly")
-        N = c.n_vertices
         return _find_mono(
-            c, BLUE, want, m, _boundary_table(N, cyc), _boundary_twins(N, cyc)
-        ) or _completion(c, (want, m), (CYCLE, n), links, trace, "blue boundary assembly")
+            N, BLUE, want, m, _boundary_table(N, cyc), _boundary_twins(N, cyc)
+        ) or _completion(N, (want, m), (CYCLE, n), links, trace, "blue boundary assembly")
     z, c1, P = path[0], path[1], path[2:]
-    W0 = sorted(set(range(c.n_vertices)) - set(path))
+    W0 = sorted(set(range(N)) - set(path))
     _note(trace, "opened cycle: boundary edge through %s, reservoir %s", z, W0)
 
     # Any replacement move on the opened path closes to the longer red cycle.
@@ -767,13 +770,13 @@ def _cycle_step(
     qq0, used, consumed = _chain(links.table(BLUE), P, W0, trace)
     x = len(W0) - len(used)
     if qq0 is None or x >= 2:
-        return _completion(c, (want, m), (CYCLE, n), links, trace, f"chain leftover {x}")
+        return _completion(N, (want, m), (CYCLE, n), links, trace, f"chain leftover {x}")
     _note(trace, "chained blue path: %s edges consumed, leftover %s", consumed, x)
 
     u = sorted(set(W0) - used)[0] if x == 1 else None
     for qq in (qq0, qq0[::-1]):
         for color, shape, seq in _cycle_candidates(P, c1, z, qq, x, m, u):
-            w = _check(c, links, color, shape, seq)
+            w = _check(N, links, color, shape, seq)
             if w is None:
                 continue
             if color == RED:
@@ -783,8 +786,8 @@ def _cycle_step(
                 _note(trace, "closing candidate blue: blue cycle")
                 return w
             # blue cycle found but a blue path is wanted: open it
-            return _convert_cycle(c, list(seq), BLUE, (CYCLE, n), links, trace)
-    return _completion(c, (want, m), (CYCLE, n), links, trace, "no closing candidate matched")
+            return _convert_cycle(N, list(seq), BLUE, (CYCLE, n), links, trace)
+    return _completion(N, (want, m), (CYCLE, n), links, trace, "no closing candidate matched")
 
 
 def _path_candidates(
@@ -810,40 +813,40 @@ def _path_candidates(
 
 
 def _path_step(
-    c: Coloring, p: List[int], n: int, m: int, links: _LinkTables,
+    N: int, p: List[int], n: int, m: int, links: _LinkTables,
     trace: Optional[List[str]],
 ) -> Witness:
-    """Lift a red path of length n-1 to a red path of length n or produce a
-    blue path of length m.  links serves c (or a coloring it is a prefix of)."""
+    """Lift a red path of length n-1 on the first N vertices to a red path
+    of length n or produce a blue path of length m."""
     p = list(p)
     # grow toward the red target before anything else
-    _append_extend(c, p, links.table(RED))
-    p = _grow(c, links, p, n)
+    _append_extend(None, N, p, links.table(RED))
+    p = _grow(N, links, p, n)
     if (len(p) - 1) // 2 >= n:
         _note(trace, "red path extended to target length")
         return Witness(RED, PATH, validate_structure(PATH, p[: 2 * n + 1]))
 
-    wbar = sorted(set(range(c.n_vertices)) - set(p))
+    wbar = sorted(set(range(N)) - set(p))
     u = wbar[-1]
     W0 = wbar[:-1]
     qq0, used, consumed = _chain(links.table(BLUE), p[2:], W0, trace)
     x = len(W0) - len(used)
     if qq0 is None or x >= 2 or (x == 1 and m % 2 == 0):
-        return _completion(c, (PATH, m), (PATH, n), links, trace, f"path chain leftover {x}")
+        return _completion(N, (PATH, m), (PATH, n), links, trace, f"path chain leftover {x}")
     _note(trace, "chained blue path: %s edges consumed, leftover %s", consumed, x)
 
     v = sorted(set(W0) - used)[0] if x == 1 else None
     for qq in (qq0, qq0[::-1]):
         for color, shape, seq in _path_candidates(p, u, qq, x, m, v):
-            w = _check(c, links, color, shape, seq)
+            w = _check(N, links, color, shape, seq)
             if w is None:
                 continue
             if color == RED and shape == CYCLE:
                 _note(trace, "closing candidate red cycle; converting")
-                return _convert_cycle(c, list(seq), RED, (PATH, m), links, trace)
+                return _convert_cycle(N, list(seq), RED, (PATH, m), links, trace)
             _note(trace, "closing candidate accepted: %s %s", color, shape)
             return w
-    return _completion(c, (PATH, m), (PATH, n), links, trace, "no closing candidate matched")
+    return _completion(N, (PATH, m), (PATH, n), links, trace, "no closing candidate matched")
 
 
 # ---------------------------------------------------------------------------
@@ -851,16 +854,16 @@ def _path_step(
 
 
 def _fast_red(
-    c: Coloring, target: Tuple[str, int], links: _LinkTables, gp: List[int]
+    c: Coloring, n: int, target: Tuple[str, int], links: _LinkTables, gp: List[int]
 ) -> Optional[Witness]:
-    """Cheap attempt at the red target: c's greedy path gp grown by
-    replacement moves.  Succeeds on most colorings without entering the
-    induction, and then without building a link table."""
+    """Cheap attempt at the red target on the first n vertices of c: the
+    greedy path gp grown by replacement moves.  Succeeds on most colorings
+    without entering the induction, and then without building a link table."""
     shape, tlen = target
     if not gp:
         return None
     need = tlen if shape == PATH else tlen - 1
-    seq = _grow(c, links, list(gp), need)
+    seq = _grow(n, links, list(gp), need)
     if (len(seq) - 1) // 2 < need:
         return None
     if shape == PATH:
@@ -871,7 +874,7 @@ def _fast_red(
     for off in range(0, len(seq) - span + 1, 2):
         sub = seq[off : off + span]
         inside = set(sub)
-        for zv in range(c.n_vertices):
+        for zv in range(n):
             if zv not in inside and red(sub[-1], zv, sub[0]):
                 return Witness(RED, CYCLE, validate_structure(CYCLE, sub + [zv]))
     return None
@@ -913,47 +916,48 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             f"need at least {N} vertices for {pair}, coloring has {coloring.n_vertices}"
         )
     top = coloring.restrict(N)
-    links = _LinkTables(top)  # serves every prefix and, swapped, every swap
+    links = _LinkTables(top)  # serves every level and, swapped, every swap
 
     # Descent: each level tries the red target greedily on its threshold
-    # prefix; a failure there hands the level's sub pair down, until a
-    # greedy success or a base case gives the first witness.  The greedy
-    # path carries down while the prefix still holds all its vertices.
-    levels, gp = [], None  # (pair, prefix, swap) per level lifted
+    # prefix, the first N vertices of top; a failure there hands the
+    # level's sub pair down, until a greedy success or a base case gives
+    # the first witness.  The greedy path carries down while the prefix
+    # still holds all its vertices.
+    levels, gp = [], None  # (pair, vertex count, swap) per level lifted
     for at, N, swap, target, base in _plan(pair):
-        c = top.restrict(N)
         if gp is None or any(v >= N for v in gp):
-            gp = _greedy(c, links.built(RED))
-        if target is not None and (w := _fast_red(c, target, links, gp)) is not None:
+            gp = _greedy(top, N, links.built(RED))
+        if target is not None and (w := _fast_red(top, N, target, links, gp)) is not None:
             _note(trace, "%s: red target built greedily", at)
             break
         if base:
             _note(trace, "base case %s: complete search", at)
-            w = _find(c, RED, at.red_target, links) or _find(c, BLUE, at.blue_target, links)
+            w = _find(N, RED, at.red_target, links) or _find(N, BLUE, at.blue_target, links)
             if w is None:
                 raise ExtractionError(f"base case {at} produced no witness; trace: {trace}")
             break
-        levels.append((at, c, swap))
+        levels.append((at, N, swap))
 
-    # Ascent: lift the witness by one step per level, innermost level first.
-    for at, c, swap in reversed(levels):
+    # Ascent: lift the witness by one step per level, innermost level first,
+    # on the level's vertex count and the tables, swapped where it swaps.
+    for at, N, swap in reversed(levels):
         kind, n, m = at.kind, at.n, at.m
         if w.color == (RED if swap else BLUE):
             continue
         lk = links
         if swap:
             _note(trace, "%s: swapping colors around blue %s of length %s", at, w.shape, w.length)
-            c, lk = c.swap(), links.swap()
+            lk = links.swap()
         verts = list(w.structure.vertices)
         if kind == PNCM:
-            w = _convert_cycle(c, verts, RED, (CYCLE, m), lk, trace)
+            w = _convert_cycle(N, verts, RED, (CYCLE, m), lk, trace)
         elif (kind, n, m) == (PMCN, 4, 3):
             # a red cycle of length 4 contains a red path of length 3
             w = Witness(RED, PATH, validate_structure(PATH, verts[:7]))
         elif kind == PP:
-            w = _path_step(c, verts, n, m, lk, trace)
+            w = _path_step(N, verts, n, m, lk, trace)
         else:
-            w = _cycle_step(c, verts, n, m, CYCLE if kind == CC else PATH, lk, trace)
+            w = _cycle_step(N, verts, n, m, CYCLE if kind == CC else PATH, lk, trace)
         if swap:
             w = Witness(opposite(w.color), w.shape, w.structure)
 

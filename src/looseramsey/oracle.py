@@ -196,7 +196,7 @@ class _ColorLinks(dict):
                 np.fill_diagonal(S, 0)
             T = S.tolist()
         elif other is None:
-            T = _link_table(n, (c if color == RED else c.swap()).red_bits)
+            T = _link_table(n, c.red_bits if color == RED else c.red_bits ^ (1 << c.n_triples) - 1)
         else:  # each row above the diagonal is its mirror's int
             full, T = (1 << n) - 1, [[0] * n for _ in range(n)]
             for x, row in enumerate(other):
@@ -313,24 +313,28 @@ def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[in
 
 
 def _find_mono(
-    coloring: Coloring, color: str, shape: str, length: int,
-    T: Optional[Links] = None, twins: Optional[Twins] = None,
+    n: int, color: str, shape: str, length: int, T: Links, twins: Optional[Twins] = None
 ) -> Optional[Witness]:
-    """find_mono_path and find_mono_cycle: _search on the colour's table,
-    which is built here unless the caller passes it as T, with its twin
-    classes, computed here unless the caller passes them."""
+    """A structure of the colour, shape and length, which fits in n
+    vertices, by _search on T, the colour's link table on n vertices, with
+    its twin classes, computed here unless the caller passes them."""
+    seq = _search(T, shape, length, twins or _twins(T))
+    return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
+
+
+def _find_in(coloring: Coloring, color: str, shape: str, length: int) -> Optional[Witness]:
+    """find_mono_path and find_mono_cycle: the target checked against the
+    coloring, then _find_mono on the colour's table, built here."""
     letter, shortest, need = ("C", 3, 2 * length) if shape == CYCLE else ("P", 1, 2 * length + 1)
     if length < shortest:
         raise ValueError(f"{shape} length {length} below minimum {shortest}")
     n = coloring.n_vertices
     if need > n:
         raise ValueError(f"{letter}_{length} needs {need} vertices, coloring has {n}")
-    if T is None:
-        if color not in (RED, BLUE):
-            raise ValueError(f"unknown color {color!r}")
-        T = _link_table(n, (coloring if color == RED else coloring.swap()).red_bits)
-    seq = _search(T, shape, length, twins or _twins(T))
-    return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
+    if color not in (RED, BLUE):
+        raise ValueError(f"unknown color {color!r}")
+    T = _link_table(n, (coloring if color == RED else coloring.swap()).red_bits)
+    return _find_mono(n, color, shape, length, T)
 
 
 def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
@@ -339,12 +343,12 @@ def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witn
     Deterministic: vertices are tried in ascending label order, so the
     returned witness is the first sequence under that order.
     """
-    return _find_mono(coloring, color, PATH, length)
+    return _find_in(coloring, color, PATH, length)
 
 
 def find_mono_cycle(coloring: Coloring, color: str, length: int) -> Optional[Witness]:
     """Complete search for a monochromatic loose cycle of the given length."""
-    return _find_mono(coloring, color, CYCLE, length)
+    return _find_in(coloring, color, CYCLE, length)
 
 
 def _structure_masks(n_vertices: int, shape: str, length: int) -> List[int]:

@@ -233,11 +233,11 @@ class TestLookupParity:
         _assert_lookups_match(c, random.Random(rank), sample=comb(12, 3))
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_prefix_shares_the_parent_view(self, seed):
-        """restrict(k) holds the parent's byte view, not a copy, and its
-        tester answers as a fresh coloring of the truncated bitmap on every
-        triple below k; a triple reaching past k reads blue, even where the
-        parent's bytes have it red."""
+    def test_prefix_is_the_truncated_bitmap(self, seed):
+        """restrict(k) is the coloring of the parent's bitmap truncated to
+        C(k, 3) ranks, and its tester answers as a fresh coloring of that
+        bitmap on every triple below k; a triple reaching past k reads blue,
+        even where the parent has it red."""
         rnd = random.Random(seed)
         n = rnd.randint(4, 24)
         bits = rnd.getrandbits(comb(n, 3))
@@ -246,9 +246,8 @@ class TestLookupParity:
         c = Coloring(n, bits)
         k = rnd.randint(3, n - 1)
         sub = c.restrict(k)
-        assert sub._view is c._view
         fresh = Coloring(k, bits & ((1 << comb(k, 3)) - 1))
-        assert sub == fresh
+        assert type(sub) is Coloring and sub == fresh and sub.red_bits == fresh.red_bits
         red, want = sub.test(RED), fresh.test(RED)
         for x, y, z in _triples(k):
             assert red(x, y, z) is want(x, y, z) is red(z, x, y), (seed, x, y, z)
@@ -261,36 +260,36 @@ class TestLookupParity:
         assert c.restrict(n) == Coloring(n, c.red_bits)
 
 
-def _assert_same_coloring(view, eager, rnd):
-    """view answers as eager, the coloring built from its bitmap: n_triples,
-    both testers on every triple (in random vertex order), verify_witness
-    on random paths and cycles claimed in either colour, all without
-    computing the view's red_bits; then red_bits, ==, hash and pickling."""
+def _assert_same_coloring(got, eager, rnd):
+    """got, a composition of restrict() and swap(), answers as eager, the
+    coloring built from its bitmap: n_triples, both testers on every
+    triple (in random vertex order), verify_witness on random paths and
+    cycles claimed in either colour, red_bits, ==, hash and pickling."""
     n = eager.n_vertices
-    assert view.n_vertices == n and view.n_triples == eager.n_triples
+    assert type(got) is Coloring
+    assert got.n_vertices == n and got.n_triples == eager.n_triples
     for color in (RED, BLUE):
-        got, want = view.test(color), eager.test(color)
+        mine, want = got.test(color), eager.test(color)
         for e in _triples(n):
             x, y, z = rnd.sample(e, 3)
-            assert got(x, y, z) is want(x, y, z), (color, e)
+            assert mine(x, y, z) is want(x, y, z), (color, e)
     for _ in range(6):
         shape = CYCLE if n >= 6 and rnd.random() < 0.5 else PATH
         size = 2 * rnd.randint(3, n // 2) if shape == CYCLE else 2 * rnd.randint(1, (n - 1) // 2) + 1
         structure = (LooseCycle if shape == CYCLE else LoosePath)(tuple(rnd.sample(range(n), size)))
         for color in (RED, BLUE):
             w = Witness(color, shape, structure)
-            assert verify_witness(view, w) == verify_witness(eager, w)
-    assert "red_bits" not in vars(view) or view._base is None
-    assert view.red_bits == eager.red_bits
-    assert view == eager and eager == view and hash(view) == hash(eager)
-    assert pickle.dumps(view) == pickle.dumps(eager)
-    back = pickle.loads(pickle.dumps(view))
-    assert type(back) is Coloring and back == eager and back._base is None
+            assert verify_witness(got, w) == verify_witness(eager, w)
+    assert got.red_bits == eager.red_bits
+    assert got == eager and eager == got and hash(got) == hash(eager)
+    assert pickle.dumps(got) == pickle.dumps(eager)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is Coloring and back == eager
 
 
-class TestViews:
-    """restrict() and swap() return views of one bitmap, which answer as the
-    colorings built from their own bitmaps."""
+class TestRestrictAndSwap:
+    """restrict() and swap(), and their compositions, return the colorings
+    built from their own bitmaps."""
 
     @given(st.integers(3, 40), st.integers(0, 2**32), st.data())
     @settings(max_examples=40, deadline=None)
@@ -303,35 +302,33 @@ class TestViews:
         k = data.draw(st.integers(3, n))
         full, low = (1 << t) - 1, (1 << comb(k, 3)) - 1
         c = Coloring(n, bits)
-        for view, eager in (
+        for got, eager in (
             (c.restrict(k), Coloring(k, bits & low)),
             (c.swap(), Coloring(n, bits ^ full)),
             (c.restrict(k).swap(), Coloring(k, bits & low ^ low)),
             (c.swap().restrict(k), Coloring(k, bits & low ^ low)),
             (c.swap().restrict(k).swap(), Coloring(k, bits & low)),
         ):
-            _assert_same_coloring(view, eager, rnd)
+            _assert_same_coloring(got, eager, rnd)
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_swapped_prefixes_grow_the_complement_as_read(self, sparse):
-        """Swapped prefixes read in growing, then shrinking, size answer as
-        the eager colorings, and the base's complemented bytes cover fewer
-        than twice the ranks of the largest one read so far, or all."""
+    def test_swapped_prefixes_of_every_size(self, sparse):
+        """Swapped prefixes taken in growing, then shrinking, size, of a
+        dense bitmap and of one whose red triples all lie in one byte,
+        answer as the colorings of their bitmaps."""
         n, rnd = 30, random.Random(sparse)
         bits = 0b1011 << 40 if sparse else rnd.getrandbits(comb(n, 3))
-        c, largest = Coloring(n, bits), 0
+        c = Coloring(n, bits)
         for k in [*range(3, n + 1, 3), *range(n - 1, 2, -4)]:
             low = (1 << comb(k, 3)) - 1
             _assert_same_coloring(c.restrict(k).swap(), Coloring(k, bits & low ^ low), rnd)
-            largest = max(largest, comb(k, 3))
-            size = vars(c)["_swapped"][0]
-            assert largest <= size < 2 * largest or size == c.n_triples, (k, size)
 
     def test_a_swap_of_a_swap_is_the_coloring(self):
         c = Coloring(7, 0x2f031)
-        assert c.swap().swap() is c and c.swap().restrict(5).swap() == c.restrict(5)
+        assert c.swap().swap() == c and c.swap().restrict(5).swap() == c.restrict(5)
+        assert type(c.swap().swap()) is Coloring and c.swap() != c
 
-    def test_views_are_immutable(self):
+    def test_restrictions_and_swaps_are_immutable(self):
         for c in (Coloring(6, 3), Coloring(6, 3).swap(), Coloring(6, 3).restrict(4)):
             with pytest.raises(AttributeError):
                 c.red_bits = 0

@@ -170,7 +170,7 @@ class TestOpenCycle:
         for seed in range(1500):
             c, cyc, color = _opener_instance(seed)
             k = len(cyc)
-            path = _open_cycle(c, cyc, _LinkTables(c).table(color))
+            path = _open_cycle(c.n_vertices, cyc, _LinkTables(c).table(color))
             # the old step opener reads red; the blue case is red after a swap
             ref, _ = _reference_step_opener(c if color == RED else c.swap(), cyc)
             old_kind, _ = _reference_open_cycle(c, cyc, color)
@@ -196,9 +196,9 @@ class TestOpenCycle:
             n, extra = c.n_vertices, comb(c.n_vertices + 3, 3) - c.n_triples
             bits = c.red_bits | (((1 << extra) - 1) << c.n_triples if color == RED else 0)
             big = Coloring(n + 3, bits)
-            path = _open_cycle(big.restrict(n), cyc, _LinkTables(big).table(color))
-            assert path == _open_cycle(c, cyc, _LinkTables(c).table(color)), seed
-            assert _open_cycle(big, cyc, _LinkTables(big).table(color)) is not None
+            path = _open_cycle(n, cyc, _LinkTables(big).table(color))
+            assert path == _open_cycle(n, cyc, _LinkTables(c).table(color)), seed
+            assert _open_cycle(n + 3, cyc, _LinkTables(big).table(color)) is not None
             closed += path is None
         assert closed > 100
 
@@ -206,8 +206,9 @@ class TestOpenCycle:
 def _check_instance(seed):
     """(coloring, its links, colour, shape, sequence): a prefix of a random
     coloring of K3_N, N 7-16, of random red density, itself a prefix of a
-    larger one, as solve makes it, or the prefix's colour swap, with the
-    links of the top coloring (swapped with it); and a random sequence:
+    larger one, or the prefix's colour swap, with the links of the top
+    coloring (swapped with it), which a level of solve reads with the
+    prefix's vertex count; and a random sequence:
     distinct vertices of the prefix, half of them as short as a target can
     be so that some are monochromatic, or a sequence that fails to
     validate or reaches past the prefix."""
@@ -251,7 +252,7 @@ class TestCheck:
                 invalid += 1
             else:
                 want = w if verify_witness(c, w) else None
-            assert _check(c, links, color, shape, seq) == want, seed
+            assert _check(c.n_vertices, links, color, shape, seq) == want, seed
             accepted += want is not None
             rejected += want is None
         assert accepted > 300 and rejected - invalid > 300 and invalid > 300
@@ -326,13 +327,13 @@ class TestBoundaryTable:
             targets += [(CYCLE, L) for L in range(3, n // 2 + 1)]
             # _cycle_step opens red cycles: a blue one is red after the swap
             links = _LinkTables(c)
-            step_c, step_links = (c, links) if color == RED else (c.swap(), links.swap())
+            step_links = links if color == RED else links.swap()
             for shape, length in targets:
                 ref = _reference_family_search(family, shape, length)
                 trace = []
-                w = _convert_cycle(c, cyc, color, (shape, length), links, trace)
+                w = _convert_cycle(n, cyc, color, (shape, length), links, trace)
                 assert trace == [f"cycle boundary entirely {oc}; assembling {oc} target"]
-                step = _cycle_step(step_c, cyc, len(cyc) // 2 + 1, length, shape, step_links, None)
+                step = _cycle_step(n, cyc, len(cyc) // 2 + 1, length, shape, step_links, None)
                 if ref is None:
                     assert w is None and step is None
                     absent[color] += 1
@@ -374,18 +375,18 @@ class TestRamseyNumber:
 
 class TestGreedyRedPath:
     def test_all_red_k7(self):
-        assert len(_greedy(Coloring(7, 0).swap(), None)) == 7
+        assert len(_greedy(Coloring(7, 0).swap(), 7, None)) == 7
 
     def test_all_blue(self):
-        assert _greedy(Coloring(7, 0), None) == []
+        assert _greedy(Coloring(7, 0), 7, None) == []
 
     def test_split(self):
-        assert len(_greedy(build_split_coloring(SplitSpec(7, 1)), None)) == 5
+        assert len(_greedy(build_split_coloring(SplitSpec(7, 1)), 8, None)) == 5
 
     def test_result_is_red_and_unextendable(self):
         for seed in range(30):
             c = _rand(9, seed)
-            seq = _greedy(c, None)
+            seq = _greedy(c, c.n_vertices, None)
             if not seq:
                 continue
             assert verify_witness(c, Witness(RED, PATH, validate_loose_path(seq)))
@@ -446,7 +447,7 @@ class TestChainBluePath:
                 if rnd.random() < 0.06:
                     bits |= 1 << i
             c = Coloring(12, bits)
-            seq = _greedy(c, None)
+            seq = _greedy(c, c.n_vertices, None)
             if len(seq) < 5:
                 continue
             wset = set(range(12)) - set(seq)
@@ -475,7 +476,7 @@ class TestSteps:
         # red graph is exactly a 3-path; on 10 vertices the step must find
         # the blue 3-path since no red 4-path exists
         c, verts = _path_only(10, 3)
-        w = _path_step(c, verts, 4, 3, _LinkTables(c), None)
+        w = _path_step(c.n_vertices, verts, 4, 3, _LinkTables(c), None)
         assert w.color == BLUE and (w.shape, w.length) == (PATH, 3)
         assert verify_witness(c, w)
 
@@ -485,7 +486,7 @@ class TestSteps:
         c, verts = _path_only(11, 3)
         trace = []
         with pytest.warns(RuntimeWarning, match=r"path chain leftover 1"):
-            w = _path_step(c, verts, 4, 4, _LinkTables(c), trace)
+            w = _path_step(c.n_vertices, verts, 4, 4, _LinkTables(c), trace)
         assert "completion search (path chain leftover 1)" in trace
         assert verify_witness(c, w) and (w.shape, w.length) == (PATH, 4)
 
@@ -494,7 +495,7 @@ class TestSteps:
         # by {0,1,5} {5,6,2} reaches length 3: the step must say so
         c = _from_edges(7, [(0, 1, 2), (2, 3, 4), (0, 1, 5), (2, 5, 6)])
         trace = []
-        w = _path_step(c, [0, 1, 2, 3, 4], 3, 3, _LinkTables(c), trace)
+        w = _path_step(c.n_vertices, [0, 1, 2, 3, 4], 3, 3, _LinkTables(c), trace)
         assert (w.color, w.shape, w.length) == (RED, PATH, 3)
         assert verify_witness(c, w)
         assert trace == ["red path extended to target length"]
@@ -504,7 +505,7 @@ class TestSteps:
         edges = [tuple(cyc[2 * i : 2 * i + 3]) for i in range(3)] + [(6, 7, 0)]
         c = _from_edges(11, edges)
         assert validate_loose_cycle(cyc).length == 4
-        w = _cycle_step(c, cyc, 5, 4, CYCLE, _LinkTables(c), None)
+        w = _cycle_step(c.n_vertices, cyc, 5, 4, CYCLE, _LinkTables(c), None)
         assert w.color == BLUE and (w.shape, w.length) == (CYCLE, 4)
         assert verify_witness(c, w)
 
@@ -546,7 +547,8 @@ class TestConvertRedCycle:
             if cyc is None:
                 continue
             trace = []
-            w = _convert_cycle(c, list(cyc.structure.vertices), RED, (PATH, 2), _LinkTables(c), trace)
+            verts = list(cyc.structure.vertices)
+            w = _convert_cycle(c.n_vertices, verts, RED, (PATH, 2), _LinkTables(c), trace)
             assert trace == ["opened red cycle into red path"], seed
             self._check(c, w, RED, 3)
             found += 1
@@ -559,7 +561,7 @@ class TestConvertRedCycle:
             c, cyc = _cycle_with_blue_boundary(seed)
             m = 2 + seed % 2
             trace = []
-            w = _convert_cycle(c, cyc, RED, (PATH, m), _LinkTables(c), trace)
+            w = _convert_cycle(c.n_vertices, cyc, RED, (PATH, m), _LinkTables(c), trace)
             assert trace == ["cycle boundary entirely blue; assembling blue target"], seed
             self._check(c, w, BLUE, m)
 
@@ -584,7 +586,8 @@ class TestConvertBlueCycle:
             if cyc is None:
                 continue
             trace = []
-            w = _convert_cycle(c, list(cyc.structure.vertices), BLUE, (CYCLE, 4), _LinkTables(c), trace)
+            verts = list(cyc.structure.vertices)
+            w = _convert_cycle(c.n_vertices, verts, BLUE, (CYCLE, 4), _LinkTables(c), trace)
             assert trace == ["opened blue cycle into blue path"], seed
             self._check(c, w, BLUE, (PATH, 3))
             found += 1
@@ -596,7 +599,7 @@ class TestConvertBlueCycle:
             c, cyc = _cycle_with_blue_boundary(seed)
             target = ((PATH, 2), (PATH, 3), (CYCLE, 3))[seed % 3]
             trace = []
-            w = _convert_cycle(c.swap(), cyc, BLUE, target, _LinkTables(c).swap(), trace)
+            w = _convert_cycle(c.n_vertices, cyc, BLUE, target, _LinkTables(c).swap(), trace)
             assert trace == ["cycle boundary entirely red; assembling red target"], seed
             self._check(c.swap(), w, RED, target)
 

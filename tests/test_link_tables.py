@@ -39,6 +39,7 @@ from looseramsey.core import (
     BLUE,
     RED,
     Coloring,
+    _cached,
     TripleEdge,
     colex_rank,
     colex_unrank,
@@ -440,7 +441,7 @@ def _instance(seed, min_edges=1):
         density = rnd.choice([0.1, 0.3, 0.5, 0.7, 0.9])
         bits = sum(1 << rank for rank in range(comb(n, 3)) if rnd.random() < density)
     c = Coloring(n, bits)
-    p = _greedy(c, None)
+    p = _greedy(c, n, None)
     if len(p) < 2 * min_edges + 1 or rnd.random() < 0.5:
         p = rnd.sample(range(n), 2 * rnd.randint(min_edges, (n - 3) // 2) + 1)
     rest = [v for v in range(n) if v not in p]
@@ -1092,7 +1093,7 @@ def _memo_instance(seed):
     else:
         density = (0.2, 0.5, 0.8)[seed % 4]
         c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
-    p = _greedy(c, None)
+    p = _greedy(c, n, None)
     if len(p) < 3 or len(p) > n - 3 or rnd.random() < 0.5:
         p = rnd.sample(range(n), 2 * rnd.randint(1, (n - 3) // 2) + 1)
     return c, p, [v for v in range(n) if v not in p]
@@ -1130,8 +1131,9 @@ class TestDescentReuse:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(3, 14), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_greedy_path_is_the_prefix_greedy_path(self, n, seed, data):
-        """The greedy path of c.restrict(k) is the greedy path of c whenever
-        every vertex of the latter lies below k."""
+        """The greedy path of c.restrict(k), and of c on its first k
+        vertices, is the greedy path of c whenever every vertex of the
+        latter lies below k."""
         rnd = random.Random(seed)
         if rnd.random() < 0.3:
             a = rnd.randint(3, n)
@@ -1140,15 +1142,16 @@ class TestDescentReuse:
         else:
             density = rnd.choice([0.05, 0.2, 0.5, 0.9])
             c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
-        gp = _greedy(c, None)
+        gp = _greedy(c, n, None)
         k = data.draw(st.integers(max(gp, default=2) + 1, n))
-        assert _greedy(c.restrict(k), None) == gp
+        assert _greedy(c.restrict(k), k, None) == _greedy(c, k, None) == gp
 
     def test_end_extension_from_rows_is_the_triple_scan(self):
         """_append_extend through the red table of a larger coloring, and
-        through the prefix's byte view, returns the sequence the per-triple
-        scan through Coloring.test returns on the prefix, from seeds of one,
-        three or five vertices; so do both greedy builds."""
+        through the byte view of the prefix or of the larger coloring with
+        the prefix's vertex count, returns the sequence the per-triple scan
+        through Coloring.test returns on the prefix, from seeds of one,
+        three or five vertices; so do the greedy builds."""
         grown = 0
         for seed in range(600):
             rnd = random.Random(seed)
@@ -1159,12 +1162,14 @@ class TestDescentReuse:
             c = top.restrict(rnd.randint(3, big))
             n = c.n_vertices
             start = rnd.sample(range(n), rnd.choice([k for k in (1, 3, 5) if k <= n]))
-            rows, view, triples = list(start), list(start), list(start)
-            _append_extend(c, rows, T)
-            _append_extend(c, view, None)
+            rows, view, bound, triples = list(start), list(start), list(start), list(start)
+            _append_extend(None, n, rows, T)
+            _append_extend(c, n, view, None)
+            _append_extend(top, n, bound, None)
             _reference_append_extend(c.test(RED), n, triples)
-            assert rows == view == triples, seed
-            assert _greedy(c, T) == _greedy(c, None) == _reference_greedy(c), seed
+            assert rows == view == bound == triples, seed
+            want = _reference_greedy(c)
+            assert _greedy(c, n, T) == _greedy(c, n, None) == _greedy(top, n, None) == want, seed
             grown += len(rows) > len(start)
         assert grown > 300
 
@@ -1173,9 +1178,10 @@ class TestDescentReuse:
         Coloring.test: on split colorings and their swaps; on sparse views,
         whose every rank from a cut upward is blue, so that the rank tables
         stop below N; on bitmaps whose low word is blue, where the seed's
-        lowest red rank comes from the whole bitmap; and on prefixes that
-        share a larger coloring's byte view."""
-        seen = {"short tables": 0, "blue low word": 0, "shared view": 0}
+        lowest red rank comes from the whole bitmap; and on the prefixes of a
+        larger coloring, read through its byte view with the prefix's
+        vertex count."""
+        seen = {"short tables": 0, "blue low word": 0, "vertex bound": 0}
         for seed in range(400):
             rnd = random.Random(seed)
             n = rnd.randint(3, 30)
@@ -1196,40 +1202,55 @@ class TestDescentReuse:
                 top = Coloring(n + rnd.randint(1, 8), 0)
                 top = Coloring(top.n_vertices, rnd.getrandbits(top.n_triples))
                 c = top.restrict(n)
-                seen["shared view"] += c._view is top._view
+                seen["vertex bound"] += 1
+                assert _greedy(top, n, None) == _reference_greedy(c), seed
             seen["short tables"] += len(c._ranks[2]) < n
             seen["blue low word"] += c.red_bits and not c.red_bits & 0xFFFFFFFFFFFFFFFF
-            assert _greedy(c, None) == _reference_greedy(c), seed
+            assert _greedy(c, n, None) == _reference_greedy(c), seed
         assert min(seen.values()) > 40, seen
 
-    def test_solve_reads_one_bitmap(self, monkeypatch):
-        """split+1 pp(40, 40) a+1 plain: the descent's prefixes and the
-        ascent's swaps are views that compute no red_bits of their own, and
-        the greedy seed's lowest red rank is found once for the solve, by
-        the coloring, for the red colour alone."""
-        made, seeds = [], []
-        real_of, real_lowest = Coloring._of, Coloring._lowest_red
-        monkeypatch.setattr(Coloring, "_of", lambda *a: made.append(real_of(*a)) or made[-1])
-
-        def lowest(view):
-            seeds.append(view)
-            return real_lowest(view)
-
-        monkeypatch.setattr(Coloring, "_lowest_red", lowest)
+    def test_solve_at_the_threshold_builds_no_coloring(self, monkeypatch):
+        """split+1 pp(40, 40) a+1 plain, whose ascent swaps the colours more
+        than ten times: a solve of a coloring at exactly its threshold
+        constructs no Coloring and calls neither swap() nor restrict()
+        beyond the top one's restrict(N), which is the coloring itself; it
+        computes the greedy seed's lowest red rank once."""
         pair = PairKind(PP, 40, 40)
         spec = lower_bound_params(pair)
         c, trace = build_split_coloring(SplitSpec(spec.a + 1, spec.b)), []
+        assert c.n_vertices == ramsey_number(pair)
+        made, calls, seeds = [], [], []
+        real_init, real_swap, real_restrict, real_lowest = (
+            Coloring.__post_init__, Coloring.swap, Coloring.restrict, Coloring._lowest_red.func)
+        monkeypatch.setattr(Coloring, "__post_init__", lambda self: made.append(self) or real_init(self))
+        monkeypatch.setattr(Coloring, "swap", lambda self: calls.append("swap") or real_swap(self))
+        monkeypatch.setattr(
+            Coloring, "restrict", lambda self, k: calls.append(("restrict", k)) or real_restrict(self, k))
+        counting = _cached(lambda self: seeds.append(self) or real_lowest(self))
+        counting.__set_name__(Coloring, "_lowest_red")
+        monkeypatch.setattr(Coloring, "_lowest_red", counting)
         w = solve(pair, c, trace=trace)
-        views = [v for v in made if v is not c]
-        assert sum("swapping colors" in note for note in trace) > 10 and len(views) > 40
-        assert not any("red_bits" in vars(v) for v in views)
-        assert seeds and "_low_red" in vars(c) and "_low_blue" not in vars(c)
-        assert not any(key.startswith("_low") for v in views for key in vars(v))
+        assert sum("swapping colors" in note for note in trace) > 10
+        assert made == [] and calls == [("restrict", c.n_vertices)]
+        assert seeds == [c]
         assert verify_witness(c, w)
+
+    @given(n=st.integers(4, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_the_vertex_bound_is_the_prefix(self, n, seed, data):
+        """_greedy on the first k vertices of a coloring is _greedy of its
+        restriction to them, for random, sparse and all-blue colorings."""
+        rnd = random.Random(seed)
+        t = comb(n, 3)
+        kind = data.draw(st.sampled_from(["random", "sparse", "all blue"]))
+        bits = {"random": rnd.getrandbits(t), "sparse": 1 << rnd.randrange(t), "all blue": 0}[kind]
+        top = Coloring(n, bits)
+        k = data.draw(st.integers(3, n - 1))
+        assert _greedy(top, k, None) == _greedy(top.restrict(k), k, None)
 
     @pytest.mark.parametrize("pair", [PairKind(CC, 6, 6), PairKind(PMCN, 6, 5)])
     def test_swapped_views_of_a_huge_sparse_coloring(self, pair):
-        """One red triple of K3_100000: the ascent's swapped views read table
+        """One red triple of K3_100000: the ascent's swapped levels read table
         rows only, so no complement of the bitmap is built, let alone one
         of all C(100000, 3) ranks."""
         c, trace = Coloring(100_000, 1), []
@@ -1240,7 +1261,7 @@ class TestDescentReuse:
         finally:
             tracemalloc.stop()
         assert any("swapping colors" in note for note in trace)
-        assert "_swapped" not in vars(c) and verify_witness(c, w)
+        assert verify_witness(c, w)
         assert peak < 1 << 20
 
     def test_descent_reuses_settled_work(self, monkeypatch):
@@ -1257,13 +1278,13 @@ class TestDescentReuse:
             bridges[0] += 1
             return real_bridges(*args)
 
-        def recording_fast(c, target, links, gp):
+        def recording_fast(c, n, target, links, gp):
             before = bridges[0]
-            w = real_fast(c, target, links, gp)
-            levels.append(((c.n_vertices, target), bridges[0] - before))
+            w = real_fast(c, n, target, links, gp)
+            levels.append(((n, target), bridges[0] - before))
             return w
 
-        monkeypatch.setattr(extractor, "_greedy", lambda c, T: builds.append(c) or real_greedy(c, T))
+        monkeypatch.setattr(extractor, "_greedy", lambda c, n, T: builds.append(n) or real_greedy(c, n, T))
         monkeypatch.setattr(extractor, "_fast_red", recording_fast)
         monkeypatch.setattr(extractor, "_bridges", counting_bridges)
         pair = PairKind(PP, 12, 12)
