@@ -1,7 +1,8 @@
 """Before/after records of split+1 solve time against n, of the oracle, of
-the coloring file formats and of the link-table build.
+the coloring file formats, of the link-table build, of peak memory and of
+the CLI's start-up.
 
-    python3 scripts/bench_record.py scaling|oracle|formats|tables|memory
+    python3 scripts/bench_record.py scaling|oracle|formats|tables|memory|startup
 
 Writes BENCH_<record>.json at the root of the checkout.  Two sources are
 timed: the package at commit PARENT (set it to the commit a change is
@@ -26,6 +27,8 @@ all its outputs, which agree when both return the same results, and
   function in WORK, made by one more solve, untimed and with those
   functions wrapped, in the first repeat only: the counts depend on no
   host, and a change that claims no algorithmic effect keeps them equal.
+  Among them are the link-table builds per builder (walk, one-word and
+  chunked); a case with a one-word or chunked build imports numpy.
   `exponent_40_80` and `exponent_120_160` are the least-squares slopes of
   log time against log n from n = 40 to 80 and from n = 120 to 160, and
   `speedup` the parent's median time over this checkout's.
@@ -57,6 +60,13 @@ all its outputs, which agree when both return the same results, and
   interpreter per source; `input_rss_mb` is the peak before the solve,
   with the coloring built, and `ratio` the parent's peak over this
   checkout's.  It runs once: a peak does not drift with the host's speed.
+- `startup`: each command of STARTUP, the `loose-ramsey` entry point's
+  round trip in a fresh interpreter per run, STARTUP_RUNS runs per source,
+  the first source alternating per command and per run.  Per command and
+  source, `median_ms` and `quartiles_ms` of the wall time from start to
+  exit, and `peak_rss_mb`, the median `ru_maxrss` of the child from
+  `os.wait4`; `sha1` covers every command's output (stress's wall time
+  aside), and `speedup` is the parent's median time over this checkout's.
 """
 
 from __future__ import annotations
@@ -82,10 +92,18 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "dbc8f35"
+PARENT = "19b955c"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
-WORK = ("_find_move", "_bridges", "_route")
+# the functions whose calls `work` counts: key -> (module, function)
+WORK = {
+    "_find_move": ("extractor", "_find_move"),
+    "_bridges": ("extractor", "_bridges"),
+    "_route": ("extractor", "_route"),
+    "walk builds": ("oracle", "_walked_links"),
+    "one-word builds": ("oracle", "_link_words"),
+    "chunked builds": ("oracle", "_packed_links"),
+}
 OFF_DIAGONAL = "pp(n,n/2)"
 CASES = [(row, side, orient) for row in (*KINDS, OFF_DIAGONAL) for side in "ab"
          for orient in ("plain", "swapped")]
@@ -101,6 +119,31 @@ TABLE_NS = (9, 12, 14, 16, 20, 25, 30, 33, 48, 64, 65, 74, 100, 300)
 TABLE_CALLS = 9
 MEMORY_NS = (160, 240, 320)
 MEMORY_CASES = [(n, side, orient) for n in MEMORY_NS for side, orient in (("a", "plain"), ("b", "swapped"))]
+# command -> its arguments, run in a directory holding the INPUTS, with
+# WITNESS the extract's output there; the extract builds a link table of 19
+# vertices, the others none of 14 or more
+WITNESS = "{witness}"
+STARTUP = {
+    "ramsey": ["ramsey", "--pair", "pp", "-n", "8", "-m", "8"],
+    "construct": ["construct", "--pair", "pp", "-n", "8", "-m", "8", "--out", "out.lrc"],
+    "verify": ["verify", "--file", "s.lrc", "--witness", WITNESS],
+    "search": ["search", "--file", "c.lre", "--color", "red", "--shape", "path", "--length", "5"],
+    "stress": ["stress", "--pair", "pp", "-n", "20", "-m", "20", "--trials", "50", "--seed", "0"],
+    "extract": ["extract", "--file", "s.lrc", "--pair", "pp", "-n", "8", "-m", "6"],
+}
+INPUTS = (["construct", "--pair", "pp", "-n", "8", "-m", "8", "--out", "s.lrc"],
+          ["construct", "--pair", "pp", "-n", "5", "-m", "5", "--explicit", "--out", "c.lre"])
+STARTUP_RUNS = 15
+# what the console script runs
+ENTRY = "import sys; from looseramsey.cli import main; sys.exit(main())"
+STARTUP_NOTES = (
+    "One shared 2-core x86-64 container, time.perf_counter from start to exit of a fresh "
+    "interpreter per run, peak RSS as ru_maxrss in MB. The host cannot pin CPUs, fix the clock "
+    "frequency or drop caches (the interpreter and numpy are read from the page cache), and other "
+    "tenants load it; the sources alternate command by command and run by run. The inputs are "
+    "s.lrc, `construct` of pp(8,8), and c.lre, `construct --explicit` of pp(5,5); {witness} is "
+    "the extract's output line."
+)
 NOTES = (
     "One shared 2-core x86-64 container, time.perf_counter. The host cannot pin "
     "CPUs, fix the clock frequency or drop caches, and other tenants load it: its speed drifts "
@@ -133,27 +176,29 @@ def _line(w) -> str:
     return f"{w.color} {w.shape} " + " ".join(map(str, w.structure.vertices))
 
 
-def _work(extractor, pair, c) -> dict:
-    """The calls of each WORK function of extractor in one solve of pair on
-    c, counted by wrappers that are in place for this solve only."""
-    calls, real = dict.fromkeys(WORK, 0), {name: getattr(extractor, name) for name in WORK}
+def _work(modules: dict, pair, c) -> dict:
+    """The calls of each WORK function in one solve of pair on c, counted by
+    wrappers that are in place for this solve only; modules maps each
+    module name of WORK to the module."""
+    calls = dict.fromkeys(WORK, 0)
+    real = {key: getattr(modules[m], name) for key, (m, name) in WORK.items()}
 
-    def counting(name):
-        f = real[name]
+    def counting(key):
+        f = real[key]
 
         def counted(*args):
-            calls[name] += 1
+            calls[key] += 1
             return f(*args)
 
         return counted
 
-    for name in WORK:
-        setattr(extractor, name, counting(name))
+    for key, (m, name) in WORK.items():
+        setattr(modules[m], name, counting(key))
     try:
-        extractor.solve(pair, c)
+        modules["extractor"].solve(pair, c)
     finally:
-        for name, f in real.items():
-            setattr(extractor, name, f)
+        for key, (m, name) in WORK.items():
+            setattr(modules[m], name, real[key])
     return calls
 
 
@@ -165,7 +210,7 @@ COUNT = False
 
 def sweep_scaling():
     """The scaling cases."""
-    from looseramsey import extractor
+    from looseramsey import extractor, oracle
     from looseramsey.constructions import PairKind
 
     solve = extractor.solve
@@ -183,7 +228,8 @@ def sweep_scaling():
                 w = solve(pair, c, trace=trace)
                 row[str(n)] = time.perf_counter() - start
                 if COUNT:
-                    work.setdefault(case, {})[str(n)] = _work(extractor, pair, c)
+                    work.setdefault(case, {})[str(n)] = _work(
+                        {"extractor": extractor, "oracle": oracle}, pair, c)
             completions[case] += any(note.startswith("completion") for note in trace)
             lines.append(_line(w))
             yield
@@ -438,6 +484,60 @@ def record_memory(sources: list) -> dict:
             "ratio": {case: round(before[case] / after[case], 2) for case in before}}
 
 
+def _cli(src: str, cwd: str, argv: list) -> tuple:
+    """One run of the entry point from src in cwd, in a fresh interpreter:
+    its wall time in s, peak RSS in MB, exit code and output."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], cwd=cwd, stdout=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    with proc.stdout:
+        out = proc.stdout.read().decode()
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
+    return seconds, usage.ru_maxrss / 1024, proc.returncode, out
+
+
+def record_startup(sources: list, tmp: str) -> dict:
+    """The startup record's runs and speedup: every command of STARTUP per
+    run and source, the first source alternating."""
+    argvs, times, rss, outs = {}, {}, {}, {}
+    for i, (src, label) in enumerate(sources):
+        cwd = os.path.join(tmp, f"startup{i}")
+        os.mkdir(cwd)
+        for argv in INPUTS:
+            _cli(src, cwd, argv)
+        witness = _cli(src, cwd, STARTUP["extract"])[3].splitlines()[-1]
+        argvs[label] = (cwd, {cmd: [witness if a == WITNESS else a for a in argv]
+                              for cmd, argv in STARTUP.items()})
+        times[label], rss[label], outs[label] = ({cmd: [] for cmd in STARTUP} for _ in range(3))
+    for r in range(STARTUP_RUNS):
+        for j, cmd in enumerate(STARTUP):
+            for src, label in sources[:: 1 if (r + j) % 2 == 0 else -1]:
+                cwd, argv = argvs[label][0], argvs[label][1][cmd]
+                seconds, peak, code, out = _cli(src, cwd, argv)
+                if code != (cmd == "search"):  # the search proves an absence: exit 1
+                    raise RuntimeError(f"{label}: {cmd} exited {code}")
+                times[label][cmd].append(seconds)
+                rss[label][cmd].append(peak)
+                outs[label][cmd].append("".join(
+                    line for line in out.splitlines(True) if not line.startswith("wall_time")))
+        print(f"run {r + 1}/{STARTUP_RUNS} done", file=sys.stderr)
+    runs = {}
+    for src, label in sources:
+        quart = {cmd: statistics.quantiles(ts, n=4, method="inclusive") for cmd, ts in times[label].items()}
+        runs[label] = {
+            "median_ms": {cmd: round(q[1] * 1e3, 1) for cmd, q in quart.items()},
+            "quartiles_ms": {cmd: [round(q[0] * 1e3, 1), round(q[2] * 1e3, 1)] for cmd, q in quart.items()},
+            "peak_rss_mb": {cmd: round(statistics.median(v), 1) for cmd, v in rss[label].items()},
+            "sha1": sorted({hashlib.sha1("".join(outs[label][cmd][r] for cmd in STARTUP).encode()).hexdigest()
+                            for r in range(STARTUP_RUNS)}),
+            "src_lines": src_lines(src),
+        }
+    before, after = (r["median_ms"] for r in runs.values())
+    return {"runs": runs, "speedup": {cmd: round(before[cmd] / after[cmd], 2) for cmd in STARTUP}}
+
+
 def parent_src(tmp: str) -> str:
     """Extract PARENT's src/ into tmp and return its path."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", PARENT, "src"],
@@ -489,7 +589,7 @@ def interleave(sweep, srcs: list) -> list:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("record", choices=[*RECORDS, "memory"])
+    ap.add_argument("record", choices=[*RECORDS, "memory", "startup"])
     ap.add_argument("--worker", metavar="DIR", nargs="+", help=argparse.SUPPRESS)
     ap.add_argument("--solve", nargs=4, help=argparse.SUPPRESS)
     ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
@@ -507,6 +607,16 @@ def main() -> None:
                       "notes": "ru_maxrss in MB of one solve per fresh interpreter; numpy's import counts.",
                       "host": host, **record_memory(sources)}
         (ROOT / "BENCH_memory.json").write_text(json.dumps(record, indent=1) + "\n")
+        return
+    if args.record == "startup":
+        with tempfile.TemporaryDirectory() as tmp:
+            sources = [(parent_src(tmp), f"parent {PARENT}"), (str(ROOT / "src"), "this checkout")]
+            record = {"sources": [label for _, label in sources],
+                      "commands": {cmd: " ".join(argv) for cmd, argv in STARTUP.items()},
+                      "runs_per_source": STARTUP_RUNS,
+                      "notes": STARTUP_NOTES,
+                      "host": host, **record_startup(sources, tmp)}
+        (ROOT / "BENCH_startup.json").write_text(json.dumps(record, indent=1) + "\n")
         return
     sweep, own_keys, repeats, note = RECORDS[args.record]
     if args.worker:

@@ -16,9 +16,11 @@ Python ints of its rows: up to 64 vertices each row is one word, and one
 scatter of the bitmap's flags into a bool array and one packbits build
 them all; above 64, one chunk of largest vertices (one range of the colex
 bitmap) at a time.  Below 14 vertices a walk over the triples costs less
-than numpy's calls and builds it instead.  _ColorLinks derives a coloring's
-second colour from the build of its first.  Exhaustive enumeration iterates
-every red bitmap of K3_N (only feasible for C(N,3) <= 24) with the work
+than numpy's calls and builds it instead, and numpy is imported on the
+first build of 14 vertices or more (or the first enumeration), so a process
+that builds none never loads it.  _ColorLinks derives a coloring's second
+colour from the build of its first.  Exhaustive enumeration iterates every
+red bitmap of K3_N (only feasible for C(N,3) <= 24) with the work
 vectorized over bitmap chunks.
 """
 
@@ -28,8 +30,6 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 from typing import List, Optional, Set, Tuple
-
-import numpy as np
 
 from .core import (
     BLUE,
@@ -69,6 +69,8 @@ def _packed_links(n: int, bits: int) -> np.ndarray:
     u > v, the first gives the bits of row (u, v) below u, the second
     those above.
     """
+    import numpy as np
+
     flags = np.frombuffer(bits.to_bytes((comb(n, 3) + 7) >> 3, "little"), np.uint8)
     packed = np.zeros((n, n, 8 * -(-n // 64)), np.uint8)
     v = np.arange(n)
@@ -97,6 +99,8 @@ def _cells(w: int) -> np.ndarray:
     the array each, as int32.  Every n <= w reads the first C(n, 3) columns:
     the ranks of a vertex prefix are a rank prefix.  All four widths hold
     0.57 MB (0.5 MB of it for w = 64)."""
+    import numpy as np
+
     below = np.tri(w, w, -1, bool)  # [z, y]: y < z
     z, y, x = np.nonzero(below[:, :, None] & below)  # in rank order
     return np.stack([(y * w + x) * w + z, (z * w + x) * w + y, (z * w + y) * w + x]).astype(np.int32)
@@ -142,6 +146,8 @@ def _link_words(n: int, bits: int) -> np.ndarray:
     words, w the power of two from 8 that holds n: each rank's flag goes to
     its three cells (_cells) of one (n, w, w) bool array, one packbits makes
     each row below the diagonal a word, and L | L.T mirrors them."""
+    import numpy as np
+
     w, r = max(8, 1 << (n - 1).bit_length()), comb(n, 3)
     flags = np.frombuffer(bits.to_bytes((r + 7) >> 3, "little"), np.uint8)
     cells = np.zeros(n * w * w, bool)
@@ -190,6 +196,8 @@ class _ColorLinks(dict):
                 self.words = _link_words(n, c.red_bits)
             S = self.words
             if color == BLUE:
+                import numpy as np
+
                 bit = np.left_shift(1, np.arange(n, dtype=S.dtype), dtype=S.dtype)
                 S = np.bitwise_or.outer(bit, bit) | S
                 S ^= (1 << n) - 1
@@ -389,6 +397,8 @@ def exhaustive_avoidance_search(
         )
     if mode not in ("find-one", "count"):
         raise ValueError(f"unknown mode {mode!r}")
+
+    import numpy as np
 
     red_masks = np.array(
         _structure_masks(n_vertices, *red_target), dtype=np.uint32

@@ -2,10 +2,14 @@
 
 import io
 import json
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import looseramsey
 from looseramsey.cli import PRNG_NAME, StressReport, main, random_coloring, stress
 from looseramsey.constructions import CC, PP, PairKind
 from looseramsey.core import Coloring
@@ -366,3 +370,43 @@ class TestWorkers:
         monkeypatch.delenv("LOOSERAMSEY_WORKERS", raising=False)
         assert stress(PairKind(PP, 3, 3), trials=3, seed=0).ok
         assert _FakePool.sizes == []
+
+
+# Runs in a fresh interpreter: the pytest process may hold numpy already.
+_NUMPY_ON_DEMAND = textwrap.dedent("""
+    import importlib, pkgutil, sys
+    import looseramsey
+    for info in pkgutil.iter_modules(looseramsey.__path__):
+        importlib.import_module(f"looseramsey.{info.name}")
+    from looseramsey.cli import main
+
+    def run(*argv):
+        return main(list(argv))
+
+    assert run("ramsey", "--pair", "pp", "-n", "8", "-m", "8") == 0
+    assert run("construct", "--pair", "pp", "-n", "8", "-m", "8", "--out", "s.lrc") == 0
+    assert run("construct", "--pair", "pp", "-n", "5", "-m", "5", "--explicit", "--out", "c.lre") == 0
+    assert run("verify", "--file", "c.lre", "--witness", "red path 0 1 10 2 3") == 0
+    assert run("search", "--file", "c.lre", "--color", "red", "--shape", "path", "--length", "5") == 1
+    assert run("stress", "--pair", "pp", "-n", "20", "-m", "20", "--trials", "20") == 0
+    assert "numpy" not in sys.modules, "numpy loaded without a table of 14+ vertices"
+
+    from looseramsey.constructions import PairKind, SplitSpec, build_split_coloring, lower_bound_params
+    from looseramsey.core import verify_witness
+    from looseramsey.extractor import solve
+
+    pair = PairKind("pp", 10, 10)
+    spec = lower_bound_params(pair)
+    c = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
+    w = solve(pair, c)
+    assert "numpy" in sys.modules, "a table of 25 vertices built without numpy"
+    assert verify_witness(c, w)
+""")
+
+
+def test_numpy_loads_only_for_a_table_of_14_vertices_or_more(tmp_path):
+    src = str(Path(looseramsey.__file__).resolve().parent.parent)
+    # a bare environment, so stress runs its trials serially
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ON_DEMAND], cwd=tmp_path, capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
