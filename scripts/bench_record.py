@@ -1,8 +1,8 @@
 """Before/after records of split+1 solve time against n, of the oracle, of
-the coloring file formats, of the link-table build, of peak memory and of
-the CLI's start-up.
+the coloring file formats, of the link-table build, of the greedy build,
+of peak memory and of the CLI's start-up.
 
-    python3 scripts/bench_record.py scaling|oracle|formats|tables|memory|startup
+    python3 scripts/bench_record.py scaling|oracle|formats|tables|greedy|memory|startup
 
 Writes BENCH_<record>.json at the root of the checkout.  Two sources are
 timed: the package at commit PARENT (set it to the commit a change is
@@ -29,9 +29,11 @@ all its outputs, which agree when both return the same results, and
   host, and a change that claims no algorithmic effect keeps them equal.
   Among them are the link-table builds per builder (walk, one-word and
   chunked); a case with a one-word or chunked build imports numpy.
-  `exponent_40_80` and `exponent_120_160` are the least-squares slopes of
-  log time against log n from n = 40 to 80 and from n = 120 to 160, and
-  `speedup` the parent's median time over this checkout's.
+  `exponent_40_80`, `exponent_120_160` and `exponent_80_240` are the
+  least-squares slopes of log time against log n from n = 40 to 80, from
+  n = 120 to 160 and from n = 80 to 240 (four points, so one noisy cell
+  moves it less), and `speedup` the parent's median time over this
+  checkout's.
 - `oracle`: `absence` is, per kind on its diagonal pair at n in ORACLE_NS,
   the two proofs of absence (no red and no blue target) on the extremal
   split coloring on R - 1 vertices, oriented so red is the short target.
@@ -55,6 +57,17 @@ all its outputs, which agree when both return the same results, and
   `_LinkTables` from a red table built outside the timed span.  `sha1`
   covers every table built, which agree when both build the same ints, and
   `speedup` is the parent's median time over this checkout's.
+- `greedy`: the greedy build `_greedy(c, N, None)` through the byte view,
+  on random colorings (each triple red with probability 1/2) at each N in
+  GREEDY_NS, GREEDY_CALLS colorings drawn by `random.Random(N * 1000 + i)`,
+  and on the split+1 coloring of every kind on its diagonal pair at each n
+  in GREEDY_SPLIT_NS, per side and orientation, GREEDY_CALLS calls each;
+  a case's time is the median of its calls.  `stress` times `cli.stress`
+  of STRESS_TRIALS trials, seed 0, on each pair of STRESS_PAIRS in one
+  process, and `stress_trials_per_s` is STRESS_TRIALS over its median.
+  `sha1` covers every greedy path, which agree when both sources build the
+  same paths, and `speedup` is the parent's median time over this
+  checkout's.
 - `memory`: the peak RSS (`ru_maxrss`) of one `solve` of split+1 pp(n, n),
   `a+1` plain and `b+1` swapped, n in MEMORY_NS, each in a fresh
   interpreter per source; `input_rss_mb` is the peak before the solve,
@@ -92,7 +105,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "19b955c"
+PARENT = "661481d"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 # the functions whose calls `work` counts: key -> (module, function)
@@ -117,6 +130,11 @@ FORMAT_NS = (30, 74, 100)
 CALLS = 5
 TABLE_NS = (9, 12, 14, 16, 20, 25, 30, 33, 48, 64, 65, 74, 100, 300)
 TABLE_CALLS = 9
+GREEDY_NS = (25, 50, 100)
+GREEDY_SPLIT_NS = (8, 12, 40)
+GREEDY_CALLS = 15
+STRESS_PAIRS = (10, 20, 40)  # pp(n, n), N = 25, 50 and 100
+STRESS_TRIALS = 50
 MEMORY_NS = (160, 240, 320)
 MEMORY_CASES = [(n, side, orient) for n in MEMORY_NS for side, orient in (("a", "plain"), ("b", "swapped"))]
 # command -> its arguments, run in a directory holding the INPUTS, with
@@ -352,6 +370,46 @@ def sweep_tables():
     return {"times": times, "sha1": digest.hexdigest()}
 
 
+def sweep_greedy():
+    """The greedy cases."""
+    from looseramsey.cli import random_coloring, stress
+    from looseramsey.constructions import PairKind
+    from looseramsey.extractor import _greedy
+
+    os.environ.pop("LOOSERAMSEY_WORKERS", None)  # every stress trial in this process
+    times, digest = {}, hashlib.sha1()
+
+    def median_build(colorings):
+        ts = []
+        for c in colorings:
+            c._ranks, c._lowest_red  # the byte view and the seed rank, untimed
+            start = time.perf_counter()
+            path = _greedy(c, c.n_vertices, None)
+            ts.append(time.perf_counter() - start)
+            digest.update(repr(path).encode())
+        return statistics.median(ts)
+
+    for n in GREEDY_NS:
+        times[f"random N={n}"] = median_build(random_coloring(n, n * 1000 + i) for i in range(GREEDY_CALLS))
+        yield
+    for kind in KINDS:
+        for n in GREEDY_SPLIT_NS:
+            pair = PairKind(kind, n, n - 1 if kind == "pmcn" else n)
+            for side in "ab":
+                for orient in ("plain", "swapped"):
+                    c = _split1(pair, side, orient)
+                    times[f"split {kind} n={n} {side}+1 {orient}"] = median_build([c] * GREEDY_CALLS)
+                    yield
+    for n in STRESS_PAIRS:
+        start = time.perf_counter()
+        report = stress(PairKind("pp", n, n), STRESS_TRIALS, 0)
+        times[f"stress pp({n},{n})"] = time.perf_counter() - start
+        if not report.ok:
+            raise RuntimeError(f"stress pp({n},{n}) failed: {report.failures}")
+        yield
+    return {"times": times, "sha1": digest.hexdigest()}
+
+
 def _quartiles(samples: list) -> dict:
     """Per case, nested as in the samples: (first quartile, median, third
     quartile) over the samples."""
@@ -392,6 +450,7 @@ def _scaling_keys(quart: dict, outs: dict):
     runs = {label: {
         "exponent_40_80": exponents(q, 40, 80),
         "exponent_120_160": exponents(q, 120, 160),
+        "exponent_80_240": exponents(q, 80, 240),
         "completions": outs[label][-1]["completions"],
         "witness_sha1": sorted({o["sha1"] for o in outs[label]}),
         "work": outs[label][0]["work"],
@@ -433,6 +492,18 @@ def _tables_keys(quart: dict, outs: dict):
     return {"ns": list(TABLE_NS), "calls": TABLE_CALLS}, runs, speedup
 
 
+def _greedy_keys(quart: dict, outs: dict):
+    """The greedy record's parameters, keys per source and speedup: those of
+    the formats record, with the stress cases' trials per second."""
+    _, runs, speedup = _formats_keys(quart, outs)
+    for label, q in quart.items():
+        runs[label]["stress_trials_per_s"] = {
+            case: round(STRESS_TRIALS / t[1]) for case, t in q.items() if case.startswith("stress")}
+    params = {"ns": list(GREEDY_NS), "split_ns": list(GREEDY_SPLIT_NS), "calls": GREEDY_CALLS,
+              "stress_pairs": [f"pp({n},{n})" for n in STRESS_PAIRS], "stress_trials": STRESS_TRIALS}
+    return params, runs, speedup
+
+
 # the sweep, its record's own keys, its repeats and its note
 RECORDS = {
     "scaling": (sweep_scaling, _scaling_keys, 7,
@@ -443,6 +514,8 @@ RECORDS = {
                 "LRC1 times are under 1 ms and noise-bound."),
     "tables": (sweep_tables, _tables_keys, 7,
                "Builds under 0.1 ms are noise-bound, most of all the cold ones."),
+    "greedy": (sweep_greedy, _greedy_keys, 15,
+               "Greedy builds take 5-100 us; a stress case's time is one call of all its trials."),
 }
 
 

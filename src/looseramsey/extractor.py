@@ -33,16 +33,19 @@ three-vertex core's rows and bits are read once for its six orderings),
 tests the end pairs of a window as one on the OR of their rows before it
 tests any alone, and skips a window for the rest of the solve on any
 reservoir inside one it failed on.  Before any table, the greedy build
-reads the coloring's byte view with the rank written out, one loop and no
-call per triple.  The chaining remembers the states it has seen fail and
-charges each revisit, at the call site, the node budget its first search
-used, so it returns exactly what the search without the memo returns under
-the same budget; once the budget is spent, it leaves every loop whose
-children cannot beat its best assembly, and it stops at an assembly that
-uses every reservoir vertex some window can place.  A monochromatic cycle
-whose boundary edges all have the other colour yields that colour's target
-by the oracle's search on the boundary's own link table, which depends only
-on the cycle, as do its twin classes (_boundary_twins).
+reads the coloring's byte view in one pass, the rank of each triple
+written out and no call per triple, over only the vertices below the
+view's rank tables; it probes the tail until it is stuck, then the head,
+as the free vertices only shrink.  The chaining remembers the states it
+has seen fail and charges each revisit, at the call site, the node budget
+its first search used, so it returns exactly what the search without the
+memo returns under the same budget; once the budget is spent, it leaves
+every loop whose children cannot beat its best assembly, and it stops at
+an assembly that uses every reservoir vertex some window can place.  A
+monochromatic cycle whose boundary edges all have the other colour yields
+that colour's target by the oracle's search on the boundary's own link
+table, which depends only on the cycle, as do its twin classes
+(_boundary_twins).
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -54,9 +57,9 @@ are formatted only when a trace is kept (_note).
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
@@ -66,9 +69,10 @@ from .core import (
     PATH,
     RED,
     Coloring,
+    LooseCycle,
+    LoosePath,
     StructureError,
     Witness,
-    colex_unrank,
     opposite,
     validate_structure,
     verify_witness,
@@ -151,56 +155,32 @@ def _bits(mask: int) -> Iterator[int]:
 # Red path growth: greedy seed, end extension, replacement moves.
 
 
-def _red_edge_at(
-    c: Optional[Coloring], T: Optional[Links], free: List[int], fmask: int, end: int
-) -> Optional[Tuple[int, int]]:
+def _red_edge_at(T: Links, free: List[int], fmask: int, end: int) -> Optional[Tuple[int, int]]:
     """First (mid, new) from the ascending list free (bitmask fmask), lowest
-    labels first, with {end, mid, new} red: read from T if given, else from
-    c's byte view with the rank written out, or None."""
-    if T is not None:
-        row = T[end]
-        for mid in free:
-            news = row[mid] & fmask
-            if news:
-                return mid, (news & -news).bit_length() - 1
-        return None
-    view, c2, c3 = c._ranks
-    k, top = len(c3), 8 * len(view)
-    if end >= k:
-        return None  # every triple through end is blue
+    labels first, with {end, mid, new} in T, or None."""
+    row = T[end]
     for mid in free:
-        if mid >= k:
-            return None
-        a, b = (end, mid) if end < mid else (mid, end)
-        # the rank of {a, b, new} for new above b, between a and b, below a
-        above, cb, ca = c2[b] + a, c3[b], c2[a]
-        for new in free:
-            if new >= k:
-                break
-            if new != mid:
-                r = c3[new] + above if new > b else cb + (c2[new] + a if new > a else ca + new)
-                if r < top and view[r >> 3] >> (r & 7) & 1:
-                    return mid, new
+        news = row[mid] & fmask
+        if news:
+            return mid, (news & -news).bit_length() - 1
     return None
 
 
-def _append_extend(c: Optional[Coloring], n: int, seq: List[int], T: Optional[Links]) -> None:
+def _append_extend(n: int, seq: List[int], T: Links) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
-    below n per edge, lowest labels first, tail end first; through T if
-    given, else through c's byte view."""
+    below n per edge, lowest labels first, tail end first, T the red table.
+    The free vertices only shrink, so once the tail is stuck it stays
+    stuck, and only the head is tried from then on."""
     free = sorted(set(range(n)) - set(seq))
-    fmask = sum(1 << v for v in free) if T is not None else 0
-    while True:
-        step = _red_edge_at(c, T, free, fmask, seq[-1])
-        if step is not None:
-            seq.extend(step)
-        elif (step := _red_edge_at(c, T, free, fmask, seq[0])) is not None:
-            seq[:0] = step[::-1]
-        else:
-            return
-        for v in step:
-            free.remove(v)
-        if T is not None:
+    fmask = sum(1 << v for v in free)
+    for head in (False, True):
+        while (step := _red_edge_at(T, free, fmask, seq[0] if head else seq[-1])) is not None:
+            if head:
+                seq[:0] = step[::-1]
+            else:
+                seq.extend(step)
+            free.remove(step[0])
+            free.remove(step[1])
             fmask ^= 1 << step[0] | 1 << step[1]
 
 
@@ -209,12 +189,44 @@ def _greedy(c: Coloring, n: int, T: Optional[Links]) -> List[int]:
     no red edge extends at either end; empty if no triple there is red.
     Seeded from the lowest-rank red triple, which lies inside the prefix iff
     its rank is below C(n, 3); each extension takes the lowest labels
-    first, read from T if given."""
+    first, tail end first as in _append_extend, read from T if given, else
+    from c's byte view with the rank of each triple written out."""
     low = c._lowest_red
-    if not 0 <= low < comb(n, 3):
+    view, c2, c3 = c._ranks
+    k = len(c3)  # a vertex >= k lies in no red triple
+    if low < 0 or n < k and low >= c3[n]:
         return []
-    seq = list(colex_unrank(low, n))
-    _append_extend(c, n, seq, T)
+    z = bisect_right(c3, low) - 1
+    y = bisect_right(c2, low - c3[z]) - 1
+    seq = [low - c3[z] - c2[y], y, z]
+    if T is not None:
+        _append_extend(n, seq, T)
+        return seq
+    top = 8 * len(view)
+    free = [v for v in range(min(n, k)) if v not in seq]
+    for head in (False, True):
+        while True:
+            end = seq[0] if head else seq[-1]
+            for mid in free:
+                a, b = (end, mid) if end < mid else (mid, end)
+                # the rank of {a, b, new} for new above b, between a and b, below a
+                above, cb, ca = c2[b] + a, c3[b], c2[a]
+                for new in free:
+                    if new != mid:
+                        r = c3[new] + above if new > b else cb + (c2[new] + a if new > a else ca + new)
+                        if r < top and view[r >> 3] >> (r & 7) & 1:
+                            break
+                else:
+                    continue
+                break
+            else:
+                break  # this end is stuck for good
+            free.remove(mid)
+            free.remove(new)
+            if head:
+                seq[:0] = new, mid
+            else:
+                seq += mid, new
     return seq
 
 
@@ -415,7 +427,7 @@ def _grow(n: int, links: _LinkTables, seq: List[int], need: int) -> List[int]:
         if mv is None:
             break
         seq = mv[0]
-        _append_extend(None, n, seq, T)
+        _append_extend(n, seq, T)
     return seq
 
 
@@ -820,7 +832,7 @@ def _path_step(
     of length n or produce a blue path of length m."""
     p = list(p)
     # grow toward the red target before anything else
-    _append_extend(None, N, p, links.table(RED))
+    _append_extend(N, p, links.table(RED))
     p = _grow(N, links, p, n)
     if (len(p) - 1) // 2 >= n:
         _note(trace, "red path extended to target length")
@@ -866,8 +878,9 @@ def _fast_red(
     seq = _grow(n, links, list(gp), need)
     if (len(seq) - 1) // 2 < need:
         return None
+    # solve's verify_witness checks the structure and every edge's colour
     if shape == PATH:
-        return Witness(RED, PATH, validate_structure(PATH, seq[: 2 * tlen + 1]))
+        return Witness(RED, PATH, LoosePath(tuple(seq[: 2 * tlen + 1])))
     # close a sub-path of length tlen-1 with one fresh vertex
     red = c.test(RED)
     span = 2 * tlen - 1
@@ -876,7 +889,7 @@ def _fast_red(
         inside = set(sub)
         for zv in range(n):
             if zv not in inside and red(sub[-1], zv, sub[0]):
-                return Witness(RED, CYCLE, validate_structure(CYCLE, sub + [zv]))
+                return Witness(RED, CYCLE, LooseCycle((*sub, zv)))
     return None
 
 

@@ -1147,11 +1147,11 @@ class TestDescentReuse:
         assert _greedy(c.restrict(k), k, None) == _greedy(c, k, None) == gp
 
     def test_end_extension_from_rows_is_the_triple_scan(self):
-        """_append_extend through the red table of a larger coloring, and
-        through the byte view of the prefix or of the larger coloring with
-        the prefix's vertex count, returns the sequence the per-triple scan
-        through Coloring.test returns on the prefix, from seeds of one,
-        three or five vertices; so do the greedy builds."""
+        """_append_extend through the red table of a larger coloring returns
+        the sequence the per-triple scan through Coloring.test returns on
+        the prefix, from seeds of one, three or five vertices; so do the
+        greedy builds through that table and through the byte view of the
+        prefix, or of the larger coloring with the prefix's vertex count."""
         grown = 0
         for seed in range(600):
             rnd = random.Random(seed)
@@ -1162,16 +1162,37 @@ class TestDescentReuse:
             c = top.restrict(rnd.randint(3, big))
             n = c.n_vertices
             start = rnd.sample(range(n), rnd.choice([k for k in (1, 3, 5) if k <= n]))
-            rows, view, bound, triples = list(start), list(start), list(start), list(start)
-            _append_extend(None, n, rows, T)
-            _append_extend(c, n, view, None)
-            _append_extend(top, n, bound, None)
+            rows, triples = list(start), list(start)
+            _append_extend(n, rows, T)
             _reference_append_extend(c.test(RED), n, triples)
-            assert rows == view == bound == triples, seed
+            assert rows == triples, seed
             want = _reference_greedy(c)
             assert _greedy(c, n, T) == _greedy(c, n, None) == _greedy(top, n, None) == want, seed
             grown += len(rows) > len(start)
         assert grown > 300
+
+    def test_a_stuck_tail_leaves_the_head_to_extend(self):
+        """The seed {0, 1, 2}'s tail 2 has no red edge into the free
+        vertices, though red triples through 2 and vertices of the path
+        exist; the head extends three times.  The byte-view build, which
+        stops probing the tail, the table build and the per-triple scan
+        return the same path."""
+        red = [(0, 1, 2), (0, 2, 5), (1, 2, 7), (0, 3, 4), (4, 5, 6), (6, 7, 8), (8, 3, 9)]
+        c = Coloring(12, sum(1 << colex_rank(TripleEdge.of(*t)) for t in red))
+        T = _LinkTables(c).table(RED)
+        want = [8, 7, 6, 5, 4, 3, 0, 1, 2]
+        assert _greedy(c, 12, None) == _greedy(c, 12, T) == _reference_greedy(c) == want
+
+    def test_greedy_on_a_huge_sparse_coloring_is_its_prefix_greedy(self):
+        """N = 100000 with every red triple below vertex 20: the byte-view
+        build holds only the vertices below its rank tables' size, far
+        below N, and returns the greedy path of c.restrict(20)."""
+        for seed in range(20):
+            rnd = random.Random(seed)
+            c = Coloring(100_000, rnd.getrandbits(comb(20, 3)) & rnd.getrandbits(comb(20, 3)))
+            assert len(c._ranks[2]) < 30
+            small = c.restrict(20)
+            assert _greedy(c, 100_000, None) == _greedy(small, 20, None) == _reference_greedy(small), seed
 
     def test_byte_view_greedy_is_the_triple_scan(self):
         """The greedy build from the byte view is the per-triple scan through
