@@ -36,16 +36,14 @@ reservoir inside one it failed on.  Before any table, the greedy build
 reads the coloring's byte view in one pass, the rank of each triple
 written out and no call per triple, over only the vertices below the
 view's rank tables; it probes the tail until it is stuck, then the head,
-as the free vertices only shrink.  The chaining remembers the states it
-has seen fail and charges each revisit, at the call site, the node budget
-its first search used, so it returns exactly what the search without the
-memo returns under the same budget; once the budget is spent, it leaves
-every loop whose children cannot beat its best assembly, and it stops at
-an assembly that uses every reservoir vertex some window can place.  A
-monochromatic cycle whose boundary edges all have the other colour yields
-that colour's target by the oracle's search on the boundary's own link
-table, which depends only on the cycle, as do its twin classes
-(_boundary_twins).
+as the free vertices only shrink.  The chaining is a depth-first search
+that skips the states it has seen fail and stops at an assembly that uses
+every reservoir vertex some window can place; at a cap of _CHAIN_BUDGET
+nodes, which no known input reaches, it notes the cap and takes its best
+assembly.  A monochromatic cycle whose boundary edges all have the other
+colour yields that colour's target by the oracle's search on the
+boundary's own link table, which depends only on the cycle, as do its twin
+classes (_boundary_twins).
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -465,29 +463,22 @@ def _chain(
     window.  Prefers using all of w0; otherwise returns the best assembly.
 
     blue is the blue link table; w0 must avoid verts.  Fresh vertices are
-    tried in ascending label order.  The search visits at most
-    _CHAIN_BUDGET nodes, a revisited failed state counting as often as its
-    first search did; revisits are charged where they would be called.
-    It stops at the first assembly using every vertex of w0 that some
-    window's masks hold (none other can be placed), which is the best one.
+    tried in ascending label order.  It stops at the first assembly using
+    every vertex of w0 that some window's masks hold (none other can be
+    placed), which is the best one, or after _CHAIN_BUDGET nodes, with the
+    best assembly so far and a trace note.
     Returns (sequence or None, reservoir vertices used, edges consumed).
     """
     L = (len(verts) - 1) // 2
     w0mask = 0
     for w in w0:
         w0mask |= 1 << w
-    total = w0mask.bit_count()
-    budget = _CHAIN_BUDGET
+    nodes = 0
     best: List = [None, 0, 0]
-    # Failed non-root states (j, last vertex, used), each with the budget its
-    # first search charged, memo hits included.  The outcome of a state
-    # depends on nothing else, and a revisit charges the same amount, so the
-    # budget runs out at the node where an unmemoized search would; a
-    # revisit reaches only used sets already compared against best.  So a
-    # revisit is charged, max(0, budget - cost), instead of being called: a
-    # failed state is never usable and never improves best, and a call at
-    # budget 0 charges nothing either.
-    failed: Dict[Tuple[int, int, int], int] = {}
+    # Failed states (j, last vertex, used), None for the root: whether a
+    # state can be completed depends on nothing else, and a revisit reaches
+    # only used sets already compared against best.
+    failed = set()
 
     # Per window start j: the oriented inner triples of the 2-edge windows
     # and the 3-edge window, with the reservoir vertices that may precede
@@ -514,41 +505,31 @@ def _chain(
     for t in threes:
         usable |= t[2] | t[3] | t[4]
 
-    # used is the bitmask of reservoir vertices in seq; seq ends in one after the first window
+    # used is the bitmask of reservoir vertices in seq; seq ends in one after
+    # the first window.  At the cap, best goes up as the result.
     def rec(j: int, seq: List[int], used: int):
-        nonlocal budget
+        nonlocal nodes
+        state = (j, seq[-1], used) if seq else None
+        if state in failed:
+            return None
         if used.bit_count() > best[1].bit_count():
             best[0], best[1], best[2] = list(seq), used, j
         if used == usable:
             return list(seq), used, j
-        if budget <= 0:
-            return None
-        start = budget
-        budget -= 1
+        if nodes >= _CHAIN_BUDGET:
+            _note(trace, "chain: node cap %s reached", _CHAIN_BUDGET)
+            return best
+        nodes += 1
         fresh = w0mask & ~used
         # (start vertex, sequence through it, fresh vertices after it): any
         # fresh vertex for the first window, the end of seq for a later one
         starts = [(seq[-1], seq, fresh)] if seq else [(p, [p], fresh ^ 1 << p) for p in _bits(fresh)]
-        # Once the budget is spent, a call only compares its used set with
-        # best's and with usable (which has more vertices than best), so the
-        # loops stop where no child has more than best: k vertices after a
-        # 2-edge window, k + 1 after a 3-edge one.
-        k = used.bit_count() + (1 if seq else 2)
         if j <= L - 2:
             for i1, i2, i3, heads, tails in twos[j]:
-                if budget <= 0 and k <= best[1].bit_count():
-                    break
                 for p, head, rest in starts:
                     if heads >> p & 1:
                         for q in _bits(tails & rest):
-                            if budget <= 0 and k <= best[1].bit_count():
-                                break
-                            nxt = used | 1 << p | 1 << q
-                            cost = failed.get((j + 2, q, nxt))
-                            if cost is not None:
-                                budget = max(0, budget - cost)
-                                continue
-                            res = rec(j + 2, head + [i1, i2, i3, q], nxt)
+                            res = rec(j + 2, head + [i1, i2, i3, q], used | 1 << p | 1 << q)
                             if res:
                                 return res
         if j <= L - 3:
@@ -556,29 +537,18 @@ def _chain(
             for p, head, rest in starts:
                 if heads >> p & 1:
                     for q in _bits(mids & rest):
-                        if budget <= 0 and k + 1 <= best[1].bit_count():
-                            break
                         for s in _bits(tails & rest & ~(1 << q)):
-                            if budget <= 0 and k + 1 <= best[1].bit_count():
-                                break
                             nxt = used | 1 << p | 1 << q | 1 << s
-                            cost = failed.get((j + 3, s, nxt))
-                            if cost is not None:
-                                budget = max(0, budget - cost)
-                                continue
                             res = rec(j + 3, head + front + [q] + back + [s], nxt)
                             if res:
                                 return res
-        if seq and budget > 0:
-            failed[j, seq[-1], used] = start - budget
+        failed.add(state)
         return None
 
-    res = rec(0, [], 0)
+    seq, used, consumed = rec(0, [], 0) or best
     del rec  # rec's cell holds rec: a cycle only the cyclic collector frees
-    if res is None or usable != w0mask:
-        res = tuple(best)
-        _note(trace, "chain: leftover %s reservoir vertices", total - res[1].bit_count())
-    seq, used, consumed = res
+    if used != w0mask:
+        _note(trace, "chain: leftover %s reservoir vertices", (w0mask & ~used).bit_count())
     return (list(seq) if seq else None), frozenset(_bits(used)), consumed
 
 
