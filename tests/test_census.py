@@ -35,6 +35,23 @@ def test_census_is_the_same_under_any_hash_seed():
     assert outs[0]["chain_caps"] == outs[0]["errors"] == []
 
 
+def test_census_to_ten_is_pinned():
+    """The 2176 solves with n <= 10 give the same witnesses, by sha1, and
+    the same completions by reason; the flipped solves among them run base
+    cases and completions that the corpus does not reach."""
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--n-max", "10", "--json"], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["solves"] == 2176
+    assert out["sha1"] == "fd0a408b98aa86a8740d721aee33f87e2d37f047"
+    assert out["completions"] == {
+        "chain leftover 2": 22, "path chain leftover 1": 24, "path chain leftover 2": 32,
+    }
+    assert out["chain_caps"] == out["errors"] == []
+
+
 def test_a_chain_at_its_cap_fails_the_census(monkeypatch, capsys):
     census = _module()
     monkeypatch.setattr(extractor, "_CHAIN_BUDGET", 1)
