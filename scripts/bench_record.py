@@ -54,7 +54,9 @@ all its outputs, which agree when both return the same results, and
   calls, each right after a pass over 4 MB of numpy array and 100000 Python
   floats (about what runs between the searches of `cli search`), and
   `second colour` the least of TABLE_CALLS blue tables derived through
-  `_LinkTables` from a red table built outside the timed span.  `sha1`
+  `_LinkTables` (the oracle's class, imported through `extractor` as every
+  source tree has it there) from a red table built outside the timed
+  span.  `sha1`
   covers every table built, which agree when both build the same ints, and
   `speedup` is the parent's median time over this checkout's.
 - `greedy`: the greedy build `_greedy(c, N, None)` through the byte view,

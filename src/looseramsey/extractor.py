@@ -20,13 +20,14 @@ red witness.
 The replacement-move search, the blue chaining, the end extensions once the
 red table is built, and the ascent's cycle openers and candidate checks read
 the coloring through link tables (per vertex pair, the bitset of third
-vertices that complete a triple of one colour).
-One build per top-level solve gives both colours (oracle._ColorLinks),
-which the complete searches read too.  A solve reads one coloring, the
-top one, and builds no prefix or swapped coloring: the descent reads it
-below each level's threshold, its vertex count, with the greedy seed (the
-lowest red rank) found once per solve, and the ascent reads only the
-tables, with the colours exchanged at the levels that swap them.  The move
+vertices that complete a triple of one colour).  One oracle._LinkTables
+per top-level solve gives both colours from one build, and the complete
+searches read its tables too, bounded to the level's vertex count.  A
+solve reads one coloring, the top one, and builds no prefix or swapped
+coloring: the descent reads it below each level's threshold, its vertex
+count, with the greedy seed (the lowest red rank) found once per solve,
+and the ascent reads only the tables, with the colours exchanged at the
+levels that swap them.  The move
 search rules a window of the red path in or out with a few mask tests
 against per-vertex reach masks, written out in place (the
 three-vertex core's rows and bits are read once for its six orderings),
@@ -75,7 +76,7 @@ from .core import (
     validate_structure,
     verify_witness,
 )
-from .oracle import Links, Twins, _ColorLinks, _find_mono
+from .oracle import Links, Twins, _LinkTables, _find_mono
 
 # (n, m) pairs whose thresholds rest on external small-case results.
 _BASES = {(3, 3), (4, 3), (4, 4)}
@@ -98,47 +99,6 @@ def ramsey_number(pair: PairKind) -> int:
     if pair.kind in (PP, PNCM):
         return 2 * n + (m + 1) // 2
     return 2 * n + (m - 1) // 2
-
-
-# ---------------------------------------------------------------------------
-# Link tables: per vertex pair, the bitset of third vertices completing a
-# triple of one colour.  The top-level greedy path reads the coloring's
-# byte view; everything after it, the ascent's openers and candidate checks
-# included, reads table rows.
-
-
-class _LinkTables:
-    """The link tables of one coloring, both colours from one build on first
-    use (_ColorLinks).
-
-    One instance serves a whole top-level solve: the induction's levels
-    read the same tables on their vertex prefixes (callers only read bits
-    below the level's vertex count), and the view returned by swap() serves
-    the levels that exchange the colours, its red table the blue table of
-    this one.  So does each colour's failed-window memo of the move search
-    (see _find_move).
-    """
-
-    __slots__ = ("_tables", "_failed", "_swapped")
-
-    def __init__(self, coloring: Coloring) -> None:
-        self._tables = _ColorLinks(coloring)
-        self._failed: Dict[str, Dict[Tuple[int, int, int], int]] = {}
-        self._swapped = False
-
-    def swap(self) -> "_LinkTables":
-        view = object.__new__(_LinkTables)
-        view._tables, view._failed, view._swapped = self._tables, self._failed, not self._swapped
-        return view
-
-    def built(self, color: str) -> Optional[Links]:
-        return self._tables.get(opposite(color) if self._swapped else color)
-
-    def failed(self, color: str) -> Dict[Tuple[int, int, int], int]:
-        return self._failed.setdefault(opposite(color) if self._swapped else color, {})
-
-    def table(self, color: str) -> Links:
-        return self._tables[opposite(color) if self._swapped else color]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -572,14 +532,6 @@ def _check(n: int, links: _LinkTables, color: str, shape: str, seq) -> Optional[
     return Witness(color, shape, s)
 
 
-def _find(n: int, color: str, target: Tuple[str, int], links: _LinkTables) -> Optional[Witness]:
-    """Complete search for a structure of the colour, shape and length, on
-    the colour's table in links cut down to the first n vertices."""
-    mask = (1 << n) - 1
-    T = [[t & mask for t in row[:n]] for row in links.table(color)[:n]]
-    return _find_mono(n, color, *target, T)
-
-
 def _completion(
     n: int,
     blue_target: Tuple[str, int],
@@ -599,7 +551,8 @@ def _completion(
         RuntimeWarning,
         stacklevel=2,
     )
-    w = _find(n, BLUE, blue_target, links) or _find(n, RED, red_target, links)
+    w = _find_mono(n, BLUE, *blue_target, links.table(BLUE))
+    w = w or _find_mono(n, RED, *red_target, links.table(RED))
     if w is None:
         raise ExtractionError(
             f"no witness found below threshold invariants; trace: {trace}"
@@ -915,7 +868,8 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
             break
         if base:
             _note(trace, "base case %s: complete search", at)
-            w = _find(N, RED, at.red_target, links) or _find(N, BLUE, at.blue_target, links)
+            w = _find_mono(N, RED, *at.red_target, links.table(RED))
+            w = w or _find_mono(N, BLUE, *at.blue_target, links.table(BLUE))
             if w is None:
                 raise ExtractionError(f"base case {at} produced no witness; trace: {trace}")
             break

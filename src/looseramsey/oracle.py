@@ -8,20 +8,22 @@ absence.  Twin vertices, whose exchange maps the table onto itself (every
 vertex of A, or of B, in a split coloring), are interchangeable, so each
 branch tries only the lowest unused vertex of a twin class: proofs of
 absence on split colorings stay polynomial, and the first sequence found
-stays the same.  find_mono_path and find_mono_cycle run it on the table of
-one colour class; the extractor runs it through _find_mono on the tables
-of its solve and on a cycle's boundary table, whose twin classes it passes
-in.  _link_table builds a colour's table with numpy and only then makes
-Python ints of its rows: up to 64 vertices each row is one word, and one
-scatter of the bitmap's flags into a bool array and one packbits build
-them all; above 64, one chunk of largest vertices (one range of the colex
-bitmap) at a time.  Below 14 vertices a walk over the triples costs less
-than numpy's calls and builds it instead, and numpy is imported on the
-first build of 14 vertices or more (or the first enumeration), so a process
-that builds none never loads it.  _ColorLinks derives a coloring's second
-colour from the build of its first.  Exhaustive enumeration iterates every
-red bitmap of K3_N (only feasible for C(N,3) <= 24) with the work
-vectorized over bitmap chunks.
+stays the same.  The kernel reads only the first n vertices of its table,
+so one table serves every vertex prefix of a coloring.  One class,
+_LinkTables, owns a coloring's tables and derives its second colour from
+the build of its first; find_mono_path and find_mono_cycle search one of
+them, and the extractor, through _find_mono, those of its solve and a
+cycle's boundary table, whose twin classes it passes in.  _link_table
+builds a colour's table with numpy and only then makes Python ints of its
+rows: up to 64 vertices each row is one word, and one scatter of the
+bitmap's flags into a bool array and one packbits build them all; above
+64, one chunk of largest vertices (one range of the colex bitmap) at a
+time.  Below 14 vertices a walk over the triples costs less than numpy's
+calls and builds it instead, and numpy is imported on the first build of
+14 vertices or more (or the first enumeration), so a process that builds
+none never loads it.  Exhaustive enumeration iterates every red bitmap of
+K3_N (only feasible for C(N,3) <= 24) with the work vectorized over
+bitmap chunks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from math import comb
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import (
     BLUE,
@@ -177,24 +179,50 @@ def _link_table(n: int, bits: int) -> Links:
     return [lower[u][:u] + list(cols[u][u:]) for u in range(n)]
 
 
-class _ColorLinks(dict):
-    """color -> _link_table of one coloring's colour class, made on first
-    use, both colours from one build: from _NUMPY_FROM to 64 vertices the
-    word matrix S of the red bitmap (_link_words), else the table of the
-    colour asked for first.  The other colour's row (x, y) holds every
-    vertex outside {x, y} that the built row lacks."""
+class _LinkTables:
+    """The link tables of one coloring, color -> _link_table of its colour
+    class, both made on first use from one build: from _NUMPY_FROM to 64
+    vertices the word matrix of the red bitmap (_link_words), else the
+    table of the colour asked for first, whose complement gives the other.
 
-    __slots__ = ("coloring", "words")
+    One instance serves a whole top-level solve, each level reading the
+    tables below its vertex count.  The view returned by swap() serves the
+    levels that exchange the colours, its red table the blue table of this
+    one; it shares the tables, the word matrix and each colour's
+    failed-window memo of the move search (extractor._find_move).
+    """
+
+    __slots__ = ("coloring", "_tables", "_failed", "_swapped")
 
     def __init__(self, coloring: Coloring) -> None:
-        self.coloring, self.words = coloring, None
+        self.coloring = coloring
+        # color -> table, and None -> the word matrix once it is built
+        self._tables: Dict[Optional[str], object] = {}
+        self._failed: Dict[str, Dict[Tuple[int, int, int], int]] = {}
+        self._swapped = False
 
-    def __missing__(self, color: str) -> Links:
-        c, n, other = self.coloring, self.coloring.n_vertices, self.get(opposite(color))
+    def swap(self) -> "_LinkTables":
+        view = object.__new__(_LinkTables)
+        view.coloring, view._tables, view._failed = self.coloring, self._tables, self._failed
+        view._swapped = not self._swapped
+        return view
+
+    def built(self, color: str) -> Optional[Links]:
+        return self._tables.get(opposite(color) if self._swapped else color)
+
+    def failed(self, color: str) -> Dict[Tuple[int, int, int], int]:
+        return self._failed.setdefault(opposite(color) if self._swapped else color, {})
+
+    def table(self, color: str) -> Links:
+        color = opposite(color) if self._swapped else color
+        T = self._tables.get(color)
+        if T is not None:
+            return T
+        c, n, other = self.coloring, self.coloring.n_vertices, self._tables.get(opposite(color))
         if _NUMPY_FROM <= n <= 64:
-            if self.words is None:
-                self.words = _link_words(n, c.red_bits)
-            S = self.words
+            S = self._tables.get(None)
+            if S is None:
+                S = self._tables[None] = _link_words(n, c.red_bits)
             if color == BLUE:
                 import numpy as np
 
@@ -211,22 +239,23 @@ class _ColorLinks(dict):
                 fx, Tx = full ^ 1 << x, T[x]
                 for y in range(x):
                     Tx[y] = T[y][x] = fx ^ 1 << y ^ row[y]
-        self[color] = T
+        self._tables[color] = T
         return T
 
 
-def _twins(T: Links) -> Twins:
-    """Twin classes of the link table T: u and v are twins when swapping
-    them maps T onto itself, i.e. every x outside {u, v} has the same row
-    towards u and v outside bits u and v.  Returns, per vertex, its class
-    (the lowest member) and the mask of its lower twins."""
-    verts = range(len(T))
-    cls, lower = [0] * len(T), [0] * len(T)
+def _twins(T: Links, n: int) -> Twins:
+    """Twin classes of the link table T on its first n vertices: u and v
+    are twins when swapping them maps T, cut to those vertices, onto
+    itself, i.e. every x below n outside {u, v} has the same row towards u
+    and v on the vertices below n outside u and v.  Returns, per vertex,
+    its class (the lowest member) and the mask of its lower twins."""
+    verts, full = range(n), (1 << n) - 1
+    cls, lower = [0] * n, [0] * n
     members = {}
     for v in verts:
         Tv, rep = T[v], v
         for r in members:
-            Tr, outside = T[r], ~(1 << r | 1 << v)
+            Tr, outside = T[r], full ^ (1 << r | 1 << v)
             for x in verts:
                 if (Tr[x] ^ Tv[x]) & outside and x != r and x != v:
                     break
@@ -238,10 +267,11 @@ def _twins(T: Links) -> Twins:
     return cls, lower
 
 
-def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[int]]:
-    """First loose path or cycle of the given length whose every edge is in
-    the link table T, as a vertex sequence, or None when none exists; twins
-    is _twins(T).
+def _search(T: Links, n: int, shape: str, length: int, twins: Twins) -> Optional[List[int]]:
+    """First loose path or cycle of the given length on the first n vertices
+    whose every edge is in the link table T, as a vertex sequence, or None
+    when none exists; twins is _twins(T, n).  Every row read is masked to
+    those vertices, so T may be the table of a larger coloring.
 
     Vertices are tried in ascending order (the candidates for a pair are
     the set bits of its link row, lowest first), so the result is the
@@ -261,7 +291,7 @@ def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[in
     the memo is cleared whenever the start advances.
     """
     cycle = shape == CYCLE
-    verts = range(len(T))
+    verts, full = range(n), (1 << n) - 1
     cls, lower = twins
     failed: Set[Tuple[int, int]] = set()
 
@@ -271,12 +301,12 @@ def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[in
         if remaining == 0:
             if not cycle:
                 return []
-            close = T[end][v1] & ~used
+            close = T[end][v1] & (full ^ used)
             return [(close & -close).bit_length() - 1] if close else None
         key = (used, cls[end])
         if key in failed:
             return None
-        row, unused = T[end], ~used
+        row, unused = T[end], full ^ used
         for mid in verts:
             if used >> mid & 1 or lower[mid] & unused:
                 continue
@@ -304,8 +334,8 @@ def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[in
             for v2 in verts if cycle else verts[i + 1 :]:
                 if lower[v2] & ~(1 << v1):
                     continue
-                free = ~(1 << v1 | 1 << v2)
-                v3s = row[v2]
+                free = full ^ (1 << v1 | 1 << v2)
+                v3s = row[v2] & full
                 while v3s:
                     low = v3s & -v3s
                     v3s ^= low
@@ -323,10 +353,10 @@ def _search(T: Links, shape: str, length: int, twins: Twins) -> Optional[List[in
 def _find_mono(
     n: int, color: str, shape: str, length: int, T: Links, twins: Optional[Twins] = None
 ) -> Optional[Witness]:
-    """A structure of the colour, shape and length, which fits in n
-    vertices, by _search on T, the colour's link table on n vertices, with
-    its twin classes, computed here unless the caller passes them."""
-    seq = _search(T, shape, length, twins or _twins(T))
+    """A structure of the colour, shape and length on the first n vertices,
+    by _search on T, the colour's link table on n or more vertices, with
+    its twin classes on n, computed here unless the caller passes them."""
+    seq = _search(T, n, shape, length, twins or _twins(T, n))
     return None if seq is None else Witness(color, shape, validate_structure(shape, seq))
 
 
@@ -341,8 +371,7 @@ def _find_in(coloring: Coloring, color: str, shape: str, length: int) -> Optiona
         raise ValueError(f"{letter}_{length} needs {need} vertices, coloring has {n}")
     if color not in (RED, BLUE):
         raise ValueError(f"unknown color {color!r}")
-    T = _link_table(n, (coloring if color == RED else coloring.swap()).red_bits)
-    return _find_mono(n, color, shape, length, T)
+    return _find_mono(n, color, shape, length, _LinkTables(coloring).table(color))
 
 
 def find_mono_path(coloring: Coloring, color: str, length: int) -> Optional[Witness]:

@@ -308,11 +308,11 @@ class TestBoundaryTable:
             n = rnd.randint(7, 30)
             k = 2 * rnd.randint(3, (n - 1) // 2)
             cyc = rnd.sample(range(n), k)
-            assert _boundary_twins(n, cyc) == _twins(_boundary_table(n, cyc)), seed
+            assert _boundary_twins(n, cyc) == _twins(_boundary_table(n, cyc), n), seed
         for n in range(6, 31, 2):
             cyc = random.Random(n).sample(range(n), n)
             assert not any(map(any, _boundary_table(n, cyc)))
-            assert _boundary_twins(n, cyc) == _twins(_boundary_table(n, cyc)), n
+            assert _boundary_twins(n, cyc) == _twins(_boundary_table(n, cyc), n), n
 
     def test_assemblies_match_the_family_search(self, monkeypatch):
         """Both assembly calls, `_convert_cycle`'s and the all-blue boundary

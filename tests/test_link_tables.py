@@ -65,7 +65,7 @@ from looseramsey.extractor import (
     ramsey_number,
     solve,
 )
-from looseramsey.oracle import _link_table, find_mono_path
+from looseramsey.oracle import _link_table, find_mono_cycle, find_mono_path
 
 
 def _triples(n):
@@ -583,7 +583,7 @@ class TestTables:
 
     def test_completion_reads_the_solve_tables(self, monkeypatch):
         """A solve that ends in a completion search builds one table: the
-        search reads the solve's own tables, cut to its prefix."""
+        search reads the solve's own tables, bounded to its vertex count."""
         built = []
         for name in ("_link_table", "_link_words"):
             real = getattr(oracle, name)
@@ -601,6 +601,32 @@ class TestTables:
         assert any(note.startswith("completion search") for note in trace)
         assert verify_witness(c, w)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_blue_oracle_search_builds_one_table(self, monkeypatch, n):
+        """A blue find_mono_path or find_mono_cycle builds one table, by the
+        triple walk at 12 vertices and by the one-word build at 20, and
+        makes no colour-swapped Coloring; it finds what a red search of the
+        swapped coloring finds, present or absent."""
+        colorings = [Coloring(n, random.Random(n).getrandbits(comb(n, 3)))]
+        colorings.append(build_split_coloring(SplitSpec(n - n // 3, n // 3)))
+        searches = [(find_mono_path, 3), (find_mono_path, (n - 1) // 2), (find_mono_cycle, 4)]
+        want = [[finder(c.swap(), RED, length) for finder, length in searches] for c in colorings]
+        assert None in want[1] and None not in want[0]
+        built = []
+        for name in ("_link_table", "_link_words"):
+            real = getattr(oracle, name)
+            monkeypatch.setattr(
+                oracle, name, lambda k, bits, name=name, real=real: built.append(name) or real(k, bits)
+            )
+        monkeypatch.setattr(Coloring, "swap", None)
+        for c, found in zip(colorings, want):
+            for (finder, length), w in zip(searches, found):
+                built.clear()
+                got = finder(c, BLUE, length)
+                assert built == ["_link_table" if n < oracle._NUMPY_FROM else "_link_words"]
+                assert (got is None) == (w is None), (finder, length)
+                assert got is None or (got.color, got.structure) == (BLUE, w.structure)
 
     def test_greedy_solve_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(oracle, "_link_table", None)

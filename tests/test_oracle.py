@@ -18,7 +18,9 @@ from looseramsey.core import (
 )
 from looseramsey.formats import decode, encode_lre1
 from looseramsey.oracle import (
+    _find_mono,
     _link_table,
+    _LinkTables,
     _structure_masks,
     _twins,
     exhaustive_avoidance_search,
@@ -190,11 +192,11 @@ def _swap_preserves(verts, member, u, v):
 
 
 def check_twins(T, member):
-    """_twins(T) against a brute-force check of every transposition of the
-    table's vertices, member(x, y, z) telling whether {x, y, z} is an edge;
-    returns the lower-twin masks."""
+    """_twins(T, len(T)) against a brute-force check of every transposition
+    of the table's vertices, member(x, y, z) telling whether {x, y, z} is an
+    edge; returns the lower-twin masks."""
     verts = range(len(T))
-    cls, lower = _twins(T)
+    cls, lower = _twins(T, len(T))
     for v in verts:
         below = [u for u in verts if u < v and _swap_preserves(verts, member, u, v)]
         assert lower[v] == sum(1 << u for u in below), (len(T), v)
@@ -365,3 +367,45 @@ class TestAgainstReferenceSearch:
                     found += ref is not None
                     absent += ref is None
         assert found > 300 and absent > 50
+
+
+def _cut(T, n):
+    """T cut to its first n vertices, every row masked to them: the copy the
+    complete searches of a solve made before the kernel took a vertex bound."""
+    mask = (1 << n) - 1
+    return [[t & mask for t in row[:n]] for row in T[:n]]
+
+
+class TestBoundedSearch:
+    """The kernel bounded to the first n vertices of a larger table finds
+    what it finds on the table cut to them, and so do the twin classes."""
+
+    TARGETS = [(PATH, 1), (PATH, 2), (PATH, 3), (PATH, 5), (CYCLE, 3), (CYCLE, 4), (CYCLE, 6)]
+
+    def _colorings(self, N, rnd):
+        yield Coloring(N, rnd.getrandbits(comb(N, 3)))
+        yield Coloring(N, sum(1 << r for r in range(comb(N, 3)) if rnd.random() < 0.2))
+        a = rnd.randint(3, N - 1)
+        for k in (0, 1, 4):
+            yield _flipped(build_split_coloring(SplitSpec(a, N - a)), k, rnd)
+
+    def test_bound_equals_the_cut_table(self):
+        rnd = random.Random(53)
+        found = absent = 0
+        for N in range(6, 21):
+            for c in self._colorings(N, rnd):
+                links = _LinkTables(c)
+                for color in (RED, BLUE):
+                    T = links.table(color)
+                    for n in range(3, N + 1):
+                        cut = _cut(T, n)
+                        assert _twins(T, n) == _twins(cut, n), (c, color, n)
+                        for shape, length in self.TARGETS:
+                            if (2 * length if shape == CYCLE else 2 * length + 1) > n:
+                                continue
+                            w = _find_mono(n, color, shape, length, T)
+                            assert w == _find_mono(n, color, shape, length, cut), (
+                                c, color, n, shape, length)
+                            found += w is not None
+                            absent += w is None
+        assert found > 4000 and absent > 1000
