@@ -1,8 +1,8 @@
 """Before/after records of split+1 solve time against n, of the oracle, of
 the coloring file formats, of the link-table build, of the greedy build,
-of peak memory and of the CLI's start-up.
+of in-process CLI calls, of peak memory and of the CLI's start-up.
 
-    python3 scripts/bench_record.py scaling|oracle|formats|tables|greedy|memory|startup
+    python3 scripts/bench_record.py scaling|oracle|formats|tables|greedy|cli|memory|startup
 
 Writes BENCH_<record>.json at the root of the checkout.  Two sources are
 timed: the package at commit PARENT (set it to the commit a change is
@@ -70,6 +70,18 @@ all its outputs, which agree when both return the same results, and
   `sha1` covers every greedy path, which agree when both sources build the
   same paths, and `speedup` is the parent's median time over this
   checkout's.
+- `cli`: in-process `cli.main` calls with stdout captured, one per case of
+  CLI_CASES, on the inputs of perfbench's `certify` workload: `construct`
+  of pncm(5, 5) and of pncm(30, 30) in LRC1 and in LRE1 (`--explicit`),
+  each with `--out`; `search` for the red and for the blue target of
+  pp(5, 5) in its split coloring on R - 1 vertices (LRC1 and LRE1, a proof
+  of absence, exit 1); `extract` from the pncm(30, 30) split coloring with
+  one more vertex in B (`b+1`), and `verify` of its witness.  The inputs
+  are written untimed into a directory of each source's own.  A case's time
+  is the least of CLI_CALLS calls; `sha1` covers every call's stdout and
+  the files `construct` writes, which agree when both sources print and
+  write the same bytes, and `speedup` is the parent's median time over this
+  checkout's.
 - `memory`: the peak RSS (`ru_maxrss`) of one `solve` of split+1 pp(n, n),
   `a+1` plain and `b+1` swapped, n in MEMORY_NS, each in a fresh
   interpreter per source; `input_rss_mb` is the peak before the solve,
@@ -87,6 +99,7 @@ all its outputs, which agree when both return the same results, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import io
@@ -107,7 +120,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "661481d"
+PARENT = "41b5bbc"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 # the functions whose calls `work` counts: key -> (module, function)
@@ -164,6 +177,23 @@ STARTUP_NOTES = (
     "s.lrc, `construct` of pp(8,8), and c.lre, `construct --explicit` of pp(5,5); {witness} is "
     "the extract's output line."
 )
+# case -> cli.main's argv, with {d} the source's own directory, which holds
+# the certify inputs pp5.lrc, pp5.lre and plus.lrc, and WITNESS the
+# extract's output
+PNCM5, PNCM30 = ["--pair", "pncm", "-n", "5", "-m", "5"], ["--pair", "pncm", "-n", "30", "-m", "30"]
+CLI_CASES = {
+    "construct LRC1 pncm(5,5)": ["construct", *PNCM5, "--out", "{d}/p5.lrc"],
+    "construct LRE1 pncm(5,5)": ["construct", *PNCM5, "--explicit", "--out", "{d}/p5.lre"],
+    "construct LRC1 pncm(30,30)": ["construct", *PNCM30, "--out", "{d}/p30.lrc"],
+    "construct LRE1 pncm(30,30)": ["construct", *PNCM30, "--explicit", "--out", "{d}/p30.lre"],
+    "search red pp(5,5)": ["search", "--file", "{d}/pp5.lrc", "--color", "red", "--shape", "path",
+                           "--length", "5"],
+    "search blue pp(5,5)": ["search", "--file", "{d}/pp5.lre", "--color", "blue", "--shape", "path",
+                            "--length", "5"],
+    "extract pncm(30,30) b+1": ["extract", "--file", "{d}/plus.lrc", *PNCM30],
+    "verify pncm(30,30) b+1": ["verify", "--file", "{d}/plus.lrc", "--witness", WITNESS],
+}
+CLI_CALLS = 15
 NOTES = (
     "One shared 2-core x86-64 container, time.perf_counter. The host cannot pin "
     "CPUs, fix the clock frequency or drop caches, and other tenants load it: its speed drifts "
@@ -412,6 +442,46 @@ def sweep_greedy():
     return {"times": times, "sha1": digest.hexdigest()}
 
 
+def sweep_cli():
+    """The cli cases."""
+    from looseramsey.cli import main
+    from looseramsey.constructions import PairKind, SplitSpec, build_split_coloring, lower_bound_params
+    from looseramsey.formats import write_coloring
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        return code, out.getvalue()
+
+    times, digest = {}, hashlib.sha1()
+    with tempfile.TemporaryDirectory() as d:
+        pp5 = ["--pair", "pp", "-n", "5", "-m", "5"]
+        run(["construct", *pp5, "--out", f"{d}/pp5.lrc"])
+        run(["construct", *pp5, "--explicit", "--out", f"{d}/pp5.lre"])
+        spec = lower_bound_params(PairKind("pncm", 30, 30))
+        with open(f"{d}/plus.lrc", "w") as fh:
+            write_coloring(build_split_coloring(SplitSpec(spec.a, spec.b + 1)), fh)
+        witness = None
+        for case, argv in CLI_CASES.items():
+            argv = [witness if a == WITNESS else a.format(d=d) for a in argv]
+            best = math.inf
+            for _ in range(CLI_CALLS):
+                start = time.perf_counter()
+                code, out = run(argv)
+                best = min(best, time.perf_counter() - start)
+            if code != (argv[0] == "search"):  # the search proves an absence: exit 1
+                raise RuntimeError(f"{case} exited {code}")
+            if argv[0] == "extract":
+                witness = out.splitlines()[-1]
+            digest.update(out.encode())
+            if argv[0] == "construct":
+                digest.update(Path(argv[-1]).read_bytes())
+            times[case] = best
+            yield
+    return {"times": times, "sha1": digest.hexdigest()}
+
+
 def _quartiles(samples: list) -> dict:
     """Per case, nested as in the samples: (first quartile, median, third
     quartile) over the samples."""
@@ -487,6 +557,14 @@ def _formats_keys(quart: dict, outs: dict):
     return params, runs, {"speedup": speedup}
 
 
+def _cli_keys(quart: dict, outs: dict):
+    """The cli record's parameters, keys per source and speedup: those of
+    the formats record, with its own cases and calls."""
+    _, runs, speedup = _formats_keys(quart, outs)
+    cases = {case: " ".join(argv) for case, argv in CLI_CASES.items()}
+    return {"cases": cases, "calls": CLI_CALLS}, runs, speedup
+
+
 def _tables_keys(quart: dict, outs: dict):
     """The tables record's parameters, keys per source and speedup: those
     of the formats record, with its own sizes and calls."""
@@ -518,6 +596,12 @@ RECORDS = {
                "Builds under 0.1 ms are noise-bound, most of all the cold ones."),
     "greedy": (sweep_greedy, _greedy_keys, 15,
                "Greedy builds take 5-100 us; a stress case's time is one call of all its trials."),
+    "cli": (sweep_cli, _cli_keys, 15,
+            "Each call's stdout goes to an io.StringIO. The construct times include the file system "
+            "truncating the file that --out overwrites, since every call after a case's first "
+            "rewrites an existing file: on this host's ext4, mounted with discard, open(path, 'w') "
+            "over a 50-byte file took 0.06-0.1 ms and over the 266 KB LRE1 of pncm(30,30) "
+            "0.1-0.3 ms, against about 0.01 ms for an open in place."),
 }
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .constructions import (
     CC,
@@ -173,6 +173,14 @@ def _load(path: str) -> Coloring:
         return read_coloring(fh)
 
 
+def _int(text: str, what: str) -> int:
+    """int(text), or a ValueError that names the value's option."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _witness_line(w: Witness) -> str:
     return f"{w.color} {w.shape} " + " ".join(str(v) for v in w.structure.vertices)
 
@@ -184,7 +192,8 @@ def _parse_witness(text: str) -> Witness:
     color, shape = parts[0], parts[1]
     if color not in (RED, BLUE):
         raise ValueError(f"unknown color {color!r}")
-    return Witness(color, shape, validate_structure(shape, [int(p) for p in parts[2:]]))
+    vertices = [_int(p, "--witness vertex") for p in parts[2:]]
+    return Witness(color, shape, validate_structure(shape, vertices))
 
 
 def _cmd_construct(args) -> int:
@@ -222,8 +231,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    red_target = (args.red_target[0], int(args.red_target[1]))
-    blue_target = (args.blue_target[0], int(args.blue_target[1]))
+    red_target = (args.red_target[0], _int(args.red_target[1], "--red-target length"))
+    blue_target = (args.blue_target[0], _int(args.blue_target[1], "--blue-target length"))
     result = exhaustive_avoidance_search(args.N, red_target, blue_target, mode=args.mode)
     if args.mode == "count":
         print(result)
@@ -258,8 +267,9 @@ def _cmd_stress(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The argument tree, built once: every parse returns a fresh namespace."""
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The argument tree, built once, and its command parsers by name: every
+    parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="loose-ramsey",
         description="Certified Ramsey witnesses for 3-uniform loose paths and cycles.",
@@ -307,11 +317,16 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true", help="machine-readable report")
     sp.set_defaults(func=_cmd_stress)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    # a known command goes straight to its own parser; anything else (no
+    # argv, -h, an unknown name) to the whole tree, which reports it
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # unreadable files; FormatError, StructureError

@@ -1,5 +1,6 @@
 """Command-line interface: seeded randomness, stress reports, subcommands."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import looseramsey
-from looseramsey.cli import PRNG_NAME, StressReport, main, random_coloring, stress
+from looseramsey.cli import PRNG_NAME, StressReport, _parser, main, random_coloring, stress
 from looseramsey.constructions import CC, PP, PairKind
 from looseramsey.core import Coloring
 from looseramsey.extractor import ramsey_number
@@ -190,6 +191,95 @@ class TestMain:
         assert capsys.readouterr().out.startswith("LRC1 ")
 
 
+class TestSingleParse:
+    """main hands a known command's words to that command's parser alone;
+    only an argv that names no command goes through the whole tree."""
+
+    ARGVS = [
+        ["construct", "--pair", "pp", "-n", "3", "-m", "3"],
+        ["construct", "--pair=cc", "-n3", "-m", "4", "--explicit", "--out", "c.lre"],
+        ["construct", "--pa", "pncm", "-n=5", "-m5", "--ex", "--out=c.lrc"],
+        ["extract", "--file", "-", "--pair", "pp", "-n", "3", "-m", "3"],
+        ["extract", "--fi=c.lrc", "--pa=cc", "-n4", "-m", "4", "--trace"],
+        ["search", "--file", "c.lrc", "--color", "red", "--shape", "path", "--length", "3"],
+        ["search", "--fi=c.lre", "--col", "blue", "--sh=cycle", "--len", "4"],
+        ["enumerate", "-N", "5", "--red-target", "path", "2", "--blue-target", "cycle", "3"],
+        ["enumerate", "-N5", "--red", "cycle", "3", "--blu", "path", "2", "--mode=count"],
+        ["verify", "--file", "c.lrc", "--witness", "red path 0 1 2"],
+        ["verify", "--wit=blue cycle 0 1 2 3 4 5", "--fi", "c.lrc"],
+        ["ramsey", "--pair", "pp", "-n", "3", "-m", "3"],
+        ["ramsey", "-m3", "-n=4", "--pa=pmcn"],
+        ["stress", "--pair", "pp", "-n", "3", "-m", "3"],
+        ["stress", "--pa", "cc", "-n", "4", "-m4", "--trials=5", "--se", "-5", "--json"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) for a in ARGVS])
+    def test_same_namespace_as_the_whole_tree(self, monkeypatch, argv):
+        parse = argparse.ArgumentParser.parse_args
+        seen = []
+
+        def record(parser, args=None, namespace=None):
+            seen.append((parser, parse(parser, args, namespace)))
+            return argparse.Namespace(func=lambda _: 0)  # the command does not run
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", record)
+        assert main(argv) == 0
+        top, commands = _parser()
+        (parser, ns), = seen
+        assert parser is commands[argv[0]]
+        whole = vars(parse(top, argv))
+        assert whole.pop("command") == argv[0]
+        assert vars(ns) == whole
+
+    def test_well_formed_commands_skip_the_top_level_parser(self, monkeypatch, tmp_path, capsys):
+        top, _ = _parser()
+        calls = []
+        parse = top.parse_args
+        monkeypatch.setattr(top, "parse_args", lambda *a: calls.append(a) or parse(*a))
+        f = tmp_path / "c.lrc"
+        assert main(["construct", "--pair", "pp", "-n", "3", "-m", "3", "--out", str(f)]) == 0
+        assert main(["search", "--file", str(f), "--color", "red", "--shape", "path",
+                     "--length", "3"]) == 1
+        assert main(["ramsey", "--pair", "pp", "-n", "3", "-m", "3"]) == 0
+        assert main(["enumerate", "-N", "5", "--red-target", "path", "1",
+                     "--blue-target", "path", "1"]) == 1
+        assert calls == []
+        with pytest.raises(SystemExit):
+            main(["bogus"])
+        assert calls == [(["bogus"],)]
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            ([], 2),
+            (["bogus"], 2),
+            (["ramsey", "--pair", "pp", "-n", "3"], 2),
+            (["-h"], 0),
+            (["ramsey", "-h"], 0),
+        ],
+        ids=["empty", "unknown-command", "missing-m", "help", "command-help"],
+    )
+    def test_exit_codes(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+
+    def test_unrecognized_option_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ramsey", "--pair", "pp", "-n", "3", "-m", "3", "--bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        usage, error = captured.err.strip().splitlines()
+        assert usage.startswith("usage: loose-ramsey ramsey ")
+        assert error == "loose-ramsey ramsey: error: unrecognized arguments: --bogus"
+        assert captured.out == ""
+
+    def test_none_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["loose-ramsey", "ramsey", "--pair", "pp", "-n", "3", "-m", "3"])
+        assert main() == 0
+        assert capsys.readouterr().out == "8\n"
+
+
 class TestUsageErrors:
     """Malformed files and invalid parameters: one `error:` line on stderr,
     exit 2, no traceback."""
@@ -224,14 +314,23 @@ class TestUsageErrors:
         [
             ("red path 0 1", "witness needs color, shape and vertices: 'red path 0 1'"),
             ("green path 0 1 2", "unknown color 'green'"),
+            ("red path 0 1 x", "--witness vertex must be an integer, got 'x'"),
         ],
-        ids=["too-few-vertices", "unknown-color"],
+        ids=["too-few-vertices", "unknown-color", "vertex-not-an-integer"],
     )
     def test_malformed_witness(self, tmp_path, capsys, witness, needle):
         f = tmp_path / "c.lrc"
         f.write_text("LRC1 7\n000000000")
         assert main(["verify", "--file", str(f), "--witness", witness]) == 2
         self._one_error_line(capsys, needle)
+
+    @pytest.mark.parametrize("side", ["red", "blue"])
+    def test_enumerate_length_not_an_integer(self, capsys, side):
+        targets = {"red": ["path", "1"], "blue": ["path", "1"]}
+        targets[side] = ["path", "x"]
+        assert main(["enumerate", "-N", "4", "--red-target", *targets["red"],
+                     "--blue-target", *targets["blue"]]) == 2
+        self._one_error_line(capsys, f"--{side}-target length must be an integer, got 'x'")
 
     def test_invalid_pair(self, capsys):
         assert main(["ramsey", "--pair", "pmcn", "-n", "3", "-m", "4"]) == 2
