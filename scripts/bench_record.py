@@ -32,8 +32,10 @@ all its outputs, which agree when both return the same results, and
   `exponent_40_80`, `exponent_120_160` and `exponent_80_240` are the
   least-squares slopes of log time against log n from n = 40 to 80, from
   n = 120 to 160 and from n = 80 to 240 (four points, so one noisy cell
-  moves it less), and `speedup` the parent's median time over this
-  checkout's.
+  moves it less), `work_exponent_80_240` the same slope of log count
+  against log n for the `_bridges` and `_find_move` calls of `work` (None
+  where a count in the fit is 0), and `speedup` the parent's median time
+  over this checkout's.
 - `oracle`: `absence` is, per kind on its diagonal pair at n in ORACLE_NS,
   the two proofs of absence (no red and no blue target) on the extremal
   split coloring on R - 1 vertices, oriented so red is the short target.
@@ -120,7 +122,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "41b5bbc"
+PARENT = "1c4b6d2"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 # the functions whose calls `work` counts: key -> (module, function)
@@ -519,10 +521,18 @@ def _scaling_keys(quart: dict, outs: dict):
         return {case: round(_slope([(n, row[str(n)][1]) for n in fit]), 2)
                 for case, row in q.items()}
 
+    def work_exponents(work):
+        fit = [n for n in SCALING_NS if 80 <= n <= 240]
+        return {case: {key: round(_slope([(n, row[str(n)][key]) for n in fit]), 2)
+                       if all(row[str(n)][key] for n in fit) else None
+                       for key in ("_bridges", "_find_move")}
+                for case, row in work.items()}
+
     runs = {label: {
         "exponent_40_80": exponents(q, 40, 80),
         "exponent_120_160": exponents(q, 120, 160),
         "exponent_80_240": exponents(q, 80, 240),
+        "work_exponent_80_240": work_exponents(outs[label][0]["work"]),
         "completions": outs[label][-1]["completions"],
         "witness_sha1": sorted({o["sha1"] for o in outs[label]}),
         "work": outs[label][0]["work"],

@@ -52,27 +52,36 @@ def seed_of(kind: str, n: int, m: int, side: str, swapped: bool, flips: int) -> 
     return ((((KINDS.index(kind) * 1000 + n) * 1000 + m) * 2 + (side == "b")) * 2 + swapped) * 8 + flips
 
 
-def census(n_max: int) -> dict:
-    from looseramsey import Coloring, PairKind, solve
+def case_input(case: tuple):
+    """The pair and the coloring that one census case solves."""
+    from looseramsey import Coloring, PairKind
     from looseramsey.constructions import SplitSpec, build_split_coloring, lower_bound_params
+
+    kind, n, m, side, swapped, flips = case
+    pair = PairKind(kind, n, m)
+    spec = lower_bound_params(pair)
+    c = build_split_coloring(SplitSpec(spec.a + (side == "a"), spec.b + (side == "b")))
+    c = c.swap() if swapped else c
+    bits = c.red_bits
+    for rank in random.Random(seed_of(*case)).sample(range(c.n_triples), flips):
+        bits ^= 1 << rank
+    return pair, Coloring(c.n_vertices, bits)
+
+
+def census(n_max: int) -> dict:
+    from looseramsey import solve
 
     digest, completions, caps, errors, solves = hashlib.sha1(), Counter(), [], [], 0
     for case in cases(n_max):
         kind, n, m, side, swapped, flips = case
         label = f"{kind}({n},{m}) {side}+1 {'swapped' if swapped else 'plain'} flips {flips}"
-        pair = PairKind(kind, n, m)
-        spec = lower_bound_params(pair)
-        c = build_split_coloring(SplitSpec(spec.a + (side == "a"), spec.b + (side == "b")))
-        c = c.swap() if swapped else c
-        bits = c.red_bits
-        for rank in random.Random(seed_of(*case)).sample(range(c.n_triples), flips):
-            bits ^= 1 << rank
+        pair, c = case_input(case)
         trace = []
         solves += 1
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                w = solve(pair, Coloring(c.n_vertices, bits), trace=trace)
+                w = solve(pair, c, trace=trace)
         except Exception as exc:  # a census counts every failure, of any kind
             errors.append(f"{label}: {type(exc).__name__}: {exc}"[:300])
             digest.update(b"error\n")

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import index
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 RED = "red"
@@ -246,10 +247,18 @@ def validate_structure(shape: str, vertices) -> Structure:
     """Check vertices as a loose path or a loose cycle, as shape names, and
     wrap the sequence.  2l+1 >= 3 (a path) or 2l >= 6 (a cycle) distinct
     vertices always decompose into l edges with the loose intersection
-    pattern, so distinctness and parity are the whole check."""
+    pattern, so distinctness and parity are the whole check.  Labels are
+    taken with operator.index, so a float, a string or None is rejected,
+    not truncated."""
     if shape not in (PATH, CYCLE):
         raise StructureError(f"unknown shape {shape!r}")
-    v = tuple(map(int, vertices))
+    try:
+        v = tuple(map(index, vertices))
+    except TypeError:
+        bad = [x for x in vertices if not hasattr(type(x), "__index__")]
+        raise StructureError(
+            f"vertex label {bad[0]!r} is not an integer" if bad else "vertex labels must be integers"
+        ) from None
     if shape == PATH and len(v) < 3:
         raise StructureError(f"path needs at least 3 vertices, got {len(v)}")
     if shape == PATH and len(v) % 2 == 0:

@@ -7,8 +7,11 @@ pair): the descent tries a greedy build of the red target on each level's
 threshold prefix, shortening one side of the pair by one per failed level,
 down to a greedy success or a base case (complete search), and carries the
 greedy path down while the prefix holds it; a level with the threshold and
-red target of the level above tries nothing, as it would fail again.  The
-ascent lifts that witness by one edge per level that needs it.
+red target of the level above tries nothing, as it would fail again, and
+nor does a level whose prefix the coloring's red span rules out
+(_red_fits): counting shows that no red target exists there, so the
+greedy build could only fail.  The ascent lifts that witness by one edge
+per level that needs it.
 The lift works by maximalizing the red structure against the reservoir W
 (the vertices outside it) with length-increasing replacement moves, chaining
 a blue path through W across 2- and 3-edge windows of the red path, and
@@ -816,6 +819,26 @@ def _fast_red(
     return None
 
 
+def _red_span(c: Coloring) -> Tuple[int, int]:
+    """The top vertices of the lowest and of the highest red triple of c,
+    unranked in the C(z, 3) table as _greedy unranks its seed; (-1, -1)
+    if no triple is red."""
+    c3 = c._ranks[2]
+    return bisect_right(c3, c._lowest_red) - 1, bisect_right(c3, c.red_bits.bit_length() - 1) - 1
+
+
+def _red_fits(target: Tuple[str, int], n: int, span: Tuple[int, int]) -> bool:
+    """Whether the red span (zlo, zhi) of a coloring leaves room for a red
+    target (shape, L) on its first n vertices.  Every red edge has its top
+    vertex in [zlo, n) and a loose structure puts at most two edges on a
+    vertex, so L <= 2 (n - zlo); every vertex of a red edge is at most zhi,
+    so the structure's 2L + 1 (path) or 2L (cycle) vertices lie below
+    min(n, zhi + 1).  No red triple gives zhi = -1, room for nothing."""
+    shape, L = target
+    zlo, zhi = span
+    return L <= 2 * (n - zlo) and 2 * L + (shape == PATH) <= min(n, zhi + 1)
+
+
 @lru_cache(maxsize=256)
 def _plan(pair: PairKind) -> Tuple[Tuple, ...]:
     """The descent's levels from pair down to its base case, the last one:
@@ -855,17 +878,20 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
     links = _LinkTables(top)  # serves every level and, swapped, every swap
 
     # Descent: each level tries the red target greedily on its threshold
-    # prefix, the first N vertices of top; a failure there hands the
-    # level's sub pair down, until a greedy success or a base case gives
-    # the first witness.  The greedy path carries down while the prefix
-    # still holds all its vertices.
+    # prefix, the first N vertices of top, where the red span leaves room
+    # for it; a failure there hands the level's sub pair down, until a
+    # greedy success or a base case gives the first witness.  The greedy
+    # path is built at the levels that try it and carries down while the
+    # prefix still holds all its vertices.
     levels, gp = [], None  # (pair, vertex count, swap) per level lifted
+    span = _red_span(top)
     for at, N, swap, target, base in _plan(pair):
-        if gp is None or any(v >= N for v in gp):
-            gp = _greedy(top, N, links.built(RED))
-        if target is not None and (w := _fast_red(top, N, target, links, gp)) is not None:
-            _note(trace, "%s: red target built greedily", at)
-            break
+        if target is not None and _red_fits(target, N, span):
+            if gp is None or any(v >= N for v in gp):
+                gp = _greedy(top, N, links.built(RED))
+            if (w := _fast_red(top, N, target, links, gp)) is not None:
+                _note(trace, "%s: red target built greedily", at)
+                break
         if base:
             _note(trace, "base case %s: complete search", at)
             w = _find_mono(N, RED, *at.red_target, links.table(RED))

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 from math import comb
 
 import pytest
@@ -365,6 +366,24 @@ class TestStructures:
         with pytest.raises(StructureError):
             validate_loose_cycle(bad)
 
+    @pytest.mark.parametrize("label", [1.9, 1.0, "1", None])
+    def test_non_integer_labels_are_rejected(self, label):
+        """A label is taken with operator.index: a float, a string or None
+        raises an error naming it, where int() truncated 1.9 to 1."""
+        message = re.escape(f"vertex label {label!r} is not an integer")
+        with pytest.raises(StructureError, match=message):
+            validate_loose_path([0, label, 2])
+        with pytest.raises(StructureError, match=message):
+            validate_loose_cycle([0, 1, 2, label, 4, 5])
+
+    def test_integer_like_labels_are_accepted(self):
+        class Label:
+            def __index__(self):
+                return 3
+
+        assert validate_loose_path([0, Label(), 2]).vertices == (0, 3, 2)
+        assert type(validate_loose_path([0, Label(), 2]).vertices[1]) is int
+
     @given(st.permutations(list(range(11))), st.integers(1, 5))
     def test_path_intersection_pattern(self, perm, length):
         p = validate_loose_path(perm[: 2 * length + 1])
@@ -422,6 +441,13 @@ class TestVerifyWitness:
         c = Coloring(6, 0).swap()
         w = Witness(RED, PATH, validate_loose_path([0, 1, 2, 3, 6]))
         assert not verify_witness(c, w)
+
+    def test_rejects_float_labels(self):
+        """A structure of float labels is rejected, not checked as the
+        truncated labels (2, 0, 1), a red edge of this coloring."""
+        res = verify_witness(Coloring(5, 1), Witness(RED, PATH, LoosePath((2.7, 0.2, 1.5))))
+        assert not res and res.reason == "vertex label 2.7 is not an integer"
+        assert verify_witness(Coloring(5, 1), Witness(RED, PATH, LoosePath((2, 0, 1))))
 
     def test_rejects_broken_structure(self):
         c = Coloring(7, 0).swap()

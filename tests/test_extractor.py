@@ -8,6 +8,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from looseramsey.constructions import (
     CC,
@@ -28,6 +29,7 @@ from looseramsey.core import (
     TripleEdge,
     Witness,
     colex_rank,
+    colex_unrank,
     opposite,
     validate_loose_cycle,
     validate_loose_path,
@@ -49,11 +51,14 @@ from looseramsey.extractor import (
     _greedy,
     _path_step,
     _plan,
+    _red_fits,
+    _red_span,
     ramsey_number,
     solve,
 )
 from looseramsey.formats import decode
 from looseramsey.oracle import _twins, find_mono_cycle, find_mono_path
+from test_census import _module as _census
 from test_oracle import _reference_family_search, check_twins
 
 
@@ -746,6 +751,122 @@ class TestPlan:
             assert verify_witness(c, solve(pair, c))
             with pytest.raises(AssertionError, match="a note was formatted"):
                 solve(pair, c, trace=[])
+
+
+def _flipped(c, flips, seed):
+    """c with `flips` distinct triples flipped, drawn by random.Random(seed)."""
+    bits = c.red_bits
+    for rank in random.Random(seed).sample(range(c.n_triples), flips):
+        bits ^= 1 << rank
+    return Coloring(c.n_vertices, bits)
+
+
+def _split1(pair, side="a"):
+    spec = lower_bound_params(pair)
+    return build_split_coloring(SplitSpec(spec.a + (side == "a"), spec.b + (side == "b")))
+
+
+def _solve_all(cases):
+    """(witness, trace) of each (pair, coloring), completions let through."""
+    out = []
+    for pair, c in cases:
+        trace = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out.append((solve(pair, c, trace), trace))
+    return out
+
+
+class TestRedSpan:
+    """The descent skips a level's greedy attempt where the red span of the
+    coloring leaves no room for the level's red target on its prefix."""
+
+    @pytest.mark.parametrize("N", range(6, 12))
+    def test_the_bound_is_exact(self, N):
+        """On split colorings and their swaps with 0, 1 or 2 flips, on every
+        prefix n: the span is the least and the greatest top vertex of a red
+        triple, and the oracle finds no red path or cycle of any length
+        that the bound rules out."""
+        ruled_out = 0
+        for a in range(3, N + 1):
+            split = build_split_coloring(SplitSpec(a, N - a))
+            for c0 in (split, split.swap()):
+                for flips in range(3):
+                    c = _flipped(c0, flips, N * 100 + a * 3 + flips)
+                    tops = [colex_unrank(r, N).c for r in range(c.n_triples) if c.red_bits >> r & 1]
+                    span = _red_span(c)
+                    assert span == ((min(tops), max(tops)) if tops else (-1, -1))
+                    for n in range(3, N + 1):
+                        prefix = c.restrict(n)
+                        for shape, finder, lengths in (
+                            (PATH, find_mono_path, range(1, (n - 1) // 2 + 1)),
+                            (CYCLE, find_mono_cycle, range(3, n // 2 + 1)),
+                        ):
+                            for L in lengths:
+                                if not _red_fits((shape, L), n, span):
+                                    ruled_out += 1
+                                    assert finder(prefix, RED, L) is None, (a, flips, n, shape, L)
+        assert ruled_out > 0
+
+    def test_census_is_the_same_without_the_bound(self, monkeypatch):
+        """The split+1 census cases with n <= 10 give the same witnesses and
+        traces when the bound rules nothing out; with the bound, more levels
+        are ruled out than there are cases."""
+        census = _census()
+        cases = [census.case_input(case) for case in census.cases(10)]
+        fired, real = [0], _red_fits
+
+        def counting(target, n, span):
+            fits = real(target, n, span)
+            fired[0] += not fits
+            return fits
+
+        monkeypatch.setattr(extractor, "_red_fits", counting)
+        bounded = _solve_all(cases)
+        assert fired[0] > len(cases)
+        monkeypatch.setattr(extractor, "_red_fits", lambda target, n, span: True)
+        assert _solve_all(cases) == bounded
+
+    @given(kind=st.sampled_from([PP, CC, PNCM, PMCN]), n=st.integers(4, 9),
+           side=st.sampled_from("ab"), swapped=st.booleans(), flips=st.integers(0, 4),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flipped_split1_is_the_same_without_the_bound(self, kind, n, side, swapped, flips, data):
+        m = data.draw(st.integers(3, n - 1 if kind == PMCN else n))
+        pair = PairKind(kind, n, m)
+        c = _split1(pair, side)
+        c = _flipped(c.swap() if swapped else c, flips, data.draw(st.integers(0, 2**32 - 1)))
+        bounded = _solve_all([(pair, c)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extractor, "_red_fits", lambda target, n, span: True)
+            assert _solve_all([(pair, c)]) == bounded
+
+    @pytest.mark.parametrize("pair", [PairKind(PP, 12, 12), PairKind(CC, 10, 10)])
+    def test_plain_split1_descends_without_greedy_attempts(self, monkeypatch, pair):
+        """On split+1 pp(12, 12) and cc(10, 10) a+1 the bound rules out every
+        level: the descent makes no _greedy, _fast_red or _bridges call."""
+        calls = []
+
+        def recording(name):
+            real = getattr(extractor, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("_greedy", "_fast_red", "_bridges", "_cycle_step", "_path_step"):
+            monkeypatch.setattr(extractor, name, recording(name))
+        c = _split1(pair)
+        assert verify_witness(c, solve(pair, c))
+        steps = [i for i, name in enumerate(calls) if name.endswith("_step")]
+        assert steps and calls[: steps[0]] == []
+
+    def test_random_coloring_finishes_greedily_at_the_top(self):
+        """A random coloring's red span covers the prefix: at pp(10, 10)'s
+        threshold the top level's greedy attempt still builds the target."""
+        pair = PairKind(PP, 10, 10)
+        trace = []
+        c = _rand(ramsey_number(pair), 3)
+        w = solve(pair, c, trace)
+        assert trace == ["pp(n=10, m=10): red target built greedily"]
+        assert w.color == RED and verify_witness(c, w)
 
 
 class TestBranchPins:

@@ -1242,11 +1242,14 @@ class TestDescentReuse:
         assert peak < 1 << 20
 
     def test_descent_reuses_settled_work(self, monkeypatch):
-        """On split+1 pp(12, 12) a+1 the descent builds the greedy path on
-        fewer levels than it tries greedily, and a level that repeats the
-        (N, target) of the level above tries nothing: no two consecutive
-        greedy attempts share them, while the first level's calls
-        _bridges."""
+        """On split+1 pp(12, 12) a+1 with the triple {0, 1, 2} flipped to
+        red, the descent builds the greedy path on fewer levels than it
+        tries greedily, and a level that repeats the (N, target) of the
+        level above tries nothing: no two consecutive greedy attempts share
+        them, while the first level's calls _bridges.  The flip is what
+        picks the coloring: it puts the lowest red triple's top vertex at 2,
+        so the red span rules out no level, where on the plain split+1
+        coloring it rules out every one."""
         builds, levels, bridges = [], [], [0]
         real_greedy, real_fast, real_bridges = (
             extractor._greedy, extractor._fast_red, extractor._bridges)
@@ -1266,9 +1269,10 @@ class TestDescentReuse:
         monkeypatch.setattr(extractor, "_bridges", counting_bridges)
         pair = PairKind(PP, 12, 12)
         spec = lower_bound_params(pair)
-        c = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
+        split = build_split_coloring(SplitSpec(spec.a + 1, spec.b))
+        c = Coloring(split.n_vertices, split.red_bits | 1)
         assert verify_witness(c, solve(pair, c))
-        assert len(builds) < len(levels)
+        assert len(levels) >= 3 and len(builds) < len(levels)
         keys = [key for key, _ in levels]
         assert all(a != b for a, b in zip(keys, keys[1:])), keys
         assert levels[0][1] > 0
