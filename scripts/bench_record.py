@@ -27,8 +27,11 @@ all its outputs, which agree when both return the same results, and
   function in WORK, made by one more solve, untimed and with those
   functions wrapped, in the first repeat only: the counts depend on no
   host, and a change that claims no algorithmic effect keeps them equal.
-  Among them are the link-table builds per builder (walk, one-word and
-  chunked); a case with a one-word or chunked build imports numpy.
+  Among them are the descent's greedy attempts (`_fast_red`, one per
+  level that tries the red target) and greedy builds (`_greedy`; the
+  attempts without a build carry the path of the level above), the blue
+  chains (`_chain`) and the link-table builds per builder (walk, one-word
+  and chunked); a case with a one-word or chunked build imports numpy.
   `exponent_40_80`, `exponent_120_160` and `exponent_80_240` are the
   least-squares slopes of log time against log n from n = 40 to 80, from
   n = 120 to 160 and from n = 80 to 240 (four points, so one noisy cell
@@ -61,8 +64,9 @@ all its outputs, which agree when both return the same results, and
   span.  `sha1`
   covers every table built, which agree when both build the same ints, and
   `speedup` is the parent's median time over this checkout's.
-- `greedy`: the greedy build `_greedy(c, N, None)` through the byte view,
-  on random colorings (each triple red with probability 1/2) at each N in
+- `greedy`: the greedy build `_greedy(c, N)` through the byte view (a
+  source whose `_greedy` also takes a red table gets None for it), on
+  random colorings (each triple red with probability 1/2) at each N in
   GREEDY_NS, GREEDY_CALLS colorings drawn by `random.Random(N * 1000 + i)`,
   and on the split+1 coloring of every kind on its diagonal pair at each n
   in GREEDY_SPLIT_NS, per side and orientation, GREEDY_CALLS calls each;
@@ -104,6 +108,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -122,11 +127,14 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "1c4b6d2"
+PARENT = "17da85b"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 # the functions whose calls `work` counts: key -> (module, function)
 WORK = {
+    "_fast_red": ("extractor", "_fast_red"),
+    "_greedy": ("extractor", "_greedy"),
+    "_chain": ("extractor", "_chain"),
     "_find_move": ("extractor", "_find_move"),
     "_bridges": ("extractor", "_bridges"),
     "_route": ("extractor", "_route"),
@@ -410,6 +418,8 @@ def sweep_greedy():
     from looseramsey.constructions import PairKind
     from looseramsey.extractor import _greedy
 
+    # None for the red table of a source whose _greedy still takes one
+    table = (None,) * (len(inspect.signature(_greedy).parameters) - 2)
     os.environ.pop("LOOSERAMSEY_WORKERS", None)  # every stress trial in this process
     times, digest = {}, hashlib.sha1()
 
@@ -418,7 +428,7 @@ def sweep_greedy():
         for c in colorings:
             c._ranks, c._lowest_red  # the byte view and the seed rank, untimed
             start = time.perf_counter()
-            path = _greedy(c, c.n_vertices, None)
+            path = _greedy(c, c.n_vertices, *table)
             ts.append(time.perf_counter() - start)
             digest.update(repr(path).encode())
         return statistics.median(ts)

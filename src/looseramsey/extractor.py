@@ -20,8 +20,8 @@ colors decide the branch: either some candidate is fully blue (the blue
 witness) or the red edge that blocks it extends the red structure to the
 red witness.
 
-The replacement-move search, the blue chaining, the end extensions once the
-red table is built, and the ascent's cycle openers and candidate checks read
+The replacement-move search, the blue chaining, the end extensions after a
+move or a lift, and the ascent's cycle openers and candidate checks read
 the coloring through link tables (per vertex pair, the bitset of third
 vertices that complete a triple of one colour).  One oracle._LinkTables
 per top-level solve gives both colours from one build, and the complete
@@ -30,24 +30,23 @@ solve reads one coloring, the top one, and builds no prefix or swapped
 coloring: the descent reads it below each level's threshold, its vertex
 count, with the greedy seed (the lowest red rank) found once per solve,
 and the ascent reads only the tables, with the colours exchanged at the
-levels that swap them.  The move
-search rules a window of the red path in or out with a few mask tests
-against per-vertex reach masks, written out in place (the
-three-vertex core's rows and bits are read once for its six orderings),
-tests the end pairs of a window as one on the OR of their rows before it
-tests any alone, and skips a window for the rest of the solve on any
-reservoir inside one it failed on.  Before any table, the greedy build
-reads the coloring's byte view in one pass, the rank of each triple
-written out and no call per triple, over only the vertices below the
-view's rank tables; it probes the tail until it is stuck, then the head,
-as the free vertices only shrink.  The chaining is a depth-first search
-that skips the states it has seen fail and stops at an assembly that uses
-every reservoir vertex some window can place; at a cap of _CHAIN_BUDGET
-nodes, which no known input reaches, it notes the cap and takes its best
-assembly.  A monochromatic cycle whose boundary edges all have the other
-colour yields that colour's target by the oracle's search on the
-boundary's own link table, which depends only on the cycle, as do its twin
-classes (_boundary_twins).
+levels that swap them.  The move search depends only on the table, the
+path and the reservoir: it rules a window of the red path in or out by
+testing all the window's end pairs as one, on the OR of their rows, with
+a few mask tests against per-vertex reach masks, written out in place
+(the three-vertex core's rows and bits are read once for its six
+orderings).  The greedy build reads the coloring's byte view in one
+pass, the rank of each triple written out and no call per triple, over
+only the vertices below the view's rank tables; it probes the tail until
+it is stuck, then the head, as the free vertices only shrink.  The
+chaining is a depth-first search that skips the states it has seen fail
+and stops at an assembly that uses every reservoir vertex some window
+can place; at a cap of _CHAIN_BUDGET nodes, which no known input
+reaches, it notes the cap and takes its best assembly.  A monochromatic
+cycle whose boundary edges all have the other colour yields that
+colour's target by the oracle's search on the boundary's own link table,
+which depends only on the cycle, as do its twin classes
+(_boundary_twins).
 
 Every emitted witness is re-verified against the coloring.  A few corner
 branches are intentionally not transcribed into closed-form candidates;
@@ -62,7 +61,7 @@ import warnings
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .constructions import CC, PMCN, PNCM, PP, PairKind
 from .core import (
@@ -145,13 +144,13 @@ def _append_extend(n: int, seq: List[int], T: Links) -> None:
             fmask ^= 1 << step[0] | 1 << step[1]
 
 
-def _greedy(c: Coloring, n: int, T: Optional[Links]) -> List[int]:
+def _greedy(c: Coloring, n: int) -> List[int]:
     """A red loose path on the first n vertices of c, as its vertices, that
     no red edge extends at either end; empty if no triple there is red.
     Seeded from the lowest-rank red triple, which lies inside the prefix iff
     its rank is below C(n, 3); each extension takes the lowest labels
-    first, tail end first as in _append_extend, read from T if given, else
-    from c's byte view with the rank of each triple written out."""
+    first, tail end first as in _append_extend, read from c's byte view
+    with the rank of each triple written out."""
     low = c._lowest_red
     view, c2, c3 = c._ranks
     k = len(c3)  # a vertex >= k lies in no red triple
@@ -160,9 +159,6 @@ def _greedy(c: Coloring, n: int, T: Optional[Links]) -> List[int]:
     z = bisect_right(c3, low) - 1
     y = bisect_right(c2, low - c3[z]) - 1
     seq = [low - c3[z] - c2[y], y, z]
-    if T is not None:
-        _append_extend(n, seq, T)
-        return seq
     top = 8 * len(view)
     free = [v for v in range(min(n, k)) if v not in seq]
     for head in (False, True):
@@ -312,9 +308,7 @@ def _route(T: Links, end: int, pool: List[int], rat: int) -> Optional[List[int]]
     return None
 
 
-def _find_move(
-    T: Links, p: List[int], wset, failed: Dict[Tuple[int, int, int], int]
-) -> Optional[Tuple[List[int], Tuple[int, int]]]:
+def _find_move(T: Links, p: List[int], wset) -> Optional[Tuple[List[int], Tuple[int, int]]]:
     """First length-increasing red replacement of one or two consecutive path
     edges using two reservoir vertices, preserving the path's end vertices.
 
@@ -322,14 +316,8 @@ def _find_move(
     (demoting that edge's old link to a private vertex); the neighboring edge
     keeps its vertex set, so only the new edges need color checks.
     T is the red link table; wset must avoid the path.  A window is scanned
-    pair by pair, and its path slices are cut, only after _bridges, which is
-    exact, finds a move in it.
-    failed, a memo shared by searches on T, maps (lat, rat, core mask) to a
-    reservoir _bridges failed on; a window is not retested on its subsets.
-    When two or more of a window's end pairs are left, one _bridges call on
-    all the window's ends rules them all out (a pair failed rules out fails
-    on this smaller reservoir too), or else each is tested in turn, so the
-    memo gains the entries the pair-by-pair test gives it.
+    pair by pair, and its path slices are cut, only after one _bridges call
+    on all the window's ends, which is exact, finds a move in it.
     Returns (new vertex sequence, (x, y) used) or None.
     """
     L = (len(p) - 1) // 2
@@ -348,19 +336,7 @@ def _find_move(
             cmask = 1 << p[2 * j + 1]
             if r > 2 * j + 2:
                 cmask |= 1 << p[2 * j + 2] | 1 << p[2 * j + 3]
-            # scan only if some end pair, not ruled out by failed, passes
-            # _bridges; two or more are first tested as one, on all the ends
-            live = [key for lat in lends for rat in rends
-                    if wmask & ~failed.get(key := (lat, rat, cmask), 0)]
-            if len(live) > 1 and not _bridges(T, lends, rends, cmask, wmask, reach):
-                for key in live:
-                    failed[key] = wmask
-                continue
-            for key in live:
-                if _bridges(T, (key[0],), (key[1],), cmask, wmask, reach):
-                    break
-                failed[key] = wmask
-            else:
+            if not _bridges(T, lends, rends, cmask, wmask, reach):
                 continue
             lats = [(p[2 * j], p[: 2 * j + 1])]
             if j >= 1:
@@ -384,7 +360,7 @@ def _grow(n: int, links: _LinkTables, seq: List[int], need: int) -> List[int]:
     applies, extending the ends again after every move."""
     while (len(seq) - 1) // 2 < need:
         T = links.table(RED)
-        mv = _find_move(T, seq, set(range(n)) - set(seq), links.failed(RED))
+        mv = _find_move(T, seq, set(range(n)) - set(seq))
         if mv is None:
             break
         seq = mv[0]
@@ -700,7 +676,7 @@ def _cycle_step(
     _note(trace, "opened cycle: boundary edge through %s, reservoir %s", z, W0)
 
     # Any replacement move on the opened path closes to the longer red cycle.
-    mv = _find_move(links.table(RED), P, W0, links.failed(RED))
+    mv = _find_move(links.table(RED), P, W0)
     if mv is not None:
         _note(trace, "replacement move closes the longer red cycle")
         return Witness(RED, CYCLE, validate_structure(CYCLE, mv[0] + [c1]))
@@ -888,7 +864,7 @@ def solve(pair: PairKind, coloring: Coloring, trace: Optional[List[str]] = None)
     for at, N, swap, target, base in _plan(pair):
         if target is not None and _red_fits(target, N, span):
             if gp is None or any(v >= N for v in gp):
-                gp = _greedy(top, N, links.built(RED))
+                gp = _greedy(top, N)
             if (w := _fast_red(top, N, target, links, gp)) is not None:
                 _note(trace, "%s: red target built greedily", at)
                 break

@@ -188,30 +188,22 @@ class _LinkTables:
     One instance serves a whole top-level solve, each level reading the
     tables below its vertex count.  The view returned by swap() serves the
     levels that exchange the colours, its red table the blue table of this
-    one; it shares the tables, the word matrix and each colour's
-    failed-window memo of the move search (extractor._find_move).
+    one; it shares the tables and the word matrix.
     """
 
-    __slots__ = ("coloring", "_tables", "_failed", "_swapped")
+    __slots__ = ("coloring", "_tables", "_swapped")
 
     def __init__(self, coloring: Coloring) -> None:
         self.coloring = coloring
         # color -> table, and None -> the word matrix once it is built
         self._tables: Dict[Optional[str], object] = {}
-        self._failed: Dict[str, Dict[Tuple[int, int, int], int]] = {}
         self._swapped = False
 
     def swap(self) -> "_LinkTables":
         view = object.__new__(_LinkTables)
-        view.coloring, view._tables, view._failed = self.coloring, self._tables, self._failed
+        view.coloring, view._tables = self.coloring, self._tables
         view._swapped = not self._swapped
         return view
-
-    def built(self, color: str) -> Optional[Links]:
-        return self._tables.get(opposite(color) if self._swapped else color)
-
-    def failed(self, color: str) -> Dict[Tuple[int, int, int], int]:
-        return self._failed.setdefault(opposite(color) if self._swapped else color, {})
 
     def table(self, color: str) -> Links:
         color = opposite(color) if self._swapped else color

@@ -81,7 +81,7 @@ def _maximal(c, verts, wset):
     """Apply replacement moves until none exists; each grows the path by one
     edge and consumes two reservoir vertices."""
     red = _LinkTables(c).table(RED)
-    while (mv := _find_move(red, verts, wset, {})) is not None:
+    while (mv := _find_move(red, verts, wset)) is not None:
         verts, (x, y) = mv
         wset = wset - {x, y}
     return verts, wset
@@ -380,18 +380,18 @@ class TestRamseyNumber:
 
 class TestGreedyRedPath:
     def test_all_red_k7(self):
-        assert len(_greedy(Coloring(7, 0).swap(), 7, None)) == 7
+        assert len(_greedy(Coloring(7, 0).swap(), 7)) == 7
 
     def test_all_blue(self):
-        assert _greedy(Coloring(7, 0), 7, None) == []
+        assert _greedy(Coloring(7, 0), 7) == []
 
     def test_split(self):
-        assert len(_greedy(build_split_coloring(SplitSpec(7, 1)), 8, None)) == 5
+        assert len(_greedy(build_split_coloring(SplitSpec(7, 1)), 8)) == 5
 
     def test_result_is_red_and_unextendable(self):
         for seed in range(30):
             c = _rand(9, seed)
-            seq = _greedy(c, c.n_vertices, None)
+            seq = _greedy(c, c.n_vertices)
             if not seq:
                 continue
             assert verify_witness(c, Witness(RED, PATH, validate_loose_path(seq)))
@@ -410,18 +410,18 @@ class TestMaximalize:
 
     def test_empty_reservoir_unchanged(self):
         red = _LinkTables(Coloring(7, 0).swap()).table(RED)
-        assert _find_move(red, list(range(7)), set(), {}) is None
+        assert _find_move(red, list(range(7)), set()) is None
 
     def test_all_red_grows_by_one(self):
         c = Coloring(7, 0).swap()
-        verts, used = _find_move(_LinkTables(c).table(RED), list(range(5)), {5, 6}, {})
+        verts, used = _find_move(_LinkTables(c).table(RED), list(range(5)), {5, 6})
         assert used == (5, 6)
         w = Witness(RED, PATH, validate_loose_path(verts))
         assert w.length == 3 and verify_witness(c, w)
 
     def test_all_blue_outside_path_unchanged(self):
         c, verts = _path_only(9, 2)
-        assert _find_move(_LinkTables(c).table(RED), verts, {5, 6, 7, 8}, {}) is None
+        assert _find_move(_LinkTables(c).table(RED), verts, {5, 6, 7, 8}) is None
 
 
 class TestChainBluePath:
@@ -452,7 +452,7 @@ class TestChainBluePath:
                 if rnd.random() < 0.06:
                     bits |= 1 << i
             c = Coloring(12, bits)
-            seq = _greedy(c, c.n_vertices, None)
+            seq = _greedy(c, c.n_vertices)
             if len(seq) < 5:
                 continue
             wset = set(range(12)) - set(seq)

@@ -171,9 +171,10 @@ def _reference_find_move(red, p, wset):
     return None
 
 
-def _reference_pairwise_find_move(T, p, wset, failed, calls):
+def _reference_pairwise_find_move(T, p, wset, calls):
     """_find_move before the union test: each end pair of a window tested
-    on its own, in order, until one passes.  calls counts its _bridges."""
+    on its own, in order, until one passes.  calls counts its _bridges
+    calls and the windows it tests."""
     L = (len(p) - 1) // 2
     wl = sorted(wset)
     if len(wl) < 2 or L == 0:
@@ -185,12 +186,11 @@ def _reference_pairwise_find_move(T, p, wset, failed, calls):
         for r in range(2 * j + 2, min(2 * j + 4, 2 * L) + 1, 2):
             rends = [p[r], p[r + 1]] if r < 2 * L else [p[r]]
             cmask = sum(1 << v for v in p[2 * j + 1 : r])
-            for key in [(lat, rat, cmask) for lat in lends for rat in rends]:
-                if wmask & ~failed.get(key, 0):
-                    calls[0] += 1
-                    if _bridges(T, key[:1], key[1:2], cmask, wmask, reach):
-                        break
-                    failed[key] = wmask
+            calls["windows"] += 1
+            for lat, rat in [(lat, rat) for lat in lends for rat in rends]:
+                calls["bridges"] += 1
+                if _bridges(T, (lat,), (rat,), cmask, wmask, reach):
+                    break
             else:
                 continue
             lats = [(p[2 * j], p[: 2 * j + 1])]
@@ -367,7 +367,7 @@ def _instance(seed, min_edges=1):
         density = rnd.choice([0.1, 0.3, 0.5, 0.7, 0.9])
         bits = sum(1 << rank for rank in range(comb(n, 3)) if rnd.random() < density)
     c = Coloring(n, bits)
-    p = _greedy(c, n, None)
+    p = _greedy(c, n)
     if len(p) < 2 * min_edges + 1 or rnd.random() < 0.5:
         p = rnd.sample(range(n), 2 * rnd.randint(min_edges, (n - 3) // 2) + 1)
     rest = [v for v in range(n) if v not in p]
@@ -824,44 +824,44 @@ class TestKernels:
             outcomes.add((nl + nr, union))
         assert outcomes == {(k, b) for k in (2, 3, 4) for b in (True, False)}
 
-    def test_union_test_keeps_the_pairwise_memo(self, monkeypatch):
-        """After every _find_move call of a sequence on one memo, the move
-        and the failed-window memo equal those of the search that tests
-        each end pair on its own: on random reservoirs of seeded instances,
-        and on every call of split+1 pp(10, 10) and cc(10, 10) a+1 plain and
-        pp(10, 10) b+1 swapped.  Those solves make fewer _bridges calls."""
-        for seed in range(600):
-            c, p, rest = _memo_instance(seed)
-            rnd = random.Random(seed)
-            T, memo, ref = _LinkTables(c).table(RED), {}, {}
-            for _ in range(4):
-                w = set(rnd.sample(rest, rnd.randint(0, len(rest))))
-                got = _find_move(T, list(p), w, memo)
-                assert got == _reference_pairwise_find_move(T, list(p), w, ref, [0]), seed
-                assert memo == ref, seed
+    def test_union_test_is_one_bridges_call_per_window(self, monkeypatch):
+        """_find_move returns the move of the search that tests each end
+        pair of a window on its own, and makes exactly one _bridges call per
+        window that search tests: on random reservoirs of seeded instances,
+        and on every call of split+1 pp(10, 10) and cc(10, 10) a+1 plain
+        and pp(10, 10) b+1 swapped.  On those solves the pair-by-pair
+        search makes more _bridges calls."""
         real_find, real_bridges = extractor._find_move, extractor._bridges
-        calls, pairwise = [0], [0]
+        calls = dict.fromkeys(("windows", "bridges", "made"), 0)
 
         def counting(*args):
-            calls[0] += 1
+            calls["made"] += 1
             return real_bridges(*args)
 
-        def both(T, p, wset, failed):
-            ref = dict(failed)
-            want = _reference_pairwise_find_move(T, list(p), wset, ref, pairwise)
-            got = real_find(T, p, wset, failed)
-            assert got == want and failed == ref
+        def both(T, p, wset):
+            before = dict(calls)
+            want = _reference_pairwise_find_move(T, list(p), wset, calls)
+            got = real_find(T, p, wset)
+            assert got == want
+            assert calls["made"] - before["made"] == calls["windows"] - before["windows"]
             return got
 
-        monkeypatch.setattr(extractor, "_find_move", both)
         monkeypatch.setattr(extractor, "_bridges", counting)
+        for seed in range(600):
+            c, p, rest = _move_instance(seed)
+            rnd = random.Random(seed)
+            T = _LinkTables(c).table(RED)
+            for _ in range(4):
+                both(T, p, set(rnd.sample(rest, rnd.randint(0, len(rest)))))
+        monkeypatch.setattr(extractor, "_find_move", both)
+        calls.update(windows=0, bridges=0, made=0)
         for kind, side, swap in ((PP, "a", False), (CC, "a", False), (PP, "b", True)):
             pair = PairKind(kind, 10, 10)
             spec = lower_bound_params(pair)
             c = build_split_coloring(SplitSpec(spec.a + (side == "a"), spec.b + (side == "b")))
             c = c.swap() if swap else c
             assert verify_witness(c.restrict(ramsey_number(pair)), solve(pair, c))
-        assert 0 < calls[0] < pairwise[0]
+        assert 0 < calls["made"] == calls["windows"] < calls["bridges"]
 
     def test_searches_leave_no_reference_cycles(self):
         """A hard solve, whose blue chain runs, and the proofs of absence on
@@ -907,7 +907,7 @@ class TestKernels:
         moves = 0
         for seed in range(1500):
             c, p, w = _instance(seed)
-            got = _find_move(_LinkTables(c).table(RED), list(p), set(w), {})
+            got = _find_move(_LinkTables(c).table(RED), list(p), set(w))
             assert got == _reference_find_move(c.test(RED), list(p), set(w)), seed
             moves += got is not None
         assert 100 < moves < 1400
@@ -1036,7 +1036,7 @@ class TestKernels:
         assert walks == []
 
 
-def _memo_instance(seed):
+def _move_instance(seed):
     """A seeded (coloring, path, other vertices) on at most 16 vertices: a
     random coloring of red density 0.2, 0.5 or 0.8, or a split+1 coloring
     plain or swapped; the greedy red path or a random vertex sequence."""
@@ -1049,41 +1049,23 @@ def _memo_instance(seed):
     else:
         density = (0.2, 0.5, 0.8)[seed % 4]
         c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
-    p = _greedy(c, n, None)
+    p = _greedy(c, n)
     if len(p) < 3 or len(p) > n - 3 or rnd.random() < 0.5:
         p = rnd.sample(range(n), 2 * rnd.randint(1, (n - 3) // 2) + 1)
     return c, p, [v for v in range(n) if v not in p]
 
 
-class TestDescentReuse:
-    def test_failed_window_memo_is_exact(self):
-        """A memo filled by searches on reservoirs W1, W2, W3 leaves every
-        later result unchanged, on reservoirs inside one of them and on
-        reservoirs drawn from their union or from all other vertices; the
-        memo keeps growing across the queries.  A memo holding the union of
-        the failed reservoirs of a window gets some of these wrong."""
-        covered = moves = 0
-        for seed in range(900):
-            c, p, rest = _memo_instance(seed)
-            rnd = random.Random(seed)
-            T, red, memo = _LinkTables(c).table(RED), c.test(RED), {}
-            filled = [set(rnd.sample(rest, rnd.randint(2, len(rest)))) for _ in range(3)]
-            for w in filled:
-                _find_move(T, list(p), w, memo)
-            union = sorted(set().union(*filled))
-            queries = [set(rnd.sample(sorted(w), rnd.randint(0, len(w)))) for w in filled]
-            queries += [set(rnd.sample(union, rnd.randint(2, len(union)))) for _ in range(3)]
-            queries += [set(rnd.sample(rest, rnd.randint(2, len(rest)))) for _ in range(2)]
-            for w in queries:
-                fresh = _find_move(T, list(p), w, {})
-                got = _find_move(T, list(p), w, memo)
-                assert got == fresh == _reference_find_move(red, list(p), w), seed
-                moves += got is not None
-                covered += len(w) >= 2 and any(
-                    sum(1 << v for v in w) & ~seen == 0 for seen in memo.values()
-                )
-        assert 1000 < moves < 6000 and covered > 1000
+def _greedy_through(T, c):
+    """_reference_greedy with the end extension by _append_extend through
+    T, the red table of c or of a coloring c is a prefix of."""
+    if c.red_bits == 0:
+        return []
+    seq = list(colex_unrank((c.red_bits & -c.red_bits).bit_length() - 1, c.n_vertices))
+    _append_extend(c.n_vertices, seq, T)
+    return seq
 
+
+class TestDescentReuse:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(3, 14), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_greedy_path_is_the_prefix_greedy_path(self, n, seed, data):
@@ -1098,15 +1080,15 @@ class TestDescentReuse:
         else:
             density = rnd.choice([0.05, 0.2, 0.5, 0.9])
             c = Coloring(n, sum(1 << r for r in range(comb(n, 3)) if rnd.random() < density))
-        gp = _greedy(c, n, None)
+        gp = _greedy(c, n)
         k = data.draw(st.integers(max(gp, default=2) + 1, n))
-        assert _greedy(c.restrict(k), k, None) == _greedy(c, k, None) == gp
+        assert _greedy(c.restrict(k), k) == _greedy(c, k) == gp
 
     def test_end_extension_from_rows_is_the_triple_scan(self):
         """_append_extend through the red table of a larger coloring returns
         the sequence the per-triple scan through Coloring.test returns on
-        the prefix, from seeds of one, three or five vertices; so do the
-        greedy builds through that table and through the byte view of the
+        the prefix, from seeds of one, three or five vertices and from the
+        greedy seed; so do the greedy builds through the byte view of the
         prefix, or of the larger coloring with the prefix's vertex count."""
         grown = 0
         for seed in range(600):
@@ -1123,7 +1105,8 @@ class TestDescentReuse:
             _reference_append_extend(c.test(RED), n, triples)
             assert rows == triples, seed
             want = _reference_greedy(c)
-            assert _greedy(c, n, T) == _greedy(c, n, None) == _greedy(top, n, None) == want, seed
+            assert _greedy(c, n) == _greedy(top, n) == want, seed
+            assert _greedy_through(T, c) == want, seed
             grown += len(rows) > len(start)
         assert grown > 300
 
@@ -1131,13 +1114,13 @@ class TestDescentReuse:
         """The seed {0, 1, 2}'s tail 2 has no red edge into the free
         vertices, though red triples through 2 and vertices of the path
         exist; the head extends three times.  The byte-view build, which
-        stops probing the tail, the table build and the per-triple scan
-        return the same path."""
+        stops probing the tail, end extension through the red table from
+        the greedy seed and the per-triple scan return the same path."""
         red = [(0, 1, 2), (0, 2, 5), (1, 2, 7), (0, 3, 4), (4, 5, 6), (6, 7, 8), (8, 3, 9)]
         c = Coloring(12, sum(1 << colex_rank(TripleEdge.of(*t)) for t in red))
         T = _LinkTables(c).table(RED)
         want = [8, 7, 6, 5, 4, 3, 0, 1, 2]
-        assert _greedy(c, 12, None) == _greedy(c, 12, T) == _reference_greedy(c) == want
+        assert _greedy(c, 12) == _greedy_through(T, c) == _reference_greedy(c) == want
 
     def test_greedy_on_a_huge_sparse_coloring_is_its_prefix_greedy(self):
         """N = 100000 with every red triple below vertex 20: the byte-view
@@ -1148,7 +1131,7 @@ class TestDescentReuse:
             c = Coloring(100_000, rnd.getrandbits(comb(20, 3)) & rnd.getrandbits(comb(20, 3)))
             assert len(c._ranks[2]) < 30
             small = c.restrict(20)
-            assert _greedy(c, 100_000, None) == _greedy(small, 20, None) == _reference_greedy(small), seed
+            assert _greedy(c, 100_000) == _greedy(small, 20) == _reference_greedy(small), seed
 
     def test_byte_view_greedy_is_the_triple_scan(self):
         """The greedy build from the byte view is the per-triple scan through
@@ -1180,10 +1163,10 @@ class TestDescentReuse:
                 top = Coloring(top.n_vertices, rnd.getrandbits(top.n_triples))
                 c = top.restrict(n)
                 seen["vertex bound"] += 1
-                assert _greedy(top, n, None) == _reference_greedy(c), seed
+                assert _greedy(top, n) == _reference_greedy(c), seed
             seen["short tables"] += len(c._ranks[2]) < n
             seen["blue low word"] += c.red_bits and not c.red_bits & 0xFFFFFFFFFFFFFFFF
-            assert _greedy(c, n, None) == _reference_greedy(c), seed
+            assert _greedy(c, n) == _reference_greedy(c), seed
         assert min(seen.values()) > 40, seen
 
     def test_solve_at_the_threshold_builds_no_coloring(self, monkeypatch):
@@ -1223,7 +1206,7 @@ class TestDescentReuse:
         bits = {"random": rnd.getrandbits(t), "sparse": 1 << rnd.randrange(t), "all blue": 0}[kind]
         top = Coloring(n, bits)
         k = data.draw(st.integers(3, n - 1))
-        assert _greedy(top, k, None) == _greedy(top.restrict(k), k, None)
+        assert _greedy(top, k) == _greedy(top.restrict(k), k)
 
     @pytest.mark.parametrize("pair", [PairKind(CC, 6, 6), PairKind(PMCN, 6, 5)])
     def test_swapped_views_of_a_huge_sparse_coloring(self, pair):
@@ -1264,7 +1247,7 @@ class TestDescentReuse:
             levels.append(((n, target), bridges[0] - before))
             return w
 
-        monkeypatch.setattr(extractor, "_greedy", lambda c, n, T: builds.append(n) or real_greedy(c, n, T))
+        monkeypatch.setattr(extractor, "_greedy", lambda c, n: builds.append(n) or real_greedy(c, n))
         monkeypatch.setattr(extractor, "_fast_red", recording_fast)
         monkeypatch.setattr(extractor, "_bridges", counting_bridges)
         pair = PairKind(PP, 12, 12)
