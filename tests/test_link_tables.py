@@ -912,6 +912,29 @@ class TestKernels:
             moves += got is not None
         assert 100 < moves < 1400
 
+    def test_find_move_depends_only_on_its_arguments(self):
+        """Searches on one table, over reservoirs that nest, overlap or
+        repeat, asked in one order and then in the reverse, each return the
+        scan's move for their own reservoir; the table, the path and the
+        reservoir come back unchanged."""
+        moves = 0
+        for seed in range(400):
+            c, p, rest = _move_instance(seed)
+            rnd = random.Random(seed)
+            T, red = _LinkTables(c).table(RED), c.test(RED)
+            rows = [list(row) for row in T]
+            ws = [set(rnd.sample(rest, rnd.randint(2, len(rest)))) for _ in range(3)]
+            ws += [set(rnd.sample(sorted(w), rnd.randint(0, len(w)))) for w in ws]
+            want = [_reference_find_move(red, list(p), set(w)) for w in ws]
+            for order in (range(len(ws)), reversed(range(len(ws)))):
+                for i in order:
+                    path, w = list(p), set(ws[i])
+                    assert _find_move(T, path, w) == want[i], seed
+                    assert path == p and w == ws[i], seed
+            assert [list(row) for row in T] == rows, seed
+            moves += sum(m is not None for m in want)
+        assert 1000 < moves < 2200
+
     def test_chain_matches_the_scan(self):
         # three-edge windows need paths of three edges or more
         for seed in range(3000):
