@@ -40,7 +40,7 @@ from .core import (
     verify_witness,
 )
 from .extractor import ramsey_number, solve
-from .formats import read_coloring, write_coloring
+from .formats import read_coloring, write_coloring, write_file
 from .oracle import exhaustive_avoidance_search, find_mono_cycle, find_mono_path
 
 # Portable seeded PRNG: Mersenne Twister as shipped in Python's random
@@ -197,11 +197,13 @@ def _parse_witness(text: str) -> Witness:
 
 
 def _cmd_construct(args) -> int:
+    """The pair's split coloring on R - 1 vertices, to stdout, or to the
+    --out file, overwritten in place by formats.write_file; an empty --out
+    is a path that cannot be opened."""
     pair = _pair_of(args)
     coloring = build_split_coloring(lower_bound_params(pair))
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_coloring(coloring, fh, explicit=args.explicit)
+    if args.out is not None:
+        write_file(args.out, coloring, explicit=args.explicit)
     else:
         write_coloring(coloring, sys.stdout, explicit=args.explicit)
     return 0

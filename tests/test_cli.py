@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ from looseramsey.cli import PRNG_NAME, StressReport, _parser, main, random_color
 from looseramsey.constructions import CC, PP, PairKind
 from looseramsey.core import Coloring
 from looseramsey.extractor import ramsey_number
-from looseramsey.formats import decode, encode_lre1
+from looseramsey.formats import FormatError, decode, encode_lre1
 
 
 class TestRandomColoring:
@@ -191,6 +192,56 @@ class TestMain:
         assert capsys.readouterr().out.startswith("LRC1 ")
 
 
+PP3 = ["construct", "--pair", "pp", "-n", "3", "-m", "3"]
+PNCM30_LRE1 = ["construct", "--pair", "pncm", "-n", "30", "-m", "30", "--explicit"]
+
+
+class TestOutFile:
+    """`construct --out` writes the bytes that `construct` prints, over
+    longer and shorter files alike; a failed step exits 2 with one `error:`
+    line and leaves a file that decode rejects."""
+
+    @pytest.mark.parametrize("first,second", [(PNCM30_LRE1, PP3), (PP3, PNCM30_LRE1)],
+                             ids=["short-over-long", "long-over-short"])
+    def test_overwrite_is_the_stdout_bytes(self, tmp_path, capsys, first, second):
+        out = tmp_path / "c.txt"
+        for argv in (first, second):
+            assert main(argv) == 0
+            printed = capsys.readouterr().out.encode()
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == printed
+
+    @pytest.mark.parametrize("step", ["ftruncate", "pwrite"])
+    @pytest.mark.parametrize("explicit", [[], ["--explicit"]], ids=["LRC1", "LRE1"])
+    def test_a_failed_step_leaves_a_rejected_file(self, tmp_path, capsys, monkeypatch, step, explicit):
+        out = tmp_path / "c.txt"
+        assert main(PNCM30_LRE1 + ["--out", str(out)]) == 0
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, step, fail)
+        assert main(PP3 + explicit + ["--out", str(out)]) == 2
+        TestUsageErrors._one_error_line(capsys, "No space left on device")
+        with pytest.raises(FormatError):
+            decode(out.read_text())
+
+    def test_a_short_write_is_an_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "c.txt"
+        monkeypatch.setattr(os, "pwritev", lambda fd, bufs, off: os.pwrite(fd, bufs[0], off))
+        assert main(PP3 + ["--out", str(out)]) == 2
+        TestUsageErrors._one_error_line(capsys, "short write", repr(str(out)))
+        with pytest.raises(FormatError):
+            decode(out.read_text())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null(self, capsys):
+        # a device refuses ftruncate, so it gets one sequential write
+        assert main(PP3 + ["--out", "/dev/null"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == captured.err == ""
+
+
 class TestSingleParse:
     """main hands a known command's words to that command's parser alone;
     only an argv that names no command goes through the whole tree."""
@@ -363,6 +414,15 @@ class TestUsageErrors:
                      "--out", str(out)]) == 2
         self._one_error_line(capsys, "No such file", str(out))
         assert not out.parent.exists()
+
+    def test_empty_out(self, capsys):
+        assert main(["construct", "--pair", "pp", "-n", "3", "-m", "3", "--out", ""]) == 2
+        self._one_error_line(capsys, "No such file or directory: ''")
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        assert main(["construct", "--pair", "pp", "-n", "3", "-m", "3",
+                     "--out", str(tmp_path)]) == 2
+        self._one_error_line(capsys, "Is a directory", str(tmp_path))
 
     def test_coloring_too_large_to_hold(self, tmp_path, capsys):
         # the bitmap for rank C(10^8, 3) - 1 cannot even be sized, so this

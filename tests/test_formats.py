@@ -1,7 +1,9 @@
 """Coloring file formats: round trips and malformed input."""
 
 import io
+import os
 import random
+import stat
 import tracemalloc
 from math import comb
 
@@ -34,6 +36,7 @@ from looseramsey.formats import (
     encode_lre1,
     read_coloring,
     write_coloring,
+    write_file,
 )
 
 
@@ -109,6 +112,100 @@ def test_stream_round_trip():
     write_coloring(c, buf, explicit=True)
     buf.seek(0)
     assert read_coloring(buf) == c
+
+
+class TestWriteFile:
+    """write_file writes what write_coloring prints; over a regular file it
+    writes in place, and a write that stops anywhere leaves either the old
+    file or one that decode rejects."""
+
+    SPLIT = build_split_coloring(lower_bound_params(PairKind(PNCM, 6, 6)))  # N = 14
+    COLORINGS = [Coloring(7, 0), Coloring(7, 0x5a5a5), SPLIT, Coloring(100, 1)]
+    # old contents: shorter and longer certificates, one of them after blank
+    # lines (a header beyond the new header line), and no certificate at all
+    OLD = [b"", encode_lrc1(Coloring(5, 3)).encode(), encode_lre1(SPLIT.swap()).encode(),
+           b"\n" * 40 + encode_lre1(Coloring(9, 7)).encode(), b"\xff" * 300]
+
+    @staticmethod
+    def _text(c, explicit):
+        buf = io.StringIO()
+        write_coloring(c, buf, explicit=explicit)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["LRC1", "LRE1"])
+    def test_overwrite_is_the_stream_bytes(self, tmp_path, explicit):
+        path = tmp_path / "c"
+        for old in self.OLD:
+            for c in self.COLORINGS:
+                path.write_bytes(old)
+                write_file(str(path), c, explicit)
+                assert path.read_bytes() == self._text(c, explicit).encode()
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["LRC1", "LRE1"])
+    def test_every_stop_leaves_the_old_file_or_a_rejected_one(self, tmp_path, monkeypatch, explicit):
+        """The writer's steps are one pwritev, one ftruncate and one pwrite;
+        each stop point is a short first write of every length, or a failed
+        later step."""
+        real_pwrite = os.pwrite
+        path = tmp_path / "c"
+
+        def stopped(old, c, patch):
+            path.write_bytes(old)
+            with monkeypatch.context() as m:
+                for name, fake in patch.items():
+                    m.setattr(os, name, fake)
+                with pytest.raises(OSError):
+                    write_file(str(path), c, explicit)
+            return path.read_bytes()
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        for old in self.OLD:
+            for c in self.COLORINGS:
+                size = len(self._text(c, explicit))
+                leftovers = [
+                    stopped(old, c, {"pwritev": lambda fd, bufs, off, k=k: real_pwrite(
+                        fd, b"".join(bufs)[:k], off)})
+                    for k in (0, 1, 2, 6, 7, 8, size // 2, size - 1) if k < size
+                ]
+                leftovers.append(stopped(old, c, {"ftruncate": fail}))
+                leftovers.append(stopped(old, c, {"pwrite": fail}))
+                leftovers.append(stopped(old, c, {"pwrite": lambda fd, data, off: 0}))
+                assert leftovers[0] == old  # nothing written
+                for left in leftovers[1:]:
+                    with pytest.raises(FormatError):
+                        decode(left.decode("latin-1"))
+
+    def test_modes_and_symlinks(self, tmp_path):
+        c = Coloring(7, 0x5a5a5)
+        text = encode_lrc1(c).encode()
+        mask = os.umask(0o027)
+        try:
+            write_file(str(tmp_path / "new"), c)
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o640
+        old = tmp_path / "old"
+        old.write_bytes(b"x" * 100)
+        old.chmod(0o600)
+        write_file(str(old), c)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o600 and old.read_bytes() == text
+        link = tmp_path / "link"
+        link.symlink_to(old)
+        write_file(str(link), c, explicit=True)
+        assert link.is_symlink() and old.read_bytes() == encode_lre1(c).encode()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_gets_one_sequential_write(self):
+        c = Coloring(7, 0x5a5a5)
+        r, w = os.pipe()
+        with open(r, "rb") as fh:
+            try:
+                write_file(f"/dev/fd/{w}", c, explicit=True)  # a pipe refuses pwrite
+            finally:
+                os.close(w)
+            assert fh.read() == encode_lre1(c).encode()
 
 
 @pytest.mark.parametrize(
