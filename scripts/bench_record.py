@@ -128,7 +128,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "52d68a7"
+PARENT = "de9ebf4"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 # the functions whose calls `work` counts: key -> (module, function)

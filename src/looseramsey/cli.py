@@ -3,15 +3,13 @@
 Commands: construct, extract, search, enumerate, verify, ramsey, stress.
 The stress harness draws seeded random colorings at the pair's threshold,
 runs the extractor on each, re-verifies every witness, and exits nonzero
-iff any trial failed, so it doubles as an acceptance gate.  Trials are
-independent; LOOSERAMSEY_WORKERS may fan them out across processes.
+iff any trial failed, so it doubles as an acceptance gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -101,53 +99,29 @@ class StressReport:
         )
 
 
-def _run_trial(args: Tuple[str, int, int, int, int]) -> Tuple[int, Optional[str]]:
-    kind, n, m, seed, offset = args
-    pair = PairKind(kind, n, m)
-    N = ramsey_number(pair)
-    c = random_coloring(N, seed + offset)
-    try:
-        w = solve(pair, c)
-    except Exception as exc:  # a failure here refutes the threshold theorem
-        return offset, f"{type(exc).__name__}: {exc}"
-    res = verify_witness(c, w)
-    if not res:
-        return offset, f"verification: {res.reason}"
-    return offset, None
-
-
 def stress(pair: PairKind, trials: int, seed: int) -> StressReport:
     """Extract and re-verify a witness from `trials` seeded random colorings
-    at the pair's threshold.  Per-trial seed is seed + offset, so reports
-    merge order-independently across workers."""
+    at the pair's threshold.  Trial `offset` draws from seed + offset, so a
+    failure can be rerun on its own; failures are kept in offset order."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if seed < 0:  # Random(-s) draws the same stream as Random(s)
         raise ValueError(f"seed must be non-negative, got {seed}")
-    raw = os.environ.get("LOOSERAMSEY_WORKERS", "1")
-    try:
-        workers = min(int(raw), trials) if raw.isdecimal() else 0
-    except ValueError:  # more digits than int() converts
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"LOOSERAMSEY_WORKERS must be a positive integer, got {raw!r}")
     N = ramsey_number(pair)
     report = StressReport(pair=pair, N=N, trials=trials, seed=seed)
     start = time.perf_counter()
-    jobs = [(pair.kind, pair.n, pair.m, seed, off) for off in range(trials)]
-    if workers > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            results = pool.map(_run_trial, jobs, chunksize=64)
-    else:
-        results = [_run_trial(j) for j in jobs]
-    for offset, reason in results:
-        if reason is None:
+    for offset in range(trials):
+        c = random_coloring(N, seed + offset)
+        try:
+            w = solve(pair, c)
+        except Exception as exc:  # a failure here refutes the threshold theorem
+            report.failures.append((offset, f"{type(exc).__name__}: {exc}"))
+            continue
+        res = verify_witness(c, w)
+        if res:
             report.witnesses_verified += 1
         else:
-            report.failures.append((offset, reason))
-    report.failures.sort()
+            report.failures.append((offset, f"verification: {res.reason}"))
     report.wall_time = time.perf_counter() - start
     return report
 

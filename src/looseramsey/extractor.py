@@ -130,7 +130,10 @@ def _append_extend(n: int, seq: List[int], T: Links) -> None:
     """Grow seq in place by whole red edges at either end, two fresh vertices
     below n per edge, lowest labels first, tail end first, T the red table.
     The free vertices only shrink, so once the tail is stuck it stays
-    stuck, and only the head is tried from then on."""
+    stuck, and only the head is tried from then on.  It stays apart from
+    _greedy's byte-view loop because its callers already hold a table: a
+    stuck end then costs O(free) row reads, where the byte view tests every
+    (mid, new) pair, O(free^2) bits."""
     free = sorted(set(range(n)) - set(seq))
     fmask = sum(1 << v for v in free)
     for head in (False, True):

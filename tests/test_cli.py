@@ -1,20 +1,23 @@
 """Command-line interface: seeded randomness, stress reports, subcommands."""
 
 import argparse
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import looseramsey
+import looseramsey.cli as cli
 from looseramsey.cli import PRNG_NAME, StressReport, _parser, main, random_coloring, stress
 from looseramsey.constructions import CC, PP, PairKind
-from looseramsey.core import Coloring
+from looseramsey.core import BLUE, RED, Coloring
 from looseramsey.extractor import ramsey_number
 from looseramsey.formats import FormatError, decode, encode_lre1
 
@@ -76,6 +79,55 @@ class TestStress:
         rep.failures.append((0, "boom"))
         assert not rep.ok
         assert "failure 0: boom" in rep.text()
+
+    def test_failures_are_recorded_per_offset(self, monkeypatch, capsys):
+        """A solve that raises and a witness that fails verification are each
+        one failure at their own offset, in offset order, in both report
+        formats, and the command exits 1."""
+        pair, seed = PairKind(PP, 3, 3), 4
+        N = ramsey_number(pair)
+        raises = random_coloring(N, seed + 2).red_bits
+        recolors = random_coloring(N, seed + 5).red_bits
+        real = cli.solve
+
+        def solve(pair, c):
+            if c.red_bits == raises:
+                raise RuntimeError("no witness")
+            w = real(pair, c)
+            if c.red_bits == recolors:  # the other colour: an edge check fails
+                return dataclasses.replace(w, color=BLUE if w.color == RED else RED)
+            return w
+
+        monkeypatch.setattr(cli, "solve", solve)
+        rep = stress(pair, trials=8, seed=seed)
+        assert [off for off, _ in rep.failures] == [2, 5]
+        assert rep.failures[0] == (2, "RuntimeError: no witness")
+        assert rep.failures[1][1].startswith("verification: edge ")
+        assert rep.witnesses_verified == 6 and not rep.ok
+        text = rep.text()
+        assert "failures: 2\nfailure 2: RuntimeError: no witness\nfailure 5: verification: " in text
+        data = json.loads(rep.to_json())
+        assert data["failures"] == [{"offset": o, "reason": r} for o, r in rep.failures]
+        argv = ["stress", "--pair", "pp", "-n", "3", "-m", "3", "--trials", "8", "--seed", str(seed)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.split("wall_time")[0] == text.split("wall_time")[0]
+
+    def test_memory_is_flat_in_the_trial_count(self):
+        """Trials stream: nothing is kept per trial but a failure, so the
+        traced peak over 5000 trials stays near that over 100.  A run that
+        holds a job or a result per trial adds about 200 B each (1 MB)."""
+        pair = PairKind(PP, 3, 3)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert stress(pair, trials, 0).ok
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(100)
+        assert peak(5000) - small < 400 * 1024
 
 
 class TestMain:
@@ -476,61 +528,6 @@ class TestUsageErrors:
         self._one_error_line(capsys, needle)
 
 
-class _FakePool:
-    """Stands in for multiprocessing.Pool: records the worker count and maps
-    in this process, so no worker process starts."""
-
-    sizes = []
-
-    def __init__(self, processes):
-        _FakePool.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return list(map(fn, jobs))
-
-
-class TestWorkers:
-    """LOOSERAMSEY_WORKERS: a positive integer, never more workers than
-    trials; anything else is one `error:` line naming it, exit 2."""
-
-    @pytest.fixture(autouse=True)
-    def fake_pool(self, monkeypatch):
-        import multiprocessing
-
-        _FakePool.sizes = []
-        monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
-
-    @pytest.mark.parametrize(
-        "value",
-        ["abc", "-3", "0", "", "2.5", " 2", "+2", "1e3", pytest.param("9" * 5000, id="5000-nines")],
-    )
-    def test_rejects_anything_but_a_positive_integer(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("LOOSERAMSEY_WORKERS", value)
-        assert main(["stress", "--pair", "pp", "-n", "3", "-m", "3", "--trials", "4"]) == 2
-        TestUsageErrors._one_error_line(capsys, "LOOSERAMSEY_WORKERS", repr(value))
-        assert _FakePool.sizes == []
-
-    @pytest.mark.parametrize(
-        "value,trials,sizes", [("1000000", 3, [3]), ("2", 5, [2]), ("8", 1, []), ("1", 4, [])]
-    )
-    def test_never_more_workers_than_trials(self, monkeypatch, value, trials, sizes):
-        monkeypatch.setenv("LOOSERAMSEY_WORKERS", value)
-        rep = stress(PairKind(PP, 3, 3), trials=trials, seed=0)
-        assert rep.ok and rep.witnesses_verified == trials
-        assert _FakePool.sizes == sizes
-
-    def test_unset_runs_serially(self, monkeypatch):
-        monkeypatch.delenv("LOOSERAMSEY_WORKERS", raising=False)
-        assert stress(PairKind(PP, 3, 3), trials=3, seed=0).ok
-        assert _FakePool.sizes == []
-
-
 # Runs in a fresh interpreter: the pytest process may hold numpy already.
 _NUMPY_ON_DEMAND = textwrap.dedent("""
     import importlib, pkgutil, sys
@@ -565,7 +562,7 @@ _NUMPY_ON_DEMAND = textwrap.dedent("""
 
 def test_numpy_loads_only_for_a_table_of_14_vertices_or_more(tmp_path):
     src = str(Path(looseramsey.__file__).resolve().parent.parent)
-    # a bare environment, so stress runs its trials serially
+    # a bare environment: nothing from the caller's variables reaches the child
     done = subprocess.run([sys.executable, "-c", _NUMPY_ON_DEMAND], cwd=tmp_path, capture_output=True,
                           text=True, env={"PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
