@@ -16,7 +16,7 @@ import pytest
 import looseramsey
 import looseramsey.cli as cli
 from looseramsey.cli import PRNG_NAME, StressReport, _parser, main, random_coloring, stress
-from looseramsey.constructions import CC, PP, PairKind
+from looseramsey.constructions import CC, PMCN, PNCM, PP, PairKind
 from looseramsey.core import BLUE, RED, Coloring
 from looseramsey.extractor import ramsey_number
 from looseramsey.formats import FormatError, decode, encode_lre1
@@ -128,6 +128,93 @@ class TestStress:
 
         small = peak(100)
         assert peak(5000) - small < 400 * 1024
+
+    @pytest.mark.parametrize(
+        "pair",
+        [PairKind(PP, 4, 3), PairKind(CC, 4, 4), PairKind(PNCM, 4, 3), PairKind(PMCN, 4, 3)],
+        ids=["pp-4-3", "cc-4-4", "pncm-4-3", "pmcn-4-3"],
+    )
+    def test_one_solve_per_trial_in_offset_order(self, monkeypatch, pair):
+        """Trial `offset` solves random_coloring(N, seed + offset) once, in
+        offset order, in this process."""
+        seen = []
+        real = cli.solve
+
+        def solve(p, c):
+            seen.append(c)
+            return real(p, c)
+
+        monkeypatch.setattr(cli, "solve", solve)
+        rep = stress(pair, trials=6, seed=11)
+        assert seen == [random_coloring(ramsey_number(pair), 11 + off) for off in range(6)]
+        assert rep.ok and rep.witnesses_verified == 6
+
+    @pytest.mark.parametrize("offset", [0, 3, 7])
+    def test_a_failure_reruns_on_its_own(self, monkeypatch, offset):
+        """The failure at `offset` of a run from `seed` is the failure at
+        offset 0 of a one-trial run from seed + offset."""
+        pair, seed = PairKind(PP, 3, 3), 20
+        bad = random_coloring(ramsey_number(pair), seed + offset).red_bits
+        real = cli.solve
+
+        def solve(p, c):
+            if c.red_bits == bad:
+                raise RuntimeError(f"stuck on {c.red_bits:x}")
+            return real(p, c)
+
+        monkeypatch.setattr(cli, "solve", solve)
+        rep = stress(pair, trials=8, seed=seed)
+        assert [off for off, _ in rep.failures] == [offset]
+        assert stress(pair, trials=1, seed=seed + offset).failures == [(0, rep.failures[0][1])]
+
+    @pytest.mark.parametrize(
+        "exc,reason",
+        [
+            (RuntimeError("no witness"), "RuntimeError: no witness"),
+            (KeyError(5), "KeyError: 5"),
+            (AssertionError(), "AssertionError: "),
+        ],
+        ids=["message", "key", "empty-message"],
+    )
+    def test_a_raising_solve_is_named_by_type_and_message(self, monkeypatch, exc, reason):
+        def solve(p, c):
+            raise type(exc)(*exc.args)
+
+        monkeypatch.setattr(cli, "solve", solve)
+        rep = stress(PairKind(PP, 3, 3), trials=3, seed=0)
+        assert rep.failures == [(0, reason), (1, reason), (2, reason)]
+        assert rep.witnesses_verified == 0 and not rep.ok
+
+    def test_an_interrupt_is_not_a_failure(self, monkeypatch):
+        def solve(p, c):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "solve", solve)
+        with pytest.raises(KeyboardInterrupt):
+            stress(PairKind(PP, 3, 3), trials=3, seed=0)
+
+    def test_reads_no_environment_variable(self, monkeypatch):
+        """A stress run looks up no variable, so the retired
+        LOOSERAMSEY_WORKERS changes nothing, whatever it holds."""
+        looked_up = []
+
+        class Environ(dict):
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                looked_up.append(key)
+                return super().__contains__(key)
+
+        monkeypatch.setattr(os, "environ", Environ(os.environ, LOOSERAMSEY_WORKERS="abc"))
+        rep = stress(PairKind(PP, 3, 3), trials=4, seed=0)
+        assert rep.ok and rep.witnesses_verified == 4
+        assert looked_up == []
 
 
 class TestMain:
@@ -564,5 +651,25 @@ def test_numpy_loads_only_for_a_table_of_14_vertices_or_more(tmp_path):
     src = str(Path(looseramsey.__file__).resolve().parent.parent)
     # a bare environment: nothing from the caller's variables reaches the child
     done = subprocess.run([sys.executable, "-c", _NUMPY_ON_DEMAND], cwd=tmp_path, capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# Runs in a fresh interpreter: pytest itself may hold multiprocessing already.
+_NO_PROCESS_POOL = textwrap.dedent("""
+    import importlib, pkgutil, sys
+    import looseramsey
+    for info in pkgutil.iter_modules(looseramsey.__path__):
+        importlib.import_module(f"looseramsey.{info.name}")
+    from looseramsey.cli import main
+
+    assert main(["stress", "--pair", "pp", "-n", "10", "-m", "10", "--trials", "5"]) == 0
+    assert "multiprocessing" not in sys.modules, "the package loaded multiprocessing"
+""")
+
+
+def test_stress_runs_its_trials_without_multiprocessing(tmp_path):
+    src = str(Path(looseramsey.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", _NO_PROCESS_POOL], cwd=tmp_path, capture_output=True,
                           text=True, env={"PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
