@@ -49,10 +49,13 @@ all its outputs, which agree when both return the same results, and
   is the parent's sum of medians over this checkout's, per group of cases.
 - `formats`: LRC1 and LRE1 encode and decode of the split coloring of
   pncm(30, 30) (N = 74) and of a random coloring, drawn by
-  `random.Random(N)`, at each N in FORMAT_NS; each time is the least of
-  CALLS calls.  `sha1` covers each source's encoded files, which agree when
-  both write the same bytes, and `speedup` is the parent's median time over
-  this checkout's.
+  `random.Random(N)`, at each N in FORMAT_NS, and the two files that
+  perfbench's `certify` workload decodes: the split coloring of pp(5, 5)
+  (N = 12) in LRE1 and the pncm(30, 30) split coloring with one more vertex
+  in B (`b+1`, N = 75) in LRC1; each time is the least of CALLS calls.
+  `sha1` covers each source's encoded files, which agree when both write the
+  same bytes, and `speedup` is the parent's median time over this
+  checkout's.
 - `tables`: the link-table build `_link_table` on a random coloring, drawn
   by `random.Random(N)`, at each N in TABLE_NS: `warm` is the least of
   TABLE_CALLS calls right after each other, `cold` the median of as many
@@ -128,7 +131,7 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PARENT = "de9ebf4"
+PARENT = "4036610"
 KINDS = ("pp", "cc", "pncm", "pmcn")
 SCALING_NS = (10, 20, 40, 60, 80, 120, 160, 240)
 # the functions whose calls `work` counts: key -> (module, function)
@@ -346,7 +349,7 @@ def sweep_oracle():
 
 def sweep_formats():
     """The format cases."""
-    from looseramsey.constructions import PairKind, build_split_coloring, lower_bound_params
+    from looseramsey.constructions import PairKind, SplitSpec, build_split_coloring, lower_bound_params
     from looseramsey.core import Coloring
     from looseramsey.formats import decode, encode_lrc1, encode_lre1
 
@@ -358,12 +361,19 @@ def sweep_formats():
             best = min(best, time.perf_counter() - start)
         return best, out
 
-    cases = {"split pncm(30,30) N=74": build_split_coloring(lower_bound_params(PairKind("pncm", 30, 30)))}
+    codecs = {"LRC1": encode_lrc1, "LRE1": encode_lre1}
+    spec = lower_bound_params(PairKind("pncm", 30, 30))
+    # case -> (coloring, its formats)
+    cases = {"split pncm(30,30) N=74": (build_split_coloring(spec), codecs)}
     for n in FORMAT_NS:
-        cases[f"random N={n}"] = Coloring(n, random.Random(n).getrandbits(math.comb(n, 3)))
+        cases[f"random N={n}"] = (Coloring(n, random.Random(n).getrandbits(math.comb(n, 3))), codecs)
+    cases["split pp(5,5) N=12"] = (build_split_coloring(lower_bound_params(PairKind("pp", 5, 5))),
+                                   {"LRE1": encode_lre1})
+    cases["split+1 pncm(30,30) b+1 N=75"] = (build_split_coloring(SplitSpec(spec.a, spec.b + 1)),
+                                             {"LRC1": encode_lrc1})
     times, texts = {}, []
-    for case, c in cases.items():
-        for fmt, encode in (("LRC1", encode_lrc1), ("LRE1", encode_lre1)):
+    for case, (c, formats) in cases.items():
+        for fmt, encode in formats.items():
             times[f"{fmt} encode {case}"], text = least(lambda: encode(c))
             times[f"{fmt} decode {case}"], back = least(lambda: decode(text))
             if back != c:

@@ -12,29 +12,31 @@ from __future__ import annotations
 
 import os
 import stat
+from binascii import unhexlify
+from functools import reduce
 from itertools import compress, repeat
 from math import comb
 from operator import add
 from typing import TextIO
 
-from .core import Coloring, TripleEdge, colex_unrank
+from .core import Coloring, TripleEdge, _comb_tables, colex_unrank
 
 
 class FormatError(ValueError):
     """Malformed coloring file."""
 
 
-# LRC1 digit j holds ranks 4j..4j+3, rank 4j in its top bit: the bitmap's
-# hex digits, lowest first, each bit-reversed (_NIBBLE_REVERSE).
-_HEX_DIGITS = "0123456789abcdefABCDEF"
-_NIBBLE_REVERSE = str.maketrans(_HEX_DIGITS, "084c2a6e195d3b7f5d3b7f")
-_DROP_HEX = str.maketrans("", "", _HEX_DIGITS)
+# LRC1 digit j holds ranks 4j..4j+3, rank 4j in its top bit, so byte i of the
+# unhexlified digits is the little-endian bitmap's byte i, bit-reversed.  The
+# bit reversals of 2^(k+1) bytes are those of 2^k, then those with bit 7-k set.
+_BIT_REVERSE = bytes(reduce(lambda t, k: t + [b | 128 >> k for b in t], range(8), [0]))
+_DROP_HEX = str.maketrans("", "", "0123456789abcdefABCDEF")
 
 
 def encode_lrc1(coloring: Coloring) -> str:
     n_digits = (coloring.n_triples + 3) // 4
-    digits = format(coloring.red_bits, f"0{n_digits}x")[::-1]
-    return f"LRC1 {coloring.n_vertices}\n{digits.translate(_NIBBLE_REVERSE)}\n"
+    data = coloring.red_bits.to_bytes((n_digits + 1) // 2, "little").translate(_BIT_REVERSE)
+    return f"LRC1 {coloring.n_vertices}\n{data.hex()[:n_digits]}\n"
 
 
 # format(bits, "0{width}b") reversed and encoded is one byte per rank, up to
@@ -92,25 +94,32 @@ def decode(text: str) -> Coloring:
             raise FormatError(
                 f"expected {expected} hex digits for N={n}, got {len(hex_str)}"
             )
-        bad = hex_str.translate(_DROP_HEX)
-        if bad:
-            raise FormatError(f"bad hex digit {bad[0]!r}")
-        bits = int(hex_str.translate(_NIBBLE_REVERSE)[::-1], 16)
+        try:
+            data = unhexlify(hex_str + "0" * (expected & 1))
+        except ValueError as exc:  # binascii.Error, or a non-ASCII digit
+            raise FormatError(f"bad hex digit {hex_str.translate(_DROP_HEX)[0]!r}") from exc
+        bits = int.from_bytes(data.translate(_BIT_REVERSE), "little")
         if bits >> n_triples:
             raise FormatError("padding bits must be zero")
         return Coloring(n, bits)
 
-    # Nothing here is sized by n: the bitmap is sized by the largest rank, so
-    # a sparse file with a huge n stays small.
+    # Nothing is sized by n: the bitmap by the largest rank, the label dict and
+    # C(y,2), C(z,3) tables by 3 a line; a label they miss ("07") takes int, comb.
+    size = min(n, 3 * len(lines) - 3)
+    labels = {str(v): v for v in range(size)}
+    c2, c3 = _comb_tables.__wrapped__(size)  # uncached: sized by this file
     ranks = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise FormatError(f"expected three vertex labels, got {ln!r}")
         try:
-            x, y, z = map(int, parts)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+            x, y, z = labels[parts[0]], labels[parts[1]], labels[parts[2]]
+        except KeyError:
+            try:
+                x, y, z = map(int, parts)
+            except ValueError as exc:
+                raise FormatError(str(exc)) from exc
         if x > y:
             x, y = y, x
         if y > z:
@@ -123,7 +132,7 @@ def decode(text: str) -> Coloring:
             except ValueError as exc:
                 raise FormatError(str(exc)) from exc
             raise FormatError(f"edge {ln!r} outside [0, {n})")
-        ranks.append(comb(z, 3) + comb(y, 2) + x)
+        ranks.append(c3[z] + c2[y] + x if z < size else comb(z, 3) + comb(y, 2) + x)
     # rank r is bit r & 7 of byte r >> 3, set in one pass over a byte buffer
     buf = bytearray((max(ranks, default=-1) + 8) // 8)
     for r in ranks:

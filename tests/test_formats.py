@@ -8,7 +8,7 @@ import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from looseramsey.constructions import (
     PMCN,
@@ -220,9 +220,18 @@ class TestWriteFile:
         "LRC1 6\n000000",  # too many digits
         "LRC1 6\n0000g",
         "LRC1 5\n003",  # padding bits set (C(5,3)=10, bits 10-11 are padding)
+        "LRC1 6\n00é00",  # a non-ASCII digit
+        "LRC1 30\n" + "0" * 1014 + "g",  # odd digit count, bad last digit
+        "LRC1 31\n" + "0" * 561 + "é" + "0" * 562,  # even digit count
         "LRE1 5\n0 1",
         "LRE1 5\n0 1 1",
         "LRE1 5\n0 1 5",
+        # labels that int() reads but the label dict misses
+        "LRE1 5\n0 1 05",
+        "LRE1 5\n+0 0 1",
+        "LRE1 5\n0 1 ٥",
+        "LRE1 12\n0 1 1_2_",
+        "LRE1 100000\n0 1 100000",
     ],
 )
 def test_malformed(text):
@@ -300,6 +309,14 @@ def _reference_decode(text: str) -> Coloring:
     return Coloring(n, bits)
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _spellings(label: str) -> list:
+    """label and other strings that int() reads as the same vertex."""
+    return [label, f"0{label}", f"+{label}", label.translate(_ARABIC_INDIC), "_".join(label)]
+
+
 # The LRE1 encoder that the block join replaced, with the red-edge scan it
 # called inlined: one line per red triple found in the bitmap's binary string.
 
@@ -341,7 +358,15 @@ class TestCodecParity:
         lines = [ln.split() for ln in lre1.splitlines()[1:]]
         rnd.shuffle(lines)
         shuffled = f"LRE1 {n}\n" + "".join(" ".join(rnd.sample(ln, 3)) + "\n" for ln in lines)
-        for text in (lrc1, lrc1.upper(), lre1, shuffled):
+        # each label spelled as int() reads it: "07", "+7", "٧", "1_0"
+        respelled = f"LRE1 {n}\n" + "".join(
+            " ".join(rnd.choice(_spellings(v)) for v in ln) + "\n" for ln in lines)
+        # the LRC1 digits cut over several lines, blank and padded ones among them
+        digits = lrc1.splitlines()[1]
+        cuts = sorted(rnd.choices(range(len(digits) + 1), k=3))
+        split = f"LRC1 {n}\n" + "".join(
+            f"  {digits[i:j]} \n\n" for i, j in zip([0, *cuts], [*cuts, len(digits)]))
+        for text in (lrc1, lrc1.upper(), lre1, shuffled, respelled, split):
             assert decode(text) == _reference_decode(text) == c
 
     @pytest.mark.parametrize("n", [3, 4, 30, 74, 100])
@@ -355,7 +380,21 @@ class TestCodecParity:
             "top rank": 1 << top,
             "random": random.Random(n).getrandbits(top + 1),
         }[kind])
-        assert encode_lre1(c) == _reference_encode_lre1(c)
+        lrc1, lre1 = encode_lrc1(c), encode_lre1(c)
+        assert lrc1 == _reference_encode_lrc1(c)
+        assert lre1 == _reference_encode_lre1(c)
+        for text in (lrc1, lre1):
+            assert decode(text) == _reference_decode(text) == c
+
+    @pytest.mark.parametrize("text", [
+        "LRE1 12\n07 +3 1_0\n",
+        "LRE1 12\n٣ 1_1 +07\n0 1 2\n",
+        # one line: the tables stop at 3 labels, and 299 lies past them
+        "LRE1 100000\n0 1 299\n",
+        "LRE1 100000\n299 +0 0_1\n5 3 4\n",
+    ])
+    def test_same_colorings_on_other_label_spellings(self, text):
+        assert decode(text) == _reference_decode(text)
 
     def test_same_bytes_on_the_split_coloring(self):
         c = build_split_coloring(lower_bound_params(PairKind(PNCM, 30, 30)))
@@ -395,24 +434,32 @@ class TestCodecParity:
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(3, 20), rnd=st.randoms(use_true_random=False))
+    @example(n=30, rnd=random.Random(30))  # 1015 digits
+    @example(n=31, rnd=random.Random(31))  # 1124 digits
     def test_same_errors(self, n, rnd):
-        """A bad hex digit at the start, in the middle or at the end, a
-        wrong digit count, set padding bits, and bad LRE1 lines raise the
-        reference's FormatError with its message."""
+        """A bad ASCII or non-ASCII hex digit at the start, in the middle or
+        at the end, a wrong digit count, set padding bits, and bad LRE1 lines
+        raise the reference's FormatError with its message."""
         n_triples = comb(n, 3)
-        digits = encode_lrc1(Coloring(n, rnd.getrandbits(n_triples))).split()[1]
-        bad = rnd.choice("gxz-+_ .")
+        digits = encode_lrc1(Coloring(n, rnd.getrandbits(n_triples))).splitlines()[1]
+        mid = len(digits) // 2
         texts = [
-            f"LRC1 {n}\n{bad}{digits[1:]}",
-            f"LRC1 {n}\n{digits[:len(digits) // 2]}{bad}{digits[len(digits) // 2 + 1:]}",
-            f"LRC1 {n}\n{digits[:-1]}{bad}",
             f"LRC1 {n}\n{digits}0",
             f"LRC1 {n}\n{digits[:-1]}",
             f"LRE1 {n}\n0 1",
             f"LRE1 {n}\n0 1 1",
             f"LRE1 {n}\n0 1 {n}",
             f"LRE1 {n}\n0 1 two",
+            f"LRE1 {n}\n0 1 0{n}",
+            f"LRE1 {n}\n+1 1 2",
+            f"LRE1 {n}\n0 -1 2",
         ]
+        for bad in (rnd.choice("gxz-+_ ."), rnd.choice("é×ßΣ")):
+            texts += [
+                f"LRC1 {n}\n{bad}{digits[1:]}",
+                f"LRC1 {n}\n{digits[:mid]}{bad}{digits[mid + 1:]}",
+                f"LRC1 {n}\n{digits[:-1]}{bad}",
+            ]
         if n_triples % 4:
             # the last digit's low bits are padding; set the lowest one
             last = int(digits[-1], 16) | 1
